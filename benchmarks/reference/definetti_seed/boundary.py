@@ -1,0 +1,189 @@
+"""Matrix-valued Martin-boundary toolkit on the dual of U(n).
+
+Elements of the dual are represented only through their finite image
+prefixes on tensor powers of the fundamental representation, i.e. as
+SymSequence values.  The transition operator acts on those images by
+contracting the last tensor leg with the functional.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from . import hierarchy
+from .hierarchy import SeparabilityReport, SolverOptions, SymSequence, validate_k_prefix
+from .linalg import Functional, LeggedOperator, contract_legs, tensor, tensor_power
+from .symmetry import (
+    ENUMERATION_BOUND,
+    Partition,
+    isotypic_projector,
+    projector_range,
+    schur_weyl_table,
+)
+
+#: a group-like matrix t must satisfy |det t| > INVERTIBILITY_RTOL * ||t||^n
+INVERTIBILITY_RTOL = 1e-12
+
+BoundaryElement = SymSequence
+
+
+@dataclass(frozen=True)
+class GroupLike:
+    """An invertible n x n matrix t standing for the evaluation element e_t."""
+
+    t: np.ndarray
+
+    def __init__(self, t):
+        mat = np.array(t, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        n = mat.shape[0]
+        norm = float(np.linalg.norm(mat, 2))
+        if abs(np.linalg.det(mat)) <= INVERTIBILITY_RTOL * norm**n:
+            raise ValueError("group-like matrix must be invertible")
+        mat.setflags(write=False)
+        object.__setattr__(self, "t", mat)
+
+    @property
+    def n(self) -> int:
+        return self.t.shape[0]
+
+
+def grouplike_sequence(
+    a: LeggedOperator, g: GroupLike, L: int, rho: Optional[Functional] = None
+) -> BoundaryElement:
+    """The sequence (a (x) t^{(x)l})_{l<=L}; each entry is S_l-invariant."""
+    if len(a.legs) != 1:
+        raise ValueError(f"expected a single m-leg coefficient, got legs {a.legs}")
+    if L > ENUMERATION_BOUND:
+        raise ValueError(f"L={L} exceeds enumeration bound {ENUMERATION_BOUND}")
+    t_op = LeggedOperator(g.t, (g.n,))
+    entries = [tensor(a, tensor_power(t_op, l)) for l in range(L + 1)]
+    rho = rho if rho is not None else Functional.normalized_trace(g.n)
+    return SymSequence(a.legs[0], g.n, rho, entries)
+
+
+def p_map(seq: BoundaryElement, rho: Functional) -> BoundaryElement:
+    """Transition operator on image sequences: contract the last leg with rho.
+
+    Positivity-preserving; shortens the prefix by one level.
+    """
+    if seq.L < 1:
+        raise ValueError("p_map needs a prefix of length at least 1")
+    entries = [
+        contract_legs(seq.entries[l + 1], rho, [l + 1]) for l in range(seq.L)
+    ]
+    return SymSequence(seq.m, seq.n, seq.rho, entries)
+
+
+def subharmonic_check(
+    seq: BoundaryElement, rho: Functional, tol: float = 1e-9
+) -> bool:
+    """P(x) <= x with PSD entries; identical to the K-cone prefix validation."""
+    return validate_k_prefix(seq.with_rho(rho), tol).ok
+
+
+def e_rho_value(g: GroupLike, rho: Functional, tol: float = 1e-10) -> float:
+    """rho(t) = trace(D t); errors when the imaginary residue is significant."""
+    val = rho.value(g.t)
+    scale = max(1.0, abs(val))
+    if abs(val.imag) > tol * scale:
+        raise ValueError(
+            f"rho(t) has imaginary residue {val.imag:.3e}; not an exponential candidate"
+        )
+    return float(val.real)
+
+
+def block_compression(g: GroupLike, lam: Partition) -> np.ndarray:
+    """Compression of t^{(x)l} to the range of the isotypic projector of lam."""
+    l = lam.size
+    proj = isotypic_projector(g.n, l, lam)
+    basis = projector_range(proj)
+    if basis.shape[1] == 0:
+        raise ValueError(f"zero projector for partition {lam.parts}")
+    t_pow = tensor_power(LeggedOperator(g.t, (g.n,)), l).entries
+    return basis.conj().T @ t_pow @ basis
+
+
+@dataclass(frozen=True)
+class ExponentialReport:
+    is_exponential: bool
+    failing_block: Optional[Partition] = None
+
+
+def exponential_test(g: GroupLike, L: int, tol: float = 1e-9) -> ExponentialReport:
+    """Check positivity of every isotypic block of t^{(x)l} for l <= L.
+
+    The fundamental block (l=1) settles the classification for t itself;
+    the higher blocks cross-validate it numerically.
+    """
+    if L > ENUMERATION_BOUND:
+        raise ValueError(f"L={L} exceeds enumeration bound {ENUMERATION_BOUND}")
+    for l in range(1, L + 1):
+        for lam, _, _ in schur_weyl_table(g.n, l):
+            comp = block_compression(g, lam)
+            herm_dev = np.abs(comp - comp.conj().T).max()
+            if herm_dev > tol * max(1.0, np.abs(comp).max()):
+                return ExponentialReport(False, lam)
+            w = np.linalg.eigvalsh((comp + comp.conj().T) / 2)
+            if w[0] < -tol * comp.shape[0] * max(1.0, np.abs(comp).max()):
+                return ExponentialReport(False, lam)
+    return ExponentialReport(True)
+
+
+def recover_block(seq: BoundaryElement, lam: Partition) -> LeggedOperator:
+    """Compress entry |lam| to range(I_m (x) P_lam) in an orthonormal basis.
+
+    For a group-like sequence this is a (x) (pi_lam(t) (x) I_mult) up to the
+    basis choice inside the isotypic subspace.
+    """
+    l = lam.size
+    if l > seq.L:
+        raise ValueError(f"partition size {l} exceeds prefix length {seq.L}")
+    proj = isotypic_projector(seq.n, l, lam)
+    basis = projector_range(proj)
+    if basis.shape[1] == 0:
+        raise ValueError(f"zero projector for partition {lam.parts}")
+    full = np.kron(np.eye(seq.m), basis)
+    comp = full.conj().T @ seq.entries[l].entries @ full
+    return LeggedOperator(comp, (seq.m, basis.shape[1]))
+
+
+@dataclass(frozen=True)
+class ImageCheckReport:
+    subharmonic: bool
+    separability: SeparabilityReport
+    consistent: bool
+
+    def to_json(self) -> dict:
+        return {
+            "subharmonic": self.subharmonic,
+            "separability": self.separability.to_json(),
+            "consistent": self.consistent,
+        }
+
+
+def separable_image_check(
+    seq: BoundaryElement,
+    rho: Functional,
+    max_l: int = 3,
+    opts: SolverOptions = SolverOptions(),
+    tol: float = 1e-9,
+) -> ImageCheckReport:
+    """Run the hierarchy on the level-1 image of a subharmonic sequence.
+
+    A subharmonic sequence can never earn entangled evidence; `consistent`
+    is False exactly when that contradiction occurs.
+    """
+    if not subharmonic_check(seq, rho, tol):
+        raise ValueError("sequence fails the subharmonic check")
+    report = hierarchy.separability_verdict(seq.entries[1], rho, max_l, opts)
+    return ImageCheckReport(True, report, report.verdict != "entangled_evidence")
+
+
+def determinant_twist(block: LeggedOperator, g: GroupLike, k: int) -> LeggedOperator:
+    """Multiply a recovered block by det(t)^(-k), the negative-weight twist."""
+    return block * (np.linalg.det(g.t) ** (-k))

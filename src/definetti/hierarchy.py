@@ -25,6 +25,7 @@ from .linalg import (
     loewner_leq,
     min_eig,
     partial_transpose,
+    psd_part,
     psd_project,
     tensor,
     tensor_power,
@@ -147,12 +148,6 @@ def _neg_norm(mat: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.minimum(w, 0.0) ** 2)))
 
 
-def _psd_part(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-    out = (v * np.maximum(w, 0.0)) @ v.conj().T
-    return (out + out.conj().T) / 2
-
-
 class ExtensionProblem:
     """Geometry of the level-l sub-extension search for one (a, rho, l)."""
 
@@ -191,27 +186,41 @@ class ExtensionProblem:
         return np.kron(y_mat, self._d_pow)
 
     def _build_affine_solver(self) -> None:
-        # Gram operator of the affine constraint: G = Phi o Sym o Phi*.
-        # Well conditioned (cond ~ l for faithful rho), so a direct inverse
-        # gives an exact metric projection onto the constraint set.
-        mn = self.m * self.n
-        dim = mn * mn
-        g = np.empty((dim, dim), dtype=complex)
-        basis = np.zeros((mn, mn), dtype=complex)
-        for k in range(dim):
-            basis.flat[k] = 1.0
-            g[:, k] = self.phi(self.sym.apply_matrix(self.phi_star(basis))).reshape(-1)
-            basis.flat[k] = 0.0
-        self._g = g
-        self._gi = np.linalg.inv(g)
+        # Phi and Sym o Phi* act on every m-block E_ik (x) B of b in the same
+        # way, through the n-side map K(Y) = Sym(Y (x) D^{(x)(l-1)}) on M_n.
+        # Row j of `_kh` is conj(K(e_j)).flat over the n^2 matrix units e_j,
+        # so kh @ B.flat is K*(B) = Phi(Sym B) and y @ conj(kh) is K(y).flat.
+        # The per-block Gram matrix K* K = kh @ kh^H is n^2 x n^2 and well
+        # conditioned (cond ~ l for faithful rho), so a direct inverse gives
+        # an exact metric projection onto the constraint set.
+        n, l = self.n, self.l
+        sym_n = Symmetrizer((n,) * l, range(l))
+        basis = np.zeros((n, n), dtype=complex)
+        kh = np.empty((n * n, n ** (2 * l)), dtype=complex)
+        for j in range(n * n):
+            basis.flat[j] = 1.0
+            kh[j] = sym_n.apply_matrix(np.kron(basis, self._d_pow)).conj().reshape(-1)
+            basis.flat[j] = 0.0
+        self._kh = kh
+        self._gi = np.linalg.inv(kh @ kh.conj().T)
+        self._a_blocks = self._blocks(self.a.entries, n)
+
+    def _blocks(self, mat: np.ndarray, side: int) -> np.ndarray:
+        """Rows are the flattened side x side blocks of mat, one per (i, k) in m x m."""
+        m = self.m
+        return mat.reshape(m, side, m, side).transpose(0, 2, 1, 3).reshape(m * m, side * side)
 
     def project_affine(self, b: np.ndarray) -> np.ndarray:
-        """Metric projection onto {b symmetric, Phi(b) = a}."""
-        mn = self.m * self.n
-        sb = self.sym.apply_matrix(b)
-        c = self.a.entries - self.phi(sb)
-        y = (self._gi @ c.reshape(-1)).reshape(mn, mn)
-        out = sb + self.sym.apply_matrix(self.phi_star(y))
+        """Metric projection of an S_l-invariant b onto {b S_l-invariant, Phi(b) = a}.
+
+        b is not symmetrized here: the DR iterates are invariant, because
+        the PSD part of an invariant matrix is invariant.
+        """
+        m, big = self.m, self.n**self.l
+        c = self._a_blocks - self._blocks(b, big) @ self._kh.T
+        y = c @ self._gi.T
+        corr = (y @ self._kh.conj()).reshape(m, m, big, big).transpose(0, 2, 1, 3)
+        out = b + corr.reshape(m * big, m * big)
         return (out + out.conj().T) / 2
 
     def start(self) -> np.ndarray:
@@ -269,7 +278,7 @@ def sub_extension_feasibility(
     verdict = "max_iterations"
     iterations = opts.max_iterations
     for it in range(opts.max_iterations):
-        c = _psd_part(z)
+        c = psd_part(z)
         refl = prob.project_affine(2 * c - z)
         z = z + refl - c
         b = prob.project_affine(c)

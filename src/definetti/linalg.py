@@ -229,12 +229,18 @@ def loewner_leq(x: LeggedOperator, y: LeggedOperator, tol: float = PSD_TOL) -> b
     return w[0] >= -tol * x.side * scale
 
 
+def psd_part(mat: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix to the Hermitian part of mat in Hilbert-Schmidt norm
+    (clip negative eigenvalues)."""
+    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
+    out = (v * np.maximum(w, 0.0)) @ v.conj().T
+    return (out + out.conj().T) / 2
+
+
 def psd_project(x: LeggedOperator) -> LeggedOperator:
-    """Nearest PSD matrix in Hilbert-Schmidt norm (clip negative eigenvalues)."""
-    dec = eig_hermitian(x)
-    w = np.maximum(dec.eigenvalues, 0.0)
-    mat = (dec.eigenvectors * w) @ dec.eigenvectors.conj().T
-    return LeggedOperator((mat + mat.conj().T) / 2, x.legs)
+    """Nearest PSD operator in Hilbert-Schmidt norm (clip negative eigenvalues)."""
+    x.require_hermitian("psd_project")
+    return LeggedOperator(psd_part(x.entries), x.legs)
 
 
 def _contract_one_leg(ten: np.ndarray, nlegs: int, i: int, density: np.ndarray) -> np.ndarray:

@@ -145,7 +145,15 @@ def permute_legs(x: LeggedOperator, sigma: LegPermutation) -> LeggedOperator:
 
 
 class Symmetrizer:
-    """Precomputed group average over permutations of chosen legs."""
+    """Group average over permutations of chosen legs, by coset factorization.
+
+    The sum over S_{k+1} factors as (1 + sum_{j<k} (j k)) . (sum over S_k),
+    where S_k permutes legs 0..k-1 and the inner sum is the Jucys-Murphy
+    element of leg k.  So the average is built one leg at a time: once the
+    first k legs are averaged, adding leg k costs k leg swaps.  That is
+    l(l-1)/2 transposes in all, instead of the l! terms of the plain
+    average, and nothing is enumerated.
+    """
 
     def __init__(self, legs: Sequence[int], leg_indices: Sequence[int]):
         legs = tuple(int(d) for d in legs)
@@ -155,29 +163,32 @@ class Symmetrizer:
                 raise ValueError(f"leg index {i} out of range for legs {legs}")
         if len(set(legs[i] for i in idx)) > 1:
             raise ValueError("symmetrized legs must share one dimension")
-        l = len(idx)
-        if l > ENUMERATION_BOUND:
-            raise ValueError(
-                f"symmetrization over {l} legs exceeds enumeration bound {ENUMERATION_BOUND}"
-            )
         self.legs = legs
         self.indices = idx
-        k = len(legs)
+        nlegs = len(legs)
         self.side = math.prod(legs)
-        self._axes = []
-        for perm in itertools.permutations(idx):
-            row = list(range(k))
-            for pos, src in zip(idx, perm):
-                row[pos] = src
-            self._axes.append(tuple(row) + tuple(k + a for a in row))
+        # _steps[k-1] holds the axes of the swaps (idx[j] idx[k]) for j < k,
+        # acting on row and column axes alike
+        self._steps = []
+        for k in range(1, len(idx)):
+            step = []
+            for j in range(k):
+                row = list(range(nlegs))
+                row[idx[j]], row[idx[k]] = idx[k], idx[j]
+                step.append(tuple(row) + tuple(nlegs + a for a in row))
+            self._steps.append(step)
         self._shape = legs + legs
 
     def apply_matrix(self, entries: np.ndarray) -> np.ndarray:
+        if not self._steps:
+            return entries.copy()
         ten = entries.reshape(self._shape)
-        acc = np.zeros_like(ten)
-        for axes in self._axes:
-            acc += np.transpose(ten, axes)
-        return (acc / len(self._axes)).reshape(self.side, self.side)
+        for k, step in enumerate(self._steps, start=1):
+            acc = ten + np.transpose(ten, step[0])
+            for axes in step[1:]:
+                acc += np.transpose(ten, axes)
+            ten = acc / (k + 1)
+        return ten.reshape(self.side, self.side)
 
     def apply(self, x: LeggedOperator) -> LeggedOperator:
         if x.legs != self.legs:

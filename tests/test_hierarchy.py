@@ -24,6 +24,7 @@ from definetti import (
     werner_element,
 )
 from definetti.hierarchy import ExtensionProblem
+from definetti.linalg import psd_part
 
 from conftest import rand_psd, random_separable
 
@@ -101,6 +102,58 @@ def test_adjoint_identity(rng):
         y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         lhs = prob.phi(prob.phi_star(y))
         assert np.abs(lhs - prob.phi_scale * y).max() < 1e-12 * prob.phi_scale
+
+
+def _dense_affine_projection(prob, b):
+    """Metric projection onto {Sym b = b, Phi(b) = a} from the dense Gram
+    operator Phi o Sym o Phi* on m (x) n, built column by column."""
+    mn = prob.m * prob.n
+    gram = np.empty((mn * mn, mn * mn), dtype=complex)
+    unit = np.zeros((mn, mn), dtype=complex)
+    for k in range(mn * mn):
+        unit.flat[k] = 1.0
+        gram[:, k] = prob.phi(prob.sym.apply_matrix(prob.phi_star(unit))).reshape(-1)
+        unit.flat[k] = 0.0
+    sb = prob.sym.apply_matrix(b)
+    c = prob.a.entries - prob.phi(sb)
+    y = np.linalg.solve(gram, c.reshape(-1)).reshape(mn, mn)
+    return sb + prob.sym.apply_matrix(prob.phi_star(y))
+
+
+@pytest.mark.parametrize("m, n, l", [(3, 2, 3), (2, 3, 3)])
+def test_project_affine_per_block(rng, m, n, l):
+    # m != n: a reshape that mixes the m-blocks with the n-legs shows here
+    rho = Functional.random_faithful(n, rng)
+    a = LeggedOperator(rand_psd(m * n, rng), (m, n))
+    prob = ExtensionProblem(a, rho, l)
+    side = m * n**l
+    g = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    b = prob.sym.apply_matrix((g + g.conj().T) / 2)
+    out = prob.project_affine(b)
+    scale = np.abs(out).max()
+    assert np.abs(prob.sym.apply_matrix(out) - out).max() < 1e-12 * scale
+    assert np.abs(prob.phi(out) - a.entries).max() < 1e-10 * max(1.0, a.norm_max())
+    assert np.abs(prob.project_affine(out) - out).max() < 1e-10 * scale
+    assert np.abs(out - _dense_affine_projection(prob, b)).max() < 1e-10 * scale
+
+
+def test_dr_iterates_stay_invariant():
+    # the loop never symmetrizes: PSD parts of invariant iterates are invariant
+    prob = ExtensionProblem(werner_element(0.499), RHO, 4)
+    z = prob.start()
+    for _ in range(1000):
+        c = psd_part(z)
+        z = z + prob.project_affine(2 * c - z) - c
+    assert np.abs(prob.sym.apply_matrix(z) - z).max() <= 1e-10 * np.abs(z).max()
+
+
+def test_werner_level6_feasible_below_threshold():
+    # level 6 extends exactly for p <= 4/9
+    a = werner_element(0.4)
+    report = sub_extension_feasibility(a, RHO, 6)
+    assert report.verdict == "feasible"
+    assert report.witness.legs == (2,) * 7
+    assert ExtensionProblem(a, RHO, 6).validate_witness(report.witness, 1e-6)
 
 
 def test_product_element_feasible(rng):

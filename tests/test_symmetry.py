@@ -10,6 +10,7 @@ from definetti import (
     LeggedOperator,
     LegPermutation,
     Partition,
+    Symmetrizer,
     isotypic_projector,
     partitions_of,
     permute_legs,
@@ -138,6 +139,46 @@ def test_symmetrize_is_projection(rng):
     for perm in ((1, 0, 2), (0, 2, 1)):
         moved = permute_legs(s, LegPermutation(perm))
         assert np.abs(moved.entries - s.entries).max() < 1e-13
+
+
+def _explicit_average(x, leg_indices):
+    """The l!-term average over permutations of the listed legs, one
+    permute_legs call per permutation.  Legs from the first listed one on
+    must share a dimension; unlisted legs among them stay fixed."""
+    first = min(leg_indices)
+    acc = np.zeros_like(x.entries)
+    perms = list(itertools.permutations(leg_indices))
+    for perm in perms:
+        images = list(range(x.nlegs - first))
+        for pos, src in zip(leg_indices, perm):
+            images[pos - first] = src - first
+        acc += permute_legs(x, LegPermutation(images)).entries
+    return acc / len(perms)
+
+
+def _rand_complex(side, rng):
+    return rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+
+
+@pytest.mark.parametrize(
+    "legs, leg_indices",
+    [((3,) + (2,) * l, list(range(1, l + 1))) for l in range(2, 6)]
+    + [((3, 2, 2, 2, 2), [1, 2, 4]), ((3, 2, 2, 2, 2, 2, 2), [1, 2, 4, 5, 6])],
+)
+def test_factorized_symmetrizer_matches_explicit_average(rng, legs, leg_indices):
+    # complex, non-Hermitian input with a fixed leading leg of another dimension
+    x = LeggedOperator(_rand_complex(math.prod(legs), rng), legs)
+    got = Symmetrizer(legs, leg_indices).apply(x)
+    assert np.abs(got.entries - _explicit_average(x, leg_indices)).max() < 1e-12
+
+
+def test_symmetrizer_is_not_bounded_by_enumeration(rng):
+    # 9! terms are never formed: the coset steps need 36 transposes
+    legs = (2,) * 9
+    x = LeggedOperator(rng.normal(size=(512, 512)), legs)
+    s = Symmetrizer(legs, range(9)).apply(x)
+    swap = permute_legs(s, LegPermutation((8, 1, 2, 3, 4, 5, 6, 7, 0)))
+    assert np.abs(swap.entries - s.entries).max() < 1e-12 * s.norm_max()
 
 
 def test_symmetrize_preserves_positivity(rng):

@@ -1,7 +1,6 @@
 """Sub-extendability hierarchy and matrix-valued Martin-boundary toolkit."""
 
 from .linalg import (
-    EigenDecomposition,
     Functional,
     LeggedOperator,
     contract_legs,
@@ -42,7 +41,6 @@ from .hierarchy import (
     werner_element,
 )
 from .boundary import (
-    BoundaryElement,
     ExponentialReport,
     GroupLike,
     block_compression,

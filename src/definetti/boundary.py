@@ -27,8 +27,6 @@ from .symmetry import (
 #: a group-like matrix t must satisfy |det t| > INVERTIBILITY_RTOL * ||t||^n
 INVERTIBILITY_RTOL = 1e-12
 
-BoundaryElement = SymSequence
-
 
 @dataclass(frozen=True)
 class GroupLike:
@@ -54,7 +52,7 @@ class GroupLike:
 
 def grouplike_sequence(
     a: LeggedOperator, g: GroupLike, L: int, rho: Optional[Functional] = None
-) -> BoundaryElement:
+) -> SymSequence:
     """The sequence (a (x) t^{(x)l})_{l<=L}; each entry is S_l-invariant."""
     if len(a.legs) != 1:
         raise ValueError(f"expected a single m-leg coefficient, got legs {a.legs}")
@@ -66,7 +64,7 @@ def grouplike_sequence(
     return SymSequence(a.legs[0], g.n, rho, entries)
 
 
-def p_map(seq: BoundaryElement, rho: Functional) -> BoundaryElement:
+def p_map(seq: SymSequence, rho: Functional) -> SymSequence:
     """Transition operator on image sequences: contract the last leg with rho.
 
     Positivity-preserving; shortens the prefix by one level.
@@ -80,7 +78,7 @@ def p_map(seq: BoundaryElement, rho: Functional) -> BoundaryElement:
 
 
 def subharmonic_check(
-    seq: BoundaryElement, rho: Functional, tol: float = 1e-9
+    seq: SymSequence, rho: Functional, tol: float = 1e-9
 ) -> bool:
     """P(x) <= x with PSD entries; identical to the K-cone prefix validation."""
     return validate_k_prefix(seq.with_rho(rho), tol).ok
@@ -97,14 +95,18 @@ def e_rho_value(g: GroupLike, rho: Functional, tol: float = 1e-10) -> float:
     return float(val.real)
 
 
-def block_compression(g: GroupLike, lam: Partition) -> np.ndarray:
-    """Compression of t^{(x)l} to the range of the isotypic projector of lam."""
-    l = lam.size
-    proj = isotypic_projector(g.n, l, lam)
-    basis = projector_range(proj)
+def _isotypic_basis(n: int, lam: Partition) -> np.ndarray:
+    """Orthonormal basis (columns) of the range of the isotypic projector of lam."""
+    basis = projector_range(isotypic_projector(n, lam.size, lam))
     if basis.shape[1] == 0:
         raise ValueError(f"zero projector for partition {lam.parts}")
-    t_pow = tensor_power(LeggedOperator(g.t, (g.n,)), l).entries
+    return basis
+
+
+def block_compression(g: GroupLike, lam: Partition) -> np.ndarray:
+    """Compression of t^{(x)l} to the range of the isotypic projector of lam."""
+    basis = _isotypic_basis(g.n, lam)
+    t_pow = tensor_power(LeggedOperator(g.t, (g.n,)), lam.size).entries
     return basis.conj().T @ t_pow @ basis
 
 
@@ -134,7 +136,7 @@ def exponential_test(g: GroupLike, L: int, tol: float = 1e-9) -> ExponentialRepo
     return ExponentialReport(True)
 
 
-def recover_block(seq: BoundaryElement, lam: Partition) -> LeggedOperator:
+def recover_block(seq: SymSequence, lam: Partition) -> LeggedOperator:
     """Compress entry |lam| to range(I_m (x) P_lam) in an orthonormal basis.
 
     For a group-like sequence this is a (x) (pi_lam(t) (x) I_mult) up to the
@@ -143,10 +145,7 @@ def recover_block(seq: BoundaryElement, lam: Partition) -> LeggedOperator:
     l = lam.size
     if l > seq.L:
         raise ValueError(f"partition size {l} exceeds prefix length {seq.L}")
-    proj = isotypic_projector(seq.n, l, lam)
-    basis = projector_range(proj)
-    if basis.shape[1] == 0:
-        raise ValueError(f"zero projector for partition {lam.parts}")
+    basis = _isotypic_basis(seq.n, lam)
     full = np.kron(np.eye(seq.m), basis)
     comp = full.conj().T @ seq.entries[l].entries @ full
     return LeggedOperator(comp, (seq.m, basis.shape[1]))
@@ -167,7 +166,7 @@ class ImageCheckReport:
 
 
 def separable_image_check(
-    seq: BoundaryElement,
+    seq: SymSequence,
     rho: Functional,
     max_l: int = 3,
     opts: SolverOptions = SolverOptions(),

@@ -173,7 +173,6 @@ def cmd_schur_table(args) -> int:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--max-iter", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
 

@@ -224,13 +224,9 @@ class ExtensionProblem:
         return (out + out.conj().T) / 2
 
     def start(self) -> np.ndarray:
-        d = self.rho.density
-        e = d / float(np.trace(d @ d).real)
-        e_pow = np.array([[1.0]])
-        for _ in range(self.l - 1):
-            e_pow = np.kron(e_pow, e)
-        b0 = self.sym.apply_matrix(np.kron(self.a.entries, e_pow))
-        return self.project_affine(b0)
+        """Minimum-norm point of the affine set, the projection of 0."""
+        side = self.sym.side
+        return self.project_affine(np.zeros((side, side), dtype=complex))
 
     def validate_witness(self, witness: LeggedOperator, tol: float) -> bool:
         if not witness.is_hermitian() or not is_psd(witness, tol):

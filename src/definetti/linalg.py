@@ -64,9 +64,6 @@ class LeggedOperator:
     def norm_max(self) -> float:
         return float(np.abs(self.entries).max()) if self.side else 0.0
 
-    def norm_fro(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
     def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
         dev = np.abs(self.entries - self.entries.conj().T).max()
         return dev <= rtol * max(self.norm_max(), 1e-300)
@@ -78,9 +75,6 @@ class LeggedOperator:
     def as_tensor(self) -> np.ndarray:
         """Reshape to one axis per leg: row axes first, then column axes."""
         return self.entries.reshape(self.legs + self.legs)
-
-    def adjoint(self) -> "LeggedOperator":
-        return LeggedOperator(self.entries.conj().T, self.legs)
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
@@ -95,17 +89,10 @@ class LeggedOperator:
         self._check_same_legs(other)
         return LeggedOperator(self.entries + other.entries, self.legs)
 
-    def __sub__(self, other: "LeggedOperator") -> "LeggedOperator":
-        self._check_same_legs(other)
-        return LeggedOperator(self.entries - other.entries, self.legs)
-
     def __mul__(self, scalar) -> "LeggedOperator":
         return LeggedOperator(self.entries * complex(scalar), self.legs)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "LeggedOperator":
-        return LeggedOperator(-self.entries, self.legs)
 
     @staticmethod
     def identity(legs: Iterable[int]) -> "LeggedOperator":
@@ -167,14 +154,6 @@ class Functional:
         return Functional(d / np.trace(d).real)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Ascending eigenvalues and a unitary of column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def tensor(x: LeggedOperator, y: LeggedOperator) -> LeggedOperator:
     """Kronecker product; legs concatenate."""
     return LeggedOperator(np.kron(x.entries, y.entries), x.legs + y.legs)
@@ -196,10 +175,10 @@ def hs_inner(x: LeggedOperator, y: LeggedOperator) -> complex:
     return complex(np.vdot(y.entries, x.entries))
 
 
-def eig_hermitian(x: LeggedOperator) -> EigenDecomposition:
+def eig_hermitian(x: LeggedOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and a unitary of column eigenvectors."""
     x.require_hermitian("eig_hermitian")
-    evals, evecs = np.linalg.eigh((x.entries + x.entries.conj().T) / 2)
-    return EigenDecomposition(evals, evecs)
+    return np.linalg.eigh((x.entries + x.entries.conj().T) / 2)
 
 
 def min_eig(x: LeggedOperator) -> float:

@@ -282,23 +282,13 @@ def projector_range(p: LeggedOperator) -> np.ndarray:
 def schur_weyl_table(n: int, l: int) -> list[tuple[Partition, int, int]]:
     """(partition, U(n) block dimension, multiplicity) for each nonzero block.
 
-    Multiplicity is extracted as rank(P)/block_dim with rank = round(trace).
+    Closed forms: the block dimension is the Weyl dimension and the
+    multiplicity the hook-length dimension; every partition with at most n
+    parts has a nonzero block.
     """
     if l > ENUMERATION_BOUND:
         raise ValueError(f"l={l} exceeds enumeration bound {ENUMERATION_BOUND}")
-    table = []
-    for lam in partitions_of(l, max_parts=n):
-        proj = isotypic_projector(n, l, lam)
-        tr = float(np.trace(proj.entries).real)
-        rank = round(tr)
-        if abs(tr - rank) > 1e-6:
-            raise ArithmeticError(f"projector trace {tr} is not near an integer")
-        if rank == 0:
-            continue
-        block_dim = lam.weyl_dimension(n)
-        if rank % block_dim:
-            raise ArithmeticError(
-                f"rank {rank} not divisible by block dimension {block_dim} for {lam.parts}"
-            )
-        table.append((lam, block_dim, rank // block_dim))
-    return table
+    return [
+        (lam, lam.weyl_dimension(n), lam.hook_dimension())
+        for lam in partitions_of(l, max_parts=n)
+    ]

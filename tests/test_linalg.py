@@ -58,12 +58,12 @@ def test_tensor_power_zero_is_scalar_identity():
 
 def test_eig_hermitian_reconstructs(rng):
     x = LeggedOperator(rand_hermitian(8, rng), (8,))
-    dec = eig_hermitian(x)
-    rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+    evals, evecs = eig_hermitian(x)
+    rebuilt = (evecs * evals) @ evecs.conj().T
     assert np.abs(rebuilt - x.entries).max() < 1e-12 * max(1.0, x.norm_max())
     # eigenvalues ascend and the eigenvector matrix is unitary
-    assert np.all(np.diff(dec.eigenvalues) >= 0)
-    gram = dec.eigenvectors.conj().T @ dec.eigenvectors
+    assert np.all(np.diff(evals) >= 0)
+    gram = evecs.conj().T @ evecs
     assert np.abs(gram - np.eye(8)).max() < 1e-12
 
 

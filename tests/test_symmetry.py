@@ -225,14 +225,22 @@ def test_schur_weyl_table_n2_l3():
     assert sum(d * m for _, d, m in table) == 8
 
 
-def test_schur_weyl_table_n3_l4_dimension_count():
-    table = schur_weyl_table(3, 4)
-    assert sum(d * m for _, d, m in table) == 81
-    mult = {lam.parts: m for lam, _, m in table}
-    # multiplicities equal the S_4 irrep dimensions for every surviving block
-    for lam, _, m in table:
-        assert m == lam.hook_dimension()
-    assert (1, 1, 1, 1) not in mult  # needs four rows, n = 3
+@pytest.mark.parametrize("n, l", [(2, l) for l in range(1, 8)] + [(3, l) for l in range(1, 6)])
+def test_schur_weyl_table_matches_projectors(n, l):
+    # the closed-form table against ranks of the dense isotypic projectors,
+    # over every partition of l; those with more than n parts have rank 0
+    expected = []
+    for lam in partitions_of(l):
+        trace = float(np.trace(isotypic_projector(n, l, lam).entries).real)
+        rank = round(trace)
+        assert abs(trace - rank) < 1e-6
+        if rank:
+            weyl = lam.weyl_dimension(n)
+            assert rank % weyl == 0
+            expected.append((lam, weyl, rank // weyl))
+    table = schur_weyl_table(n, l)
+    assert table == expected
+    assert sum(d * m for _, d, m in table) == n**l
 
 
 def test_projector_range_is_orthonormal():

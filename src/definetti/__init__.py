@@ -22,8 +22,6 @@ from .symmetry import (
     partitions_of,
     permute_legs,
     schur_weyl_table,
-    sym_group_character,
-    symmetrize,
 )
 from .hierarchy import (
     FeasibilityReport,

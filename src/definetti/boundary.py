@@ -17,7 +17,7 @@ from . import hierarchy
 from .hierarchy import SeparabilityReport, SolverOptions, SymSequence, validate_k_prefix
 from .linalg import Functional, LeggedOperator, contract_legs, tensor, tensor_power
 from .symmetry import (
-    ENUMERATION_BOUND,
+    MAX_LEVEL,
     Partition,
     isotypic_projector,
     projector_range,
@@ -56,8 +56,8 @@ def grouplike_sequence(
     """The sequence (a (x) t^{(x)l})_{l<=L}; each entry is S_l-invariant."""
     if len(a.legs) != 1:
         raise ValueError(f"expected a single m-leg coefficient, got legs {a.legs}")
-    if L > ENUMERATION_BOUND:
-        raise ValueError(f"L={L} exceeds enumeration bound {ENUMERATION_BOUND}")
+    if L > MAX_LEVEL:
+        raise ValueError(f"L={L} exceeds the level bound {MAX_LEVEL}")
     t_op = LeggedOperator(g.t, (g.n,))
     entries = [tensor(a, tensor_power(t_op, l)) for l in range(L + 1)]
     rho = rho if rho is not None else Functional.normalized_trace(g.n)
@@ -80,7 +80,12 @@ def p_map(seq: SymSequence, rho: Functional) -> SymSequence:
 def subharmonic_check(
     seq: SymSequence, rho: Functional, tol: float = 1e-9
 ) -> bool:
-    """P(x) <= x with PSD entries; identical to the K-cone prefix validation."""
+    """P(x) <= x with PSD entries, decided by `validate_k_prefix`.
+
+    The bridge check (criterion 5, `boundary --verify-bridge`) compares this
+    with `validate_k_prefix`, that is, `validate_k_prefix` with itself: it
+    holds by definition and is not an independent computation.
+    """
     return validate_k_prefix(seq.with_rho(rho), tol).ok
 
 
@@ -122,8 +127,8 @@ def exponential_test(g: GroupLike, L: int, tol: float = 1e-9) -> ExponentialRepo
     The fundamental block (l=1) settles the classification for t itself;
     the higher blocks cross-validate it numerically.
     """
-    if L > ENUMERATION_BOUND:
-        raise ValueError(f"L={L} exceeds enumeration bound {ENUMERATION_BOUND}")
+    if L > MAX_LEVEL:
+        raise ValueError(f"L={L} exceeds the level bound {MAX_LEVEL}")
     for l in range(1, L + 1):
         for lam, _, _ in schur_weyl_table(g.n, l):
             comp = block_compression(g, lam)

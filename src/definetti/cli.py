@@ -199,7 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", default=None)
     p.add_argument("--rho", default="normalized-trace")
     p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--verify-bridge", action="store_true")
+    p.add_argument(
+        "--verify-bridge",
+        action="store_true",
+        help="also report bridge_agrees; definitional: the subharmonic check is "
+        "validate_k_prefix, so this compares validate_k_prefix with itself",
+    )
     _add_solver_flags(p)
     p.set_defaults(func=cmd_boundary)
 

@@ -30,7 +30,7 @@ from .linalg import (
     tensor,
     tensor_power,
 )
-from .symmetry import ENUMERATION_BOUND, Symmetrizer
+from .symmetry import MAX_LEVEL, Symmetrizer
 
 #: dimensions where the PPT criterion is an exact separability test
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
@@ -156,8 +156,8 @@ class ExtensionProblem:
             raise ValueError(f"expected a bipartite element with two legs, got {a.legs}")
         if l < 1:
             raise ValueError("extension level must be at least 1")
-        if l > ENUMERATION_BOUND:
-            raise ValueError(f"level {l} exceeds enumeration bound {ENUMERATION_BOUND}")
+        if l > MAX_LEVEL:
+            raise ValueError(f"level {l} exceeds the level bound {MAX_LEVEL}")
         m, n = a.legs
         if rho.dim != n:
             raise ValueError(f"functional dimension {rho.dim} does not match n={n}")

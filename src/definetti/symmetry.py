@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .linalg import LeggedOperator
 
-#: permutations are enumerated exactly; beyond this bound operations error
-ENUMERATION_BOUND = 8
+#: largest tensor power l: bounds the dense n^l x n^l operators until a
+#: block-diagonal solver works in Schur-Weyl coordinates
+MAX_LEVEL = 8
 
 
 @dataclass(frozen=True)
@@ -108,20 +107,6 @@ class LegPermutation:
             raise ValueError("permutation size mismatch")
         return LegPermutation(tuple(other.images[self.images[p]] for p in range(len(self))))
 
-    def cycle_type(self) -> Partition:
-        seen = [False] * len(self.images)
-        cycles = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            length, p = 0, start
-            while not seen[p]:
-                seen[p] = True
-                p = self.images[p]
-                length += 1
-            cycles.append(length)
-        return Partition(sorted(cycles, reverse=True))
-
 
 def permute_legs(x: LeggedOperator, sigma: LegPermutation) -> LeggedOperator:
     """Act with sigma on the trailing len(sigma) legs of x.
@@ -196,49 +181,6 @@ class Symmetrizer:
         return LeggedOperator(self.apply_matrix(x.entries), x.legs)
 
 
-def symmetrize(x: LeggedOperator, leg_indices: Sequence[int]) -> LeggedOperator:
-    """Average of x over all permutations of the listed legs.
-
-    An HS-orthogonal projection; linear and positivity-preserving.
-    """
-    return Symmetrizer(x.legs, leg_indices).apply(x)
-
-
-# -- characters of the symmetric group --------------------------------------
-
-
-@cache
-def _character(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """Murnaghan-Nakayama recursion on beta-sets (first-column hook lengths)."""
-    if not cycles:
-        return 1 if not parts else 0
-    r, rest = cycles[0], cycles[1:]
-    k = len(parts)
-    beta = [parts[i] + (k - 1 - i) for i in range(k)]
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        if b - r < 0 or (b - r) in beta_set:
-            continue
-        new_beta = sorted((beta_set - {b}) | {b - r}, reverse=True)
-        height = sum(1 for c in beta if b - r < c < b)
-        new_parts = tuple(
-            nb - (len(new_beta) - 1 - i) for i, nb in enumerate(new_beta)
-        )
-        new_parts = tuple(p for p in new_parts if p > 0)
-        total += (-1) ** height * _character(new_parts, rest)
-    return total
-
-
-def sym_group_character(lam: Partition, cycle_type: Partition) -> int:
-    """Integer character value chi_lambda(cycle_type)."""
-    if lam.size != cycle_type.size:
-        raise ValueError(
-            f"partition size {lam.size} does not match cycle type size {cycle_type.size}"
-        )
-    return _character(lam.parts, cycle_type.parts)
-
-
 # -- Schur-Weyl isotypic projectors ----------------------------------------
 
 
@@ -247,30 +189,60 @@ def _perm_index_map(n: int, l: int, perm: tuple[int, ...]) -> np.ndarray:
     return np.arange(n**l).reshape((n,) * l).transpose(perm).reshape(-1)
 
 
-def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:
-    """Projector (d/l!) sum_sigma chi_lambda(sigma) U_sigma on (C^n)^{(x)l}.
+def _branching_basis(n: int, parts: tuple[int, ...], bases: dict) -> np.ndarray:
+    """Orthonormal real basis (columns) of the isotypic subspace of `parts`.
 
-    Returns the zero operator when lambda has more than n parts (its
+    Okounkov-Vershik branching: the subspace is the orthogonal sum, over the
+    partitions mu that lose one corner of `parts`, of the vectors in
+    range(B_mu (x) I_n) on which the Jucys-Murphy element
+    X_l = sum_{j<l} (j l) takes the content of the removed corner.  X_l
+    commutes with S_{l-1}, so it maps range(B_mu (x) I_n) to itself, and the
+    contents of the boxes addable to mu differ.  `bases` holds the bases
+    already built, so each sub-partition is built once.
+    """
+    if parts not in bases:
+        l = sum(parts)
+        if l <= 1:
+            basis = np.eye(n**l)  # () and (1,) take the whole space
+        else:
+            swaps = []
+            for j in range(l - 1):
+                perm = list(range(l))
+                perm[j], perm[l - 1] = l - 1, j
+                swaps.append(_perm_index_map(n, l, tuple(perm)))
+            pieces = []
+            for i, p in enumerate(parts):
+                if i + 1 < len(parts) and parts[i + 1] == p:
+                    continue  # row i ends in no corner
+                mu = tuple(q for q in parts[:i] + (p - 1,) + parts[i + 1 :] if q)
+                cols = np.kron(_branching_basis(n, mu, bases), np.eye(n))
+                # a transposition is an involution, so it acts by a row gather
+                jm = np.zeros_like(cols)
+                for rows in swaps:
+                    jm += cols[rows]
+                evals, evecs = np.linalg.eigh(cols.T @ jm)
+                pieces.append(cols @ evecs[:, np.abs(evals - (p - 1 - i)) < 0.5])
+            basis = np.hstack(pieces)
+        bases[parts] = basis
+    return bases[parts]
+
+
+def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:
+    """Orthogonal projector onto the lambda-isotypic subspace of (C^n)^{(x)l}.
+
+    Built from a branching basis (`_branching_basis`); S_l is never summed
+    over.  Returns the zero operator when lambda has more than n parts (its
     Schur-Weyl multiplicity vanishes).
     """
-    if l > ENUMERATION_BOUND:
-        raise ValueError(f"l={l} exceeds enumeration bound {ENUMERATION_BOUND}")
+    if l > MAX_LEVEL:
+        raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
     if lam.size != l:
         raise ValueError(f"partition size {lam.size} does not match l={l}")
     legs = (n,) * l
     if len(lam) > n:
         return LeggedOperator.zeros(legs)
-    if l == 0:
-        return LeggedOperator(np.eye(1), ())
-    dim = n**l
-    acc = np.zeros((dim, dim))
-    cols = np.arange(dim)
-    for perm in itertools.permutations(range(l)):
-        chi = sym_group_character(lam, LegPermutation(perm).cycle_type())
-        if chi:
-            acc[_perm_index_map(n, l, perm), cols] += chi
-    d = lam.hook_dimension()
-    return LeggedOperator(acc * (d / math.factorial(l)), legs)
+    basis = _branching_basis(n, lam.parts, {})
+    return LeggedOperator(basis @ basis.T, legs)
 
 
 def projector_range(p: LeggedOperator) -> np.ndarray:
@@ -286,8 +258,8 @@ def schur_weyl_table(n: int, l: int) -> list[tuple[Partition, int, int]]:
     multiplicity the hook-length dimension; every partition with at most n
     parts has a nonzero block.
     """
-    if l > ENUMERATION_BOUND:
-        raise ValueError(f"l={l} exceeds enumeration bound {ENUMERATION_BOUND}")
+    if l > MAX_LEVEL:
+        raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
     return [
         (lam, lam.weyl_dimension(n), lam.hook_dimension())
         for lam in partitions_of(l, max_parts=n)

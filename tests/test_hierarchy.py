@@ -8,6 +8,7 @@ from definetti import (
     LeggedOperator,
     SolverOptions,
     SymSequence,
+    Symmetrizer,
     bell_projector,
     compress_chain,
     contract_legs,
@@ -17,7 +18,6 @@ from definetti import (
     product_probe,
     separability_verdict,
     sub_extension_feasibility,
-    symmetrize,
     tensor,
     tensor_power,
     validate_k_prefix,
@@ -172,7 +172,7 @@ def test_witness_properties(rng):
     w = report.witness
     assert w.legs == (2, 2, 2, 2)
     assert is_psd(w)
-    sym = symmetrize(w, [1, 2, 3])
+    sym = Symmetrizer(w.legs, [1, 2, 3]).apply(w)
     assert np.abs(sym.entries - w.entries).max() < 1e-6
     marg = contract_legs(w, RHO, [2, 3])
     assert loewner_leq(marg, a, tol=1e-6)

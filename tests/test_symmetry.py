@@ -1,4 +1,4 @@
-"""Unit tests for permutation actions, characters, and isotypic projectors."""
+"""Unit tests for partitions, permutation actions, and isotypic projectors."""
 
 import itertools
 import math
@@ -15,16 +15,15 @@ from definetti import (
     partitions_of,
     permute_legs,
     schur_weyl_table,
-    sym_group_character,
-    symmetrize,
     tensor,
+    tensor_power,
 )
 from definetti.symmetry import projector_range
 
 from conftest import rand_hermitian, rand_psd
 
 
-# -- partitions and characters ----------------------------------------------
+# -- partitions --------------------------------------------------------------
 
 
 def test_partition_validation():
@@ -57,46 +56,12 @@ def test_weyl_dimensions_n2():
     assert Partition((1, 1, 1)).weyl_dimension(2) == 0  # too many rows
 
 
-def test_character_table_s3():
-    # rows: lambda, columns: cycle types (1,1,1), (2,1), (3)
-    expect = {
-        (3,): [1, 1, 1],
-        (2, 1): [2, 0, -1],
-        (1, 1, 1): [1, -1, 1],
-    }
-    classes = [Partition((1, 1, 1)), Partition((2, 1)), Partition((3,))]
-    for parts, row in expect.items():
-        got = [sym_group_character(Partition(parts), mu) for mu in classes]
-        assert got == row
-
-
-def test_character_orthogonality_s5():
-    # first orthogonality relation over the full group
-    lams = list(partitions_of(5))
-    chars = {}
-    for perm in itertools.permutations(range(5)):
-        ct = LegPermutation(perm).cycle_type()
-        chars[perm] = {lam.parts: sym_group_character(lam, ct) for lam in lams}
-    for a in lams:
-        for b in lams:
-            inner = sum(chars[p][a.parts] * chars[p][b.parts] for p in chars)
-            assert inner == (math.factorial(5) if a == b else 0)
-
-
-def test_character_size_mismatch():
-    with pytest.raises(ValueError):
-        sym_group_character(Partition((2, 1)), Partition((2,)))
-
-
 # -- leg permutations --------------------------------------------------------
 
 
 def test_permutation_validation_and_cycles():
     with pytest.raises(ValueError):
         LegPermutation((0, 0, 1))
-    sigma = LegPermutation((1, 2, 0))
-    assert sigma.cycle_type().parts == (3,)
-    assert LegPermutation.identity(3).cycle_type().parts == (1, 1, 1)
 
 
 def test_permutation_product_is_composition(rng):
@@ -132,8 +97,9 @@ def test_permute_trailing_legs_only(rng):
 
 def test_symmetrize_is_projection(rng):
     x = LeggedOperator(rand_hermitian(8, rng), (2, 2, 2))
-    s = symmetrize(x, [0, 1, 2])
-    again = symmetrize(s, [0, 1, 2])
+    sym = Symmetrizer(x.legs, [0, 1, 2])
+    s = sym.apply(x)
+    again = sym.apply(s)
     assert np.abs(again.entries - s.entries).max() < 1e-13
     # invariant under each transposition
     for perm in ((1, 0, 2), (0, 2, 1)):
@@ -183,7 +149,7 @@ def test_symmetrizer_is_not_bounded_by_enumeration(rng):
 
 def test_symmetrize_preserves_positivity(rng):
     x = LeggedOperator(rand_psd(8, rng), (2, 2, 2))
-    s = symmetrize(x, [1, 2])
+    s = Symmetrizer(x.legs, [1, 2]).apply(x)
     evals = np.linalg.eigvalsh((s.entries + s.entries.conj().T) / 2)
     assert evals[0] > -1e-12
 
@@ -225,7 +191,7 @@ def test_schur_weyl_table_n2_l3():
     assert sum(d * m for _, d, m in table) == 8
 
 
-@pytest.mark.parametrize("n, l", [(2, l) for l in range(1, 8)] + [(3, l) for l in range(1, 6)])
+@pytest.mark.parametrize("n, l", [(2, l) for l in range(1, 9)] + [(3, l) for l in range(1, 7)])
 def test_schur_weyl_table_matches_projectors(n, l):
     # the closed-form table against ranks of the dense isotypic projectors,
     # over every partition of l; those with more than n parts have rank 0
@@ -241,6 +207,43 @@ def test_schur_weyl_table_matches_projectors(n, l):
     table = schur_weyl_table(n, l)
     assert table == expected
     assert sum(d * m for _, d, m in table) == n**l
+
+
+def _schur_polynomial(parts, x):
+    """s_lambda(x_1..x_n) by the bialternant formula; 0 beyond n parts."""
+    n = len(x)
+    if len(parts) > n:
+        return 0.0
+    lam = list(parts) + [0] * (n - len(parts))
+    alt = np.array([[xi ** (lam[j] + n - 1 - j) for j in range(n)] for xi in x])
+    vandermonde = np.array([[xi ** (n - 1 - j) for j in range(n)] for xi in x])
+    return np.linalg.det(alt) / np.linalg.det(vandermonde)
+
+
+@pytest.mark.parametrize(
+    "n, l",
+    [(2, l) for l in range(1, 9)] + [(3, l) for l in range(1, 7)] + [(4, l) for l in range(1, 5)],
+)
+def test_isotypic_projector_has_the_unitary_group_character(rng, n, l):
+    # a Hermitian idempotent commuting with every t^{(x)l} has a U(n)-invariant
+    # range; if its character is hook(lam) * s_lam and the projectors resolve
+    # the identity, that range is the lam-isotypic subspace
+    powers = []
+    for _ in range(2):
+        t = _rand_complex(n, rng)
+        t /= np.linalg.norm(t, 2)
+        powers.append((np.linalg.eigvals(t), tensor_power(LeggedOperator(t, (n,)), l).entries))
+    total = np.zeros((n**l, n**l))
+    for lam in partitions_of(l):
+        p = isotypic_projector(n, l, lam).entries
+        total = total + p
+        assert np.abs(p - p.conj().T).max() < 1e-13
+        assert np.abs(p @ p - p).max() < 1e-12
+        for eigs, t_pow in powers:
+            assert np.abs(p @ t_pow - t_pow @ p).max() < 1e-12
+            expect = lam.hook_dimension() * _schur_polynomial(lam.parts, eigs)
+            assert abs(np.trace(p @ t_pow) - expect) < 1e-9
+    assert np.abs(total - np.eye(n**l)).max() < 1e-12
 
 
 def test_projector_range_is_orthonormal():

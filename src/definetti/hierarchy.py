@@ -35,6 +35,11 @@ from .symmetry import MAX_LEVEL, Symmetrizer
 #: dimensions where the PPT criterion is an exact separability test
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 
+#: the DR loop reports a plateau when the residual moved by less than
+#: PLATEAU_THRESHOLD (relative) over the last PLATEAU_WINDOW iterations
+PLATEAU_WINDOW = 500
+PLATEAU_THRESHOLD = 1e-3
+
 
 @dataclass(frozen=True)
 class SymSequence:
@@ -115,8 +120,6 @@ def validate_k_prefix(seq: SymSequence, tol: float = 1e-9) -> ValidationReport:
 class SolverOptions:
     tol: float = 1e-7
     max_iterations: int = 20000
-    plateau_window: int = 500
-    plateau_threshold: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -141,11 +144,6 @@ class FeasibilityReport:
 
             out["witness"] = operator_to_json(self.witness)
         return out
-
-
-def _neg_norm(mat: np.ndarray) -> float:
-    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    return float(np.sqrt(np.sum(np.minimum(w, 0.0) ** 2)))
 
 
 class ExtensionProblem:
@@ -249,49 +247,41 @@ def sub_extension_feasibility(
     Alternates reflections between the cone {b PSD} and the affine set
     {b S_l-invariant, Phi(b) = a}; the rho-mass anchor pins the slack
     a - Phi(b) to zero, so the slack variable is eliminated rather than
-    carried along.  On infeasible instances the residual settles at the
-    gap between the two sets, which the plateau detector reports as
-    `infeasible_at_tolerance` -- a numerical statement, not a
-    separating-functional certificate.
+    carried along.  One step is c = psd_part(z), then
+    z_{k+1} = z_k + project_affine(2c - z_k) - c, and the residual is the
+    DR displacement ||z_{k+1} - z_k||.  On feasible instances it tends to
+    0 and the witness is project_affine(c) of the last step; on infeasible
+    instances it settles at the norm of the gap between the two sets, which
+    the plateau detector reports as `infeasible_at_tolerance` -- a
+    numerical statement, not a separating-functional certificate.
     """
     a.require_hermitian("sub_extension_feasibility")
     if not is_psd(a):
         raise ValueError("input element must be PSD")
-    if a.norm_max() == 0.0:
-        return FeasibilityReport(
-            "feasible",
-            LeggedOperator.zeros((a.legs[0],) + (a.legs[1],) * l),
-            0.0,
-            (0.0,),
-            0,
-            l,
-        )
     prob = ExtensionProblem(a, rho, l)
     z = prob.start()
-    b = z
     history: list[float] = []
-    window = opts.plateau_window
     verdict = "max_iterations"
     iterations = opts.max_iterations
     for it in range(opts.max_iterations):
         c = psd_part(z)
-        refl = prob.project_affine(2 * c - z)
-        z = z + refl - c
-        b = prob.project_affine(c)
-        residual = float(np.linalg.norm(b - c)) + _neg_norm(b)
+        step = prob.project_affine(2 * c - z) - c
+        z = z + step
+        residual = float(np.linalg.norm(step))
         history.append(residual)
         if residual < opts.tol:
             verdict = "feasible"
             iterations = it + 1
             break
-        if it + 1 >= 2 * window:
-            prev = history[-window - 1]
-            if abs(residual - prev) < opts.plateau_threshold * max(prev, opts.tol):
+        if it + 1 >= 2 * PLATEAU_WINDOW:
+            prev = history[-PLATEAU_WINDOW - 1]
+            if abs(residual - prev) < PLATEAU_THRESHOLD * max(prev, opts.tol):
                 verdict = "infeasible_at_tolerance"
                 iterations = it + 1
                 break
     witness = None
     if verdict == "feasible":
+        b = prob.project_affine(c)
         witness = psd_project(LeggedOperator(prob.sym.apply_matrix(b), prob.big_legs))
         if not prob.validate_witness(witness, 10 * opts.tol):
             verdict = "max_iterations"
@@ -329,6 +319,8 @@ def separability_verdict(
     Any infeasible level is entanglement evidence; all-feasible is finite
     evidence of separability only (no finite level is conclusive).
     """
+    if max_l < 2:
+        raise ValueError(f"max_l must be at least 2, got {max_l}")
     reports = {}
     for l in range(2, max_l + 1):
         reports[l] = sub_extension_feasibility(a, rho, l, opts)

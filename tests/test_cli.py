@@ -38,6 +38,11 @@ def test_extend_check_separable(tmp_path, rng):
     assert "witness" in report["levels"]["3"]
 
 
+def test_extend_check_rejects_level_below_two(tmp_path):
+    state = write_op(tmp_path / "bell.json", bell_projector())
+    assert main(["extend-check", "--state", state, "--levels", "1"]) == EXIT_INPUT
+
+
 def test_extend_check_missing_file(tmp_path):
     rc = main(["extend-check", "--state", str(tmp_path / "nope.json")])
     assert rc == EXIT_INPUT

@@ -25,6 +25,7 @@ from definetti import (
 )
 from definetti.hierarchy import ExtensionProblem
 from definetti.linalg import psd_part
+from definetti.symmetry import MAX_LEVEL
 
 from conftest import rand_psd, random_separable
 
@@ -198,6 +199,50 @@ def test_solver_rejects_bad_input():
         sub_extension_feasibility(LeggedOperator.identity((2, 2)), RHO, 0)
     with pytest.raises(ValueError):
         sub_extension_feasibility(LeggedOperator.identity((2, 2)), Functional.trace(3), 2)
+    # the zero element goes through the same checks as any other input
+    zero = LeggedOperator.zeros((2, 2))
+    with pytest.raises(ValueError):
+        sub_extension_feasibility(zero, Functional.trace(3), 2)
+    for l in (0, -1, MAX_LEVEL + 1):
+        with pytest.raises(ValueError):
+            sub_extension_feasibility(zero, RHO, l)
+    with pytest.raises(ValueError):
+        sub_extension_feasibility(LeggedOperator.zeros((2,)), RHO, 2)
+
+
+def test_one_eigendecomposition_per_step(monkeypatch):
+    # a DR step is one eigh; the only eigvalsh is the input PSD check
+    a = werner_element(0.3)
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        inner = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    report = sub_extension_feasibility(a, RHO, 3, SolverOptions(tol=1e-16, max_iterations=5))
+    assert report.verdict == "max_iterations"
+    assert calls == {"eigh": 5, "eigvalsh": 1}
+
+
+def test_residual_is_dr_displacement():
+    # residual k is ||z_{k+1} - z_k|| of the plain DR recursion
+    a = werner_element(0.499)
+    report = sub_extension_feasibility(a, RHO, 4, SolverOptions(tol=1e-16, max_iterations=20))
+    prob = ExtensionProblem(a, RHO, 4)
+    z = prob.start()
+    for k in range(20):
+        c = psd_part(z)
+        z_next = z + prob.project_affine(2 * c - z) - c
+        want = np.linalg.norm(z_next - z)
+        assert abs(report.residual_history[k] - want) <= 1e-12 * want
+        z = z_next
 
 
 def test_residual_history_monotone_tail(rng):
@@ -271,6 +316,12 @@ def test_separability_verdict_aggregation(rng):
     ent = separability_verdict(bell_projector(), RHO, max_l=2)
     assert ent.verdict == "entangled_evidence"
     assert ent.ppt_min_eig < -0.4
+
+
+def test_separability_verdict_needs_a_level():
+    for max_l in (1, 0):
+        with pytest.raises(ValueError):
+            separability_verdict(werner_element(0.3), RHO, max_l=max_l)
 
 
 # -- chain compression and the product probe ---------------------------------

@@ -4,13 +4,10 @@ from .linalg import (
     Functional,
     LeggedOperator,
     contract_legs,
-    eig_hermitian,
-    hs_inner,
     is_psd,
     loewner_leq,
     min_eig,
     partial_transpose,
-    psd_project,
     tensor,
     tensor_power,
 )

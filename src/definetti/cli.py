@@ -68,11 +68,15 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"invalid grid '{spec}', expected start:stop:step") from exc
     if step <= 0 or stop < start or not (0 <= start <= 1 and 0 <= stop <= 1):
         raise ValueError(f"invalid grid '{spec}': need 0 <= start <= stop <= 1, step > 0")
-    count = int(round((stop - start) / step)) + 1
-    return np.linspace(start, stop, count)
+    ratio = (stop - start) / step
+    count = round(ratio)
+    if abs(ratio - count) > 1e-9 * ratio:
+        raise ValueError(f"invalid grid '{spec}': step does not divide stop - start")
+    return np.linspace(start, stop, count + 1)
 
 
-def _ppt_zero_crossing(tol: float = 1e-6) -> float:
+def _ppt_zero_crossing() -> float:
+    tol = 1e-6  # accuracy of the returned crossing
     lo, hi = 0.0, 1.0
     f = lambda p: hy.ppt_min_eig(hy.werner_element(p))
     while hi - lo > tol / 2:

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
+    PSD_TOL,
     Functional,
     LeggedOperator,
     contract_legs,
@@ -26,7 +27,6 @@ from .linalg import (
     min_eig,
     partial_transpose,
     psd_part,
-    psd_project,
     tensor,
     tensor_power,
 )
@@ -84,26 +84,28 @@ class ValidationReport:
     detail: str = ""
 
 
-def validate_k_prefix(seq: SymSequence, tol: float = 1e-9) -> ValidationReport:
+def _is_invariant(sym: Symmetrizer, mat: np.ndarray, tol: float) -> bool:
+    """S_l-invariance: |Sym mat - mat|max <= tol * max(1, |mat|max)."""
+    dev = np.abs(sym.apply_matrix(mat) - mat).max()
+    return dev <= tol * max(1.0, float(np.abs(mat).max()))
+
+
+def validate_k_prefix(seq: SymSequence) -> ValidationReport:
     """Check PSD entries, S_l-invariance, and the sub-martingale condition.
 
     Reports the first violated condition and the level where it fails.
     """
     for l, x in enumerate(seq.entries):
-        if not x.is_hermitian() or not is_psd(x, tol):
-            return ValidationReport(False, "psd", l, f"entry {l} is not PSD at tol {tol}")
-    for l, x in enumerate(seq.entries):
-        if l < 2:
-            continue
-        sym = Symmetrizer(x.legs, range(1, l + 1))
-        dev = np.abs(sym.apply(x).entries - x.entries).max()
-        if dev > tol * max(1.0, x.norm_max()):
+        if not is_psd(x):
+            return ValidationReport(False, "psd", l, f"entry {l} is not PSD at tol {PSD_TOL}")
+    for l, x in enumerate(seq.entries[2:], start=2):
+        if not _is_invariant(Symmetrizer(x.legs, range(1, l + 1)), x.entries, PSD_TOL):
             return ValidationReport(
-                False, "symmetry", l, f"entry {l} deviates from its symmetrization by {dev:.3e}"
+                False, "symmetry", l, f"entry {l} is not S_{l}-invariant at tol {PSD_TOL}"
             )
     for l in range(seq.L):
         upper = contract_legs(seq.entries[l + 1], seq.rho, [l + 1])
-        if not loewner_leq(upper, seq.entries[l], tol):
+        if not loewner_leq(upper, seq.entries[l]):
             return ValidationReport(
                 False,
                 "sub_martingale",
@@ -227,10 +229,7 @@ class ExtensionProblem:
         return self.project_affine(np.zeros((side, side), dtype=complex))
 
     def validate_witness(self, witness: LeggedOperator, tol: float) -> bool:
-        if not witness.is_hermitian() or not is_psd(witness, tol):
-            return False
-        dev = np.abs(self.sym.apply_matrix(witness.entries) - witness.entries).max()
-        if dev > tol * max(1.0, witness.norm_max()):
+        if not is_psd(witness, tol) or not _is_invariant(self.sym, witness.entries, tol):
             return False
         marg = LeggedOperator(self.phi(witness.entries), (self.m, self.n))
         return loewner_leq(marg, self.a, tol)
@@ -282,7 +281,7 @@ def sub_extension_feasibility(
     witness = None
     if verdict == "feasible":
         b = prob.project_affine(c)
-        witness = psd_project(LeggedOperator(prob.sym.apply_matrix(b), prob.big_legs))
+        witness = LeggedOperator(psd_part(prob.sym.apply_matrix(b)), prob.big_legs)
         if not prob.validate_witness(witness, 10 * opts.tol):
             verdict = "max_iterations"
             witness = None
@@ -352,7 +351,7 @@ class ProbeResult:
     b: LeggedOperator
 
 
-def product_probe(seq: SymSequence, tol: float = 1e-9) -> ProbeResult:
+def product_probe(seq: SymSequence) -> ProbeResult:
     """Detect the product normal form x_l = a (x) b^{(x)l} of an extreme ray.
 
     The candidate b is recovered from x_1 by tracing out the m-leg and
@@ -362,14 +361,14 @@ def product_probe(seq: SymSequence, tol: float = 1e-9) -> ProbeResult:
         raise ValueError("product probe needs a prefix of length at least 2")
     x0 = seq.entries[0]
     tr0 = x0.trace().real
-    if x0.norm_max() == 0.0:
-        raise ValueError("level-0 entry is zero")
+    if tr0 <= 0:
+        raise ValueError(f"level-0 entry has trace {tr0:.3e}; need a positive trace")
     b = contract_legs(seq.entries[1], Functional.trace(seq.m), [0]) * (1.0 / tr0)
     is_product = True
     for l, x in enumerate(seq.entries):
         model = tensor(x0, tensor_power(b, l))
         dev = np.abs(x.entries - model.entries).max()
-        if dev > tol * max(x.norm_max(), 1e-300):
+        if dev > PSD_TOL * max(x.norm_max(), 1e-300):
             is_product = False
             break
     return ProbeResult(is_product, x0, b)

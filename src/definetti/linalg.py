@@ -24,6 +24,18 @@ PSD_TOL = 1e-9
 FAITHFUL_RTOL = 1e-12
 
 
+def _hermitian(mat: np.ndarray) -> bool:
+    """Relative rule: |mat - mat^H|max <= HERMITIAN_RTOL * |mat|max."""
+    dev = np.abs(mat - mat.conj().T).max()
+    return dev <= HERMITIAN_RTOL * max(np.abs(mat).max(), 1e-300)
+
+
+def _psd(mat: np.ndarray, tol: float) -> bool:
+    """Min eig of the Hermitian part >= -tol * side * max(1, |mat|max)."""
+    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+    return w[0] >= -tol * mat.shape[0] * max(1.0, float(np.abs(mat).max()))
+
+
 def _as_square_complex(entries) -> np.ndarray:
     mat = np.array(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -64,9 +76,8 @@ class LeggedOperator:
     def norm_max(self) -> float:
         return float(np.abs(self.entries).max()) if self.side else 0.0
 
-    def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
-        dev = np.abs(self.entries - self.entries.conj().T).max()
-        return dev <= rtol * max(self.norm_max(), 1e-300)
+    def is_hermitian(self) -> bool:
+        return _hermitian(self.entries)
 
     def require_hermitian(self, what: str = "operation") -> None:
         if not self.is_hermitian():
@@ -114,8 +125,7 @@ class Functional:
 
     def __init__(self, density):
         mat = _as_square_complex(density)
-        dev = np.abs(mat - mat.conj().T).max()
-        if dev > HERMITIAN_RTOL * max(np.abs(mat).max(), 1e-300):
+        if not _hermitian(mat):
             raise ValueError("functional density must be Hermitian")
         mat = (mat + mat.conj().T) / 2
         evals = np.linalg.eigvalsh(mat)
@@ -168,27 +178,14 @@ def tensor_power(x: LeggedOperator, k: int) -> LeggedOperator:
     return out
 
 
-def hs_inner(x: LeggedOperator, y: LeggedOperator) -> complex:
-    """Hilbert-Schmidt inner product trace(y* x)."""
-    if x.side != y.side:
-        raise ValueError(f"dimension mismatch: {x.side} vs {y.side}")
-    return complex(np.vdot(y.entries, x.entries))
-
-
-def eig_hermitian(x: LeggedOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and a unitary of column eigenvectors."""
-    x.require_hermitian("eig_hermitian")
-    return np.linalg.eigh((x.entries + x.entries.conj().T) / 2)
-
-
 def min_eig(x: LeggedOperator) -> float:
     x.require_hermitian("min_eig")
     return float(np.linalg.eigvalsh((x.entries + x.entries.conj().T) / 2)[0])
 
 
 def is_psd(x: LeggedOperator, tol: float = PSD_TOL) -> bool:
-    """True iff min eig >= -tol * side * max(1, ||x||_max)."""
-    return min_eig(x) >= -tol * x.side * max(1.0, x.norm_max())
+    """True iff x is Hermitian and min eig >= -tol * side * max(1, ||x||_max)."""
+    return x.is_hermitian() and _psd(x.entries, tol)
 
 
 def loewner_leq(x: LeggedOperator, y: LeggedOperator, tol: float = PSD_TOL) -> bool:
@@ -202,10 +199,7 @@ def loewner_leq(x: LeggedOperator, y: LeggedOperator, tol: float = PSD_TOL) -> b
         raise ValueError(f"leg mismatch: {x.legs} vs {y.legs}")
     x.require_hermitian("loewner_leq")
     y.require_hermitian("loewner_leq")
-    diff = y.entries - x.entries
-    w = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    scale = max(1.0, float(np.abs(diff).max()) if diff.size else 0.0)
-    return w[0] >= -tol * x.side * scale
+    return _psd(y.entries - x.entries, tol)
 
 
 def psd_part(mat: np.ndarray) -> np.ndarray:
@@ -214,12 +208,6 @@ def psd_part(mat: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
     out = (v * np.maximum(w, 0.0)) @ v.conj().T
     return (out + out.conj().T) / 2
-
-
-def psd_project(x: LeggedOperator) -> LeggedOperator:
-    """Nearest PSD operator in Hilbert-Schmidt norm (clip negative eigenvalues)."""
-    x.require_hermitian("psd_project")
-    return LeggedOperator(psd_part(x.entries), x.legs)
 
 
 def _contract_one_leg(ten: np.ndarray, nlegs: int, i: int, density: np.ndarray) -> np.ndarray:

@@ -153,6 +153,35 @@ def test_diag_1_minus1_fails_at_both_levels():
     assert not report.is_exponential
 
 
+def test_exponential_test_rejects_levels_below_one():
+    g = GroupLike(np.diag([1.0, -1.0]))
+    for L in (0, -3):
+        with pytest.raises(ValueError):
+            exponential_test(g, L)
+
+
+def test_exponential_test_uses_the_relative_hermitian_rule():
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    # relative anti-Hermitian part 4e-10, above HERMITIAN_RTOL = 1e-10
+    report = exponential_test(GroupLike(np.diag([1.0, 0.5]) + 2e-10 * skew), 2)
+    assert not report.is_exponential
+    assert report.failing_block == Partition((1,))
+    # 4e-11 is below it
+    assert exponential_test(GroupLike(np.diag([1.0, 0.5]) + 2e-11 * skew), 2).is_exponential
+
+
+def test_exponential_test_accepts_ill_conditioned_positive_t():
+    # higher blocks of t = U diag(1, 1e-7) U^H are small by cancellation, so
+    # their rounding (~1e-16 |t|^l) is large relative to the block itself
+    c, s = np.cos(0.7), np.sin(0.7)
+    rot = np.array([[c, -s], [s, c]])
+    phase = np.diag([1.0, np.exp(0.3j)])
+    for u in (rot, rot @ phase @ rot.T):
+        g = GroupLike((u * [1.0, 1e-7]) @ u.conj().T)
+        report = exponential_test(g, 3)
+        assert report.is_exponential, report.failing_block
+
+
 def test_non_normal_grouplike_detected(rng):
     # an invertible matrix with non-real spectrum is not an exponential
     g = GroupLike(np.array([[0.0, 1.0], [-1.0, 0.0]]))

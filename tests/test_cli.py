@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 from definetti import Functional, LeggedOperator, bell_projector
-from definetti.cli import EXIT_INPUT, EXIT_OK, main
+from definetti.cli import EXIT_INPUT, EXIT_OK, _parse_grid, main
 from definetti.serialize import dump_json, operator_to_json, sequence_to_json
 from definetti.boundary import GroupLike, grouplike_sequence
 
@@ -76,6 +76,20 @@ def test_scan_werner_grid(tmp_path):
 def test_scan_werner_bad_grid():
     assert main(["scan-werner", "--grid", "0:2:0.5"]) == EXIT_INPUT
     assert main(["scan-werner", "--grid", "oops"]) == EXIT_INPUT
+    # a step that does not divide stop - start is an error, not a new step
+    assert main(["scan-werner", "--grid", "0:0.5:0.2"]) == EXIT_INPUT
+    assert main(["scan-werner", "--grid", "0:1:0.3"]) == EXIT_INPUT
+
+
+def test_parse_grid_default_has_21_points():
+    grid = _parse_grid("0:1:0.05")
+    assert len(grid) == 21
+    assert np.allclose(np.diff(grid), 0.05)
+
+
+def test_boundary_rejects_levels_below_one(tmp_path):
+    t = write_op(tmp_path / "t.json", LeggedOperator(np.diag([1.0, -1.0]), (2,)))
+    assert main(["boundary", "--grouplike", t, "--levels", "0"]) == EXIT_INPUT
 
 
 def test_boundary_grouplike(tmp_path):

@@ -166,6 +166,24 @@ def test_product_element_feasible(rng):
         assert report.final_residual < 1e-7
 
 
+def test_validate_witness_rejects_asymmetric_and_non_hermitian():
+    # z = p (x) q1 (x) q2 is PSD but not S_2-invariant; Sym z is a witness
+    p, q1, q2 = np.diag([1.0, 0.5]), np.diag([1.0, 0.2]), np.diag([0.3, 1.0])
+    z = LeggedOperator(np.kron(p, np.kron(q1, q2)), (2, 2, 2))
+    sym = Symmetrizer(z.legs, [1, 2]).apply(z)
+    # a dominates the marginals of both z and Sym z, so only the symmetry differs
+    a = LeggedOperator(np.kron(p, q1 + q2) + np.eye(4), (2, 2))
+    prob = ExtensionProblem(a, RHO, 2)
+    assert prob.validate_witness(sym, 1e-6)
+    assert is_psd(z) and loewner_leq(LeggedOperator(prob.phi(z.entries), (2, 2)), a)
+    assert not prob.validate_witness(z, 1e-6)
+    # an invariant matrix whose Hermitian part is a witness, but which is not Hermitian
+    skew = np.kron(np.array([[0.0, 1e-3], [0.0, 0.0]]), np.eye(4))
+    herm_part = LeggedOperator(sym.entries + (skew + skew.T) / 2, z.legs)
+    assert prob.validate_witness(herm_part, 1e-6)
+    assert not prob.validate_witness(LeggedOperator(sym.entries + skew, z.legs), 1e-6)
+
+
 def test_witness_properties(rng):
     a = random_separable(rng)
     report = sub_extension_feasibility(a, RHO, 3)
@@ -352,6 +370,14 @@ def test_product_probe_accepts_product_chain(rng):
     # recovered factor matches q up to the trace normalization used
     ratio = probe.b.entries / q
     assert np.abs(ratio - ratio.flat[0]).max() < 1e-9
+
+
+def test_product_probe_rejects_non_positive_trace():
+    for x0 in (np.diag([1.0, -1.0]), np.zeros((2, 2))):
+        x0 = LeggedOperator(x0, (2,))
+        entries = [tensor(x0, LeggedOperator.identity((2,) * l)) for l in range(3)]
+        with pytest.raises(ValueError):
+            product_probe(SymSequence(2, 2, RHO, entries))
 
 
 def test_product_probe_rejects_mixture(rng):

@@ -7,16 +7,14 @@ from definetti import (
     Functional,
     LeggedOperator,
     contract_legs,
-    eig_hermitian,
-    hs_inner,
     is_psd,
     loewner_leq,
     min_eig,
     partial_transpose,
-    psd_project,
     tensor,
     tensor_power,
 )
+from definetti.linalg import psd_part
 
 from conftest import rand_hermitian, rand_psd
 
@@ -56,23 +54,6 @@ def test_tensor_power_zero_is_scalar_identity():
     assert np.isclose(p3.entries[-1, -1], 27.0)
 
 
-def test_eig_hermitian_reconstructs(rng):
-    x = LeggedOperator(rand_hermitian(8, rng), (8,))
-    evals, evecs = eig_hermitian(x)
-    rebuilt = (evecs * evals) @ evecs.conj().T
-    assert np.abs(rebuilt - x.entries).max() < 1e-12 * max(1.0, x.norm_max())
-    # eigenvalues ascend and the eigenvector matrix is unitary
-    assert np.all(np.diff(evals) >= 0)
-    gram = evecs.conj().T @ evecs
-    assert np.abs(gram - np.eye(8)).max() < 1e-12
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    x = LeggedOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,))
-    with pytest.raises(ValueError):
-        eig_hermitian(x)
-
-
 def test_psd_predicates(rng):
     p = LeggedOperator(rand_psd(4, rng), (4,))
     assert is_psd(p)
@@ -84,13 +65,24 @@ def test_psd_predicates(rng):
     assert is_psd(eps)
 
 
-def test_psd_project_clips_negative_part():
-    x = LeggedOperator(np.diag([2.0, -3.0]), (2,))
-    p = psd_project(x)
-    assert np.allclose(p.entries, np.diag([2.0, 0.0]))
+def test_is_psd_rejects_non_hermitian():
+    # PSD symmetric part, but the antisymmetric part is far above 1e-10
+    x = LeggedOperator(np.array([[1.0, 0.5], [0.0, 1.0]]), (2,))
+    assert np.linalg.eigvalsh((x.entries + x.entries.T) / 2)[0] > 0
+    assert not is_psd(x)
+    # a relative asymmetry below HERMITIAN_RTOL still counts as Hermitian
+    near = LeggedOperator(np.array([[1.0, 1e-12], [0.0, 1.0]]), (2,))
+    assert is_psd(near)
+    with pytest.raises(ValueError):
+        min_eig(x)
+
+
+def test_psd_part_clips_negative_part():
+    p = psd_part(np.diag([2.0, -3.0]))
+    assert np.allclose(p, np.diag([2.0, 0.0]))
     # projection is the HS-nearest PSD matrix, so it fixes PSD inputs
-    q = psd_project(p)
-    assert np.abs(q.entries - p.entries).max() < 1e-14
+    q = psd_part(p)
+    assert np.abs(q - p).max() < 1e-14
 
 
 def test_loewner_order(rng):
@@ -102,13 +94,6 @@ def test_loewner_order(rng):
     # near-equal operators compare both ways at tolerance
     z = LeggedOperator(a + 1e-14 * np.eye(3), (3,))
     assert loewner_leq(x, z) and loewner_leq(z, x)
-
-
-def test_hs_inner_matches_trace(rng):
-    x = rand_hermitian(4, rng)
-    y = rand_hermitian(4, rng)
-    got = hs_inner(LeggedOperator(x, (4,)), LeggedOperator(y, (4,)))
-    assert np.isclose(got, np.trace(y.conj().T @ x))
 
 
 def test_functional_faithfulness_guard():

@@ -30,7 +30,7 @@ from .linalg import (
     tensor,
     tensor_power,
 )
-from .symmetry import MAX_LEVEL, Symmetrizer
+from .symmetry import MAX_LEVEL, Symmetrizer, copy_bases
 
 #: dimensions where the PPT criterion is an exact separability test
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
@@ -149,7 +149,20 @@ class FeasibilityReport:
 
 
 class ExtensionProblem:
-    """Geometry of the level-l sub-extension search for one (a, rho, l)."""
+    """Geometry of the level-l sub-extension search for one (a, rho, l).
+
+    The search runs in Schur-Weyl block coordinates.  An S_l-invariant b on
+    legs [m, n, ..., n] is a direct sum over the partitions lambda of l with
+    at most n rows of blocks B_lambda (x) I_hook(lambda), B_lambda on
+    m (x) V_lambda.  The variable for lambda is
+    X_lambda = sqrt(hook(lambda)) (I_m (x) W)^T b (I_m (x) W), with W the
+    copy basis of lambda (`copy_bases`), of side m * weyl(lambda).  The
+    sqrt(hook) weights make the Euclidean norm of the X equal the Frobenius
+    norm of b, so Douglas-Rachford on the blocks takes exactly the steps of
+    Douglas-Rachford on b.  The blocks are stored as one zero-padded stack
+    of shape `shape` = (k, s, s), with X_lambda in the top-left corner of
+    slice lambda and s = m * max weyl.
+    """
 
     def __init__(self, a: LeggedOperator, rho: Functional, l: int):
         if len(a.legs) != 2:
@@ -188,45 +201,61 @@ class ExtensionProblem:
     def _build_affine_solver(self) -> None:
         # Phi and Sym o Phi* act on every m-block E_ik (x) B of b in the same
         # way, through the n-side map K(Y) = Sym(Y (x) D^{(x)(l-1)}) on M_n.
-        # Row j of `_kh` is conj(K(e_j)).flat over the n^2 matrix units e_j,
-        # so kh @ B.flat is K*(B) = Phi(Sym B) and y @ conj(kh) is K(y).flat.
-        # The per-block Gram matrix K* K = kh @ kh^H is n^2 x n^2 and well
+        # Row j of `_kh` is, over the blocks, sqrt(hook) conj(W^T K(e_j) W).flat
+        # for the n^2 matrix units e_j, so kh @ X.flat is K*(B) = Phi(B) and
+        # y @ conj(kh) is K(y) in block coordinates.  The weights make
+        # kh @ kh^H the dense per-block Gram matrix K* K, n^2 x n^2 and well
         # conditioned (cond ~ l for faithful rho), so a direct inverse gives
         # an exact metric projection onto the constraint set.
-        n, l = self.n, self.l
+        m, n, l = self.m, self.n, self.l
         sym_n = Symmetrizer((n,) * l, range(l))
-        basis = np.zeros((n, n), dtype=complex)
-        kh = np.empty((n * n, n ** (2 * l)), dtype=complex)
-        for j in range(n * n):
-            basis.flat[j] = 1.0
-            kh[j] = sym_n.apply_matrix(np.kron(basis, self._d_pow)).conj().reshape(-1)
-            basis.flat[j] = 0.0
-        self._kh = kh
-        self._gi = np.linalg.inv(kh @ kh.conj().T)
-        self._a_blocks = self._blocks(self.a.entries, n)
+        units = np.kron(np.eye(n * n).reshape(-1, n, n), self._d_pow)  # e_j (x) D^{(x)(l-1)}
+        k_dense = np.stack([sym_n.apply_matrix(u) for u in units])
+        self._copies = [(math.sqrt(lam.hook_dimension()), w) for lam, w in copy_bases(n, l)]
+        side = m * max(w.shape[1] for _, w in self._copies)
+        self.shape = (len(self._copies), side, side)
+        rows, idx = [], []
+        for k, (weight, w) in enumerate(self._copies):
+            d = w.shape[1]
+            rows.append(weight * (w.T @ k_dense @ w).conj().reshape(n * n, d * d))
+            # stack position of entry (alpha, beta) of the m-block (i, j) of X
+            r = np.arange(m)[:, None] * d + np.arange(d)
+            pos = k * side * side + r[:, None, :, None] * side + r[None, :, None, :]
+            idx.append(pos.reshape(m * m, d * d))
+        self._kh = np.hstack(rows)
+        self._gi = np.linalg.inv(self._kh @ self._kh.conj().T)
+        self._idx = np.hstack(idx)
+        self._a_blocks = self.a.entries.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
 
-    def _blocks(self, mat: np.ndarray, side: int) -> np.ndarray:
-        """Rows are the flattened side x side blocks of mat, one per (i, k) in m x m."""
-        m = self.m
-        return mat.reshape(m, side, m, side).transpose(0, 2, 1, 3).reshape(m * m, side * side)
+    def to_blocks(self, b: np.ndarray) -> np.ndarray:
+        """Block stack of an S_l-invariant b on the full legs."""
+        out = np.zeros(self.shape, dtype=complex)
+        for k, (weight, w) in enumerate(self._copies):
+            f = np.kron(np.eye(self.m), w)
+            out[k, : f.shape[1], : f.shape[1]] = weight * (f.T @ b @ f)
+        return out
 
-    def project_affine(self, b: np.ndarray) -> np.ndarray:
-        """Metric projection of an S_l-invariant b onto {b S_l-invariant, Phi(b) = a}.
+    def to_dense(self, x: np.ndarray) -> np.ndarray:
+        """The S_l-invariant b of a block stack: Sym(sum sqrt(hook) F X F^T),
+        F = I_m (x) W, since hook * Sym(F B F^T) is B (x) I_hook."""
+        total = np.zeros((self.sym.side, self.sym.side), dtype=complex)
+        for k, (weight, w) in enumerate(self._copies):
+            f = np.kron(np.eye(self.m), w)
+            total += weight * (f @ x[k, : f.shape[1], : f.shape[1]] @ f.T)
+        return self.sym.apply_matrix(total)
 
-        b is not symmetrized here: the DR iterates are invariant, because
-        the PSD part of an invariant matrix is invariant.
+    def project_affine(self, x: np.ndarray) -> np.ndarray:
+        """Metric projection of a block stack onto {Phi(b) = a}.
+
+        Every zero-padded stack is an S_l-invariant b, so invariance needs
+        no work here; the correction only touches the blocks, and the
+        padding stays as it came in (zero in the DR loop, because the PSD
+        part of a zero-padded block is zero-padded).
         """
-        m, big = self.m, self.n**self.l
-        c = self._a_blocks - self._blocks(b, big) @ self._kh.T
-        y = c @ self._gi.T
-        corr = (y @ self._kh.conj()).reshape(m, m, big, big).transpose(0, 2, 1, 3)
-        out = b + corr.reshape(m * big, m * big)
-        return (out + out.conj().T) / 2
-
-    def start(self) -> np.ndarray:
-        """Minimum-norm point of the affine set, the projection of 0."""
-        side = self.sym.side
-        return self.project_affine(np.zeros((side, side), dtype=complex))
+        c = self._a_blocks - x.reshape(-1)[self._idx] @ self._kh.T
+        out = np.array(x, dtype=complex)
+        out.reshape(-1)[self._idx] += (c @ self._gi.T) @ self._kh.conj()
+        return (out + out.conj().swapaxes(-1, -2)) / 2
 
     def validate_witness(self, witness: LeggedOperator, tol: float) -> bool:
         if not is_psd(witness, tol) or not _is_invariant(self.sym, witness.entries, tol):
@@ -246,19 +275,30 @@ def sub_extension_feasibility(
     Alternates reflections between the cone {b PSD} and the affine set
     {b S_l-invariant, Phi(b) = a}; the rho-mass anchor pins the slack
     a - Phi(b) to zero, so the slack variable is eliminated rather than
-    carried along.  One step is c = psd_part(z), then
+    carried along.  The iterates are block stacks (`ExtensionProblem`), so
+    invariance is built in and the PSD projection is one batched eigh of
+    small blocks.  One step is c = psd_part(z), then
     z_{k+1} = z_k + project_affine(2c - z_k) - c, and the residual is the
-    DR displacement ||z_{k+1} - z_k||.  On feasible instances it tends to
-    0 and the witness is project_affine(c) of the last step; on infeasible
-    instances it settles at the norm of the gap between the two sets, which
-    the plateau detector reports as `infeasible_at_tolerance` -- a
-    numerical statement, not a separating-functional certificate.
+    DR displacement ||z_{k+1} - z_k||.
+
+    DR is positively homogeneous in a, so the loop solves for a / tr(a):
+    the residuals and the tolerance are relative to tr(a), and a verdict
+    does not depend on the overall scale of a.  On feasible instances the
+    residual tends to 0 and the witness is tr(a) times the dense form of
+    project_affine(c) of the last step, checked against the normalized
+    problem; on infeasible instances it settles at the norm of the gap
+    between the two sets, which the plateau detector reports as
+    `infeasible_at_tolerance` -- a numerical statement, not a
+    separating-functional certificate.
     """
     a.require_hermitian("sub_extension_feasibility")
     if not is_psd(a):
         raise ValueError("input element must be PSD")
-    prob = ExtensionProblem(a, rho, l)
-    z = prob.start()
+    scale = a.trace().real
+    if scale <= 0:
+        scale = 1.0  # a PSD a of zero trace is 0, which solves in one step
+    prob = ExtensionProblem(a * (1.0 / scale), rho, l)
+    z = prob.project_affine(np.zeros(prob.shape))
     history: list[float] = []
     verdict = "max_iterations"
     iterations = opts.max_iterations
@@ -280,9 +320,11 @@ def sub_extension_feasibility(
                 break
     witness = None
     if verdict == "feasible":
-        b = prob.project_affine(c)
-        witness = LeggedOperator(psd_part(prob.sym.apply_matrix(b)), prob.big_legs)
-        if not prob.validate_witness(witness, 10 * opts.tol):
+        b = prob.to_dense(prob.project_affine(c))
+        witness = LeggedOperator(psd_part(b), prob.big_legs)
+        if prob.validate_witness(witness, 10 * opts.tol):
+            witness = witness * scale
+        else:
             verdict = "max_iterations"
             witness = None
     return FeasibilityReport(verdict, witness, history[-1] if history else 0.0, tuple(history), iterations, l)
@@ -320,6 +362,8 @@ def separability_verdict(
     """
     if max_l < 2:
         raise ValueError(f"max_l must be at least 2, got {max_l}")
+    if max_l > MAX_LEVEL:
+        raise ValueError(f"max_l={max_l} exceeds the level bound {MAX_LEVEL}")
     reports = {}
     for l in range(2, max_l + 1):
         reports[l] = sub_extension_feasibility(a, rho, l, opts)

@@ -204,10 +204,11 @@ def loewner_leq(x: LeggedOperator, y: LeggedOperator, tol: float = PSD_TOL) -> b
 
 def psd_part(mat: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix to the Hermitian part of mat in Hilbert-Schmidt norm
-    (clip negative eigenvalues)."""
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-    out = (v * np.maximum(w, 0.0)) @ v.conj().T
-    return (out + out.conj().T) / 2
+    (clip negative eigenvalues).  A stack of shape (..., s, s) is projected
+    matrix by matrix, in one batched eigh."""
+    w, v = np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
+    out = (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def _contract_one_leg(ten: np.ndarray, nlegs: int, i: int, density: np.ndarray) -> np.ndarray:

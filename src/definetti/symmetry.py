@@ -189,42 +189,92 @@ def _perm_index_map(n: int, l: int, perm: tuple[int, ...]) -> np.ndarray:
     return np.arange(n**l).reshape((n,) * l).transpose(perm).reshape(-1)
 
 
+def _jm_eigenspace(prev: np.ndarray, n: int, l: int, content: int) -> np.ndarray:
+    """Orthonormal real basis of the vectors of range(prev (x) I_n) on which
+    the Jucys-Murphy element X_l = sum_{j<l} (j l) takes the value `content`.
+
+    `prev` has orthonormal real columns in (C^n)^{(x)(l-1)} whose range is
+    invariant under X_1..X_{l-1}, so X_l maps range(prev (x) I_n) to
+    itself.  Its eigenvalues there are contents of boxes, so they are
+    integers and the wanted eigenspace is the kernel of
+    cols^T X_l cols - content, read off an SVD with a gap of at least 1.
+    """
+    rows, k = prev.shape
+    cols = (prev[:, None, :, None] * np.eye(n)[:, None, :]).reshape(rows * n, k * n)  # prev (x) I_n
+    # a transposition is an involution, so it acts by a row gather
+    jm = np.zeros_like(cols)
+    for j in range(l - 1):
+        perm = list(range(l))
+        perm[j], perm[l - 1] = l - 1, j
+        jm += cols[_perm_index_map(n, l, tuple(perm))]
+    _, sv, vt = np.linalg.svd(cols.T @ jm - content * np.eye(k * n))
+    return cols @ vt[sv < 0.5].T
+
+
 def _branching_basis(n: int, parts: tuple[int, ...], bases: dict) -> np.ndarray:
     """Orthonormal real basis (columns) of the isotypic subspace of `parts`.
 
     Okounkov-Vershik branching: the subspace is the orthogonal sum, over the
     partitions mu that lose one corner of `parts`, of the vectors in
-    range(B_mu (x) I_n) on which the Jucys-Murphy element
-    X_l = sum_{j<l} (j l) takes the content of the removed corner.  X_l
-    commutes with S_{l-1}, so it maps range(B_mu (x) I_n) to itself, and the
-    contents of the boxes addable to mu differ.  `bases` holds the bases
-    already built, so each sub-partition is built once.
+    range(B_mu (x) I_n) on which the Jucys-Murphy element X_l takes the
+    content of the removed corner (`_jm_eigenspace`).  X_l commutes with
+    S_{l-1}, so it maps range(B_mu (x) I_n) to itself, and the contents of
+    the boxes addable to mu differ.  `bases` holds the bases already built,
+    so each sub-partition is built once.
     """
     if parts not in bases:
         l = sum(parts)
         if l <= 1:
             basis = np.eye(n**l)  # () and (1,) take the whole space
         else:
-            swaps = []
-            for j in range(l - 1):
-                perm = list(range(l))
-                perm[j], perm[l - 1] = l - 1, j
-                swaps.append(_perm_index_map(n, l, tuple(perm)))
             pieces = []
             for i, p in enumerate(parts):
                 if i + 1 < len(parts) and parts[i + 1] == p:
                     continue  # row i ends in no corner
                 mu = tuple(q for q in parts[:i] + (p - 1,) + parts[i + 1 :] if q)
-                cols = np.kron(_branching_basis(n, mu, bases), np.eye(n))
-                # a transposition is an involution, so it acts by a row gather
-                jm = np.zeros_like(cols)
-                for rows in swaps:
-                    jm += cols[rows]
-                evals, evecs = np.linalg.eigh(cols.T @ jm)
-                pieces.append(cols @ evecs[:, np.abs(evals - (p - 1 - i)) < 0.5])
+                pieces.append(_jm_eigenspace(_branching_basis(n, mu, bases), n, l, p - 1 - i))
             basis = np.hstack(pieces)
         bases[parts] = basis
     return bases[parts]
+
+
+def _copy_basis(n: int, parts: tuple[int, ...], bases: dict) -> np.ndarray:
+    """Orthonormal real basis of one copy V_lambda (x) |T> of the U(n) irrep
+    of `parts`, T the standard tableau grown along the chain below.
+
+    Branching along one chain of corners, always removing the last row's
+    box mu = lambda - box: range(W_mu (x) I_n) is the joint eigenspace of the
+    Jucys-Murphy elements X_1..X_{l-1} for the contents of T_mu, X_l
+    commutes with those, and its eigenspace for the content of the removed
+    box is V_lambda (x) |T>, with weyl(lambda) vectors.  `bases` holds the
+    bases already built.
+    """
+    if parts not in bases:
+        l = sum(parts)
+        if l <= 1:
+            basis = np.eye(n**l)
+        else:
+            i, p = len(parts) - 1, parts[-1]
+            mu = parts[:-1] + ((p - 1,) if p > 1 else ())
+            basis = _jm_eigenspace(_copy_basis(n, mu, bases), n, l, p - 1 - i)
+        bases[parts] = basis
+    return bases[parts]
+
+
+def copy_bases(n: int, l: int) -> list[tuple[Partition, np.ndarray]]:
+    """One copy of each U(n) irrep in (C^n)^{(x)l}.
+
+    For every partition lambda of l with at most n rows, a real isometry
+    W_lambda with n^l rows and weyl(lambda) columns onto V_lambda (x) |T>
+    (`_copy_basis`).  An S_l-invariant operator b on the n-legs is
+    determined by its compressions W^T b W, and twirling one copy fills the
+    block: hook(lambda) * Sym(W X W^T) = X (x) I_mult in Schur-Weyl
+    coordinates, so hook(lambda) * Sym(W W^T) is the isotypic projector.
+    """
+    if l > MAX_LEVEL:
+        raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
+    bases: dict = {}
+    return [(lam, _copy_basis(n, lam.parts, bases)) for lam in partitions_of(l, max_parts=n)]
 
 
 def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:

@@ -43,6 +43,11 @@ def test_extend_check_rejects_level_below_two(tmp_path):
     assert main(["extend-check", "--state", state, "--levels", "1"]) == EXIT_INPUT
 
 
+def test_extend_check_rejects_levels_above_the_bound(tmp_path):
+    state = write_op(tmp_path / "bell.json", bell_projector())
+    assert main(["extend-check", "--state", state, "--levels", "9"]) == EXIT_INPUT
+
+
 def test_extend_check_missing_file(tmp_path):
     rc = main(["extend-check", "--state", str(tmp_path / "nope.json")])
     assert rc == EXIT_INPUT

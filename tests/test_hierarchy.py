@@ -14,6 +14,7 @@ from definetti import (
     contract_legs,
     is_psd,
     loewner_leq,
+    partitions_of,
     ppt_min_eig,
     product_probe,
     separability_verdict,
@@ -27,7 +28,7 @@ from definetti.hierarchy import ExtensionProblem
 from definetti.linalg import psd_part
 from definetti.symmetry import MAX_LEVEL
 
-from conftest import rand_psd, random_separable
+from conftest import DenseDR, rand_psd, random_separable
 
 RHO = Functional.normalized_trace(2)
 
@@ -105,20 +106,19 @@ def test_adjoint_identity(rng):
         assert np.abs(lhs - prob.phi_scale * y).max() < 1e-12 * prob.phi_scale
 
 
-def _dense_affine_projection(prob, b):
-    """Metric projection onto {Sym b = b, Phi(b) = a} from the dense Gram
-    operator Phi o Sym o Phi* on m (x) n, built column by column."""
-    mn = prob.m * prob.n
-    gram = np.empty((mn * mn, mn * mn), dtype=complex)
-    unit = np.zeros((mn, mn), dtype=complex)
-    for k in range(mn * mn):
-        unit.flat[k] = 1.0
-        gram[:, k] = prob.phi(prob.sym.apply_matrix(prob.phi_star(unit))).reshape(-1)
-        unit.flat[k] = 0.0
-    sb = prob.sym.apply_matrix(b)
-    c = prob.a.entries - prob.phi(sb)
-    y = np.linalg.solve(gram, c.reshape(-1)).reshape(mn, mn)
-    return sb + prob.sym.apply_matrix(prob.phi_star(y))
+def _padding(prob):
+    """Mask of the stack entries outside every block."""
+    mask = np.ones(prob.shape, dtype=bool)
+    for k, lam in enumerate(partitions_of(prob.l, max_parts=prob.n)):
+        side = prob.m * lam.weyl_dimension(prob.n)
+        mask[k, :side, :side] = False
+    return mask
+
+
+def _random_invariant(prob, rng):
+    side = prob.sym.side
+    g = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    return prob.sym.apply_matrix((g + g.conj().T) / 2)
 
 
 @pytest.mark.parametrize("m, n, l", [(3, 2, 3), (2, 3, 3)])
@@ -127,25 +127,65 @@ def test_project_affine_per_block(rng, m, n, l):
     rho = Functional.random_faithful(n, rng)
     a = LeggedOperator(rand_psd(m * n, rng), (m, n))
     prob = ExtensionProblem(a, rho, l)
-    side = m * n**l
-    g = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
-    b = prob.sym.apply_matrix((g + g.conj().T) / 2)
-    out = prob.project_affine(b)
+    b = _random_invariant(prob, rng)
+    out_blocks = prob.project_affine(prob.to_blocks(b))
+    out = prob.to_dense(out_blocks)
     scale = np.abs(out).max()
     assert np.abs(prob.sym.apply_matrix(out) - out).max() < 1e-12 * scale
     assert np.abs(prob.phi(out) - a.entries).max() < 1e-10 * max(1.0, a.norm_max())
-    assert np.abs(prob.project_affine(out) - out).max() < 1e-10 * scale
-    assert np.abs(out - _dense_affine_projection(prob, b)).max() < 1e-10 * scale
+    assert np.abs(prob.project_affine(out_blocks) - out_blocks).max() < 1e-10 * scale
+    assert np.abs(out - DenseDR(prob).project_affine(b)).max() < 1e-10 * scale
+
+
+@pytest.mark.parametrize("m, n, l", [(2, 2, 1), (2, 2, 4), (3, 2, 3), (2, 3, 3), (1, 3, 4)])
+def test_block_coordinates_round_trip(rng, m, n, l):
+    # blocks -> dense -> blocks and dense -> blocks -> dense are identities,
+    # and the sqrt(hook) weights make the block norm the Frobenius norm
+    rho = Functional.random_faithful(n, rng)
+    prob = ExtensionProblem(LeggedOperator(rand_psd(m * n, rng), (m, n)), rho, l)
+    b = _random_invariant(prob, rng)
+    blocks = prob.to_blocks(b)
+    assert (blocks[_padding(prob)] == 0).all()
+    assert np.abs(prob.to_dense(blocks) - b).max() < 1e-12 * np.abs(b).max()
+    assert abs(np.linalg.norm(blocks) - np.linalg.norm(b)) < 1e-12 * np.linalg.norm(b)
+    x = rng.normal(size=prob.shape) + 1j * rng.normal(size=prob.shape)
+    x[_padding(prob)] = 0
+    dense = prob.to_dense(x)
+    assert np.abs(prob.to_blocks(dense) - x).max() < 1e-12 * np.abs(x).max()
+    assert abs(np.linalg.norm(dense) - np.linalg.norm(x)) < 1e-12 * np.linalg.norm(x)
 
 
 def test_dr_iterates_stay_invariant():
-    # the loop never symmetrizes: PSD parts of invariant iterates are invariant
+    # the loop never symmetrizes: the PSD part of a zero-padded stack is
+    # zero-padded, so every iterate is an S_l-invariant operator
     prob = ExtensionProblem(werner_element(0.499), RHO, 4)
-    z = prob.start()
+    z = prob.project_affine(np.zeros(prob.shape))
     for _ in range(1000):
         c = psd_part(z)
         z = z + prob.project_affine(2 * c - z) - c
-    assert np.abs(prob.sym.apply_matrix(z) - z).max() <= 1e-10 * np.abs(z).max()
+    assert (z[_padding(prob)] == 0).all()
+    dense = prob.to_dense(z)
+    assert np.abs(prob.sym.apply_matrix(dense) - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+PARITY_CASES = [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 2, 3), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("m, n, l", PARITY_CASES)
+def test_block_solver_matches_dense_replay(m, n, l):
+    rng = np.random.default_rng(100 * m + 10 * n + l)
+    rho = Functional.random_faithful(n, rng)
+    a = LeggedOperator(rand_psd(m * n, rng), (m, n))
+    report = sub_extension_feasibility(a, rho, l)
+    verdict, iterations = DenseDR(ExtensionProblem(a * (1 / a.trace().real), rho, l)).solve(SolverOptions())
+    assert (report.verdict, report.iterations) == (verdict, iterations)
+
+
+def test_block_solver_matches_dense_replay_at_the_plateau():
+    a = werner_element(0.499)
+    report = sub_extension_feasibility(a, RHO, 4)
+    verdict, iterations = DenseDR(ExtensionProblem(a, RHO, 4)).solve(SolverOptions())
+    assert (report.verdict, report.iterations) == (verdict, iterations) == ("infeasible_at_tolerance", 1000)
 
 
 def test_werner_level6_feasible_below_threshold():
@@ -250,11 +290,11 @@ def test_one_eigendecomposition_per_step(monkeypatch):
 
 
 def test_residual_is_dr_displacement():
-    # residual k is ||z_{k+1} - z_k|| of the plain DR recursion
+    # residual k is ||z_{k+1} - z_k|| of the plain DR recursion on the blocks
     a = werner_element(0.499)
     report = sub_extension_feasibility(a, RHO, 4, SolverOptions(tol=1e-16, max_iterations=20))
     prob = ExtensionProblem(a, RHO, 4)
-    z = prob.start()
+    z = prob.project_affine(np.zeros(prob.shape))
     for k in range(20):
         c = psd_part(z)
         z_next = z + prob.project_affine(2 * c - z) - c
@@ -340,6 +380,29 @@ def test_separability_verdict_needs_a_level():
     for max_l in (1, 0):
         with pytest.raises(ValueError):
             separability_verdict(werner_element(0.3), RHO, max_l=max_l)
+
+
+def test_separability_verdict_rejects_levels_above_the_bound_up_front(monkeypatch):
+    # no level is solved before the bad max_l is reported
+    import definetti.hierarchy as hy
+
+    calls = []
+    monkeypatch.setattr(hy, "sub_extension_feasibility", lambda *args: calls.append(args))
+    with pytest.raises(ValueError):
+        separability_verdict(werner_element(0.3), RHO, max_l=MAX_LEVEL + 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("s", [1e-10, 1e-7, 1.0, 1e4, 1e10])
+def test_verdicts_do_not_depend_on_the_scale_of_the_input(s):
+    assert sub_extension_feasibility(bell_projector() * s, RHO, 2).verdict == "infeasible_at_tolerance"
+    assert sub_extension_feasibility(werner_element(0.9) * s, RHO, 3).verdict == "infeasible_at_tolerance"
+    a = werner_element(0.3) * s
+    report = sub_extension_feasibility(a, RHO, 3)
+    assert report.verdict == "feasible"
+    marg = contract_legs(report.witness, RHO, [2, 3])
+    assert np.abs(marg.entries - a.entries).max() <= 1e-6 * a.norm_max()
+    assert separability_verdict(werner_element(0.9) * s, RHO, max_l=3).verdict == "entangled_evidence"
 
 
 # -- chain compression and the product probe ---------------------------------

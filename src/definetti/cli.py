@@ -57,7 +57,12 @@ def cmd_extend_check(args) -> int:
     rho = _load_rho(args.rho, state.legs[1])
     report = hy.separability_verdict(state, rho, args.levels, _solver_opts(args))
     out = {"config": _config(args), **report.to_json()}
-    _emit(out, args.out, f"extend-check: verdict={report.verdict}")
+    certified = sum(r.certificate is not None for r in report.levels.values())
+    _emit(
+        out,
+        args.out,
+        f"extend-check: verdict={report.verdict}, {certified} of {len(report.levels)} levels certified",
+    )
     return EXIT_OK
 
 

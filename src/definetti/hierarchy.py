@@ -7,6 +7,13 @@ same rho-mass as a.  Because rho is faithful, the anchor pins the slack
 a - Phi(b) to zero at any feasible point, so the solver works directly with
 the equality Phi(b) = a (without the anchor b = 0 would always be a witness
 and the hierarchy would detect nothing).
+
+Both answers are checked.  `feasible` ships a witness b validated against
+a.  `infeasible_at_tolerance` ships a separating functional (the dual of
+Doherty, Parrilo and Spedalieri): a Hermitian Y on m (x) n with
+Sym(Y (x) D^{(x)(l-1)}) PSD and trace(Y a) < 0, so that every feasible b
+would give 0 <= <Sym(Y (x) D^{(x)(l-1)}), b> = trace(Y Phi(b)) = trace(Y a).
+A run that ends with neither is `max_iterations`.
 """
 
 from __future__ import annotations
@@ -35,10 +42,17 @@ from .symmetry import MAX_LEVEL, Symmetrizer, copy_bases
 #: dimensions where the PPT criterion is an exact separability test
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 
-#: the DR loop reports a plateau when the residual moved by less than
+#: the DR loop gives up on a plateau, when the residual moved by less than
 #: PLATEAU_THRESHOLD (relative) over the last PLATEAU_WINDOW iterations
 PLATEAU_WINDOW = 500
 PLATEAU_THRESHOLD = 1e-3
+
+#: every CERTIFICATE_PERIOD iterations the DR loop tries to read a separating
+#: functional off its displacement (`ExtensionProblem.certificate`)
+CERTIFICATE_PERIOD = 25
+#: a certificate Y is accepted when trace(Y a) < -CERTIFICATE_RTOL ||Y|| trace(a),
+#: far above the rounding of trace(Y a) and of the eigenvalues behind Y
+CERTIFICATE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -126,24 +140,32 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    verdict: str  # "feasible" | "infeasible_at_tolerance" | "max_iterations"
+    # "feasible" (with a checked witness) | "infeasible_at_tolerance" (with a
+    # checked certificate) | "max_iterations" (neither)
+    verdict: str
     witness: Optional[LeggedOperator]
     final_residual: float
     residual_history: tuple[float, ...]
     iterations: int
     level: int
+    stop_reason: str  # "tol" | "certificate" | "plateau" | "max_iterations"
+    certificate: Optional[LeggedOperator]  # separating functional Y on (m, n)
+    certificate_margin: Optional[float]  # trace(Y a) / (||Y|| trace(a)) < 0
 
     def to_json(self) -> dict:
+        from .serialize import operator_to_json
+
         out = {
             "verdict": self.verdict,
+            "stop_reason": self.stop_reason,
             "final_residual": self.final_residual,
             "iterations": self.iterations,
             "level": self.level,
             "residual_history": list(self.residual_history),
+            "certificate": None if self.certificate is None else operator_to_json(self.certificate),
+            "certificate_margin": self.certificate_margin,
         }
         if self.witness is not None:
-            from .serialize import operator_to_json
-
             out["witness"] = operator_to_json(self.witness)
         return out
 
@@ -186,6 +208,7 @@ class ExtensionProblem:
         for _ in range(l - 1):
             self._d_pow = np.kron(self._d_pow, d)
         self.phi_scale = float(np.trace(d @ d).real) ** (l - 1)
+        self._k_floor = rho.least_eig ** (l - 1)  # K(I) >= _k_floor * I
         self._build_affine_solver()
 
     # Phi contracts the trailing l-1 legs with rho.
@@ -202,11 +225,13 @@ class ExtensionProblem:
         # Phi and Sym o Phi* act on every m-block E_ik (x) B of b in the same
         # way, through the n-side map K(Y) = Sym(Y (x) D^{(x)(l-1)}) on M_n.
         # Row j of `_kh` is, over the blocks, sqrt(hook) conj(W^T K(e_j) W).flat
-        # for the n^2 matrix units e_j, so kh @ X.flat is K*(B) = Phi(B) and
-        # y @ conj(kh) is K(y) in block coordinates.  The weights make
-        # kh @ kh^H the dense per-block Gram matrix K* K, n^2 x n^2 and well
-        # conditioned (cond ~ l for faithful rho), so a direct inverse gives
-        # an exact metric projection onto the constraint set.
+        # for the n^2 matrix units e_j, so kh @ X.flat is K*(B) = Phi(B)
+        # (`_phi`) and y @ conj(kh) is K(y) in block coordinates (`_k`), with
+        # operators on m (x) n as m^2 x n^2 arrays of m-blocks (`_a_blocks`).
+        # The weights make kh @ kh^H the dense per-block Gram matrix K* K,
+        # n^2 x n^2 and well conditioned (cond ~ l for faithful rho), so a
+        # direct inverse gives an exact metric projection onto the constraint
+        # set.
         m, n, l = self.m, self.n, self.l
         sym_n = Symmetrizer((n,) * l, range(l))
         units = np.kron(np.eye(n * n).reshape(-1, n, n), self._d_pow)  # e_j (x) D^{(x)(l-1)}
@@ -225,7 +250,18 @@ class ExtensionProblem:
         self._kh = np.hstack(rows)
         self._gi = np.linalg.inv(self._kh @ self._kh.conj().T)
         self._idx = np.hstack(idx)
+        self._weights = np.array([weight for weight, _ in self._copies])
         self._a_blocks = self.a.entries.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+
+    def _phi(self, x: np.ndarray) -> np.ndarray:
+        """Phi of a block stack, in m-blocks."""
+        return x.reshape(-1)[self._idx] @ self._kh.T
+
+    def _k(self, y: np.ndarray) -> np.ndarray:
+        """K(y) = Sym(y (x) D^{(x)(l-1)}) of y in m-blocks, as a block stack."""
+        out = np.zeros(self.shape, dtype=complex)
+        out.reshape(-1)[self._idx] = y @ self._kh.conj()
+        return out
 
     def to_blocks(self, b: np.ndarray) -> np.ndarray:
         """Block stack of an S_l-invariant b on the full legs."""
@@ -252,10 +288,37 @@ class ExtensionProblem:
         padding stays as it came in (zero in the DR loop, because the PSD
         part of a zero-padded block is zero-padded).
         """
-        c = self._a_blocks - x.reshape(-1)[self._idx] @ self._kh.T
-        out = np.array(x, dtype=complex)
-        out.reshape(-1)[self._idx] += (c @ self._gi.T) @ self._kh.conj()
+        out = x + self._k((self._a_blocks - self._phi(x)) @ self._gi.T)
         return (out + out.conj().swapaxes(-1, -2)) / 2
+
+    def certificate(self, step: np.ndarray) -> Optional[tuple[LeggedOperator, float]]:
+        """A separating functional read off a DR step, with its margin.
+
+        On an infeasible problem the step z_{k+1} - z_k tends to the gap
+        vector between the PSD cone and the affine set (Banjac et al., JOTA
+        183, 2019), which is -K(Y) for a separating Y.  Y is the least-squares
+        solution of K(Y) = -step, G^{-1} Phi(-step).  One eigvalsh of the
+        stack gives the least eigenvalue of K(Y) (block eigenvalue over its
+        sqrt(hook) weight), and since K(I) >= lambda_min(D)^{l-1} I, adding
+        eps I with eps = max(0, -that) / lambda_min(D)^{l-1} makes K(Y) PSD;
+        eps only raises trace(Y a), so a Y with trace(Y a) >= 0 is rejected
+        before the eigvalsh.  Returns (Y, trace(Y a) / (||Y|| trace(a))) when
+        that margin is below -CERTIFICATE_RTOL, else None.
+        """
+        m, n = self.m, self.n
+        y = (-self._phi(step) @ self._gi.T).reshape(m, m, n, n)
+        y = (y + y.transpose(1, 0, 3, 2).conj()) / 2  # Hermitian part, in m-blocks
+        value = float(np.vdot(self._a_blocks, y).real)  # trace(Y a)
+        if value >= 0:
+            return None
+        least = (np.linalg.eigvalsh(self._k(y.reshape(m * m, n * n)))[:, 0] / self._weights).min()
+        eps = max(0.0, -float(least)) / self._k_floor
+        y_mat = y.transpose(0, 2, 1, 3).reshape(m * n, m * n) + eps * np.eye(m * n)
+        tr_a = float(self.a.trace().real)
+        margin = (value + eps * tr_a) / (float(np.linalg.norm(y_mat)) * tr_a)
+        if margin >= -CERTIFICATE_RTOL:
+            return None
+        return LeggedOperator(y_mat, (m, n)), margin
 
     def validate_witness(self, witness: LeggedOperator, tol: float) -> bool:
         if not is_psd(witness, tol) or not _is_invariant(self.sym, witness.entries, tol):
@@ -283,13 +346,17 @@ def sub_extension_feasibility(
 
     DR is positively homogeneous in a, so the loop solves for a / tr(a):
     the residuals and the tolerance are relative to tr(a), and a verdict
-    does not depend on the overall scale of a.  On feasible instances the
-    residual tends to 0 and the witness is tr(a) times the dense form of
-    project_affine(c) of the last step, checked against the normalized
-    problem; on infeasible instances it settles at the norm of the gap
-    between the two sets, which the plateau detector reports as
-    `infeasible_at_tolerance` -- a numerical statement, not a
-    separating-functional certificate.
+    does not depend on the overall scale of a.  A run stops when:
+
+    - the residual is below tolerance (`tol`): the witness is tr(a) times
+      the dense form of project_affine(c) of the last step, checked against
+      the normalized problem; the verdict is `feasible` if it passes;
+    - every CERTIFICATE_PERIOD steps, the step yields a checked separating
+      functional (`certificate`, see `ExtensionProblem.certificate`): the
+      verdict is `infeasible_at_tolerance` and the report carries it;
+    - the residual plateaus (`plateau`) or the budget runs out
+      (`max_iterations`): the verdict is `max_iterations`, since a flat
+      residual alone does not tell a gap from slow convergence.
     """
     a.require_hermitian("sub_extension_feasibility")
     if not is_psd(a):
@@ -300,8 +367,7 @@ def sub_extension_feasibility(
     prob = ExtensionProblem(a * (1.0 / scale), rho, l)
     z = prob.project_affine(np.zeros(prob.shape))
     history: list[float] = []
-    verdict = "max_iterations"
-    iterations = opts.max_iterations
+    stop, found = "max_iterations", None
     for it in range(opts.max_iterations):
         c = psd_part(z)
         step = prob.project_affine(2 * c - z) - c
@@ -309,25 +375,33 @@ def sub_extension_feasibility(
         residual = float(np.linalg.norm(step))
         history.append(residual)
         if residual < opts.tol:
-            verdict = "feasible"
-            iterations = it + 1
+            stop = "tol"
             break
+        if (it + 1) % CERTIFICATE_PERIOD == 0:
+            found = prob.certificate(step)
+            if found is not None:
+                stop = "certificate"
+                break
         if it + 1 >= 2 * PLATEAU_WINDOW:
             prev = history[-PLATEAU_WINDOW - 1]
             if abs(residual - prev) < PLATEAU_THRESHOLD * max(prev, opts.tol):
-                verdict = "infeasible_at_tolerance"
-                iterations = it + 1
+                stop = "plateau"
                 break
-    witness = None
-    if verdict == "feasible":
+    verdict, witness, certificate, margin = "max_iterations", None, None, None
+    if stop == "tol":
         b = prob.to_dense(prob.project_affine(c))
         witness = LeggedOperator(psd_part(b), prob.big_legs)
         if prob.validate_witness(witness, 10 * opts.tol):
-            witness = witness * scale
+            verdict, witness = "feasible", witness * scale
         else:
-            verdict = "max_iterations"
             witness = None
-    return FeasibilityReport(verdict, witness, history[-1] if history else 0.0, tuple(history), iterations, l)
+    elif stop == "certificate":
+        verdict = "infeasible_at_tolerance"
+        certificate, margin = found
+    return FeasibilityReport(
+        verdict, witness, history[-1] if history else 0.0, tuple(history), len(history), l,
+        stop_reason=stop, certificate=certificate, certificate_margin=margin,
+    )
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -357,8 +431,11 @@ def separability_verdict(
 ) -> SeparabilityReport:
     """Run the hierarchy for l = 2..max_l and aggregate the evidence.
 
-    Any infeasible level is entanglement evidence; all-feasible is finite
-    evidence of separability only (no finite level is conclusive).
+    A level that is `infeasible_at_tolerance` carries a checked separating
+    functional, so it proves that a is not level-l extendable, hence
+    entangled (`entangled_evidence`).  All-feasible is finite evidence of
+    separability only (no finite level is conclusive); anything else is
+    `undetermined`.
     """
     if max_l < 2:
         raise ValueError(f"max_l must be at least 2, got {max_l}")

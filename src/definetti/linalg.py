@@ -9,7 +9,7 @@ convention is row-major Kronecker: leg 0 is the slowest index, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -122,6 +122,8 @@ class Functional:
     """A faithful positive linear functional on M_n, rho(x) = trace(D x)."""
 
     density: np.ndarray
+    #: least eigenvalue of D, from the faithfulness check
+    least_eig: float = field(compare=False, repr=False)
 
     def __init__(self, density):
         mat = _as_square_complex(density)
@@ -137,6 +139,7 @@ class Functional:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "density", mat)
+        object.__setattr__(self, "least_eig", float(evals[0]))
 
     @property
     def dim(self) -> int:

@@ -10,8 +10,9 @@ import numpy as np
 
 from .linalg import LeggedOperator
 
-#: largest tensor power l: bounds the dense n^l x n^l operators until a
-#: block-diagonal solver works in Schur-Weyl coordinates
+#: largest tensor power l.  The solver iterates in Schur-Weyl blocks, but it
+#: still builds dense n^l x n^l operators (its Gram rows, the copy bases and
+#: the witness), and so do the isotypic projectors; the bound is their size
 MAX_LEVEL = 8
 
 

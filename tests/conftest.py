@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from definetti import LeggedOperator
-from definetti.hierarchy import PLATEAU_THRESHOLD, PLATEAU_WINDOW
+from definetti.hierarchy import CERTIFICATE_PERIOD, CERTIFICATE_RTOL, PLATEAU_THRESHOLD, PLATEAU_WINDOW
 from definetti.linalg import psd_part
 
 
@@ -36,7 +36,10 @@ class DenseDR:
 
     The affine projection comes from the dense Gram operator
     Phi o Sym o Phi* on m (x) n, built column by column, and symmetrizes
-    its input, so it assumes nothing about the block coordinates.
+    its input, so it assumes nothing about the block coordinates.  The
+    certificate test is the solver's rule on dense operators: Y solves the
+    Gram system for Phi(-step), and the shift that makes Sym(Y (x) D^(l-1))
+    PSD comes from a dense eigvalsh of that operator.
     """
 
     def __init__(self, prob):
@@ -48,6 +51,8 @@ class DenseDR:
             unit.flat[k] = 1.0
             self.gram[:, k] = prob.phi(prob.sym.apply_matrix(prob.phi_star(unit))).reshape(-1)
             unit.flat[k] = 0.0
+        # Sym(I (x) D^(l-1)) >= lambda_min(D)^(l-1) I
+        self.floor = np.linalg.eigvalsh(prob.rho.density)[0] ** (prob.l - 1)
 
     def project_affine(self, b):
         """Metric projection onto {Sym b = b, Phi(b) = a}."""
@@ -56,6 +61,21 @@ class DenseDR:
         c = prob.a.entries - prob.phi(sb)
         y = np.linalg.solve(self.gram, c.reshape(-1)).reshape(mn, mn)
         return sb + prob.sym.apply_matrix(prob.phi_star(y))
+
+    def certificate(self, step):
+        """Y + eps I when its margin trace(Y a) / (||Y|| trace(a)) is below
+        -CERTIFICATE_RTOL, else None."""
+        prob, mn = self.prob, self.prob.m * self.prob.n
+        y = np.linalg.solve(self.gram, prob.phi(-step).reshape(-1)).reshape(mn, mn)
+        y = (y + y.conj().T) / 2
+        a = prob.a.entries
+        if np.trace(y @ a).real >= 0:
+            return None
+        k = prob.sym.apply_matrix(prob.phi_star(y))
+        eps = max(0.0, -np.linalg.eigvalsh((k + k.conj().T) / 2)[0]) / self.floor
+        y = y + eps * np.eye(mn)
+        margin = np.trace(y @ a).real / (np.linalg.norm(y) * np.trace(a).real)
+        return y if margin < -CERTIFICATE_RTOL else None
 
     def start(self):
         side = self.prob.sym.side
@@ -70,15 +90,16 @@ class DenseDR:
         verdict before any witness check and the iteration count."""
         z, history = self.start(), []
         for it in range(opts.max_iterations):
-            z_next = self.step(z)
-            history.append(float(np.linalg.norm(z_next - z)))
-            z = z_next
+            z_prev, z = z, self.step(z)
+            history.append(float(np.linalg.norm(z - z_prev)))
             if history[-1] < opts.tol:
                 return "feasible", it + 1
+            if (it + 1) % CERTIFICATE_PERIOD == 0 and self.certificate(z - z_prev) is not None:
+                return "infeasible_at_tolerance", it + 1
             if it + 1 >= 2 * PLATEAU_WINDOW:
                 prev = history[-PLATEAU_WINDOW - 1]
                 if abs(history[-1] - prev) < PLATEAU_THRESHOLD * max(prev, opts.tol):
-                    return "infeasible_at_tolerance", it + 1
+                    return "max_iterations", it + 1
         return "max_iterations", opts.max_iterations
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 from definetti import Functional, LeggedOperator, bell_projector
 from definetti.cli import EXIT_INPUT, EXIT_OK, _parse_grid, main
-from definetti.serialize import dump_json, operator_to_json, sequence_to_json
+from definetti.serialize import dump_json, operator_from_json, operator_to_json, sequence_to_json
 from definetti.boundary import GroupLike, grouplike_sequence
 
 from conftest import rand_psd, random_separable
@@ -16,14 +16,21 @@ def write_op(path, op):
     return str(path)
 
 
-def test_extend_check_entangled(tmp_path):
+def test_extend_check_entangled(tmp_path, capsys):
     state = write_op(tmp_path / "bell.json", bell_projector())
     out = tmp_path / "report.json"
     rc = main(["extend-check", "--state", state, "--levels", "2", "--out", str(out)])
     assert rc == EXIT_OK
     report = json.loads(out.read_text())
     assert report["verdict"] == "entangled_evidence"
-    assert report["levels"]["2"]["verdict"] == "infeasible_at_tolerance"
+    level = report["levels"]["2"]
+    assert level["verdict"] == "infeasible_at_tolerance"
+    assert level["stop_reason"] == "certificate"
+    assert level["certificate"]["legs"] == [2, 2]
+    y = operator_from_json(level["certificate"]).entries
+    assert np.isclose(np.trace(y @ bell_projector().entries).real / np.linalg.norm(y), level["certificate_margin"])
+    assert level["certificate_margin"] < 0
+    assert "1 of 1 levels certified" in capsys.readouterr().err
     assert np.isclose(report["ppt_min_eig"], -0.5)
     assert report["config"]["levels"] == 2
 
@@ -36,6 +43,9 @@ def test_extend_check_separable(tmp_path, rng):
     report = json.loads(out.read_text())
     assert report["verdict"] == "separable_evidence"
     assert "witness" in report["levels"]["3"]
+    assert report["levels"]["3"]["stop_reason"] == "tol"
+    assert report["levels"]["3"]["certificate"] is None
+    assert report["levels"]["3"]["certificate_margin"] is None
 
 
 def test_extend_check_rejects_level_below_two(tmp_path):

@@ -24,7 +24,7 @@ from definetti import (
     validate_k_prefix,
     werner_element,
 )
-from definetti.hierarchy import ExtensionProblem
+from definetti.hierarchy import CERTIFICATE_PERIOD, ExtensionProblem
 from definetti.linalg import psd_part
 from definetti.symmetry import MAX_LEVEL
 
@@ -182,10 +182,30 @@ def test_block_solver_matches_dense_replay(m, n, l):
 
 
 def test_block_solver_matches_dense_replay_at_the_plateau():
+    # 0.499 <= 1/2 is level-4 extendable: the plateau ends the run, undecided
     a = werner_element(0.499)
     report = sub_extension_feasibility(a, RHO, 4)
     verdict, iterations = DenseDR(ExtensionProblem(a, RHO, 4)).solve(SolverOptions())
-    assert (report.verdict, report.iterations) == (verdict, iterations) == ("infeasible_at_tolerance", 1000)
+    assert (report.verdict, report.iterations) == (verdict, iterations) == ("max_iterations", 1000)
+    assert report.stop_reason == "plateau" and report.certificate is None
+
+
+@pytest.mark.parametrize(
+    "a, l, random_rho",
+    [
+        (werner_element(0.9), 3, False),
+        (bell_projector(), 2, False),
+        (werner_element(0.501), 4, False),
+        (bell_projector(), 3, True),
+    ],
+    ids=["werner-0.9@3", "bell@2", "werner-0.501@4", "bell@3-random-rho"],
+)
+def test_block_solver_matches_dense_replay_on_certificates(rng, a, l, random_rho):
+    rho = Functional.random_faithful(2, rng) if random_rho else RHO
+    report = sub_extension_feasibility(a, rho, l)
+    verdict, iterations = DenseDR(ExtensionProblem(a, rho, l)).solve(SolverOptions())
+    assert (report.verdict, report.iterations) == (verdict, iterations)
+    assert report.verdict == "infeasible_at_tolerance"
 
 
 def test_werner_level6_feasible_below_threshold():
@@ -240,13 +260,53 @@ def test_witness_properties(rng):
 def test_bell_projector_infeasible():
     report = sub_extension_feasibility(bell_projector(), RHO, 2)
     assert report.verdict == "infeasible_at_tolerance"
+    assert report.stop_reason == "certificate"
     assert report.final_residual > 1e-3
     assert report.witness is None
 
 
+def _check_certificate(report, a, rho, l):
+    """Sym(Y (x) D^(l-1)) is PSD to 1e-12 relative and trace(Y a) < 0, from
+    the entries of Y alone."""
+    assert report.verdict == "infeasible_at_tolerance" and report.stop_reason == "certificate"
+    y = report.certificate
+    assert y.legs == (2, 2) and y.is_hermitian()
+    k = np.kron(y.entries, tensor_power(LeggedOperator(rho.density, (2,)), l - 1).entries)
+    k = Symmetrizer((2,) * (l + 1), range(1, l + 1)).apply_matrix(k)
+    w = np.linalg.eigvalsh((k + k.conj().T) / 2)
+    assert w[0] >= -1e-12 * np.abs(w).max()
+    value = np.trace(y.entries @ a.entries).real
+    assert value < 0
+    want = value / (np.linalg.norm(y.entries) * a.trace().real)
+    assert abs(report.certificate_margin - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("l", range(2, 7))
+def test_werner_certificates_just_above_the_threshold(l):
+    a = werner_element((l + 2) / (3 * l) + 1e-3)
+    report = sub_extension_feasibility(a, RHO, l)
+    _check_certificate(report, a, RHO, l)
+    assert report.iterations <= 2 * CERTIFICATE_PERIOD
+
+
+@pytest.mark.parametrize("l", range(2, 7))
+def test_werner_just_below_the_threshold_is_never_certified(l):
+    report = sub_extension_feasibility(werner_element((l + 2) / (3 * l) - 1e-3), RHO, l)
+    assert report.verdict != "infeasible_at_tolerance"
+    assert report.certificate is None
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_certificates_under_random_functionals(rng, l):
+    for _ in range(3):
+        rho = Functional.random_faithful(2, rng)
+        for a in (bell_projector(), werner_element(0.9)):
+            _check_certificate(sub_extension_feasibility(a, rho, l), a, rho, l)
+
+
 def test_zero_element_trivially_feasible():
     report = sub_extension_feasibility(LeggedOperator.zeros((2, 2)), RHO, 3)
-    assert report.verdict == "feasible"
+    assert report.verdict == "feasible" and report.stop_reason == "tol"
     assert report.witness.legs == (2, 2, 2, 2)
 
 
@@ -268,9 +328,7 @@ def test_solver_rejects_bad_input():
         sub_extension_feasibility(LeggedOperator.zeros((2,)), RHO, 2)
 
 
-def test_one_eigendecomposition_per_step(monkeypatch):
-    # a DR step is one eigh; the only eigvalsh is the input PSD check
-    a = werner_element(0.3)
+def _count_eigendecompositions(monkeypatch):
     calls = {"eigh": 0, "eigvalsh": 0}
 
     def counted(name):
@@ -284,9 +342,24 @@ def test_one_eigendecomposition_per_step(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
+    return calls
+
+
+def test_one_eigendecomposition_per_step(monkeypatch):
+    # a DR step is one eigh; the only eigvalsh is the input PSD check
+    a = werner_element(0.3)
+    calls = _count_eigendecompositions(monkeypatch)
     report = sub_extension_feasibility(a, RHO, 3, SolverOptions(tol=1e-16, max_iterations=5))
     assert report.verdict == "max_iterations"
     assert calls == {"eigh": 5, "eigvalsh": 1}
+
+
+def test_a_certified_solve_adds_one_eigvalsh(monkeypatch):
+    # the certificate check at step 25 is one eigvalsh of the block stack
+    calls = _count_eigendecompositions(monkeypatch)
+    report = sub_extension_feasibility(bell_projector(), RHO, 2)
+    assert (report.verdict, report.iterations) == ("infeasible_at_tolerance", CERTIFICATE_PERIOD)
+    assert calls == {"eigh": 25, "eigvalsh": 2}
 
 
 def test_residual_is_dr_displacement():
@@ -317,6 +390,7 @@ def test_max_iterations_verdict(rng):
     report = sub_extension_feasibility(a, RHO, 2, opts)
     assert report.verdict == "max_iterations"
     assert report.iterations == 5
+    assert report.stop_reason == "max_iterations"
 
 
 # -- werner family and PPT ---------------------------------------------------
@@ -395,8 +469,11 @@ def test_separability_verdict_rejects_levels_above_the_bound_up_front(monkeypatc
 
 @pytest.mark.parametrize("s", [1e-10, 1e-7, 1.0, 1e4, 1e10])
 def test_verdicts_do_not_depend_on_the_scale_of_the_input(s):
-    assert sub_extension_feasibility(bell_projector() * s, RHO, 2).verdict == "infeasible_at_tolerance"
-    assert sub_extension_feasibility(werner_element(0.9) * s, RHO, 3).verdict == "infeasible_at_tolerance"
+    for a, l in ((bell_projector() * s, 2), (werner_element(0.9) * s, 3)):
+        report = sub_extension_feasibility(a, RHO, l)
+        assert report.verdict == "infeasible_at_tolerance"
+        assert report.certificate is not None
+        assert np.trace(report.certificate.entries @ a.entries).real < 0
     a = werner_element(0.3) * s
     report = sub_extension_feasibility(a, RHO, 3)
     assert report.verdict == "feasible"

@@ -57,11 +57,14 @@ def cmd_extend_check(args) -> int:
     rho = _load_rho(args.rho, state.legs[1])
     report = hy.separability_verdict(state, rho, args.levels, _solver_opts(args))
     out = {"config": _config(args), **report.to_json()}
-    certified = sum(r.certificate is not None for r in report.levels.values())
+    levels = report.levels.values()
+    witnessed = sum(r.witness is not None for r in levels)
+    certified = sum(r.certificate is not None for r in levels)
     _emit(
         out,
         args.out,
-        f"extend-check: verdict={report.verdict}, {certified} of {len(report.levels)} levels certified",
+        f"extend-check: verdict={report.verdict}, {witnessed} of {len(levels)} levels witnessed, "
+        f"{certified} of {len(levels)} levels certified",
     )
     return EXIT_OK
 

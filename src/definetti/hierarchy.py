@@ -8,11 +8,13 @@ a - Phi(b) to zero at any feasible point, so the solver works directly with
 the equality Phi(b) = a (without the anchor b = 0 would always be a witness
 and the hierarchy would detect nothing).
 
-Both answers are checked.  `feasible` ships a witness b validated against
-a.  `infeasible_at_tolerance` ships a separating functional (the dual of
-Doherty, Parrilo and Spedalieri): a Hermitian Y on m (x) n with
-Sym(Y (x) D^{(x)(l-1)}) PSD and trace(Y a) < 0, so that every feasible b
-would give 0 <= <Sym(Y (x) D^{(x)(l-1)}), b> = trace(Y Phi(b)) = trace(Y a).
+Both answers are checked.  `feasible` ships a witness b, PSD and
+S_l-invariant by construction, with |Phi(b) - a|max <= tol |a|max, and
+validated against a on the full legs.  `infeasible_at_tolerance` ships a
+separating functional (the dual of Doherty, Parrilo and Spedalieri): a
+Hermitian Y on m (x) n with Sym(Y (x) D^{(x)(l-1)}) PSD and trace(Y a) < 0,
+so that every feasible b would give
+0 <= <Sym(Y (x) D^{(x)(l-1)}), b> = trace(Y Phi(b)) = trace(Y a).
 A run that ends with neither is `max_iterations`.
 """
 
@@ -42,13 +44,9 @@ from .symmetry import MAX_LEVEL, Symmetrizer, copy_bases
 #: dimensions where the PPT criterion is an exact separability test
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 
-#: the DR loop gives up on a plateau, when the residual moved by less than
-#: PLATEAU_THRESHOLD (relative) over the last PLATEAU_WINDOW iterations
-PLATEAU_WINDOW = 500
-PLATEAU_THRESHOLD = 1e-3
-
 #: every CERTIFICATE_PERIOD iterations the DR loop tries to read a separating
-#: functional off its displacement (`ExtensionProblem.certificate`)
+#: functional off its displacement (`ExtensionProblem.certificate`), then an
+#: extension off its iterate (`ExtensionProblem.witness`)
 CERTIFICATE_PERIOD = 25
 #: a certificate Y is accepted when trace(Y a) < -CERTIFICATE_RTOL ||Y|| trace(a),
 #: far above the rounding of trace(Y a) and of the eigenvalues behind Y
@@ -140,6 +138,14 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """One level of the hierarchy: the verdict and what it rests on.
+
+    `final_residual` is the quantity the verdict rests on.  For `feasible`
+    it is the witness's relative marginal defect |Phi(b) - a|max / |a|max,
+    at most the solver's tol.  Otherwise it is the last DR displacement,
+    relative to trace(a), the last entry of `residual_history`.
+    """
+
     # "feasible" (with a checked witness) | "infeasible_at_tolerance" (with a
     # checked certificate) | "max_iterations" (neither)
     verdict: str
@@ -148,7 +154,7 @@ class FeasibilityReport:
     residual_history: tuple[float, ...]
     iterations: int
     level: int
-    stop_reason: str  # "tol" | "certificate" | "plateau" | "max_iterations"
+    stop_reason: str  # "tol" | "certificate" | "max_iterations"
     certificate: Optional[LeggedOperator]  # separating functional Y on (m, n)
     certificate_margin: Optional[float]  # trace(Y a) / (||Y|| trace(a)) < 0
 
@@ -320,10 +326,31 @@ class ExtensionProblem:
             return None
         return LeggedOperator(y_mat, (m, n)), margin
 
+    def witness(self, c: np.ndarray, tol: float) -> Optional[tuple[np.ndarray, float]]:
+        """An extension read off a DR iterate, with its marginal defect.
+
+        b = project_affine(c) meets Phi(b) = a to rounding, and its PSD part
+        w (one batched eigh of the stack) is PSD and S_l-invariant by
+        construction.  Since w - b is the negative part of b and Phi is
+        positive, Phi(w) - a = Phi(w - b) is PSD, so the only thing to check
+        is its size.  Returns (w, |Phi(w) - a|max / |a|max) when
+        |Phi(w) - a|max <= tol |a|max, else None.
+        """
+        w = psd_part(self.project_affine(c))
+        a_max = float(np.abs(self._a_blocks).max())
+        dev = float(np.abs(self._phi(w) - self._a_blocks).max())
+        if dev > tol * a_max:
+            return None
+        return w, dev / a_max if a_max > 0 else 0.0
+
     def validate_witness(self, witness: LeggedOperator, tol: float) -> bool:
+        """PSD, S_l-invariant, Phi(b) <= a, and |Phi(b) - a|max <= tol |a|max:
+        the anchor, without which b = 0 would pass."""
         if not is_psd(witness, tol) or not _is_invariant(self.sym, witness.entries, tol):
             return False
         marg = LeggedOperator(self.phi(witness.entries), (self.m, self.n))
+        if np.abs(marg.entries - self.a.entries).max() > tol * self.a.norm_max():
+            return False
         return loewner_leq(marg, self.a, tol)
 
 
@@ -345,18 +372,21 @@ def sub_extension_feasibility(
     DR displacement ||z_{k+1} - z_k||.
 
     DR is positively homogeneous in a, so the loop solves for a / tr(a):
-    the residuals and the tolerance are relative to tr(a), and a verdict
-    does not depend on the overall scale of a.  A run stops when:
+    the residuals and the tolerance are relative to the normalized problem,
+    and a verdict does not depend on the overall scale of a.  Every
+    CERTIFICATE_PERIOD steps the loop tries both answers, in this order:
 
-    - the residual is below tolerance (`tol`): the witness is tr(a) times
-      the dense form of project_affine(c) of the last step, checked against
-      the normalized problem; the verdict is `feasible` if it passes;
-    - every CERTIFICATE_PERIOD steps, the step yields a checked separating
-      functional (`certificate`, see `ExtensionProblem.certificate`): the
-      verdict is `infeasible_at_tolerance` and the report carries it;
-    - the residual plateaus (`plateau`) or the budget runs out
-      (`max_iterations`): the verdict is `max_iterations`, since a flat
-      residual alone does not tell a gap from slow convergence.
+    - the step yields a checked separating functional (`certificate`, see
+      `ExtensionProblem.certificate`): the verdict is
+      `infeasible_at_tolerance` and the report carries it;
+    - the iterate yields an extension w whose marginal defect
+      |Phi(w) - a|max is at most tol |a|max (`tol`, see
+      `ExtensionProblem.witness`): the witness is tr(a) times the dense form
+      of w, validated against the normalized problem; the verdict is
+      `feasible` if it passes.
+
+    A step whose residual is below tol runs the witness check at once.  A
+    run that ends with neither is `max_iterations`.
     """
     a.require_hermitian("sub_extension_feasibility")
     if not is_psd(a):
@@ -374,32 +404,31 @@ def sub_extension_feasibility(
         z = z + step
         residual = float(np.linalg.norm(step))
         history.append(residual)
-        if residual < opts.tol:
-            stop = "tol"
-            break
-        if (it + 1) % CERTIFICATE_PERIOD == 0:
+        checkpoint = (it + 1) % CERTIFICATE_PERIOD == 0
+        if checkpoint:
             found = prob.certificate(step)
             if found is not None:
                 stop = "certificate"
                 break
-        if it + 1 >= 2 * PLATEAU_WINDOW:
-            prev = history[-PLATEAU_WINDOW - 1]
-            if abs(residual - prev) < PLATEAU_THRESHOLD * max(prev, opts.tol):
-                stop = "plateau"
+        if checkpoint or residual < opts.tol:
+            found = prob.witness(c, opts.tol)
+            if found is not None:
+                stop = "tol"
                 break
     verdict, witness, certificate, margin = "max_iterations", None, None, None
+    final = history[-1] if history else 0.0
     if stop == "tol":
-        b = prob.to_dense(prob.project_affine(c))
-        witness = LeggedOperator(psd_part(b), prob.big_legs)
+        w, defect = found
+        witness = LeggedOperator(prob.to_dense(w), prob.big_legs)
         if prob.validate_witness(witness, 10 * opts.tol):
-            verdict, witness = "feasible", witness * scale
+            verdict, witness, final = "feasible", witness * scale, defect
         else:
             witness = None
     elif stop == "certificate":
         verdict = "infeasible_at_tolerance"
         certificate, margin = found
     return FeasibilityReport(
-        verdict, witness, history[-1] if history else 0.0, tuple(history), len(history), l,
+        verdict, witness, final, tuple(history), len(history), l,
         stop_reason=stop, certificate=certificate, certificate_margin=margin,
     )
 

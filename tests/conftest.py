@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from definetti import LeggedOperator
-from definetti.hierarchy import CERTIFICATE_PERIOD, CERTIFICATE_RTOL, PLATEAU_THRESHOLD, PLATEAU_WINDOW
+from definetti.hierarchy import CERTIFICATE_PERIOD, CERTIFICATE_RTOL
 from definetti.linalg import psd_part
 
 
@@ -39,7 +39,9 @@ class DenseDR:
     its input, so it assumes nothing about the block coordinates.  The
     certificate test is the solver's rule on dense operators: Y solves the
     Gram system for Phi(-step), and the shift that makes Sym(Y (x) D^(l-1))
-    PSD comes from a dense eigvalsh of that operator.
+    PSD comes from a dense eigvalsh of that operator.  So is the witness
+    test: the PSD part of the affine projection, by a dense eigh, with its
+    marginal defect.
     """
 
     def __init__(self, prob):
@@ -77,29 +79,28 @@ class DenseDR:
         margin = np.trace(y @ a).real / (np.linalg.norm(y) * np.trace(a).real)
         return y if margin < -CERTIFICATE_RTOL else None
 
+    def witness(self, c, tol):
+        """Whether psd_part(project_affine(c)) has |Phi(w) - a|max <= tol |a|max."""
+        w = psd_part(self.project_affine(c))
+        a = self.prob.a.entries
+        return np.abs(self.prob.phi(w) - a).max() <= tol * np.abs(a).max()
+
     def start(self):
         side = self.prob.sym.side
         return self.project_affine(np.zeros((side, side), dtype=complex))
 
-    def step(self, z):
-        c = psd_part(z)
-        return z + self.project_affine(2 * c - z) - c
-
     def solve(self, opts):
         """The solver's stopping rule on the dense iterates: returns the
-        verdict before any witness check and the iteration count."""
-        z, history = self.start(), []
+        verdict before the dense witness validation and the iteration count."""
+        z = self.start()
         for it in range(opts.max_iterations):
-            z_prev, z = z, self.step(z)
-            history.append(float(np.linalg.norm(z - z_prev)))
-            if history[-1] < opts.tol:
-                return "feasible", it + 1
-            if (it + 1) % CERTIFICATE_PERIOD == 0 and self.certificate(z - z_prev) is not None:
+            c = psd_part(z)
+            z_prev, z = z, z + self.project_affine(2 * c - z) - c
+            checkpoint = (it + 1) % CERTIFICATE_PERIOD == 0
+            if checkpoint and self.certificate(z - z_prev) is not None:
                 return "infeasible_at_tolerance", it + 1
-            if it + 1 >= 2 * PLATEAU_WINDOW:
-                prev = history[-PLATEAU_WINDOW - 1]
-                if abs(history[-1] - prev) < PLATEAU_THRESHOLD * max(prev, opts.tol):
-                    return "max_iterations", it + 1
+            if (checkpoint or np.linalg.norm(z - z_prev) < opts.tol) and self.witness(c, opts.tol):
+                return "feasible", it + 1
         return "max_iterations", opts.max_iterations
 
 

@@ -30,16 +30,17 @@ def test_extend_check_entangled(tmp_path, capsys):
     y = operator_from_json(level["certificate"]).entries
     assert np.isclose(np.trace(y @ bell_projector().entries).real / np.linalg.norm(y), level["certificate_margin"])
     assert level["certificate_margin"] < 0
-    assert "1 of 1 levels certified" in capsys.readouterr().err
+    assert "0 of 1 levels witnessed, 1 of 1 levels certified" in capsys.readouterr().err
     assert np.isclose(report["ppt_min_eig"], -0.5)
     assert report["config"]["levels"] == 2
 
 
-def test_extend_check_separable(tmp_path, rng):
+def test_extend_check_separable(tmp_path, rng, capsys):
     state = write_op(tmp_path / "sep.json", random_separable(rng))
     out = tmp_path / "report.json"
     rc = main(["extend-check", "--state", state, "--levels", "3", "--out", str(out)])
     assert rc == EXIT_OK
+    assert "2 of 2 levels witnessed, 0 of 2 levels certified" in capsys.readouterr().err
     report = json.loads(out.read_text())
     assert report["verdict"] == "separable_evidence"
     assert "witness" in report["levels"]["3"]

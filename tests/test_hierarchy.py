@@ -181,13 +181,14 @@ def test_block_solver_matches_dense_replay(m, n, l):
     assert (report.verdict, report.iterations) == (verdict, iterations)
 
 
-def test_block_solver_matches_dense_replay_at_the_plateau():
-    # 0.499 <= 1/2 is level-4 extendable: the plateau ends the run, undecided
+def test_block_solver_matches_dense_replay_on_a_flat_residual():
+    # 0.499 <= 1/2 is level-4 extendable, and its residual stays flat for
+    # about a thousand steps; the witness check at step 50 settles it
     a = werner_element(0.499)
     report = sub_extension_feasibility(a, RHO, 4)
     verdict, iterations = DenseDR(ExtensionProblem(a, RHO, 4)).solve(SolverOptions())
-    assert (report.verdict, report.iterations) == (verdict, iterations) == ("max_iterations", 1000)
-    assert report.stop_reason == "plateau" and report.certificate is None
+    assert (report.verdict, report.iterations) == (verdict, iterations) == ("feasible", 50)
+    assert report.stop_reason == "tol" and report.certificate is None
 
 
 @pytest.mark.parametrize(
@@ -227,21 +228,31 @@ def test_product_element_feasible(rng):
 
 
 def test_validate_witness_rejects_asymmetric_and_non_hermitian():
-    # z = p (x) q1 (x) q2 is PSD but not S_2-invariant; Sym z is a witness
-    p, q1, q2 = np.diag([1.0, 0.5]), np.diag([1.0, 0.2]), np.diag([0.3, 1.0])
-    z = LeggedOperator(np.kron(p, np.kron(q1, q2)), (2, 2, 2))
-    sym = Symmetrizer(z.legs, [1, 2]).apply(z)
-    # a dominates the marginals of both z and Sym z, so only the symmetry differs
-    a = LeggedOperator(np.kron(p, q1 + q2) + np.eye(4), (2, 2))
+    # base = p (x) I (x) I is a witness for a = Phi(base) = p (x) I; adding
+    # p (x) (X (x) Z - Z (x) X) keeps z PSD with the same marginal (X and Z
+    # are traceless), so only the S_2-invariance differs
+    x, zz = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    p = np.diag([1.0, 0.5])
+    base = LeggedOperator(np.kron(p, np.eye(4)), (2, 2, 2))
+    z = LeggedOperator(base.entries + 0.1 * np.kron(p, np.kron(x, zz) - np.kron(zz, x)), base.legs)
+    a = LeggedOperator(np.kron(p, np.eye(2)), (2, 2))
     prob = ExtensionProblem(a, RHO, 2)
-    assert prob.validate_witness(sym, 1e-6)
-    assert is_psd(z) and loewner_leq(LeggedOperator(prob.phi(z.entries), (2, 2)), a)
+    assert prob.validate_witness(base, 1e-6)
+    assert is_psd(z) and np.abs(prob.phi(z.entries) - a.entries).max() < 1e-15
     assert not prob.validate_witness(z, 1e-6)
-    # an invariant matrix whose Hermitian part is a witness, but which is not Hermitian
-    skew = np.kron(np.array([[0.0, 1e-3], [0.0, 0.0]]), np.eye(4))
-    herm_part = LeggedOperator(sym.entries + (skew + skew.T) / 2, z.legs)
+    # an invariant matrix of marginal zero, added with its Hermitian part or alone
+    skew = 1e-3 * np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.kron(x, x))
+    herm_part = LeggedOperator(base.entries + (skew + skew.T) / 2, base.legs)
     assert prob.validate_witness(herm_part, 1e-6)
-    assert not prob.validate_witness(LeggedOperator(sym.entries + skew, z.legs), 1e-6)
+    assert not prob.validate_witness(LeggedOperator(base.entries + skew, base.legs), 1e-6)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_validate_witness_checks_the_anchor(l):
+    # b = 0 is PSD, invariant and has Phi(b) = 0 <= a: only |Phi(b) - a|
+    # rejects it
+    prob = ExtensionProblem(werner_element(0.9), RHO, l)
+    assert not prob.validate_witness(LeggedOperator.zeros(prob.big_legs), 1e-6)
 
 
 def test_witness_properties(rng):
@@ -294,6 +305,16 @@ def test_werner_just_below_the_threshold_is_never_certified(l):
     report = sub_extension_feasibility(werner_element((l + 2) / (3 * l) - 1e-3), RHO, l)
     assert report.verdict != "infeasible_at_tolerance"
     assert report.certificate is None
+
+
+@pytest.mark.parametrize("l", range(2, 7))
+def test_werner_witnesses_just_below_the_threshold(l):
+    a = werner_element((l + 2) / (3 * l) - 1e-3)
+    report = sub_extension_feasibility(a, RHO, l)
+    assert report.verdict == "feasible" and report.stop_reason == "tol"
+    assert ExtensionProblem(a, RHO, l).validate_witness(report.witness, 1e-6)
+    assert report.final_residual <= SolverOptions().tol
+    assert report.iterations <= 3 * CERTIFICATE_PERIOD
 
 
 @pytest.mark.parametrize("l", [2, 3])
@@ -360,6 +381,23 @@ def test_a_certified_solve_adds_one_eigvalsh(monkeypatch):
     report = sub_extension_feasibility(bell_projector(), RHO, 2)
     assert (report.verdict, report.iterations) == ("infeasible_at_tolerance", CERTIFICATE_PERIOD)
     assert calls == {"eigh": 25, "eigvalsh": 2}
+
+
+def test_a_witnessed_solve_adds_one_block_eigh_per_check(monkeypatch):
+    # Werner 0.499 at l = 4 is witnessed at the second check: 50 step eighs
+    # and 2 witness eighs, each of the block stack, none of side m n^l
+    prob = ExtensionProblem(werner_element(0.499), RHO, 4)
+    shapes = []
+    inner = np.linalg.eigh
+
+    def counted(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return inner(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    report = sub_extension_feasibility(werner_element(0.499), RHO, 4)
+    assert (report.verdict, report.iterations) == ("feasible", 2 * CERTIFICATE_PERIOD)
+    assert shapes == [prob.shape] * 52
 
 
 def test_residual_is_dr_displacement():

@@ -27,6 +27,7 @@ from .linalg import (
 from .symmetry import (
     MAX_LEVEL,
     Partition,
+    copy_basis,
     isotypic_projector,
     projector_range,
     schur_weyl_table,
@@ -106,19 +107,16 @@ def e_rho_value(g: GroupLike, rho: Functional) -> float:
     return float(val.real)
 
 
-def _isotypic_basis(n: int, lam: Partition) -> np.ndarray:
-    """Orthonormal basis (columns) of the range of the isotypic projector of lam."""
-    basis = projector_range(isotypic_projector(n, lam.size, lam))
-    if basis.shape[1] == 0:
-        raise ValueError(f"zero projector for partition {lam.parts}")
-    return basis
-
-
 def block_compression(g: GroupLike, lam: Partition) -> np.ndarray:
-    """Compression of t^{(x)l} to the range of the isotypic projector of lam."""
-    basis = _isotypic_basis(g.n, lam)
+    """pi_lam(t) = W^T t^{(x)l} W, of side weyl(lam), on the copy basis W of
+    lam (`copy_basis`); the isotypic block of t^{(x)l} is pi_lam(t) (x) I_hook.
+
+    For lam = (1,), W = I and the block is t itself.  Raises ValueError when
+    lam has more than n rows or |lam| exceeds `MAX_LEVEL`.
+    """
+    basis = copy_basis(g.n, lam)
     t_pow = tensor_power(LeggedOperator(g.t, (g.n,)), lam.size).entries
-    return basis.conj().T @ t_pow @ basis
+    return basis.T @ t_pow @ basis
 
 
 @dataclass(frozen=True)
@@ -128,12 +126,12 @@ class ExponentialReport:
 
 
 def exponential_test(g: GroupLike, L: int) -> ExponentialReport:
-    """Check that every isotypic block of t^{(x)l} for 1 <= l <= L is PSD.
+    """Check that every block pi_lam(t) of t^{(x)l} for 1 <= l <= L is PSD.
 
-    The fundamental block (l=1) is t in a unitary basis and settles the
-    classification for t itself, Hermiticity included (`is_psd`); the higher
-    blocks cross-validate it numerically. They inherit Hermiticity from t,
-    up to rounding of order |t|^l that can exceed a block made small by
+    The fundamental block (l=1) is t and settles the classification for t
+    itself, Hermiticity included (`is_psd`); the higher blocks, of side
+    weyl(lam), cross-validate it numerically. They inherit Hermiticity from
+    t, up to rounding of order |t|^l that can exceed a block made small by
     cancellation, so only their Hermitian part is tested.
     """
     if not 1 <= L <= MAX_LEVEL:
@@ -149,15 +147,19 @@ def exponential_test(g: GroupLike, L: int) -> ExponentialReport:
 
 
 def recover_block(seq: SymSequence, lam: Partition) -> LeggedOperator:
-    """Compress entry |lam| to range(I_m (x) P_lam) in an orthonormal basis.
+    """Compress entry |lam| to range(I_m (x) P_lam), of side m * weyl * hook,
+    in a basis read off P_lam by a dense `eigh` (`projector_range`).
 
     For a group-like sequence this is a (x) (pi_lam(t) (x) I_mult) up to the
-    basis choice inside the isotypic subspace.
+    basis choice inside the isotypic subspace.  Raises ValueError when lam
+    has more than n rows (P_lam = 0).
     """
     l = lam.size
     if l > seq.L:
         raise ValueError(f"partition size {l} exceeds prefix length {seq.L}")
-    basis = _isotypic_basis(seq.n, lam)
+    basis = projector_range(isotypic_projector(seq.n, l, lam))
+    if basis.shape[1] == 0:
+        raise ValueError(f"zero projector for partition {lam.parts}")
     full = np.kron(np.eye(seq.m), basis)
     comp = full.conj().T @ seq.entries[l].entries @ full
     return LeggedOperator(comp, (seq.m, basis.shape[1]))

@@ -10,9 +10,11 @@ import numpy as np
 
 from .linalg import LeggedOperator
 
-#: largest tensor power l.  The solver iterates in Schur-Weyl blocks, but it
-#: still builds dense n^l x n^l operators (its Gram rows, the copy bases and
-#: the witness), and so do the isotypic projectors; the bound is their size
+#: largest tensor power l.  Every Schur-Weyl object is built from the copy
+#: bases, whose columns have n^l entries; the solver's Gram rows and witness
+#: and the isotypic projectors (a twirl of W W^T) are dense n^l x n^l, while
+#: the exponential test's blocks are only weyl(lambda) wide.  The bound is
+#: about those sizes, not about enumerating S_l
 MAX_LEVEL = 8
 
 
@@ -212,33 +214,6 @@ def _jm_eigenspace(prev: np.ndarray, n: int, l: int, content: int) -> np.ndarray
     return cols @ vt[sv < 0.5].T
 
 
-def _branching_basis(n: int, parts: tuple[int, ...], bases: dict) -> np.ndarray:
-    """Orthonormal real basis (columns) of the isotypic subspace of `parts`.
-
-    Okounkov-Vershik branching: the subspace is the orthogonal sum, over the
-    partitions mu that lose one corner of `parts`, of the vectors in
-    range(B_mu (x) I_n) on which the Jucys-Murphy element X_l takes the
-    content of the removed corner (`_jm_eigenspace`).  X_l commutes with
-    S_{l-1}, so it maps range(B_mu (x) I_n) to itself, and the contents of
-    the boxes addable to mu differ.  `bases` holds the bases already built,
-    so each sub-partition is built once.
-    """
-    if parts not in bases:
-        l = sum(parts)
-        if l <= 1:
-            basis = np.eye(n**l)  # () and (1,) take the whole space
-        else:
-            pieces = []
-            for i, p in enumerate(parts):
-                if i + 1 < len(parts) and parts[i + 1] == p:
-                    continue  # row i ends in no corner
-                mu = tuple(q for q in parts[:i] + (p - 1,) + parts[i + 1 :] if q)
-                pieces.append(_jm_eigenspace(_branching_basis(n, mu, bases), n, l, p - 1 - i))
-            basis = np.hstack(pieces)
-        bases[parts] = basis
-    return bases[parts]
-
-
 def _copy_basis(n: int, parts: tuple[int, ...], bases: dict) -> np.ndarray:
     """Orthonormal real basis of one copy V_lambda (x) |T> of the U(n) irrep
     of `parts`, T the standard tableau grown along the chain below.
@@ -262,15 +237,28 @@ def _copy_basis(n: int, parts: tuple[int, ...], bases: dict) -> np.ndarray:
     return bases[parts]
 
 
-def copy_bases(n: int, l: int) -> list[tuple[Partition, np.ndarray]]:
-    """One copy of each U(n) irrep in (C^n)^{(x)l}.
+def copy_basis(n: int, lam: Partition) -> np.ndarray:
+    """Real isometry W_lambda with n^l rows and weyl(lambda) columns onto one
+    copy V_lambda (x) |T> of the U(n) irrep of lambda (`_copy_basis`).
 
-    For every partition lambda of l with at most n rows, a real isometry
-    W_lambda with n^l rows and weyl(lambda) columns onto V_lambda (x) |T>
-    (`_copy_basis`).  An S_l-invariant operator b on the n-legs is
-    determined by its compressions W^T b W, and twirling one copy fills the
-    block: hook(lambda) * Sym(W X W^T) = X (x) I_mult in Schur-Weyl
-    coordinates, so hook(lambda) * Sym(W W^T) is the isotypic projector.
+    Raises ValueError when lambda has more than n rows (no copy exists) or
+    |lambda| exceeds `MAX_LEVEL`.
+    """
+    if lam.size > MAX_LEVEL:
+        raise ValueError(f"l={lam.size} exceeds the level bound {MAX_LEVEL}")
+    if len(lam) > n:
+        raise ValueError(f"partition {lam.parts} has more than n={n} rows")
+    return _copy_basis(n, lam.parts, {})
+
+
+def copy_bases(n: int, l: int) -> list[tuple[Partition, np.ndarray]]:
+    """`copy_basis` for every partition lambda of l with at most n rows,
+    sharing the sub-chains between them.
+
+    An S_l-invariant operator b on the n-legs is determined by its
+    compressions W^T b W, and twirling one copy fills the block:
+    hook(lambda) * Sym(W X W^T) = X (x) I_mult in Schur-Weyl coordinates, so
+    hook(lambda) * Sym(W W^T) is the isotypic projector.
     """
     if l > MAX_LEVEL:
         raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
@@ -281,9 +269,9 @@ def copy_bases(n: int, l: int) -> list[tuple[Partition, np.ndarray]]:
 def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:
     """Orthogonal projector onto the lambda-isotypic subspace of (C^n)^{(x)l}.
 
-    Built from a branching basis (`_branching_basis`); S_l is never summed
-    over.  Returns the zero operator when lambda has more than n parts (its
-    Schur-Weyl multiplicity vanishes).
+    The twirl hook(lambda) * Sym(W W^T) of the copy basis W (`copy_basis`);
+    S_l is never summed over.  Returns the zero operator when lambda has
+    more than n parts (its Schur-Weyl multiplicity vanishes).
     """
     if l > MAX_LEVEL:
         raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
@@ -292,8 +280,9 @@ def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:
     legs = (n,) * l
     if len(lam) > n:
         return LeggedOperator.zeros(legs)
-    basis = _branching_basis(n, lam.parts, {})
-    return LeggedOperator(basis @ basis.T, legs)
+    w = copy_basis(n, lam)
+    twirl = Symmetrizer(legs, range(l)).apply_matrix(w @ w.T)
+    return LeggedOperator(lam.hook_dimension() * twirl, legs)
 
 
 def projector_range(p: LeggedOperator) -> np.ndarray:

@@ -153,6 +153,28 @@ def test_diag_1_minus1_fails_at_both_levels():
     assert not report.is_exponential
 
 
+def test_block_compression_is_the_irrep_block():
+    # pi_(2,1)(diag(x, y)) on C^2 has the weights of the two semistandard
+    # tableaux of shape (2, 1): x^2 y and x y^2; the isotypic block would be
+    # that twice, of side 4
+    x, y = 1.3, 0.4
+    block = block_compression(GroupLike(np.diag([x, y])), Partition((2, 1)))
+    assert block.shape == (2, 2)
+    got = sorted(np.linalg.eigvalsh((block + block.conj().T) / 2))
+    assert np.allclose(got, sorted([x * x * y, x * y * y]))
+    # the fundamental block is t itself, bit for bit
+    t = np.array([[1.0, 0.3 - 0.2j], [0.5j, -0.7]])
+    assert np.array_equal(block_compression(GroupLike(t), Partition((1,))), t)
+
+
+def test_block_compression_rejects_missing_blocks_and_deep_levels():
+    g = GroupLike(np.diag([1.0, 0.5]))
+    with pytest.raises(ValueError):
+        block_compression(g, Partition((1, 1, 1)))  # more rows than n = 2
+    with pytest.raises(ValueError):
+        block_compression(g, Partition((9,)))  # beyond MAX_LEVEL
+
+
 def test_exponential_test_rejects_levels_below_one():
     g = GroupLike(np.diag([1.0, -1.0]))
     for L in (0, -3):
@@ -221,6 +243,13 @@ def test_recover_block_needs_long_enough_prefix(rng):
     seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), g, 1, RHO)
     with pytest.raises(ValueError):
         recover_block(seq, Partition((2,)))
+
+
+def test_recover_block_rejects_more_rows_than_n(rng):
+    g = random_grouplike(rng)
+    seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), g, 3, RHO)
+    with pytest.raises(ValueError):
+        recover_block(seq, Partition((1, 1, 1)))
 
 
 def test_determinant_twist():

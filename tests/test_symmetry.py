@@ -18,7 +18,7 @@ from definetti import (
     tensor,
     tensor_power,
 )
-from definetti.symmetry import copy_bases, projector_range
+from definetti.symmetry import copy_basis, copy_bases, projector_range
 
 from conftest import rand_hermitian, rand_psd
 
@@ -249,17 +249,27 @@ def test_isotypic_projector_has_the_unitary_group_character(rng, n, l):
 @pytest.mark.parametrize(
     "n, l", [(2, l) for l in range(1, 9)] + [(3, l) for l in range(1, 6)] + [(1, l) for l in range(1, 5)]
 )
-def test_copy_bases_fill_the_isotypic_subspaces(n, l):
+def test_copy_bases_fill_the_isotypic_subspaces(rng, n, l):
     # W has weyl(lam) orthonormal columns, and twirling one copy gives the
     # whole block: hook(lam) * Sym(W W^T) is the isotypic projector
     sym = Symmetrizer((n,) * l, range(l))
     lams = [lam for lam, _ in copy_bases(n, l)]
     assert lams == list(partitions_of(l, max_parts=n))
+    t = _rand_complex(n, rng)
+    t /= np.linalg.norm(t, 2)
+    eigs = np.linalg.eigvals(t)
+    t_pow = tensor_power(LeggedOperator(t, (n,)), l).entries
     for lam, w in copy_bases(n, l):
         assert w.shape == (n**l, lam.weyl_dimension(n)) and w.dtype == float
+        assert np.array_equal(w, copy_basis(n, lam))
         assert np.abs(w.T @ w - np.eye(w.shape[1])).max() < 1e-12
         twirl = lam.hook_dimension() * sym.apply_matrix(w @ w.T)
         assert np.abs(twirl - isotypic_projector(n, l, lam).entries).max() < 1e-12
+        # independently of the projector: range(W) is invariant under
+        # t^{(x)l}, and the compression there has the character s_lam(t)
+        block = w.T @ t_pow @ w
+        assert np.abs(t_pow @ w - w @ block).max() < 1e-12
+        assert abs(np.trace(block) - _schur_polynomial(lam.parts, eigs)) < 1e-9
 
 
 def test_projector_range_is_orthonormal():

@@ -27,6 +27,7 @@ from .linalg import (
 from .symmetry import (
     MAX_LEVEL,
     Partition,
+    _copy_basis,
     copy_basis,
     isotypic_projector,
     projector_range,
@@ -133,12 +134,20 @@ def exponential_test(g: GroupLike, L: int) -> ExponentialReport:
     weyl(lam), cross-validate it numerically. They inherit Hermiticity from
     t, up to rounding of order |t|^l that can exceed a block made small by
     cancellation, so only their Hermitian part is tested.
+
+    Each block is `block_compression(g, lam)`, built once: the copy bases
+    share one memo for the whole call, and t^{(x)l} is one kron of the
+    previous level's power.
     """
     if not 1 <= L <= MAX_LEVEL:
         raise ValueError(f"L={L} is outside 1..{MAX_LEVEL}")
+    bases: dict = {}
+    t_pow = np.eye(1)
     for l in range(1, L + 1):
+        t_pow = np.kron(t_pow, g.t)
         for lam, _, _ in schur_weyl_table(g.n, l):
-            comp = block_compression(g, lam)
+            basis = _copy_basis(g.n, lam.parts, bases)
+            comp = basis.T @ t_pow @ basis
             if l > 1:
                 comp = (comp + comp.conj().T) / 2
             if not is_psd(LeggedOperator(comp, (comp.shape[0],))):
@@ -169,7 +178,11 @@ def recover_block(seq: SymSequence, lam: Partition) -> LeggedOperator:
 class ImageCheckReport:
     subharmonic: bool
     separability: SeparabilityReport
-    consistent: bool
+
+    @property
+    def consistent(self) -> bool:
+        """A subharmonic sequence can never earn entangled evidence."""
+        return self.separability.verdict != "entangled_evidence"
 
     def to_json(self) -> dict:
         return {
@@ -192,8 +205,7 @@ def separable_image_check(
     """
     if not subharmonic_check(seq, rho):
         raise ValueError("sequence fails the subharmonic check")
-    report = hierarchy.separability_verdict(seq.entries[1], rho, max_l, opts)
-    return ImageCheckReport(True, report, report.verdict != "entangled_evidence")
+    return ImageCheckReport(True, hierarchy.separability_verdict(seq.entries[1], rho, max_l, opts))
 
 
 def determinant_twist(block: LeggedOperator, g: GroupLike, k: int) -> LeggedOperator:

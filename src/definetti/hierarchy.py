@@ -44,13 +44,21 @@ from .symmetry import MAX_LEVEL, Symmetrizer, copy_bases
 #: dimensions where the PPT criterion is an exact separability test
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 
-#: every CERTIFICATE_PERIOD iterations the DR loop tries to read a separating
-#: functional off its displacement (`ExtensionProblem.certificate`), then an
-#: extension off its iterate (`ExtensionProblem.witness`)
+#: at every step k that is a power of two or a multiple of CERTIFICATE_PERIOD
+#: (`is_checkpoint`) the DR loop tries to read a separating functional off its
+#: displacement (`ExtensionProblem.certificate`), then an extension off its
+#: iterate (`ExtensionProblem.witness`): densely early, where most solves end,
+#: and every CERTIFICATE_PERIOD steps later on
 CERTIFICATE_PERIOD = 25
 #: a certificate Y is accepted when trace(Y a) < -CERTIFICATE_RTOL ||Y|| trace(a),
 #: far above the rounding of trace(Y a) and of the eigenvalues behind Y
 CERTIFICATE_RTOL = 1e-9
+
+
+def is_checkpoint(k: int) -> bool:
+    """Whether DR step k >= 1 tries both answers: k = 1, 2, 4, 8, 16, 25, 32,
+    50, 64, 75, ..."""
+    return k & (k - 1) == 0 or k % CERTIFICATE_PERIOD == 0
 
 
 @dataclass(frozen=True)
@@ -237,7 +245,9 @@ class ExtensionProblem:
         # The weights make kh @ kh^H the dense per-block Gram matrix K* K,
         # n^2 x n^2 and well conditioned (cond ~ l for faithful rho), so a
         # direct inverse gives an exact metric projection onto the constraint
-        # set.
+        # set.  In gathered coordinates that projection is
+        # x -> x + z0 - x P, with P = kh^T G^{-T} conj(kh) the projector onto
+        # the range of K and z0 = K(a G^{-T}) its fixed offset.
         m, n, l = self.m, self.n, self.l
         sym_n = Symmetrizer((n,) * l, range(l))
         units = np.kron(np.eye(n * n).reshape(-1, n, n), self._d_pow)  # e_j (x) D^{(x)(l-1)}
@@ -258,6 +268,8 @@ class ExtensionProblem:
         self._idx = np.hstack(idx)
         self._weights = np.array([weight for weight, _ in self._copies])
         self._a_blocks = self.a.entries.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+        self._p = self._kh.T @ self._gi.T @ self._kh.conj()
+        self._z0 = self._k(self._a_blocks @ self._gi.T)
 
     def _phi(self, x: np.ndarray) -> np.ndarray:
         """Phi of a block stack, in m-blocks."""
@@ -287,15 +299,19 @@ class ExtensionProblem:
         return self.sym.apply_matrix(total)
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
-        """Metric projection of a block stack onto {Phi(b) = a}.
+        """Metric projection of a block stack onto {Phi(b) = a}:
+        x + K((a - Phi(x)) G^{-T}), computed as x + z0 - scatter(gather(x) P)
+        with the precomputed P and z0 (`_build_affine_solver`).
 
         Every zero-padded stack is an S_l-invariant b, so invariance needs
         no work here; the correction only touches the blocks, and the
         padding stays as it came in (zero in the DR loop, because the PSD
-        part of a zero-padded block is zero-padded).
+        part of a zero-padded block is zero-padded).  Phi and K commute with
+        the adjoint, so a Hermitian x gives a Hermitian result.
         """
-        out = x + self._k((self._a_blocks - self._phi(x)) @ self._gi.T)
-        return (out + out.conj().swapaxes(-1, -2)) / 2
+        out = x + self._z0
+        out.reshape(-1)[self._idx] -= x.reshape(-1)[self._idx] @ self._p
+        return out
 
     def certificate(self, step: np.ndarray) -> Optional[tuple[LeggedOperator, float]]:
         """A separating functional read off a DR step, with its margin.
@@ -369,12 +385,16 @@ def sub_extension_feasibility(
     invariance is built in and the PSD projection is one batched eigh of
     small blocks.  One step is c = psd_part(z), then
     z_{k+1} = z_k + project_affine(2c - z_k) - c, and the residual is the
-    DR displacement ||z_{k+1} - z_k||.
+    DR displacement ||z_{k+1} - z_k||.  A step is one eigh and one matmul
+    by the precomputed affine projector; the iterates stay Hermitian by
+    construction, so no step re-symmetrizes them.
 
     DR is positively homogeneous in a, so the loop solves for a / tr(a):
     the residuals and the tolerance are relative to the normalized problem,
-    and a verdict does not depend on the overall scale of a.  Every
-    CERTIFICATE_PERIOD steps the loop tries both answers, in this order:
+    and a verdict does not depend on the overall scale of a.  At every step
+    k that `is_checkpoint` (k = 1, 2, 4, 8, 16, 25, 32, 50, 64, 75, ...: the
+    powers of two, where most solves can already answer, and every
+    CERTIFICATE_PERIOD steps) the loop tries both answers, in this order:
 
     - the step yields a checked separating functional (`certificate`, see
       `ExtensionProblem.certificate`): the verdict is
@@ -404,7 +424,7 @@ def sub_extension_feasibility(
         z = z + step
         residual = float(np.linalg.norm(step))
         history.append(residual)
-        checkpoint = (it + 1) % CERTIFICATE_PERIOD == 0
+        checkpoint = is_checkpoint(it + 1)
         if checkpoint:
             found = prob.certificate(step)
             if found is not None:

@@ -206,12 +206,12 @@ def loewner_leq(x: LeggedOperator, y: LeggedOperator, tol: float = PSD_TOL) -> b
 
 
 def psd_part(mat: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix to the Hermitian part of mat in Hilbert-Schmidt norm
-    (clip negative eigenvalues).  A stack of shape (..., s, s) is projected
-    matrix by matrix, in one batched eigh."""
-    w, v = np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
-    out = (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (out + out.conj().swapaxes(-1, -2)) / 2
+    """Nearest PSD matrix to a Hermitian mat in Hilbert-Schmidt norm (clip
+    negative eigenvalues).  Like `eigh`, it reads only the lower triangle, so
+    mat must be Hermitian.  A stack of shape (..., s, s) is projected matrix
+    by matrix, in one batched eigh."""
+    w, v = np.linalg.eigh(mat)
+    return (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _contract_one_leg(ten: np.ndarray, nlegs: int, i: int, density: np.ndarray) -> np.ndarray:

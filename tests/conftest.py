@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from definetti import LeggedOperator
-from definetti.hierarchy import CERTIFICATE_PERIOD, CERTIFICATE_RTOL
+from definetti.hierarchy import CERTIFICATE_RTOL, is_checkpoint
 from definetti.linalg import psd_part
 
 
@@ -96,7 +96,7 @@ class DenseDR:
         for it in range(opts.max_iterations):
             c = psd_part(z)
             z_prev, z = z, z + self.project_affine(2 * c - z) - c
-            checkpoint = (it + 1) % CERTIFICATE_PERIOD == 0
+            checkpoint = is_checkpoint(it + 1)
             if checkpoint and self.certificate(z - z_prev) is not None:
                 return "infeasible_at_tolerance", it + 1
             if (checkpoint or np.linalg.norm(z - z_prev) < opts.tol) and self.witness(c, opts.tol):

@@ -23,6 +23,9 @@ from definetti import (
     validate_k_prefix,
 )
 
+from definetti import boundary, symmetry
+from definetti.symmetry import schur_weyl_table
+
 from conftest import rand_psd
 
 RHO = Functional.normalized_trace(2)
@@ -202,6 +205,28 @@ def test_exponential_test_accepts_ill_conditioned_positive_t():
         g = GroupLike((u * [1.0, 1e-7]) @ u.conj().T)
         report = exponential_test(g, 3)
         assert report.is_exponential, report.failing_block
+
+
+@pytest.mark.parametrize("n, L", [(2, 8), (3, 5)])
+def test_exponential_test_checks_each_block_compression_once(monkeypatch, rng, n, L):
+    # every block it tests is block_compression(g, lam) (its Hermitian part
+    # above l = 1), and every copy basis on the chains is built once
+    g = random_grouplike(rng, n)
+    want = [block_compression(g, lam) for l in range(1, L + 1) for lam, _, _ in schur_weyl_table(n, l)]
+    bases: dict = {}
+    for l in range(1, L + 1):
+        for lam, _, _ in schur_weyl_table(n, l):
+            symmetry._copy_basis(n, lam.parts, bases)
+    distinct = sum(1 for parts in bases if sum(parts) > 1)
+    seen, filters = [], []
+    inner = symmetry._jm_eigenspace
+    monkeypatch.setattr(boundary, "is_psd", lambda x: seen.append(x.entries) or True)
+    monkeypatch.setattr(symmetry, "_jm_eigenspace", lambda *args: filters.append(args) or inner(*args))
+    assert exponential_test(g, L).is_exponential
+    assert len(seen) == len(want) and len(filters) == distinct
+    for got, block in zip(seen, want):
+        herm = (block + block.conj().T) / 2
+        assert np.abs(got - herm).max() <= 1e-12 * np.abs(block).max()
 
 
 def test_non_normal_grouplike_detected(rng):

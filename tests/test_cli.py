@@ -6,7 +6,8 @@ import numpy as np
 from definetti import Functional, LeggedOperator, bell_projector
 from definetti.cli import EXIT_INPUT, EXIT_OK, _parse_grid, main
 from definetti.serialize import dump_json, operator_from_json, operator_to_json, sequence_to_json
-from definetti.boundary import GroupLike, grouplike_sequence
+from definetti import boundary, hierarchy
+from definetti.boundary import GroupLike, grouplike_sequence, separable_image_check
 
 from conftest import rand_psd, random_separable
 
@@ -149,6 +150,36 @@ def test_boundary_bundle(tmp_path, rng):
     assert report["validation"]["ok"] is True
     assert report["bridge_agrees"] is True
     assert report["image_check"]["consistent"] is True
+
+
+def test_boundary_bundle_validates_the_prefix_once(tmp_path, rng, monkeypatch):
+    # the report's validation is the subharmonic check, so the image check
+    # does not validate the prefix again; the report is what the library
+    # functions give
+    rho = Functional.normalized_trace(2)
+    a = LeggedOperator(rand_psd(2, rng), (2,))
+    seq = grouplike_sequence(a, GroupLike(np.diag([0.9, 0.7])), 3, rho)
+    path = tmp_path / "bundle.json"
+    dump_json(sequence_to_json(seq), str(path))
+    want = separable_image_check(seq, rho).to_json()
+    calls = []
+    inner = hierarchy.validate_k_prefix
+
+    def counted(seq):
+        calls.append(seq)
+        return inner(seq)
+
+    monkeypatch.setattr(hierarchy, "validate_k_prefix", counted)
+    monkeypatch.setattr(boundary, "validate_k_prefix", counted)
+    out = tmp_path / "bd.json"
+    argv = ["boundary", "--bundle", str(path), "--rho", "bundle", "--verify-bridge", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1
+    report = json.loads(out.read_text())
+    assert set(report) == {"config", "subharmonic", "validation", "bridge_agrees", "image_check"}
+    assert report["subharmonic"] is True and report["bridge_agrees"] is True
+    assert report["validation"] == {"ok": True, "condition": None, "level": None, "detail": ""}
+    assert report["image_check"] == json.loads(json.dumps(want))
 
 
 def test_boundary_needs_exactly_one_input(tmp_path):

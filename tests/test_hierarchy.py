@@ -24,7 +24,7 @@ from definetti import (
     validate_k_prefix,
     werner_element,
 )
-from definetti.hierarchy import CERTIFICATE_PERIOD, ExtensionProblem
+from definetti.hierarchy import CERTIFICATE_PERIOD, ExtensionProblem, is_checkpoint
 from definetti.linalg import psd_part
 from definetti.symmetry import MAX_LEVEL
 
@@ -157,18 +157,41 @@ def test_block_coordinates_round_trip(rng, m, n, l):
 
 def test_dr_iterates_stay_invariant():
     # the loop never symmetrizes: the PSD part of a zero-padded stack is
-    # zero-padded, so every iterate is an S_l-invariant operator
+    # zero-padded, so every iterate is an S_l-invariant operator, and
+    # neither the PSD part nor the affine projection is re-hermitized, so the
+    # iterates stay Hermitian only by construction
     prob = ExtensionProblem(werner_element(0.499), RHO, 4)
     z = prob.project_affine(np.zeros(prob.shape))
     for _ in range(1000):
         c = psd_part(z)
         z = z + prob.project_affine(2 * c - z) - c
     assert (z[_padding(prob)] == 0).all()
+    assert np.abs(z - z.conj().swapaxes(-1, -2)).max() <= 1e-12 * np.abs(z).max()
     dense = prob.to_dense(z)
     assert np.abs(prob.sym.apply_matrix(dense) - dense).max() <= 1e-10 * np.abs(dense).max()
 
 
 PARITY_CASES = [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 2, 3), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("m, n, l", PARITY_CASES)
+def test_project_affine_is_the_gram_projection(rng, m, n, l):
+    # the precomputed projector form x + z0 - scatter(gather(x) P) equals
+    # x + K((a - Phi(x)) G^{-T}) and lands on Phi = a
+    rho = Functional.random_faithful(n, rng)
+    prob = ExtensionProblem(LeggedOperator(rand_psd(m * n, rng), (m, n)), rho, l)
+    for _ in range(3):
+        g = rng.normal(size=prob.shape) + 1j * rng.normal(size=prob.shape)
+        x = (g + g.conj().swapaxes(-1, -2)) / 2
+        out = prob.project_affine(x)
+        want = x + prob._k((prob._a_blocks - prob._phi(x)) @ prob._gi.T)
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+        a_max = np.abs(prob._a_blocks).max()
+        assert np.abs(prob._phi(out) - prob._a_blocks).max() <= 1e-12 * max(a_max, np.abs(x).max())
+
+
+def test_checkpoints_are_the_powers_of_two_and_the_period_multiples():
+    assert {k for k in range(1, 101) if is_checkpoint(k)} == {1, 2, 4, 8, 16, 25, 32, 50, 64, 75, 100}
 
 
 @pytest.mark.parametrize("m, n, l", PARITY_CASES)
@@ -183,11 +206,11 @@ def test_block_solver_matches_dense_replay(m, n, l):
 
 def test_block_solver_matches_dense_replay_on_a_flat_residual():
     # 0.499 <= 1/2 is level-4 extendable, and its residual stays flat for
-    # about a thousand steps; the witness check at step 50 settles it
+    # about a thousand steps; the witness check at step 32 settles it
     a = werner_element(0.499)
     report = sub_extension_feasibility(a, RHO, 4)
     verdict, iterations = DenseDR(ExtensionProblem(a, RHO, 4)).solve(SolverOptions())
-    assert (report.verdict, report.iterations) == (verdict, iterations) == ("feasible", 50)
+    assert (report.verdict, report.iterations) == (verdict, iterations) == ("feasible", 32)
     assert report.stop_reason == "tol" and report.certificate is None
 
 
@@ -297,7 +320,7 @@ def test_werner_certificates_just_above_the_threshold(l):
     a = werner_element((l + 2) / (3 * l) + 1e-3)
     report = sub_extension_feasibility(a, RHO, l)
     _check_certificate(report, a, RHO, l)
-    assert report.iterations <= 2 * CERTIFICATE_PERIOD
+    assert report.iterations < CERTIFICATE_PERIOD
 
 
 @pytest.mark.parametrize("l", range(2, 7))
@@ -367,25 +390,29 @@ def _count_eigendecompositions(monkeypatch):
 
 
 def test_one_eigendecomposition_per_step(monkeypatch):
-    # a DR step is one eigh; the only eigvalsh is the input PSD check
+    # a DR step is one eigh; steps 1, 2 and 4 are checkpoints, each adding one
+    # witness eigh and one certificate eigvalsh (trace(Y a) < 0 there), and
+    # the other eigvalsh is the input PSD check.  At the default tol Werner
+    # 0.3 would be witnessed at step 1; tol = 1e-16 keeps the loop running
     a = werner_element(0.3)
     calls = _count_eigendecompositions(monkeypatch)
     report = sub_extension_feasibility(a, RHO, 3, SolverOptions(tol=1e-16, max_iterations=5))
     assert report.verdict == "max_iterations"
-    assert calls == {"eigh": 5, "eigvalsh": 1}
+    assert calls == {"eigh": 5 + 3, "eigvalsh": 1 + 3}
 
 
 def test_a_certified_solve_adds_one_eigvalsh(monkeypatch):
-    # the certificate check at step 25 is one eigvalsh of the block stack
+    # the certificate check at step 1 is one eigvalsh of the block stack
     calls = _count_eigendecompositions(monkeypatch)
     report = sub_extension_feasibility(bell_projector(), RHO, 2)
-    assert (report.verdict, report.iterations) == ("infeasible_at_tolerance", CERTIFICATE_PERIOD)
-    assert calls == {"eigh": 25, "eigvalsh": 2}
+    assert (report.verdict, report.iterations) == ("infeasible_at_tolerance", 1)
+    assert calls == {"eigh": 1, "eigvalsh": 2}
 
 
 def test_a_witnessed_solve_adds_one_block_eigh_per_check(monkeypatch):
-    # Werner 0.499 at l = 4 is witnessed at the second check: 50 step eighs
-    # and 2 witness eighs, each of the block stack, none of side m n^l
+    # Werner 0.499 at l = 4 is witnessed at step 32, the seventh checkpoint
+    # (1, 2, 4, 8, 16, 25, 32): 32 step eighs and 7 witness eighs, each of the
+    # block stack, none of side m n^l
     prob = ExtensionProblem(werner_element(0.499), RHO, 4)
     shapes = []
     inner = np.linalg.eigh
@@ -396,8 +423,8 @@ def test_a_witnessed_solve_adds_one_block_eigh_per_check(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     report = sub_extension_feasibility(werner_element(0.499), RHO, 4)
-    assert (report.verdict, report.iterations) == ("feasible", 2 * CERTIFICATE_PERIOD)
-    assert shapes == [prob.shape] * 52
+    assert (report.verdict, report.iterations) == ("feasible", 32)
+    assert shapes == [prob.shape] * (32 + 7)
 
 
 def test_residual_is_dr_displacement():
@@ -419,7 +446,10 @@ def test_residual_history_monotone_tail(rng):
     report = sub_extension_feasibility(a, RHO, 2)
     assert report.verdict == "feasible"
     assert len(report.residual_history) == report.iterations
-    assert report.residual_history[-1] < 1e-7
+    # a feasible solve ends at its first checked witness, not at a small
+    # displacement: the verdict rests on the witness's marginal defect
+    assert report.final_residual <= SolverOptions().tol
+    assert ExtensionProblem(a, RHO, 2).validate_witness(report.witness, 1e-6)
 
 
 def test_max_iterations_verdict(rng):

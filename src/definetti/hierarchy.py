@@ -20,6 +20,7 @@ A run that ends with neither is `max_iterations`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -184,71 +185,37 @@ class FeasibilityReport:
         return out
 
 
-class ExtensionProblem:
-    """Geometry of the level-l sub-extension search for one (a, rho, l).
+#: solver geometries kept per process (`_geometry`); a scan over levels
+#: 2..5 under one functional uses four
+GEOMETRY_CACHE_SIZE = 8
 
-    The search runs in Schur-Weyl block coordinates.  An S_l-invariant b on
-    legs [m, n, ..., n] is a direct sum over the partitions lambda of l with
-    at most n rows of blocks B_lambda (x) I_hook(lambda), B_lambda on
-    m (x) V_lambda.  The variable for lambda is
-    X_lambda = sqrt(hook(lambda)) (I_m (x) W)^T b (I_m (x) W), with W the
-    copy basis of lambda (`copy_bases`), of side m * weyl(lambda).  The
-    sqrt(hook) weights make the Euclidean norm of the X equal the Frobenius
-    norm of b, so Douglas-Rachford on the blocks takes exactly the steps of
-    Douglas-Rachford on b.  The blocks are stored as one zero-padded stack
-    of shape `shape` = (k, s, s), with X_lambda in the top-left corner of
-    slice lambda and s = m * max weyl.
+
+class _Geometry:
+    """Everything the level-l solver precomputes that does not depend on a:
+    the symmetrizer, the copy bases, the Gram rows `_kh` of K, G^{-1} and
+    the affine projector P.  Its arrays are read-only, because every
+    problem at the same (m, n, l, rho) shares them (`_geometry`).
+
+    Phi and Sym o Phi* act on every m-block E_ik (x) B of b in the same way,
+    through the n-side map K(Y) = Sym(Y (x) D^{(x)(l-1)}) on M_n.  Row j of
+    `_kh` is, over the blocks, sqrt(hook) conj(W^T K(e_j) W).flat for the
+    n^2 matrix units e_j, so kh @ X.flat is K*(B) = Phi(B) and y @ conj(kh)
+    is K(y) in block coordinates, with operators on m (x) n as m^2 x n^2
+    arrays of m-blocks.  The weights make kh @ kh^H the dense per-block Gram
+    matrix K* K, n^2 x n^2 and well conditioned (cond ~ l for faithful rho),
+    so a direct inverse gives an exact metric projection onto the
+    constraint set.  In gathered coordinates that projection is
+    x -> x + z0 - x P, with P = kh^T G^{-T} conj(kh) the projector onto the
+    range of K and z0 = K(a G^{-T}) its offset, the one part that depends
+    on a (`ExtensionProblem`).
     """
 
-    def __init__(self, a: LeggedOperator, rho: Functional, l: int):
-        if len(a.legs) != 2:
-            raise ValueError(f"expected a bipartite element with two legs, got {a.legs}")
-        if l < 1:
-            raise ValueError("extension level must be at least 1")
-        if l > MAX_LEVEL:
-            raise ValueError(f"level {l} exceeds the level bound {MAX_LEVEL}")
-        m, n = a.legs
-        if rho.dim != n:
-            raise ValueError(f"functional dimension {rho.dim} does not match n={n}")
-        self.a = a
-        self.rho = rho
-        self.l = l
-        self.m, self.n = m, n
+    def __init__(self, m: int, n: int, l: int, density: np.ndarray):
         self.big_legs = (m,) + (n,) * l
         self.sym = Symmetrizer(self.big_legs, range(1, l + 1))
-        self._trailing = list(range(2, l + 1))
-        d = rho.density
         self._d_pow = np.array([[1.0]])
         for _ in range(l - 1):
-            self._d_pow = np.kron(self._d_pow, d)
-        self.phi_scale = float(np.trace(d @ d).real) ** (l - 1)
-        self._k_floor = rho.least_eig ** (l - 1)  # K(I) >= _k_floor * I
-        self._build_affine_solver()
-
-    # Phi contracts the trailing l-1 legs with rho.
-    def phi(self, b_mat: np.ndarray) -> np.ndarray:
-        if not self._trailing:
-            return b_mat
-        x = LeggedOperator(b_mat, self.big_legs)
-        return contract_legs(x, self.rho, self._trailing).entries
-
-    def phi_star(self, y_mat: np.ndarray) -> np.ndarray:
-        return np.kron(y_mat, self._d_pow)
-
-    def _build_affine_solver(self) -> None:
-        # Phi and Sym o Phi* act on every m-block E_ik (x) B of b in the same
-        # way, through the n-side map K(Y) = Sym(Y (x) D^{(x)(l-1)}) on M_n.
-        # Row j of `_kh` is, over the blocks, sqrt(hook) conj(W^T K(e_j) W).flat
-        # for the n^2 matrix units e_j, so kh @ X.flat is K*(B) = Phi(B)
-        # (`_phi`) and y @ conj(kh) is K(y) in block coordinates (`_k`), with
-        # operators on m (x) n as m^2 x n^2 arrays of m-blocks (`_a_blocks`).
-        # The weights make kh @ kh^H the dense per-block Gram matrix K* K,
-        # n^2 x n^2 and well conditioned (cond ~ l for faithful rho), so a
-        # direct inverse gives an exact metric projection onto the constraint
-        # set.  In gathered coordinates that projection is
-        # x -> x + z0 - x P, with P = kh^T G^{-T} conj(kh) the projector onto
-        # the range of K and z0 = K(a G^{-T}) its fixed offset.
-        m, n, l = self.m, self.n, self.l
+            self._d_pow = np.kron(self._d_pow, density)
         sym_n = Symmetrizer((n,) * l, range(l))
         units = np.kron(np.eye(n * n).reshape(-1, n, n), self._d_pow)  # e_j (x) D^{(x)(l-1)}
         k_dense = np.stack([sym_n.apply_matrix(u) for u in units])
@@ -267,9 +234,72 @@ class ExtensionProblem:
         self._gi = np.linalg.inv(self._kh @ self._kh.conj().T)
         self._idx = np.hstack(idx)
         self._weights = np.array([weight for weight, _ in self._copies])
-        self._a_blocks = self.a.entries.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
         self._p = self._kh.T @ self._gi.T @ self._kh.conj()
+        arrays = [self._d_pow, self._kh, self._gi, self._idx, self._weights, self._p]
+        for arr in arrays + [w for _, w in self._copies]:
+            arr.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _geometry(m: int, n: int, l: int, density: bytes) -> _Geometry:
+    """The shared `_Geometry` of level l on legs (m, n), keyed on the exact
+    entries of rho's density (the bytes of the complex n x n array), so a
+    new `Functional` with the same density finds it."""
+    return _Geometry(m, n, l, np.frombuffer(density, dtype=complex).reshape(n, n))
+
+
+class ExtensionProblem:
+    """The level-l sub-extension search for one (a, rho, l).
+
+    The search runs in Schur-Weyl block coordinates.  An S_l-invariant b on
+    legs [m, n, ..., n] is a direct sum over the partitions lambda of l with
+    at most n rows of blocks B_lambda (x) I_hook(lambda), B_lambda on
+    m (x) V_lambda.  The variable for lambda is
+    X_lambda = sqrt(hook(lambda)) (I_m (x) W)^T b (I_m (x) W), with W the
+    copy basis of lambda (`copy_bases`), of side m * weyl(lambda).  The
+    sqrt(hook) weights make the Euclidean norm of the X equal the Frobenius
+    norm of b, so Douglas-Rachford on the blocks takes exactly the steps of
+    Douglas-Rachford on b.  The blocks are stored as one zero-padded stack
+    of shape `shape` = (k, s, s), with X_lambda in the top-left corner of
+    slice lambda and s = m * max weyl.
+
+    `geometry` and the attributes copied from it (`big_legs`, `sym`,
+    `shape`, `_d_pow`, `_copies`, `_kh`, `_gi`, `_idx`, `_weights`, `_p`)
+    are built once per (m, n, l, rho density) and process (`_geometry`) and
+    shared by every problem there; their arrays are read-only.  Only `a`,
+    `_a_blocks` and `_z0` (and the scalar `_k_floor`) are built here.
+    """
+
+    def __init__(self, a: LeggedOperator, rho: Functional, l: int):
+        if len(a.legs) != 2:
+            raise ValueError(f"expected a bipartite element with two legs, got {a.legs}")
+        if l < 1:
+            raise ValueError("extension level must be at least 1")
+        if l > MAX_LEVEL:
+            raise ValueError(f"level {l} exceeds the level bound {MAX_LEVEL}")
+        m, n = a.legs
+        if rho.dim != n:
+            raise ValueError(f"functional dimension {rho.dim} does not match n={n}")
+        self.a = a
+        self.rho = rho
+        self.l = l
+        self.m, self.n = m, n
+        self._trailing = list(range(2, l + 1))
+        self._k_floor = rho.least_eig ** (l - 1)  # K(I) >= _k_floor * I
+        self.geometry = _geometry(m, n, l, rho.density.tobytes())
+        vars(self).update(vars(self.geometry))
+        self._a_blocks = a.entries.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
         self._z0 = self._k(self._a_blocks @ self._gi.T)
+
+    # Phi contracts the trailing l-1 legs with rho.
+    def phi(self, b_mat: np.ndarray) -> np.ndarray:
+        if not self._trailing:
+            return b_mat
+        x = LeggedOperator(b_mat, self.big_legs)
+        return contract_legs(x, self.rho, self._trailing).entries
+
+    def phi_star(self, y_mat: np.ndarray) -> np.ndarray:
+        return np.kron(y_mat, self._d_pow)
 
     def _phi(self, x: np.ndarray) -> np.ndarray:
         """Phi of a block stack, in m-blocks."""
@@ -301,7 +331,7 @@ class ExtensionProblem:
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         """Metric projection of a block stack onto {Phi(b) = a}:
         x + K((a - Phi(x)) G^{-T}), computed as x + z0 - scatter(gather(x) P)
-        with the precomputed P and z0 (`_build_affine_solver`).
+        with the precomputed P and z0 (`_Geometry`).
 
         Every zero-padded stack is an S_l-invariant b, so invariance needs
         no work here; the correction only touches the blocks, and the
@@ -322,10 +352,14 @@ class ExtensionProblem:
         solution of K(Y) = -step, G^{-1} Phi(-step).  One eigvalsh of the
         stack gives the least eigenvalue of K(Y) (block eigenvalue over its
         sqrt(hook) weight), and since K(I) >= lambda_min(D)^{l-1} I, adding
-        eps I with eps = max(0, -that) / lambda_min(D)^{l-1} makes K(Y) PSD;
-        eps only raises trace(Y a), so a Y with trace(Y a) >= 0 is rejected
-        before the eigvalsh.  Returns (Y, trace(Y a) / (||Y|| trace(a))) when
-        that margin is below -CERTIFICATE_RTOL, else None.
+        eps I with eps = max(0, -that) / lambda_min(D)^{l-1} makes K(Y) PSD
+        (`_shift`).  eps only raises trace(Y a), so a Y with trace(Y a) >= 0
+        is rejected before the eigvalsh.  So is a Y that the shift read off
+        the stack's diagonal already lifts to trace(Y a) >= 0: a block's
+        diagonal entries bound its least eigenvalue from above, so that
+        shift is at most eps (the padding's zero diagonal only lowers it).
+        Returns (Y, trace(Y a) / (||Y|| trace(a))) when that margin is below
+        -CERTIFICATE_RTOL, else None.
         """
         m, n = self.m, self.n
         y = (-self._phi(step) @ self._gi.T).reshape(m, m, n, n)
@@ -333,14 +367,23 @@ class ExtensionProblem:
         value = float(np.vdot(self._a_blocks, y).real)  # trace(Y a)
         if value >= 0:
             return None
-        least = (np.linalg.eigvalsh(self._k(y.reshape(m * m, n * n)))[:, 0] / self._weights).min()
-        eps = max(0.0, -float(least)) / self._k_floor
-        y_mat = y.transpose(0, 2, 1, 3).reshape(m * n, m * n) + eps * np.eye(m * n)
+        k_y = self._k(y.reshape(m * m, n * n))
         tr_a = float(self.a.trace().real)
+        if value + self._shift(np.diagonal(k_y, axis1=1, axis2=2).real) * tr_a >= 0:
+            return None
+        eps = self._shift(np.linalg.eigvalsh(k_y))
+        y_mat = y.transpose(0, 2, 1, 3).reshape(m * n, m * n) + eps * np.eye(m * n)
         margin = (value + eps * tr_a) / (float(np.linalg.norm(y_mat)) * tr_a)
         if margin >= -CERTIFICATE_RTOL:
             return None
         return LeggedOperator(y_mat, (m, n)), margin
+
+    def _shift(self, values: np.ndarray) -> float:
+        """max(0, -least) / lambda_min(D)^{l-1}, with least the minimum over
+        the blocks of the least entry of the block's row of `values` over
+        its sqrt(hook) weight."""
+        least = (values.min(axis=1) / self._weights).min()
+        return max(0.0, -float(least)) / self._k_floor
 
     def witness(self, c: np.ndarray, tol: float) -> Optional[tuple[np.ndarray, float]]:
         """An extension read off a DR iterate, with its marginal defect.

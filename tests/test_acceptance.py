@@ -338,7 +338,8 @@ def test_criterion_09_adjoint_identity():
             prob = ExtensionProblem(LeggedOperator(np.eye(4), (2, 2)), rho, l)
             y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             lhs = prob.phi(prob.phi_star(y))
-            worst = max(worst, np.abs(lhs - prob.phi_scale * y).max() / prob.phi_scale)
+            scale = float(np.trace(rho.density @ rho.density).real) ** (l - 1)
+            worst = max(worst, np.abs(lhs - scale * y).max() / scale)
     emit(
         "criterion 9",
         worst < 1e-12,

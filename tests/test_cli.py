@@ -90,6 +90,14 @@ def test_scan_werner_grid(tmp_path):
     assert by_p[1.0]["verdict"] == "entangled_evidence"
 
 
+def test_scan_werner_builds_one_geometry_per_level(tmp_path):
+    # the 21-point scan at levels 2..5 makes 84 solves on four geometries
+    hierarchy._geometry.cache_clear()
+    assert main(["scan-werner", "--levels", "5", "--out", str(tmp_path / "scan.json")]) == EXIT_OK
+    info = hierarchy._geometry.cache_info()
+    assert (info.misses, info.hits) == (4, 80)
+
+
 def test_scan_werner_bad_grid():
     assert main(["scan-werner", "--grid", "0:2:0.5"]) == EXIT_INPUT
     assert main(["scan-werner", "--grid", "oops"]) == EXIT_INPUT

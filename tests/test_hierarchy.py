@@ -24,6 +24,7 @@ from definetti import (
     validate_k_prefix,
     werner_element,
 )
+from definetti import hierarchy
 from definetti.hierarchy import CERTIFICATE_PERIOD, ExtensionProblem, is_checkpoint
 from definetti.linalg import psd_part
 from definetti.symmetry import MAX_LEVEL
@@ -103,7 +104,8 @@ def test_adjoint_identity(rng):
         prob = ExtensionProblem(LeggedOperator(np.eye(4), (2, 2)), rho, l)
         y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         lhs = prob.phi(prob.phi_star(y))
-        assert np.abs(lhs - prob.phi_scale * y).max() < 1e-12 * prob.phi_scale
+        scale = float(np.trace(rho.density @ rho.density).real) ** (l - 1)
+        assert np.abs(lhs - scale * y).max() < 1e-12 * scale
 
 
 def _padding(prob):
@@ -214,22 +216,117 @@ def test_block_solver_matches_dense_replay_on_a_flat_residual():
     assert report.stop_reason == "tol" and report.certificate is None
 
 
-@pytest.mark.parametrize(
-    "a, l, random_rho",
-    [
-        (werner_element(0.9), 3, False),
-        (bell_projector(), 2, False),
-        (werner_element(0.501), 4, False),
-        (bell_projector(), 3, True),
-    ],
-    ids=["werner-0.9@3", "bell@2", "werner-0.501@4", "bell@3-random-rho"],
-)
+CERTIFICATE_CASES = [
+    (werner_element(0.9), 3, False),
+    (bell_projector(), 2, False),
+    (werner_element(0.501), 4, False),
+    (bell_projector(), 3, True),
+]
+CERTIFICATE_IDS = ["werner-0.9@3", "bell@2", "werner-0.501@4", "bell@3-random-rho"]
+
+
+@pytest.mark.parametrize("a, l, random_rho", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
 def test_block_solver_matches_dense_replay_on_certificates(rng, a, l, random_rho):
     rho = Functional.random_faithful(2, rng) if random_rho else RHO
     report = sub_extension_feasibility(a, rho, l)
     verdict, iterations = DenseDR(ExtensionProblem(a, rho, l)).solve(SolverOptions())
     assert (report.verdict, report.iterations) == (verdict, iterations)
     assert report.verdict == "infeasible_at_tolerance"
+
+
+def _certificate_steps(prob, steps=50):
+    """The first DR steps z_{k+1} - z_k of a block problem."""
+    z = prob.project_affine(np.zeros(prob.shape))
+    for _ in range(steps):
+        c = psd_part(z)
+        step = prob.project_affine(2 * c - z) - c
+        z = z + step
+        yield step
+
+
+def _assert_screen_keeps_every_certificate(prob):
+    # the dense check has no diagonal screen: whatever it accepts, the block
+    # check must accept too
+    dense = DenseDR(prob)
+    accepted = 0
+    for step in _certificate_steps(prob):
+        if dense.certificate(prob.to_dense(step)) is not None:
+            accepted += 1
+            assert prob.certificate(step) is not None
+    return accepted
+
+
+@pytest.mark.parametrize("m, n, l", PARITY_CASES)
+def test_certificate_screen_rejects_no_accepted_step(m, n, l):
+    rng = np.random.default_rng(100 * m + 10 * n + l)
+    rho = Functional.random_faithful(n, rng)
+    a = LeggedOperator(rand_psd(m * n, rng), (m, n))
+    _assert_screen_keeps_every_certificate(ExtensionProblem(a * (1 / a.trace().real), rho, l))
+
+
+@pytest.mark.parametrize("a, l, random_rho", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
+def test_certificate_screen_rejects_no_accepted_certificate_step(rng, a, l, random_rho):
+    rho = Functional.random_faithful(2, rng) if random_rho else RHO
+    assert _assert_screen_keeps_every_certificate(ExtensionProblem(a, rho, l)) > 0
+
+
+# -- the shared solver geometry ------------------------------------------------
+
+
+def test_problems_at_one_level_share_one_geometry(rng):
+    # keyed on the density's entries: a new Functional with the same density
+    # finds the same geometry, another level or functional does not
+    rho = Functional.random_faithful(2, rng)
+    first = ExtensionProblem(werner_element(0.3), rho, 4)
+    second = ExtensionProblem(bell_projector(), Functional(rho.density.copy()), 4)
+    assert second.geometry is first.geometry
+    assert second._p is first._p and second.sym is first.sym
+    assert ExtensionProblem(werner_element(0.3), rho, 3).geometry is not first.geometry
+    assert ExtensionProblem(werner_element(0.3), RHO, 4).geometry is not first.geometry
+    assert second._z0 is not first._z0
+
+
+GEOMETRY_ARRAYS = ["_d_pow", "_kh", "_gi", "_idx", "_weights", "_p"]
+
+
+@pytest.mark.parametrize("m, n, l", [(2, 2, 4), (3, 2, 3), (2, 3, 3)])
+def test_a_rebuilt_geometry_is_bit_identical(rng, m, n, l):
+    rho = Functional.random_faithful(n, rng)
+    a = LeggedOperator(rand_psd(m * n, rng), (m, n))
+    before = ExtensionProblem(a, rho, l)
+    hierarchy._geometry.cache_clear()
+    after = ExtensionProblem(a, rho, l)
+    assert after.geometry is not before.geometry
+    for name in GEOMETRY_ARRAYS + ["_z0"]:
+        assert getattr(after, name).tobytes() == getattr(before, name).tobytes(), name
+    assert [w.tobytes() for _, w in after._copies] == [w.tobytes() for _, w in before._copies]
+    assert after.shape == before.shape
+
+
+def test_cached_arrays_are_read_only():
+    prob = ExtensionProblem(werner_element(0.3), RHO, 3)
+    for name in GEOMETRY_ARRAYS:
+        with pytest.raises(ValueError):
+            getattr(prob, name)[(0,) * getattr(prob, name).ndim] = 1
+    with pytest.raises(ValueError):
+        prob._copies[0][1][0, 0] = 1
+
+
+def _report_key(report):
+    witness = None if report.witness is None else report.witness.entries.tobytes()
+    return report.verdict, report.iterations, report.residual_history, witness
+
+
+def test_reused_geometries_give_the_reports_of_fresh_ones(rng):
+    # solves alternating between two functionals at the same (n, l) reuse
+    # both geometries; each report equals the one from an emptied cache
+    rhos = [RHO, Functional.random_faithful(2, rng)]
+    inputs = [werner_element(0.45), bell_projector(), random_separable(rng), werner_element(0.3)]
+    runs = [(a, rhos[k % 2], l) for k, a in enumerate(inputs) for l in (3, 4)]
+    warm = [_report_key(sub_extension_feasibility(a, rho, l)) for a, rho, l in runs]
+    for (a, rho, l), want in zip(runs, warm):
+        hierarchy._geometry.cache_clear()
+        assert _report_key(sub_extension_feasibility(a, rho, l)) == want
 
 
 def test_werner_level6_feasible_below_threshold():
@@ -391,14 +488,16 @@ def _count_eigendecompositions(monkeypatch):
 
 def test_one_eigendecomposition_per_step(monkeypatch):
     # a DR step is one eigh; steps 1, 2 and 4 are checkpoints, each adding one
-    # witness eigh and one certificate eigvalsh (trace(Y a) < 0 there), and
-    # the other eigvalsh is the input PSD check.  At the default tol Werner
-    # 0.3 would be witnessed at step 1; tol = 1e-16 keeps the loop running
+    # witness eigh.  trace(Y a) < 0 at all three, but the shift read off the
+    # diagonal of K(Y) already lifts it to >= 0, so no certificate eigvalsh
+    # runs, and the one eigvalsh is the input PSD check.  At the default tol
+    # Werner 0.3 would be witnessed at step 1; tol = 1e-16 keeps the loop
+    # running
     a = werner_element(0.3)
     calls = _count_eigendecompositions(monkeypatch)
     report = sub_extension_feasibility(a, RHO, 3, SolverOptions(tol=1e-16, max_iterations=5))
     assert report.verdict == "max_iterations"
-    assert calls == {"eigh": 5 + 3, "eigvalsh": 1 + 3}
+    assert calls == {"eigh": 5 + 3, "eigvalsh": 1}
 
 
 def test_a_certified_solve_adds_one_eigvalsh(monkeypatch):

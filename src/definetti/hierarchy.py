@@ -15,7 +15,10 @@ separating functional (the dual of Doherty, Parrilo and Spedalieri): a
 Hermitian Y on m (x) n with Sym(Y (x) D^{(x)(l-1)}) PSD and trace(Y a) < 0,
 so that every feasible b would give
 0 <= <Sym(Y (x) D^{(x)(l-1)}), b> = trace(Y Phi(b)) = trace(Y a).
-A run that ends with neither is `max_iterations`.
+A run that ends with neither is `max_iterations`.  The search is
+Douglas-Rachford splitting with safeguarded Anderson acceleration
+(`sub_extension_feasibility`); the acceleration changes how fast an answer
+comes, never how it is checked.
 """
 
 from __future__ import annotations
@@ -47,13 +50,24 @@ PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 
 #: at every step k that is a power of two or a multiple of CERTIFICATE_PERIOD
 #: (`is_checkpoint`) the DR loop tries to read a separating functional off its
-#: displacement (`ExtensionProblem.certificate`), then an extension off its
-#: iterate (`ExtensionProblem.witness`): densely early, where most solves end,
-#: and every CERTIFICATE_PERIOD steps later on
+#: step T(z) - z (`ExtensionProblem.certificate`), then an extension off the
+#: PSD part of z (`ExtensionProblem.witness`): densely early, where most
+#: solves end, and every CERTIFICATE_PERIOD steps later on
 CERTIFICATE_PERIOD = 25
 #: a certificate Y is accepted when trace(Y a) < -CERTIFICATE_RTOL ||Y|| trace(a),
 #: far above the rounding of trace(Y a) and of the eigenvalues behind Y
 CERTIFICATE_RTOL = 1e-9
+#: after each DR step the loop mixes the differences of its last
+#: ANDERSON_MEMORY steps into the next point (`_Anderson`)
+ANDERSON_MEMORY = 10
+#: Tikhonov weight of the mixing least squares, relative to the summed squared
+#: norms of the differences it mixes; it keeps the mix near plain DR where the
+#: iterates drift without converging, as on an infeasible problem
+ANDERSON_REGULARIZATION = 1e-8
+#: a mixed point whose residual ||T(z) - z|| is more than ANDERSON_SAFEGUARD
+#: times the previous one is dropped, and the loop restarts from the plain DR
+#: point before it
+ANDERSON_SAFEGUARD = 2.0
 
 
 def is_checkpoint(k: int) -> bool:
@@ -151,8 +165,11 @@ class FeasibilityReport:
 
     `final_residual` is the quantity the verdict rests on.  For `feasible`
     it is the witness's relative marginal defect |Phi(b) - a|max / |a|max,
-    at most the solver's tol.  Otherwise it is the last DR displacement,
-    relative to trace(a), the last entry of `residual_history`.
+    at most the solver's tol.  Otherwise it is the last fixed-point
+    residual ||T(z) - z|| of the DR map, relative to trace(a), the last
+    entry of `residual_history`.  `restarts` counts the mixed points the
+    solver dropped for plain DR steps (`_Anderson`): how often the
+    acceleration backed off.
     """
 
     # "feasible" (with a checked witness) | "infeasible_at_tolerance" (with a
@@ -166,6 +183,7 @@ class FeasibilityReport:
     stop_reason: str  # "tol" | "certificate" | "max_iterations"
     certificate: Optional[LeggedOperator]  # separating functional Y on (m, n)
     certificate_margin: Optional[float]  # trace(Y a) / (||Y|| trace(a)) < 0
+    restarts: int = 0  # safeguard restarts of the Anderson mixing (`_Anderson`)
 
     def to_json(self) -> dict:
         from .serialize import operator_to_json
@@ -179,6 +197,7 @@ class FeasibilityReport:
             "residual_history": list(self.residual_history),
             "certificate": None if self.certificate is None else operator_to_json(self.certificate),
             "certificate_margin": self.certificate_margin,
+            "restarts": self.restarts,
         }
         if self.witness is not None:
             out["witness"] = operator_to_json(self.witness)
@@ -193,8 +212,9 @@ GEOMETRY_CACHE_SIZE = 8
 class _Geometry:
     """Everything the level-l solver precomputes that does not depend on a:
     the symmetrizer, the copy bases, the Gram rows `_kh` of K, G^{-1} and
-    the affine projector P.  Its arrays are read-only, because every
-    problem at the same (m, n, l, rho) shares them (`_geometry`).
+    the right factor `_q` of the affine projector.  Its arrays are
+    read-only, because every problem at the same (m, n, l, rho) shares them
+    (`_geometry`).
 
     Phi and Sym o Phi* act on every m-block E_ik (x) B of b in the same way,
     through the n-side map K(Y) = Sym(Y (x) D^{(x)(l-1)}) on M_n.  Row j of
@@ -205,9 +225,13 @@ class _Geometry:
     matrix K* K, n^2 x n^2 and well conditioned (cond ~ l for faithful rho),
     so a direct inverse gives an exact metric projection onto the
     constraint set.  In gathered coordinates that projection is
-    x -> x + z0 - x P, with P = kh^T G^{-T} conj(kh) the projector onto the
-    range of K and z0 = K(a G^{-T}) its offset, the one part that depends
-    on a (`ExtensionProblem`).
+    x -> x + z0 - (x kh^T) q, with q = G^{-T} conj(kh), so that kh^T q is
+    the projector onto the range of K, and z0 = K(a G^{-T}) = a q its
+    offset, the one part that depends on a (`ExtensionProblem`).  The
+    projector is kept as its two n^2-row factors, never as the square
+    matrix on the blocks, and each K(e_j) on the n-legs is compressed to
+    its block rows as soon as it is built: so a build holds one n^l-side
+    matrix at a time besides the copy bases.
     """
 
     def __init__(self, m: int, n: int, l: int, density: np.ndarray):
@@ -217,15 +241,17 @@ class _Geometry:
         for _ in range(l - 1):
             self._d_pow = np.kron(self._d_pow, density)
         sym_n = Symmetrizer((n,) * l, range(l))
-        units = np.kron(np.eye(n * n).reshape(-1, n, n), self._d_pow)  # e_j (x) D^{(x)(l-1)}
-        k_dense = np.stack([sym_n.apply_matrix(u) for u in units])
         self._copies = [(math.sqrt(lam.hook_dimension()), w) for lam, w in copy_bases(n, l)]
         side = m * max(w.shape[1] for _, w in self._copies)
         self.shape = (len(self._copies), side, side)
-        rows, idx = [], []
-        for k, (weight, w) in enumerate(self._copies):
+        rows = [np.empty((n * n, w.shape[1] ** 2), dtype=complex) for _, w in self._copies]
+        for j, unit in enumerate(np.eye(n * n).reshape(-1, n, n)):
+            k_j = sym_n.apply_matrix(np.kron(unit, self._d_pow))
+            for row, (weight, w) in zip(rows, self._copies):
+                row[j] = weight * (w.T @ k_j @ w).conj().reshape(-1)
+        idx = []
+        for k, (_, w) in enumerate(self._copies):
             d = w.shape[1]
-            rows.append(weight * (w.T @ k_dense @ w).conj().reshape(n * n, d * d))
             # stack position of entry (alpha, beta) of the m-block (i, j) of X
             r = np.arange(m)[:, None] * d + np.arange(d)
             pos = k * side * side + r[:, None, :, None] * side + r[None, :, None, :]
@@ -234,8 +260,8 @@ class _Geometry:
         self._gi = np.linalg.inv(self._kh @ self._kh.conj().T)
         self._idx = np.hstack(idx)
         self._weights = np.array([weight for weight, _ in self._copies])
-        self._p = self._kh.T @ self._gi.T @ self._kh.conj()
-        arrays = [self._d_pow, self._kh, self._gi, self._idx, self._weights, self._p]
+        self._q = self._gi.T @ self._kh.conj()
+        arrays = [self._d_pow, self._kh, self._gi, self._idx, self._weights, self._q]
         for arr in arrays + [w for _, w in self._copies]:
             arr.setflags(write=False)
 
@@ -264,7 +290,7 @@ class ExtensionProblem:
     slice lambda and s = m * max weyl.
 
     `geometry` and the attributes copied from it (`big_legs`, `sym`,
-    `shape`, `_d_pow`, `_copies`, `_kh`, `_gi`, `_idx`, `_weights`, `_p`)
+    `shape`, `_d_pow`, `_copies`, `_kh`, `_gi`, `_idx`, `_weights`, `_q`)
     are built once per (m, n, l, rho density) and process (`_geometry`) and
     shared by every problem there; their arrays are read-only.  Only `a`,
     `_a_blocks` and `_z0` (and the scalar `_k_floor`) are built here.
@@ -330,8 +356,9 @@ class ExtensionProblem:
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         """Metric projection of a block stack onto {Phi(b) = a}:
-        x + K((a - Phi(x)) G^{-T}), computed as x + z0 - scatter(gather(x) P)
-        with the precomputed P and z0 (`_Geometry`).
+        x + K((a - Phi(x)) G^{-T}), computed as
+        x + z0 - scatter((gather(x) kh^T) q) with the precomputed q and z0
+        (`_Geometry`).
 
         Every zero-padded stack is an S_l-invariant b, so invariance needs
         no work here; the correction only touches the blocks, and the
@@ -340,18 +367,20 @@ class ExtensionProblem:
         the adjoint, so a Hermitian x gives a Hermitian result.
         """
         out = x + self._z0
-        out.reshape(-1)[self._idx] -= x.reshape(-1)[self._idx] @ self._p
+        out.reshape(-1)[self._idx] -= self._phi(x) @ self._q
         return out
 
     def certificate(self, step: np.ndarray) -> Optional[tuple[LeggedOperator, float]]:
         """A separating functional read off a DR step, with its margin.
 
-        On an infeasible problem the step z_{k+1} - z_k tends to the gap
+        On an infeasible problem the DR step T(z) - z tends to the gap
         vector between the PSD cone and the affine set (Banjac et al., JOTA
-        183, 2019), which is -K(Y) for a separating Y.  Y is the least-squares
-        solution of K(Y) = -step, G^{-1} Phi(-step).  One eigvalsh of the
-        stack gives the least eigenvalue of K(Y) (block eigenvalue over its
-        sqrt(hook) weight), and since K(I) >= lambda_min(D)^{l-1} I, adding
+        183, 2019), which is -K(Y) for a separating Y; at a mixed point too,
+        since the mixing then stays near plain DR (`_Anderson`).  Y is the
+        least-squares solution of K(Y) = -step, G^{-1} Phi(-step).  One
+        eigvalsh of the stack gives the least eigenvalue of K(Y) (block
+        eigenvalue over its sqrt(hook) weight), and since
+        K(I) >= lambda_min(D)^{l-1} I, adding
         eps I with eps = max(0, -that) / lambda_min(D)^{l-1} makes K(Y) PSD
         (`_shift`).  eps only raises trace(Y a), so a Y with trace(Y a) >= 0
         is rejected before the eigvalsh.  So is a Y that the shift read off
@@ -413,6 +442,87 @@ class ExtensionProblem:
         return loewner_leq(marg, self.a, tol)
 
 
+def _real(x: np.ndarray) -> np.ndarray:
+    """The flat float view of a contiguous complex array: its dot products
+    are the real Frobenius inner products Re trace(x^H y)."""
+    return x.reshape(-1).view(np.float64)
+
+
+class _Anderson:
+    """Safeguarded type-II Anderson mixing of a fixed-point map T (Walker and
+    Ni, SIAM J. Numer. Anal. 49, 2011; Zhang, O'Donoghue and Boyd, SIAM J.
+    Optim. 30, 2020).
+
+    `update(g, f, residual)` takes g = T(z) and f = g - z at the point z
+    just evaluated, with residual = ||f||, and returns the next point
+    g - sum_i gamma_i dg_i.  The dg_i and df_i are the differences of
+    consecutive g and f over the last ANDERSON_MEMORY evaluations, and gamma
+    minimizes ||f - sum_i gamma_i df_i||^2 + reg ||gamma||^2, with
+    reg = ANDERSON_REGULARIZATION sum_i (||df_i||^2 + ||dg_i||^2), the
+    weight of Zhang et al. with the dg_i in place of the differences of the
+    points.  Where the iterates drift without converging, as on an
+    infeasible problem, the dg_i tend to the gap vector while the df_i
+    vanish, so this weight keeps the mix near plain DR instead of
+    extrapolating along the drift.  Inner products are real Frobenius
+    products (`_real`), so gamma is real and Hermitian g give Hermitian
+    points.  The Gram matrix of the df_i gains one row per evaluation, and
+    the differences live in ring buffers allocated at the first difference,
+    so nothing of the size of z is allocated after that.
+
+    Safeguard: when the point just evaluated was mixed and its residual is
+    more than ANDERSON_SAFEGUARD times the previous one, the mix is dropped.
+    The next point is then the previous plain DR point, T of the point
+    before, and the memory is cleared (`restarts` counts these).
+    """
+
+    def __init__(self):
+        self.restarts = 0
+        self._prev = None  # (g, `_real` views of g and f, residual) of the last evaluation
+        self._mixed = False  # whether the last evaluated point was mixed
+        self._count = 0  # differences stored since the last (re)start
+        self._df = None
+
+    def update(self, g: np.ndarray, f: np.ndarray, residual: float) -> np.ndarray:
+        prev = self._prev
+        if self._mixed and residual > ANDERSON_SAFEGUARD * prev[3]:
+            self.restarts += 1
+            self._prev, self._mixed, self._count = None, False, 0
+            return prev[0]
+        gv, fv = _real(g), _real(f)
+        self._prev, self._mixed = (g, gv, fv, residual), False
+        if prev is None:
+            return g
+        if self._df is None:
+            self._df = np.empty((ANDERSON_MEMORY, gv.size))
+            self._dg = np.empty_like(self._df)
+            self._gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+            self._sq = [0.0] * ANDERSON_MEMORY  # ||df_i||^2 + ||dg_i||^2
+            self._mix = np.empty(gv.size)
+            self._z = np.empty_like(g)
+            self._zv = _real(self._z)
+        slot = self._count % ANDERSON_MEMORY
+        self._count += 1
+        k = min(self._count, ANDERSON_MEMORY)
+        df = self._df[:k]
+        np.subtract(fv, prev[2], out=df[slot])
+        dg = self._dg[slot]
+        np.subtract(gv, prev[1], out=dg)
+        row = df @ df[slot]
+        self._gram[slot, :k] = row
+        self._gram[:k, slot] = row
+        self._sq[slot] = float(row[slot] + dg @ dg)
+        reg = ANDERSON_REGULARIZATION * sum(self._sq[:k])
+        if reg == 0:
+            return g
+        gram = self._gram[:k, :k].copy()
+        gram.flat[:: k + 1] += reg
+        gamma = np.linalg.solve(gram, df @ fv)
+        np.dot(gamma, self._dg[:k], out=self._mix)
+        np.subtract(gv, self._mix, out=self._zv)
+        self._mixed = True
+        return self._z
+
+
 def sub_extension_feasibility(
     a: LeggedOperator,
     rho: Functional,
@@ -426,11 +536,18 @@ def sub_extension_feasibility(
     a - Phi(b) to zero, so the slack variable is eliminated rather than
     carried along.  The iterates are block stacks (`ExtensionProblem`), so
     invariance is built in and the PSD projection is one batched eigh of
-    small blocks.  One step is c = psd_part(z), then
-    z_{k+1} = z_k + project_affine(2c - z_k) - c, and the residual is the
-    DR displacement ||z_{k+1} - z_k||.  A step is one eigh and one matmul
-    by the precomputed affine projector; the iterates stay Hermitian by
-    construction, so no step re-symmetrizes them.
+    small blocks.  One step evaluates the DR map at the current point z:
+    c = psd_part(z) and T(z) = z + project_affine(2c - z) - c.  The residual
+    is the fixed-point residual ||T(z) - z|| at that point.  Plain DR would
+    continue from T(z); the loop instead continues from the safeguarded
+    Anderson mix of T over its last ANDERSON_MEMORY points (`_Anderson`),
+    which cuts the steps of a slowly converging solve several-fold.  The
+    first two steps are plain, and a mixed point whose residual is more than
+    ANDERSON_SAFEGUARD times the previous one is dropped for the plain DR
+    point before it (`FeasibilityReport.restarts` counts these).  A step is
+    one eigh, two thin matmuls by the precomputed affine projector's
+    factors and one small least-squares solve; the iterates stay Hermitian
+    by construction, so no step re-symmetrizes them.
 
     DR is positively homogeneous in a, so the loop solves for a / tr(a):
     the residuals and the tolerance are relative to the normalized problem,
@@ -439,10 +556,10 @@ def sub_extension_feasibility(
     powers of two, where most solves can already answer, and every
     CERTIFICATE_PERIOD steps) the loop tries both answers, in this order:
 
-    - the step yields a checked separating functional (`certificate`, see
-      `ExtensionProblem.certificate`): the verdict is
+    - the step T(z) - z yields a checked separating functional
+      (`certificate`, see `ExtensionProblem.certificate`): the verdict is
       `infeasible_at_tolerance` and the report carries it;
-    - the iterate yields an extension w whose marginal defect
+    - c, the PSD part of z, yields an extension w whose marginal defect
       |Phi(w) - a|max is at most tol |a|max (`tol`, see
       `ExtensionProblem.witness`): the witness is tr(a) times the dense form
       of w, validated against the normalized problem; the verdict is
@@ -461,10 +578,10 @@ def sub_extension_feasibility(
     z = prob.project_affine(np.zeros(prob.shape))
     history: list[float] = []
     stop, found = "max_iterations", None
+    mixer = _Anderson()
     for it in range(opts.max_iterations):
         c = psd_part(z)
         step = prob.project_affine(2 * c - z) - c
-        z = z + step
         residual = float(np.linalg.norm(step))
         history.append(residual)
         checkpoint = is_checkpoint(it + 1)
@@ -478,6 +595,7 @@ def sub_extension_feasibility(
             if found is not None:
                 stop = "tol"
                 break
+        z = mixer.update(z + step, step, residual)
     verdict, witness, certificate, margin = "max_iterations", None, None, None
     final = history[-1] if history else 0.0
     if stop == "tol":
@@ -493,6 +611,7 @@ def sub_extension_feasibility(
     return FeasibilityReport(
         verdict, witness, final, tuple(history), len(history), l,
         stop_reason=stop, certificate=certificate, certificate_margin=margin,
+        restarts=mixer.restarts,
     )
 
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from definetti import LeggedOperator
-from definetti.hierarchy import CERTIFICATE_RTOL, is_checkpoint
+from definetti.hierarchy import (
+    ANDERSON_MEMORY,
+    ANDERSON_REGULARIZATION,
+    ANDERSON_SAFEGUARD,
+    CERTIFICATE_RTOL,
+    is_checkpoint,
+)
 from definetti.linalg import psd_part
 
 
@@ -31,8 +37,11 @@ def random_separable(rng, max_terms=5):
 
 
 class DenseDR:
-    """Douglas-Rachford on dense operators on the full legs: an independent
-    cross-check of the block solver of `ExtensionProblem`.
+    """Anderson-accelerated Douglas-Rachford on dense operators on the full
+    legs: an independent cross-check of the block solver of
+    `ExtensionProblem`.  The sqrt(hook) weights of the blocks make their
+    inner products those of the dense operators, so both take the same
+    steps.
 
     The affine projection comes from the dense Gram operator
     Phi o Sym o Phi* on m (x) n, built column by column, and symmetrizes
@@ -90,17 +99,44 @@ class DenseDR:
         return self.project_affine(np.zeros((side, side), dtype=complex))
 
     def solve(self, opts):
-        """The solver's stopping rule on the dense iterates: returns the
-        verdict before the dense witness validation and the iteration count."""
+        """The solver's stopping rule and its safeguarded Anderson mixing on
+        the dense iterates: returns the verdict before the dense witness
+        validation and the iteration count, and keeps the residuals
+        ||T(z) - z|| in `history` and the safeguard restarts in `restarts`.
+
+        The mixing is written out afresh: the last ANDERSON_MEMORY differences
+        are kept in a list, and their Gram matrix, in the real Frobenius
+        product Re trace(x^H y), is rebuilt at every step."""
         z = self.start()
+        self.history, self.restarts = [], 0
+        memory, prev, mixed = [], None, False  # prev = (g, f, ||f||)
         for it in range(opts.max_iterations):
             c = psd_part(z)
-            z_prev, z = z, z + self.project_affine(2 * c - z) - c
+            g = z + self.project_affine(2 * c - z) - c
+            f = g - z
+            residual = np.linalg.norm(f)
+            self.history.append(residual)
             checkpoint = is_checkpoint(it + 1)
-            if checkpoint and self.certificate(z - z_prev) is not None:
+            if checkpoint and self.certificate(f) is not None:
                 return "infeasible_at_tolerance", it + 1
-            if (checkpoint or np.linalg.norm(z - z_prev) < opts.tol) and self.witness(c, opts.tol):
+            if (checkpoint or residual < opts.tol) and self.witness(c, opts.tol):
                 return "feasible", it + 1
+            if mixed and residual > ANDERSON_SAFEGUARD * prev[2]:
+                z, memory, prev, mixed = prev[0], [], None, False
+                self.restarts += 1
+                continue
+            if prev is not None:
+                memory = (memory + [(f - prev[1], g - prev[0])])[-ANDERSON_MEMORY:]
+            prev = (g, f, residual)
+            gram = np.array([[np.vdot(x, y).real for y, _ in memory] for x, _ in memory])
+            sq = sum(np.linalg.norm(df) ** 2 + np.linalg.norm(dg) ** 2 for df, dg in memory)
+            reg = ANDERSON_REGULARIZATION * sq
+            if reg == 0:
+                z, mixed = g, False
+                continue
+            rhs = [np.vdot(df, f).real for df, _ in memory]
+            gamma = np.linalg.solve(gram + reg * np.eye(len(memory)), rhs)
+            z, mixed = g - sum(gm * dg for gm, (_, dg) in zip(gamma, memory)), True
         return "max_iterations", opts.max_iterations
 
 

@@ -31,6 +31,7 @@ def test_extend_check_entangled(tmp_path, capsys):
     y = operator_from_json(level["certificate"]).entries
     assert np.isclose(np.trace(y @ bell_projector().entries).real / np.linalg.norm(y), level["certificate_margin"])
     assert level["certificate_margin"] < 0
+    assert level["restarts"] == 0
     assert "0 of 1 levels witnessed, 1 of 1 levels certified" in capsys.readouterr().err
     assert np.isclose(report["ppt_min_eig"], -0.5)
     assert report["config"]["levels"] == 2
@@ -48,6 +49,7 @@ def test_extend_check_separable(tmp_path, rng, capsys):
     assert report["levels"]["3"]["stop_reason"] == "tol"
     assert report["levels"]["3"]["certificate"] is None
     assert report["levels"]["3"]["certificate_margin"] is None
+    assert report["levels"]["3"]["restarts"] >= 0
 
 
 def test_extend_check_rejects_level_below_two(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for sequence validation, the feasibility solver, and probes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,20 +159,40 @@ def test_block_coordinates_round_trip(rng, m, n, l):
     assert abs(np.linalg.norm(dense) - np.linalg.norm(x)) < 1e-12 * np.linalg.norm(x)
 
 
+def _solver_iterate(prob, steps=1000):
+    """The point the solver's mixed DR loop reaches after `steps` steps,
+    with no stopping test."""
+    z = prob.project_affine(np.zeros(prob.shape))
+    mixer = hierarchy._Anderson()
+    for _ in range(steps):
+        c = psd_part(z)
+        step = prob.project_affine(2 * c - z) - c
+        z = mixer.update(z + step, step, float(np.linalg.norm(step)))
+    return z
+
+
 def test_dr_iterates_stay_invariant():
     # the loop never symmetrizes: the PSD part of a zero-padded stack is
     # zero-padded, so every iterate is an S_l-invariant operator, and
     # neither the PSD part nor the affine projection is re-hermitized, so the
-    # iterates stay Hermitian only by construction
+    # iterates stay Hermitian only by construction (the mixing coefficients
+    # are real, so a mixed point is a real combination of Hermitian stacks)
     prob = ExtensionProblem(werner_element(0.499), RHO, 4)
-    z = prob.project_affine(np.zeros(prob.shape))
-    for _ in range(1000):
-        c = psd_part(z)
-        z = z + prob.project_affine(2 * c - z) - c
+    z = _solver_iterate(prob)
     assert (z[_padding(prob)] == 0).all()
     assert np.abs(z - z.conj().swapaxes(-1, -2)).max() <= 1e-12 * np.abs(z).max()
     dense = prob.to_dense(z)
     assert np.abs(prob.sym.apply_matrix(dense) - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+def test_mixed_iterates_do_not_run_off_on_an_infeasible_input():
+    # the iterates drift along the gap vector; the regularization keeps the
+    # mixing near plain DR there (whose |z|max is about 190 after 1000
+    # steps) rather than extrapolating along the drift
+    prob = ExtensionProblem(werner_element(0.9), RHO, 3)
+    z = _solver_iterate(prob)
+    assert np.abs(z).max() < 1e3
+    assert np.abs(z - z.conj().swapaxes(-1, -2)).max() <= 1e-12 * np.abs(z).max()
 
 
 PARITY_CASES = [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 2, 3), (2, 3, 3)]
@@ -207,12 +229,16 @@ def test_block_solver_matches_dense_replay(m, n, l):
 
 
 def test_block_solver_matches_dense_replay_on_a_flat_residual():
-    # 0.499 <= 1/2 is level-4 extendable, and its residual stays flat for
-    # about a thousand steps; the witness check at step 32 settles it
+    # 0.499 <= 1/2 is level-4 extendable, and the residual of plain DR stays
+    # flat for about a thousand steps (its witness check at step 32 settled
+    # it); the mixed iteration falls below tol at step 12, after one
+    # safeguard restart
     a = werner_element(0.499)
     report = sub_extension_feasibility(a, RHO, 4)
-    verdict, iterations = DenseDR(ExtensionProblem(a, RHO, 4)).solve(SolverOptions())
-    assert (report.verdict, report.iterations) == (verdict, iterations) == ("feasible", 32)
+    dense = DenseDR(ExtensionProblem(a, RHO, 4))
+    verdict, iterations = dense.solve(SolverOptions())
+    assert (report.verdict, report.iterations) == (verdict, iterations) == ("feasible", 12)
+    assert report.restarts == dense.restarts == 1
     assert report.stop_reason == "tol" and report.certificate is None
 
 
@@ -280,13 +306,13 @@ def test_problems_at_one_level_share_one_geometry(rng):
     first = ExtensionProblem(werner_element(0.3), rho, 4)
     second = ExtensionProblem(bell_projector(), Functional(rho.density.copy()), 4)
     assert second.geometry is first.geometry
-    assert second._p is first._p and second.sym is first.sym
+    assert second._q is first._q and second.sym is first.sym
     assert ExtensionProblem(werner_element(0.3), rho, 3).geometry is not first.geometry
     assert ExtensionProblem(werner_element(0.3), RHO, 4).geometry is not first.geometry
     assert second._z0 is not first._z0
 
 
-GEOMETRY_ARRAYS = ["_d_pow", "_kh", "_gi", "_idx", "_weights", "_p"]
+GEOMETRY_ARRAYS = ["_d_pow", "_kh", "_gi", "_idx", "_weights", "_q"]
 
 
 @pytest.mark.parametrize("m, n, l", [(2, 2, 4), (3, 2, 3), (2, 3, 3)])
@@ -301,6 +327,21 @@ def test_a_rebuilt_geometry_is_bit_identical(rng, m, n, l):
         assert getattr(after, name).tobytes() == getattr(before, name).tobytes(), name
     assert [w.tobytes() for _, w in after._copies] == [w.tobytes() for _, w in before._copies]
     assert after.shape == before.shape
+
+
+def test_a_cold_geometry_holds_few_dense_matrices():
+    # each K(e_j) is compressed as it is built and the affine projector is
+    # kept as two n^2-row factors, so a cold build at (m, n, l) = (2, 3, 5)
+    # peaks below 8 complex 3^5 x 3^5 matrices (the n^2 = 9 dense K(e_j)
+    # alone would be 9)
+    rho = Functional.random_faithful(3, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        hierarchy._Geometry(2, 3, 5, rho.density)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * 3 ** 10
 
 
 def test_cached_arrays_are_read_only():
@@ -401,9 +442,10 @@ def _check_certificate(report, a, rho, l):
     the entries of Y alone."""
     assert report.verdict == "infeasible_at_tolerance" and report.stop_reason == "certificate"
     y = report.certificate
-    assert y.legs == (2, 2) and y.is_hermitian()
-    k = np.kron(y.entries, tensor_power(LeggedOperator(rho.density, (2,)), l - 1).entries)
-    k = Symmetrizer((2,) * (l + 1), range(1, l + 1)).apply_matrix(k)
+    assert y.legs == a.legs and y.is_hermitian()
+    m, n = a.legs
+    k = np.kron(y.entries, tensor_power(LeggedOperator(rho.density, (n,)), l - 1).entries)
+    k = Symmetrizer((m,) + (n,) * l, range(1, l + 1)).apply_matrix(k)
     w = np.linalg.eigvalsh((k + k.conj().T) / 2)
     assert w[0] >= -1e-12 * np.abs(w).max()
     value = np.trace(y.entries @ a.entries).real
@@ -434,7 +476,7 @@ def test_werner_witnesses_just_below_the_threshold(l):
     assert report.verdict == "feasible" and report.stop_reason == "tol"
     assert ExtensionProblem(a, RHO, l).validate_witness(report.witness, 1e-6)
     assert report.final_residual <= SolverOptions().tol
-    assert report.iterations <= 3 * CERTIFICATE_PERIOD
+    assert report.iterations <= CERTIFICATE_PERIOD
 
 
 @pytest.mark.parametrize("l", [2, 3])
@@ -509,9 +551,9 @@ def test_a_certified_solve_adds_one_eigvalsh(monkeypatch):
 
 
 def test_a_witnessed_solve_adds_one_block_eigh_per_check(monkeypatch):
-    # Werner 0.499 at l = 4 is witnessed at step 32, the seventh checkpoint
-    # (1, 2, 4, 8, 16, 25, 32): 32 step eighs and 7 witness eighs, each of the
-    # block stack, none of side m n^l
+    # Werner 0.499 at l = 4 is witnessed at step 12, where the residual falls
+    # below tol, after the checkpoints 1, 2, 4 and 8: 12 step eighs and 5
+    # witness eighs, each of the block stack, none of side m n^l
     prob = ExtensionProblem(werner_element(0.499), RHO, 4)
     shapes = []
     inner = np.linalg.eigh
@@ -522,22 +564,70 @@ def test_a_witnessed_solve_adds_one_block_eigh_per_check(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     report = sub_extension_feasibility(werner_element(0.499), RHO, 4)
-    assert (report.verdict, report.iterations) == ("feasible", 32)
-    assert shapes == [prob.shape] * (32 + 7)
+    assert (report.verdict, report.iterations) == ("feasible", 12)
+    assert shapes == [prob.shape] * (12 + 5)
 
 
 def test_residual_is_dr_displacement():
-    # residual k is ||z_{k+1} - z_k|| of the plain DR recursion on the blocks
+    # residual k is ||T(z_k) - z_k|| at the k-th evaluated point of the mixed
+    # recursion, as the dense replay computes it on the full legs
     a = werner_element(0.499)
-    report = sub_extension_feasibility(a, RHO, 4, SolverOptions(tol=1e-16, max_iterations=20))
-    prob = ExtensionProblem(a, RHO, 4)
-    z = prob.project_affine(np.zeros(prob.shape))
-    for k in range(20):
-        c = psd_part(z)
-        z_next = z + prob.project_affine(2 * c - z) - c
-        want = np.linalg.norm(z_next - z)
-        assert abs(report.residual_history[k] - want) <= 1e-12 * want
-        z = z_next
+    opts = SolverOptions(tol=1e-16, max_iterations=20)
+    report = sub_extension_feasibility(a, RHO, 4, opts)
+    dense = DenseDR(ExtensionProblem(a, RHO, 4))
+    assert dense.solve(opts) == ("max_iterations", 20)
+    # to 1e-12 of the largest residual: from step 13 on, the residuals are
+    # rounding noise near 1e-14
+    want = np.array(dense.history)
+    assert np.abs(np.array(report.residual_history) - want).max() <= 1e-12 * want.max()
+    assert report.restarts == dense.restarts
+
+
+class _PlainDR:
+    """Stand-in for `hierarchy._Anderson` that never mixes: plain DR."""
+
+    restarts = 0
+
+    def update(self, g, f, residual):
+        return g
+
+
+def isotropic_element(fidelity, n=3):
+    """F |phi+><phi+| + (1 - F) (I - |phi+><phi+|) / (n^2 - 1) on n (x) n."""
+    phi = np.eye(n).reshape(-1) / np.sqrt(n)
+    proj = np.outer(phi, phi)
+    mat = fidelity * proj + (1 - fidelity) * (np.eye(n * n) - proj) / (n * n - 1)
+    return LeggedOperator(mat, (n, n))
+
+
+def test_mixing_certifies_an_isotropic_state_sooner(monkeypatch):
+    # 3 (x) 3 isotropic at F = 5/9 + 1e-3, the level-3 threshold under the
+    # trace; under this functional it is not level-3 extendable.  Plain DR
+    # reads a certificate off its step at 375, the mixed iteration at 125
+    rho = Functional.random_faithful(3, np.random.default_rng(4))
+    a = isotropic_element(5 / 9 + 1e-3)
+    report = sub_extension_feasibility(a, rho, 3)
+    assert (report.verdict, report.iterations) == ("infeasible_at_tolerance", 125)
+    _check_certificate(report, a, rho, 3)
+    dense = DenseDR(ExtensionProblem(a, rho, 3))
+    assert dense.solve(SolverOptions()) == ("infeasible_at_tolerance", 125)
+    monkeypatch.setattr(hierarchy, "_Anderson", _PlainDR)
+    plain = sub_extension_feasibility(a, rho, 3)
+    assert (plain.verdict, plain.iterations) == ("infeasible_at_tolerance", 375)
+
+
+def test_a_solve_with_safeguard_restarts_ends_checked():
+    # Werner just below the level-5 threshold: two mixed points overshoot and
+    # are dropped, and the witness found after them passes the dense checks
+    a = werner_element(7 / 15 - 1e-3)
+    report = sub_extension_feasibility(a, RHO, 5)
+    assert report.restarts >= 1
+    assert report.verdict == "feasible" and report.stop_reason == "tol"
+    assert ExtensionProblem(a, RHO, 5).validate_witness(report.witness, 1e-6)
+    dense = DenseDR(ExtensionProblem(a, RHO, 5))
+    assert dense.solve(SolverOptions()) == ("feasible", report.iterations)
+    assert dense.restarts == report.restarts
+    assert report.to_json()["restarts"] == report.restarts
 
 
 def test_residual_history_monotone_tail(rng):

@@ -24,13 +24,15 @@ from .linalg import (
     tensor,
     tensor_power,
 )
+# isotypic_projector is unused here; it stays importable from this module,
+# where benchmarks/spans.py patches it
 from .symmetry import (
     MAX_LEVEL,
     Partition,
-    _copy_basis,
+    _copy_chain,
     copy_basis,
+    isotypic_basis,
     isotypic_projector,
-    projector_range,
     schur_weyl_table,
 )
 
@@ -135,42 +137,51 @@ def exponential_test(g: GroupLike, L: int) -> ExponentialReport:
     t, up to rounding of order |t|^l that can exceed a block made small by
     cancellation, so only their Hermitian part is tested.
 
-    Each block is `block_compression(g, lam)`, built once: the copy bases
-    share one memo for the whole call, and t^{(x)l} is one kron of the
-    previous level's power.
+    Each block grows from its parent's block of the level before along the
+    copy chain W_lam = (W_mu (x) I_n) C_lam (`symmetry._copy_chain`):
+    pi_lam(t) = C_lam^T (pi_mu(t) (x) t) C_lam, which is
+    `block_compression(g, lam)` = W^T t^{(x)l} W up to rounding.  Neither
+    t^{(x)l} nor any product with n^l rows is formed.
     """
     if not 1 <= L <= MAX_LEVEL:
         raise ValueError(f"L={L} is outside 1..{MAX_LEVEL}")
-    bases: dict = {}
-    t_pow = np.eye(1)
+    n = g.n
+    blocks = {(): np.eye(1)}
     for l in range(1, L + 1):
-        t_pow = np.kron(t_pow, g.t)
-        for lam, _, _ in schur_weyl_table(g.n, l):
-            basis = _copy_basis(g.n, lam.parts, bases)
-            comp = basis.T @ t_pow @ basis
+        level = {}
+        for lam, _, _ in schur_weyl_table(n, l):
+            step = _copy_chain(n, lam.parts)
+            parent = blocks[step.parent]
+            side = parent.shape[0] * n
+            # pi_mu(t) (x) t, by one broadcast product
+            grown = (parent[:, None, :, None] * g.t[None, :, None, :]).reshape(side, side)
+            comp = step.branching.T @ grown @ step.branching
+            level[lam.parts] = comp
             if l > 1:
                 comp = (comp + comp.conj().T) / 2
             if not is_psd(LeggedOperator(comp, (comp.shape[0],))):
                 return ExponentialReport(False, lam)
+        blocks = level
     return ExponentialReport(True)
 
 
 def recover_block(seq: SymSequence, lam: Partition) -> LeggedOperator:
-    """Compress entry |lam| to range(I_m (x) P_lam), of side m * weyl * hook,
-    in a basis read off P_lam by a dense `eigh` (`projector_range`).
+    """Compress entry |lam| to range(I_m (x) B), of side m * weyl * hook, B
+    the orthonormal basis of the lam-isotypic subspace (`isotypic_basis`);
+    no projector is formed and nothing is diagonalized.
 
     For a group-like sequence this is a (x) (pi_lam(t) (x) I_mult) up to the
     basis choice inside the isotypic subspace.  Raises ValueError when lam
-    has more than n rows (P_lam = 0).
+    has more than n rows (the subspace is zero).
     """
     l = lam.size
     if l > seq.L:
         raise ValueError(f"partition size {l} exceeds prefix length {seq.L}")
-    basis = projector_range(isotypic_projector(seq.n, l, lam))
+    basis = isotypic_basis(seq.n, lam)
     if basis.shape[1] == 0:
-        raise ValueError(f"zero projector for partition {lam.parts}")
+        raise ValueError(f"no isotypic subspace for partition {lam.parts}")
     full = np.kron(np.eye(seq.m), basis)
-    comp = full.conj().T @ seq.entries[l].entries @ full
+    comp = full.T @ seq.entries[l].entries @ full
     return LeggedOperator(comp, (seq.m, basis.shape[1]))
 
 

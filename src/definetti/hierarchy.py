@@ -261,8 +261,8 @@ class _Geometry:
         self._idx = np.hstack(idx)
         self._weights = np.array([weight for weight, _ in self._copies])
         self._q = self._gi.T @ self._kh.conj()
-        arrays = [self._d_pow, self._kh, self._gi, self._idx, self._weights, self._q]
-        for arr in arrays + [w for _, w in self._copies]:
+        # the copy bases are read-only already (`symmetry.copy_bases`)
+        for arr in (self._d_pow, self._kh, self._gi, self._idx, self._weights, self._q):
             arr.setflags(write=False)
 
 

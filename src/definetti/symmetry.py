@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -10,11 +11,13 @@ import numpy as np
 
 from .linalg import LeggedOperator
 
-#: largest tensor power l.  Every Schur-Weyl object is built from the copy
-#: bases, whose columns have n^l entries; the solver's Gram rows and witness
-#: and the isotypic projectors (a twirl of W W^T) are dense n^l x n^l, while
-#: the exponential test's blocks are only weyl(lambda) wide.  The bound is
-#: about those sizes, not about enumerating S_l
+#: largest tensor power l.  Every Schur-Weyl object is built by one
+#: Jucys-Murphy recursion whose bases have n^l rows: the copy bases (weyl
+#: columns) and the isotypic bases (weyl * hook columns, so up to n^l); the
+#: solver's Gram rows and witness and the isotypic projectors B B^T are dense
+#: n^l x n^l, while the exponential test's blocks are only weyl(lambda) wide
+#: and never touch n^l.  The bound is about those sizes, not about
+#: enumerating S_l
 MAX_LEVEL = 8
 
 
@@ -192,15 +195,19 @@ def _perm_index_map(n: int, l: int, perm: tuple[int, ...]) -> np.ndarray:
     return np.arange(n**l).reshape((n,) * l).transpose(perm).reshape(-1)
 
 
-def _jm_eigenspace(prev: np.ndarray, n: int, l: int, content: int) -> np.ndarray:
+def _jm_eigenspace(
+    prev: np.ndarray, n: int, l: int, content: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal real basis of the vectors of range(prev (x) I_n) on which
-    the Jucys-Murphy element X_l = sum_{j<l} (j l) takes the value `content`.
+    the Jucys-Murphy element X_l = sum_{j<l} (j l) takes the value `content`,
+    as (basis, coefficients), basis = (prev (x) I_n) @ coefficients.
 
-    `prev` has orthonormal real columns in (C^n)^{(x)(l-1)} whose range is
-    invariant under X_1..X_{l-1}, so X_l maps range(prev (x) I_n) to
-    itself.  Its eigenvalues there are contents of boxes, so they are
-    integers and the wanted eigenspace is the kernel of
-    cols^T X_l cols - content, read off an SVD with a gap of at least 1.
+    `prev` has orthonormal real columns in (C^n)^{(x)(l-1)}: a copy basis,
+    whose range is a joint eigenspace of X_1..X_{l-1}, or an isotypic
+    basis, whose range is S_{l-1}-invariant.  X_l commutes with both, so it
+    maps range(prev (x) I_n) to itself.  Its eigenvalues there are contents
+    of boxes, so they are integers and the wanted eigenspace is the kernel
+    of cols^T X_l cols - content, read off an SVD with a gap of at least 1.
     """
     rows, k = prev.shape
     cols = (prev[:, None, :, None] * np.eye(n)[:, None, :]).reshape(rows * n, k * n)  # prev (x) I_n
@@ -211,35 +218,62 @@ def _jm_eigenspace(prev: np.ndarray, n: int, l: int, content: int) -> np.ndarray
         perm[j], perm[l - 1] = l - 1, j
         jm += cols[_perm_index_map(n, l, tuple(perm))]
     _, sv, vt = np.linalg.svd(cols.T @ jm - content * np.eye(k * n))
-    return cols @ vt[sv < 0.5].T
+    coeffs = vt[sv < 0.5].T
+    return cols @ coeffs, coeffs
 
 
-def _copy_basis(n: int, parts: tuple[int, ...], bases: dict) -> np.ndarray:
-    """Orthonormal real basis of one copy V_lambda (x) |T> of the U(n) irrep
-    of `parts`, T the standard tableau grown along the chain below.
+@dataclass(frozen=True)
+class _ChainStep:
+    """One copy basis and how it branches from its parent:
+    basis = (copy basis of `parent` (x) I_n) @ branching."""
+
+    parent: tuple[int, ...]
+    basis: np.ndarray
+    branching: np.ndarray
+
+
+def _corners(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """(mu, content of the box) for each removable box of `parts`, the last
+    row's box first; mu is `parts` without that box."""
+    out = []
+    for i in range(len(parts) - 1, -1, -1):
+        p = parts[i]
+        if i + 1 < len(parts) and parts[i + 1] == p:
+            continue  # the row below ends in the same column
+        mu = parts[:i] + ((p - 1,) if p > 1 else ()) + parts[i + 1 :]
+        out.append((mu, p - 1 - i))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _copy_chain(n: int, parts: tuple[int, ...]) -> _ChainStep:
+    """The copy basis of `parts` with its branching coefficients, built once
+    per process; its arrays are read-only, as every caller shares them.
 
     Branching along one chain of corners, always removing the last row's
     box mu = lambda - box: range(W_mu (x) I_n) is the joint eigenspace of the
     Jucys-Murphy elements X_1..X_{l-1} for the contents of T_mu, X_l
     commutes with those, and its eigenspace for the content of the removed
-    box is V_lambda (x) |T>, with weyl(lambda) vectors.  `bases` holds the
-    bases already built.
+    box is V_lambda (x) |T>, with weyl(lambda) vectors.
     """
-    if parts not in bases:
-        l = sum(parts)
-        if l <= 1:
-            basis = np.eye(n**l)
-        else:
-            i, p = len(parts) - 1, parts[-1]
-            mu = parts[:-1] + ((p - 1,) if p > 1 else ())
-            basis = _jm_eigenspace(_copy_basis(n, mu, bases), n, l, p - 1 - i)
-        bases[parts] = basis
-    return bases[parts]
+    l = sum(parts)
+    if l <= 1:
+        step = _ChainStep((), np.eye(n**l), np.eye(n**l))
+    else:
+        mu, content = _corners(parts)[0]
+        prev = _copy_chain(n, mu).basis
+        basis, branching = _jm_eigenspace(prev, n, l, content)
+        step = _ChainStep(mu, basis, branching)
+    step.basis.setflags(write=False)
+    step.branching.setflags(write=False)
+    return step
 
 
 def copy_basis(n: int, lam: Partition) -> np.ndarray:
     """Real isometry W_lambda with n^l rows and weyl(lambda) columns onto one
-    copy V_lambda (x) |T> of the U(n) irrep of lambda (`_copy_basis`).
+    copy V_lambda (x) |T> of the U(n) irrep of lambda, T the standard
+    tableau grown along the chain of `_copy_chain`.  The array is the
+    process-wide cached one and is read-only.
 
     Raises ValueError when lambda has more than n rows (no copy exists) or
     |lambda| exceeds `MAX_LEVEL`.
@@ -248,47 +282,76 @@ def copy_basis(n: int, lam: Partition) -> np.ndarray:
         raise ValueError(f"l={lam.size} exceeds the level bound {MAX_LEVEL}")
     if len(lam) > n:
         raise ValueError(f"partition {lam.parts} has more than n={n} rows")
-    return _copy_basis(n, lam.parts, {})
+    return _copy_chain(n, lam.parts).basis
 
 
 def copy_bases(n: int, l: int) -> list[tuple[Partition, np.ndarray]]:
-    """`copy_basis` for every partition lambda of l with at most n rows,
-    sharing the sub-chains between them.
+    """`copy_basis` for every partition lambda of l with at most n rows.
 
-    An S_l-invariant operator b on the n-legs is determined by its
-    compressions W^T b W, and twirling one copy fills the block:
-    hook(lambda) * Sym(W X W^T) = X (x) I_mult in Schur-Weyl coordinates, so
-    hook(lambda) * Sym(W W^T) is the isotypic projector.
+    The bases come from one process-wide cache, so sub-chains are shared
+    between partitions and calls, and every array is read-only.  An
+    S_l-invariant operator b on the n-legs is determined by its compressions
+    W^T b W: in Schur-Weyl coordinates b is sum_lambda W^T b W (x) I_hook.
     """
     if l > MAX_LEVEL:
         raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
-    bases: dict = {}
-    return [(lam, _copy_basis(n, lam.parts, bases)) for lam in partitions_of(l, max_parts=n)]
+    return [(lam, _copy_chain(n, lam.parts).basis) for lam in partitions_of(l, max_parts=n)]
+
+
+#: isotypic bases kept per process (`_isotypic_basis`): every partition of
+#: l <= 8 with at most 2 rows fits; one level-l basis of n^l rows holds at
+#: most n^{2l} entries, so the cache is bounded rather than kept whole
+ISOTYPIC_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=ISOTYPIC_CACHE_SIZE)
+def _isotypic_basis(n: int, parts: tuple[int, ...]) -> np.ndarray:
+    """The `_jm_eigenspace` step of `_copy_chain` over every removable box.
+
+    The mu-isotypic subspace of S_{l-1} on the first l-1 legs is
+    range(B_mu (x) I_n), and X_l, which commutes with S_{l-1}, takes the
+    content of a box there exactly on its intersection with the
+    lambda-isotypic subspace of S_l, lambda = mu + box.  These pieces are
+    orthogonal for different mu, and together they span the lambda-isotypic
+    subspace, of dimension weyl(lambda) * hook(lambda).
+    """
+    l = sum(parts)
+    if l <= 1:
+        basis = np.eye(n**l)
+    else:
+        basis = np.hstack([
+            _jm_eigenspace(_isotypic_basis(n, mu), n, l, content)[0]
+            for mu, content in _corners(parts)
+        ])
+    basis.setflags(write=False)
+    return basis
+
+
+def isotypic_basis(n: int, lam: Partition) -> np.ndarray:
+    """Real orthonormal basis, n^l x weyl(lambda) * hook(lambda), of the
+    lambda-isotypic subspace of (C^n)^{(x)l} (`_isotypic_basis`), cached
+    per process and read-only.  It has no columns when lambda has more than
+    n rows; raises ValueError when |lambda| exceeds `MAX_LEVEL`.
+    """
+    if lam.size > MAX_LEVEL:
+        raise ValueError(f"l={lam.size} exceeds the level bound {MAX_LEVEL}")
+    if len(lam) > n:
+        return np.zeros((n**lam.size, 0))
+    return _isotypic_basis(n, lam.parts)
 
 
 def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:
-    """Orthogonal projector onto the lambda-isotypic subspace of (C^n)^{(x)l}.
-
-    The twirl hook(lambda) * Sym(W W^T) of the copy basis W (`copy_basis`);
-    S_l is never summed over.  Returns the zero operator when lambda has
-    more than n parts (its Schur-Weyl multiplicity vanishes).
+    """Orthogonal projector B B^T onto the lambda-isotypic subspace of
+    (C^n)^{(x)l}, B its orthonormal basis (`isotypic_basis`); S_l is never
+    summed over.  Returns the zero operator when lambda has more than n
+    parts (its Schur-Weyl multiplicity vanishes).
     """
     if l > MAX_LEVEL:
         raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
     if lam.size != l:
         raise ValueError(f"partition size {lam.size} does not match l={l}")
-    legs = (n,) * l
-    if len(lam) > n:
-        return LeggedOperator.zeros(legs)
-    w = copy_basis(n, lam)
-    twirl = Symmetrizer(legs, range(l)).apply_matrix(w @ w.T)
-    return LeggedOperator(lam.hook_dimension() * twirl, legs)
-
-
-def projector_range(p: LeggedOperator) -> np.ndarray:
-    """Orthonormal basis (columns) of the range of an orthogonal projector."""
-    evals, evecs = np.linalg.eigh((p.entries + p.entries.conj().T) / 2)
-    return np.ascontiguousarray(evecs[:, evals > 0.5])
+    b = isotypic_basis(n, lam)
+    return LeggedOperator(b @ b.T, (n,) * l)
 
 
 def schur_weyl_table(n: int, l: int) -> list[tuple[Partition, int, int]]:

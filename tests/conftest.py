@@ -24,6 +24,17 @@ def rand_hermitian(n, rng):
     return (g + g.conj().T) / 2
 
 
+def schur_polynomial(parts, x):
+    """s_lambda(x_1..x_n) by the bialternant formula; 0 beyond n parts."""
+    n = len(x)
+    if len(parts) > n:
+        return 0.0
+    lam = list(parts) + [0] * (n - len(parts))
+    alt = np.array([[xi ** (lam[j] + n - 1 - j) for j in range(n)] for xi in x])
+    vandermonde = np.array([[xi ** (n - 1 - j) for j in range(n)] for xi in x])
+    return np.linalg.det(alt) / np.linalg.det(vandermonde)
+
+
 def random_separable(rng, max_terms=5):
     """Convex combination of <= max_terms product PSD elements on 2 (x) 2,
     rescaled so the largest entry is 1."""

@@ -24,9 +24,9 @@ from definetti import (
 )
 
 from definetti import boundary, symmetry
-from definetti.symmetry import schur_weyl_table
+from definetti.symmetry import partitions_of, schur_weyl_table
 
-from conftest import rand_psd
+from conftest import rand_psd, schur_polynomial
 
 RHO = Functional.normalized_trace(2)
 
@@ -210,14 +210,12 @@ def test_exponential_test_accepts_ill_conditioned_positive_t():
 @pytest.mark.parametrize("n, L", [(2, 8), (3, 5)])
 def test_exponential_test_checks_each_block_compression_once(monkeypatch, rng, n, L):
     # every block it tests is block_compression(g, lam) (its Hermitian part
-    # above l = 1), and every copy basis on the chains is built once
+    # above l = 1); from a cold cache the first call builds each copy chain
+    # once, and a second call builds none
     g = random_grouplike(rng, n)
     want = [block_compression(g, lam) for l in range(1, L + 1) for lam, _, _ in schur_weyl_table(n, l)]
-    bases: dict = {}
-    for l in range(1, L + 1):
-        for lam, _, _ in schur_weyl_table(n, l):
-            symmetry._copy_basis(n, lam.parts, bases)
-    distinct = sum(1 for parts in bases if sum(parts) > 1)
+    distinct = sum(len(schur_weyl_table(n, l)) for l in range(2, L + 1))
+    symmetry._copy_chain.cache_clear()
     seen, filters = [], []
     inner = symmetry._jm_eigenspace
     monkeypatch.setattr(boundary, "is_psd", lambda x: seen.append(x.entries) or True)
@@ -227,6 +225,8 @@ def test_exponential_test_checks_each_block_compression_once(monkeypatch, rng, n
     for got, block in zip(seen, want):
         herm = (block + block.conj().T) / 2
         assert np.abs(got - herm).max() <= 1e-12 * np.abs(block).max()
+    assert exponential_test(g, L).is_exponential
+    assert len(filters) == distinct
 
 
 def test_non_normal_grouplike_detected(rng):
@@ -250,6 +250,21 @@ def test_recover_block_spectrum(rng):
     expect = sorted([x * x, x * y, y * y] * 2)
     assert np.allclose(got, expect)
     assert block.legs == (2, 3)
+
+
+def test_recover_block_at_level_six_has_the_character(rng):
+    # each block of a (x) t^{(x)6} on an isotypic subspace has side
+    # m * weyl * hook and trace tr(a) * hook * s_lam(t)
+    g = random_grouplike(rng)
+    a = LeggedOperator(rand_psd(2, rng), (2,))
+    seq = grouplike_sequence(a, g, 6, RHO)
+    eigs = np.linalg.eigvals(g.t)
+    for lam in partitions_of(6, max_parts=2):
+        hook = lam.hook_dimension()
+        block = recover_block(seq, lam)
+        assert block.legs == (2, lam.weyl_dimension(2) * hook)
+        want = np.trace(a.entries) * hook * schur_polynomial(lam.parts, eigs)
+        assert abs(np.trace(block.entries) - want) <= 1e-10 * abs(want)
 
 
 def test_recover_block_injectivity(rng):

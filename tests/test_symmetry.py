@@ -18,9 +18,10 @@ from definetti import (
     tensor,
     tensor_power,
 )
-from definetti.symmetry import copy_basis, copy_bases, projector_range
+from definetti import symmetry
+from definetti.symmetry import copy_basis, copy_bases, isotypic_basis
 
-from conftest import rand_hermitian, rand_psd
+from conftest import rand_hermitian, rand_psd, schur_polynomial
 
 
 # -- partitions --------------------------------------------------------------
@@ -209,17 +210,6 @@ def test_schur_weyl_table_matches_projectors(n, l):
     assert sum(d * m for _, d, m in table) == n**l
 
 
-def _schur_polynomial(parts, x):
-    """s_lambda(x_1..x_n) by the bialternant formula; 0 beyond n parts."""
-    n = len(x)
-    if len(parts) > n:
-        return 0.0
-    lam = list(parts) + [0] * (n - len(parts))
-    alt = np.array([[xi ** (lam[j] + n - 1 - j) for j in range(n)] for xi in x])
-    vandermonde = np.array([[xi ** (n - 1 - j) for j in range(n)] for xi in x])
-    return np.linalg.det(alt) / np.linalg.det(vandermonde)
-
-
 @pytest.mark.parametrize(
     "n, l",
     [(2, l) for l in range(1, 9)] + [(3, l) for l in range(1, 7)] + [(4, l) for l in range(1, 5)],
@@ -241,17 +231,22 @@ def test_isotypic_projector_has_the_unitary_group_character(rng, n, l):
         assert np.abs(p @ p - p).max() < 1e-12
         for eigs, t_pow in powers:
             assert np.abs(p @ t_pow - t_pow @ p).max() < 1e-12
-            expect = lam.hook_dimension() * _schur_polynomial(lam.parts, eigs)
+            expect = lam.hook_dimension() * schur_polynomial(lam.parts, eigs)
             assert abs(np.trace(p @ t_pow) - expect) < 1e-9
     assert np.abs(total - np.eye(n**l)).max() < 1e-12
 
 
 @pytest.mark.parametrize(
-    "n, l", [(2, l) for l in range(1, 9)] + [(3, l) for l in range(1, 6)] + [(1, l) for l in range(1, 5)]
+    "n, l",
+    [(2, l) for l in range(1, 9)]
+    + [(3, l) for l in range(1, 7)]
+    + [(1, l) for l in range(1, 5)]
+    + [(4, l) for l in range(1, 5)],
 )
 def test_copy_bases_fill_the_isotypic_subspaces(rng, n, l):
     # W has weyl(lam) orthonormal columns, and twirling one copy gives the
-    # whole block: hook(lam) * Sym(W W^T) is the isotypic projector
+    # whole block: hook(lam) * Sym(W W^T) = B B^T, B the orthonormal
+    # isotypic basis of weyl(lam) * hook(lam) columns
     sym = Symmetrizer((n,) * l, range(l))
     lams = [lam for lam, _ in copy_bases(n, l)]
     assert lams == list(partitions_of(l, max_parts=n))
@@ -263,21 +258,30 @@ def test_copy_bases_fill_the_isotypic_subspaces(rng, n, l):
         assert w.shape == (n**l, lam.weyl_dimension(n)) and w.dtype == float
         assert np.array_equal(w, copy_basis(n, lam))
         assert np.abs(w.T @ w - np.eye(w.shape[1])).max() < 1e-12
+        b = isotypic_basis(n, lam)
+        assert b.shape == (n**l, lam.weyl_dimension(n) * lam.hook_dimension())
+        assert np.abs(b.T @ b - np.eye(b.shape[1])).max() < 1e-12
         twirl = lam.hook_dimension() * sym.apply_matrix(w @ w.T)
-        assert np.abs(twirl - isotypic_projector(n, l, lam).entries).max() < 1e-12
+        assert np.abs(twirl - b @ b.T).max() < 1e-12
         # independently of the projector: range(W) is invariant under
         # t^{(x)l}, and the compression there has the character s_lam(t)
         block = w.T @ t_pow @ w
         assert np.abs(t_pow @ w - w @ block).max() < 1e-12
-        assert abs(np.trace(block) - _schur_polynomial(lam.parts, eigs)) < 1e-9
+        assert abs(np.trace(block) - schur_polynomial(lam.parts, eigs)) < 1e-9
+    for lam in partitions_of(l):
+        if len(lam) > n:
+            assert isotypic_basis(n, lam).shape == (n**l, 0)
 
 
-def test_projector_range_is_orthonormal():
-    p = isotypic_projector(2, 3, Partition((2, 1)))
-    basis = projector_range(p)
-    assert basis.shape == (8, 4)
-    gram = basis.conj().T @ basis
-    assert np.abs(gram - np.eye(4)).max() < 1e-12
+def test_cached_bases_are_read_only():
+    # every caller, `hierarchy._Geometry` among them, shares the cached arrays
+    lam = Partition((2, 1))
+    step = symmetry._copy_chain(2, lam.parts)
+    cached = [copy_basis(2, lam), isotypic_basis(2, lam), step.branching]
+    cached += [w for _, w in copy_bases(2, 3)]
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 def test_enumeration_bound_guard():

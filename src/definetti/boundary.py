@@ -31,7 +31,6 @@ from .symmetry import (
     Partition,
     _copy_chain,
     copy_basis,
-    isotypic_basis,
     isotypic_projector,
     schur_weyl_table,
 )
@@ -166,23 +165,26 @@ def exponential_test(g: GroupLike, L: int) -> ExponentialReport:
 
 
 def recover_block(seq: SymSequence, lam: Partition) -> LeggedOperator:
-    """Compress entry |lam| to range(I_m (x) B), of side m * weyl * hook, B
-    the orthonormal basis of the lam-isotypic subspace (`isotypic_basis`);
-    no projector is formed and nothing is diagonalized.
+    """Block lam of entry |lam| in Schur-Weyl coordinates,
+    (I_m (x) W)^T x_l (I_m (x) W) (x) I_hook, of side m * weyl * hook, W the
+    copy basis of lam (`copy_basis`); no projector is formed and nothing is
+    diagonalized.
 
-    For a group-like sequence this is a (x) (pi_lam(t) (x) I_mult) up to the
-    basis choice inside the isotypic subspace.  Raises ValueError when lam
-    has more than n rows (the subspace is zero).
+    An entry of a SymSequence is S_l-invariant (`validate_k_prefix` checks
+    it), so its lam-isotypic block is hook copies of one compression; this
+    reads one copy and does not check the invariance.  For a group-like
+    sequence the block is exactly a (x) pi_lam(t) (x) I_hook, pi_lam(t) being
+    `block_compression(g, lam)`.  Raises ValueError when lam has more than n
+    rows (the subspace is zero).
     """
     l = lam.size
     if l > seq.L:
         raise ValueError(f"partition size {l} exceeds prefix length {seq.L}")
-    basis = isotypic_basis(seq.n, lam)
-    if basis.shape[1] == 0:
-        raise ValueError(f"no isotypic subspace for partition {lam.parts}")
+    basis = copy_basis(seq.n, lam)
     full = np.kron(np.eye(seq.m), basis)
-    comp = full.T @ seq.entries[l].entries @ full
-    return LeggedOperator(comp, (seq.m, basis.shape[1]))
+    hook = lam.hook_dimension()
+    comp = np.kron(full.T @ seq.entries[l].entries @ full, np.eye(hook))
+    return LeggedOperator(comp, (seq.m, basis.shape[1] * hook))
 
 
 @dataclass(frozen=True)

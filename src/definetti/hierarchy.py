@@ -158,6 +158,12 @@ class SolverOptions:
     tol: float = 1e-7
     max_iterations: int = 20000
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+
 
 @dataclass(frozen=True)
 class FeasibilityReport:

@@ -11,13 +11,12 @@ import numpy as np
 
 from .linalg import LeggedOperator
 
-#: largest tensor power l.  Every Schur-Weyl object is built by one
-#: Jucys-Murphy recursion whose bases have n^l rows: the copy bases (weyl
-#: columns) and the isotypic bases (weyl * hook columns, so up to n^l); the
-#: solver's Gram rows and witness and the isotypic projectors B B^T are dense
-#: n^l x n^l, while the exponential test's blocks are only weyl(lambda) wide
-#: and never touch n^l.  The bound is about those sizes, not about
-#: enumerating S_l
+#: largest tensor power l.  Every Schur-Weyl object is built from one
+#: Jucys-Murphy recursion, the copy chain, whose bases have n^l rows and
+#: weyl(lambda) columns; the solver's Gram rows and witness and the isotypic
+#: projectors hook * Sym(W W^T) are dense n^l x n^l, while the exponential
+#: test's blocks are only weyl(lambda) wide and never touch n^l.  The bound
+#: is about those sizes, not about enumerating S_l
 MAX_LEVEL = 8
 
 
@@ -202,12 +201,12 @@ def _jm_eigenspace(
     the Jucys-Murphy element X_l = sum_{j<l} (j l) takes the value `content`,
     as (basis, coefficients), basis = (prev (x) I_n) @ coefficients.
 
-    `prev` has orthonormal real columns in (C^n)^{(x)(l-1)}: a copy basis,
-    whose range is a joint eigenspace of X_1..X_{l-1}, or an isotypic
-    basis, whose range is S_{l-1}-invariant.  X_l commutes with both, so it
-    maps range(prev (x) I_n) to itself.  Its eigenvalues there are contents
-    of boxes, so they are integers and the wanted eigenspace is the kernel
-    of cols^T X_l cols - content, read off an SVD with a gap of at least 1.
+    `prev` is a copy basis: orthonormal real columns in (C^n)^{(x)(l-1)}
+    whose range is a joint eigenspace of X_1..X_{l-1}.  X_l commutes with
+    those, so it maps range(prev (x) I_n) to itself.  Its eigenvalues there
+    are contents of boxes, so they are integers and the wanted eigenspace is
+    the kernel of cols^T X_l cols - content, read off an SVD with a gap of
+    at least 1.
     """
     rows, k = prev.shape
     cols = (prev[:, None, :, None] * np.eye(n)[:, None, :]).reshape(rows * n, k * n)  # prev (x) I_n
@@ -232,19 +231,6 @@ class _ChainStep:
     branching: np.ndarray
 
 
-def _corners(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """(mu, content of the box) for each removable box of `parts`, the last
-    row's box first; mu is `parts` without that box."""
-    out = []
-    for i in range(len(parts) - 1, -1, -1):
-        p = parts[i]
-        if i + 1 < len(parts) and parts[i + 1] == p:
-            continue  # the row below ends in the same column
-        mu = parts[:i] + ((p - 1,) if p > 1 else ()) + parts[i + 1 :]
-        out.append((mu, p - 1 - i))
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _copy_chain(n: int, parts: tuple[int, ...]) -> _ChainStep:
     """The copy basis of `parts` with its branching coefficients, built once
@@ -260,9 +246,10 @@ def _copy_chain(n: int, parts: tuple[int, ...]) -> _ChainStep:
     if l <= 1:
         step = _ChainStep((), np.eye(n**l), np.eye(n**l))
     else:
-        mu, content = _corners(parts)[0]
-        prev = _copy_chain(n, mu).basis
-        basis, branching = _jm_eigenspace(prev, n, l, content)
+        # the last row's box: row i, column p - 1, content p - 1 - i
+        i, p = len(parts) - 1, parts[-1]
+        mu = parts[:-1] + ((p - 1,) if p > 1 else ())
+        basis, branching = _jm_eigenspace(_copy_chain(n, mu).basis, n, l, p - 1 - i)
         step = _ChainStep(mu, basis, branching)
     step.basis.setflags(write=False)
     step.branching.setflags(write=False)
@@ -293,65 +280,26 @@ def copy_bases(n: int, l: int) -> list[tuple[Partition, np.ndarray]]:
     S_l-invariant operator b on the n-legs is determined by its compressions
     W^T b W: in Schur-Weyl coordinates b is sum_lambda W^T b W (x) I_hook.
     """
-    if l > MAX_LEVEL:
-        raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
-    return [(lam, _copy_chain(n, lam.parts).basis) for lam in partitions_of(l, max_parts=n)]
-
-
-#: isotypic bases kept per process (`_isotypic_basis`): every partition of
-#: l <= 8 with at most 2 rows fits; one level-l basis of n^l rows holds at
-#: most n^{2l} entries, so the cache is bounded rather than kept whole
-ISOTYPIC_CACHE_SIZE = 32
-
-
-@functools.lru_cache(maxsize=ISOTYPIC_CACHE_SIZE)
-def _isotypic_basis(n: int, parts: tuple[int, ...]) -> np.ndarray:
-    """The `_jm_eigenspace` step of `_copy_chain` over every removable box.
-
-    The mu-isotypic subspace of S_{l-1} on the first l-1 legs is
-    range(B_mu (x) I_n), and X_l, which commutes with S_{l-1}, takes the
-    content of a box there exactly on its intersection with the
-    lambda-isotypic subspace of S_l, lambda = mu + box.  These pieces are
-    orthogonal for different mu, and together they span the lambda-isotypic
-    subspace, of dimension weyl(lambda) * hook(lambda).
-    """
-    l = sum(parts)
-    if l <= 1:
-        basis = np.eye(n**l)
-    else:
-        basis = np.hstack([
-            _jm_eigenspace(_isotypic_basis(n, mu), n, l, content)[0]
-            for mu, content in _corners(parts)
-        ])
-    basis.setflags(write=False)
-    return basis
-
-
-def isotypic_basis(n: int, lam: Partition) -> np.ndarray:
-    """Real orthonormal basis, n^l x weyl(lambda) * hook(lambda), of the
-    lambda-isotypic subspace of (C^n)^{(x)l} (`_isotypic_basis`), cached
-    per process and read-only.  It has no columns when lambda has more than
-    n rows; raises ValueError when |lambda| exceeds `MAX_LEVEL`.
-    """
-    if lam.size > MAX_LEVEL:
-        raise ValueError(f"l={lam.size} exceeds the level bound {MAX_LEVEL}")
-    if len(lam) > n:
-        return np.zeros((n**lam.size, 0))
-    return _isotypic_basis(n, lam.parts)
+    return [(lam, copy_basis(n, lam)) for lam in partitions_of(l, max_parts=n)]
 
 
 def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:
-    """Orthogonal projector B B^T onto the lambda-isotypic subspace of
-    (C^n)^{(x)l}, B its orthonormal basis (`isotypic_basis`); S_l is never
-    summed over.  Returns the zero operator when lambda has more than n
-    parts (its Schur-Weyl multiplicity vanishes).
+    """Orthogonal projector hook(lambda) * Sym(W W^T) onto the
+    lambda-isotypic subspace of (C^n)^{(x)l}, W the copy basis of lambda
+    (`copy_basis`): twirling one copy over S_l gives the whole block, and
+    `Symmetrizer` never sums over S_l.  Returns the zero operator when
+    lambda has more than n parts (its Schur-Weyl multiplicity vanishes).
     """
     if l > MAX_LEVEL:
         raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
     if lam.size != l:
         raise ValueError(f"partition size {lam.size} does not match l={l}")
-    b = isotypic_basis(n, lam)
-    return LeggedOperator(b @ b.T, (n,) * l)
+    legs = (n,) * l
+    if len(lam) > n:
+        return LeggedOperator(np.zeros((n**l, n**l)), legs)
+    w = copy_basis(n, lam)
+    twirl = Symmetrizer(legs, range(l)).apply_matrix(w @ w.T)
+    return LeggedOperator(lam.hook_dimension() * twirl, legs)
 
 
 def schur_weyl_table(n: int, l: int) -> list[tuple[Partition, int, int]]:
@@ -359,8 +307,11 @@ def schur_weyl_table(n: int, l: int) -> list[tuple[Partition, int, int]]:
 
     Closed forms: the block dimension is the Weyl dimension and the
     multiplicity the hook-length dimension; every partition with at most n
-    parts has a nonzero block.
+    parts has a nonzero block.  Raises ValueError unless n >= 1 and
+    0 <= l <= `MAX_LEVEL`.
     """
+    if n < 1 or l < 0:
+        raise ValueError(f"schur_weyl_table needs n >= 1 and l >= 0, got n={n}, l={l}")
     if l > MAX_LEVEL:
         raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
     return [

@@ -267,6 +267,23 @@ def test_recover_block_at_level_six_has_the_character(rng):
         assert abs(np.trace(block.entries) - want) <= 1e-10 * abs(want)
 
 
+@pytest.mark.parametrize("n, L", [(2, 6), (3, 4)])
+def test_recover_block_is_a_times_the_irrep_block(rng, n, L):
+    # on the copy basis the block of a (x) t^{(x)l} is exactly
+    # a (x) pi_lam(t) (x) I_hook, with no rotation inside the isotypic
+    # subspace, for a complex t that is neither Hermitian nor PSD
+    t = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    g = GroupLike(t / np.linalg.norm(t, 2))
+    a = rand_psd(2, rng)
+    seq = grouplike_sequence(LeggedOperator(a, (2,)), g, L)
+    for l in range(1, L + 1):
+        for lam in partitions_of(l, max_parts=n):
+            want = np.kron(a, np.kron(block_compression(g, lam), np.eye(lam.hook_dimension())))
+            got = recover_block(seq, lam).entries
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_recover_block_injectivity(rng):
     # two group-like matrices agreeing on all l <= 2 blocks must coincide
     g1 = random_grouplike(rng)

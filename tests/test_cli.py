@@ -119,11 +119,22 @@ def test_boundary_rejects_levels_below_one(tmp_path):
     assert main(["boundary", "--grouplike", t, "--levels", "0"]) == EXIT_INPUT
 
 
-def test_boundary_grouplike(tmp_path):
+def test_boundary_grouplike(tmp_path, monkeypatch):
     t = write_op(tmp_path / "t.json", LeggedOperator(np.diag([1.0, 0.5]), (2,)))
+    calls = []
+    inner = hierarchy.validate_k_prefix
+
+    def counted(seq):
+        calls.append(seq)
+        return inner(seq)
+
+    # the subharmonic check and the bridge share one prefix validation
+    monkeypatch.setattr(hierarchy, "validate_k_prefix", counted)
+    monkeypatch.setattr(boundary, "validate_k_prefix", counted)
     out = tmp_path / "bd.json"
     rc = main(["boundary", "--grouplike", t, "--verify-bridge", "--out", str(out)])
     assert rc == EXIT_OK
+    assert len(calls) == 1
     report = json.loads(out.read_text())
     assert report["is_exponential"] is True
     assert report["subharmonic"] is True
@@ -209,6 +220,14 @@ def test_schur_table(tmp_path):
 
 def test_schur_table_beyond_bound():
     assert main(["schur-table", "--n", "2", "--l", "9"]) == EXIT_INPUT
+    assert main(["schur-table", "--n", "0", "--l", "3"]) == EXIT_INPUT
+    assert main(["schur-table", "--n", "2", "--l", "-1"]) == EXIT_INPUT
+
+
+def test_solver_flags_are_validated(tmp_path):
+    state = write_op(tmp_path / "bell.json", bell_projector())
+    for flags in (["--tol", "nan"], ["--tol", "-1"], ["--tol", "0"], ["--tol", "inf"], ["--max-iter", "0"]):
+        assert main(["extend-check", "--state", state, "--levels", "2", *flags]) == EXIT_INPUT
 
 
 def test_stdout_emission(tmp_path, capsys):

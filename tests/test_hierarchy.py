@@ -509,6 +509,13 @@ def test_solver_rejects_bad_input():
             sub_extension_feasibility(zero, RHO, l)
     with pytest.raises(ValueError):
         sub_extension_feasibility(LeggedOperator.zeros((2,)), RHO, 2)
+    for tol in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError):
+            SolverOptions(tol=tol)
+    for max_iterations in (0, -5):
+        with pytest.raises(ValueError):
+            SolverOptions(max_iterations=max_iterations)
+    assert SolverOptions(tol=1e-16, max_iterations=1).max_iterations == 1
 
 
 def _count_eigendecompositions(monkeypatch):

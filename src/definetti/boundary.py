@@ -30,6 +30,7 @@ from .symmetry import (
     MAX_LEVEL,
     Partition,
     _copy_chain,
+    _kron,
     copy_basis,
     isotypic_projector,
     schur_weyl_table,
@@ -150,11 +151,7 @@ def exponential_test(g: GroupLike, L: int) -> ExponentialReport:
         level = {}
         for lam, _, _ in schur_weyl_table(n, l):
             step = _copy_chain(n, lam.parts)
-            parent = blocks[step.parent]
-            side = parent.shape[0] * n
-            # pi_mu(t) (x) t, by one broadcast product
-            grown = (parent[:, None, :, None] * g.t[None, :, None, :]).reshape(side, side)
-            comp = step.branching.T @ grown @ step.branching
+            comp = step.branching.T @ _kron(blocks[step.parent], g.t) @ step.branching
             level[lam.parts] = comp
             if l > 1:
                 comp = (comp + comp.conj().T) / 2

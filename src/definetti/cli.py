@@ -22,6 +22,7 @@ from .symmetry import schur_weyl_table
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+GROUPLIKE_LEVELS = 4  # `boundary --grouplike` prefix length without --levels
 
 
 def _solver_opts(args) -> hy.SolverOptions:
@@ -122,15 +123,18 @@ def cmd_scan_werner(args) -> int:
 def cmd_boundary(args) -> int:
     if bool(args.grouplike) == bool(args.bundle):
         raise ValueError("boundary needs exactly one of --grouplike or --bundle")
+    if args.bundle and args.levels is not None:
+        raise ValueError("--levels applies to --grouplike only; a bundle's prefix is its entries")
     if args.grouplike:
+        levels = GROUPLIKE_LEVELS if args.levels is None else args.levels
         t_op = io.operator_from_json(io.load_json(args.grouplike))
         if len(t_op.legs) != 1:
             raise ValueError(f"group-like file must carry a single leg, got {t_op.legs}")
         g = bd.GroupLike(t_op.entries)
         rho = _load_rho(args.rho, g.n)
-        exp = bd.exponential_test(g, args.levels)
+        exp = bd.exponential_test(g, levels)
         report = {
-            "config": _config(args),
+            "config": _config(args, levels=levels),
             "is_exponential": exp.is_exponential,
             "failing_block": list(exp.failing_block.parts) if exp.failing_block else None,
         }
@@ -141,7 +145,7 @@ def cmd_boundary(args) -> int:
         except ValueError:
             report["rho_value"] = None
             report["in_e_rho"] = False
-        seq = bd.grouplike_sequence(LeggedOperator([[1.0]], [1]), g, args.levels, rho)
+        seq = bd.grouplike_sequence(LeggedOperator([[1.0]], [1]), g, levels, rho)
         validation = hy.validate_k_prefix(seq)
         subharmonic = validation.ok  # what `subharmonic_check` decides
         report["subharmonic"] = subharmonic
@@ -212,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grouplike", default=None)
     p.add_argument("--bundle", default=None)
     p.add_argument("--rho", default="normalized-trace")
-    p.add_argument("--levels", type=int, default=4)
+    p.add_argument("--levels", type=int, help=f"--grouplike prefix (default {GROUPLIKE_LEVELS})")
     p.add_argument(
         "--verify-bridge",
         action="store_true",

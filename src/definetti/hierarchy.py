@@ -43,7 +43,7 @@ from .linalg import (
     tensor,
     tensor_power,
 )
-from .symmetry import MAX_LEVEL, Symmetrizer, copy_bases
+from .symmetry import MAX_LEVEL, Symmetrizer, _copy_chain, _kron, copy_bases, partitions_of
 
 #: dimensions where the PPT criterion is an exact separability test
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
@@ -235,29 +235,33 @@ class _Geometry:
     the projector onto the range of K, and z0 = K(a G^{-T}) = a q its
     offset, the one part that depends on a (`ExtensionProblem`).  The
     projector is kept as its two n^2-row factors, never as the square
-    matrix on the blocks, and each K(e_j) on the n-legs is compressed to
-    its block rows as soon as it is built: so a build holds one n^l-side
-    matrix at a time besides the copy bases.
+    matrix on the blocks.  No K(e_j) of side n^l is formed: K(e) = S_l(e) / l
+    with S_k(e) = S_{k-1}(e) (x) D + D^{(x)(k-1)} (x) e, whose two terms are
+    S_{k-1}-invariant, so the blocks grow along the copy chain
+    (`symmetry._copy_chain`): pi_lam(D) = C^T (pi_mu(D) (x) D) C and
+    S_lam(e) = C^T (S_mu(e) (x) D + pi_mu(D) (x) e) C.
     """
 
     def __init__(self, m: int, n: int, l: int, density: np.ndarray):
         self.big_legs = (m,) + (n,) * l
         self.sym = Symmetrizer(self.big_legs, range(1, l + 1))
-        self._d_pow = np.array([[1.0]])
-        for _ in range(l - 1):
-            self._d_pow = np.kron(self._d_pow, density)
-        sym_n = Symmetrizer((n,) * l, range(l))
-        self._copies = [(math.sqrt(lam.hook_dimension()), w) for lam, w in copy_bases(n, l)]
-        side = m * max(w.shape[1] for _, w in self._copies)
-        self.shape = (len(self._copies), side, side)
-        rows = [np.empty((n * n, w.shape[1] ** 2), dtype=complex) for _, w in self._copies]
-        for j, unit in enumerate(np.eye(n * n).reshape(-1, n, n)):
-            k_j = sym_n.apply_matrix(np.kron(unit, self._d_pow))
-            for row, (weight, w) in zip(rows, self._copies):
-                row[j] = weight * (w.T @ k_j @ w).conj().reshape(-1)
-        idx = []
-        for k, (_, w) in enumerate(self._copies):
-            d = w.shape[1]
+        bases = copy_bases(n, l)
+        # per partition mu of size <= l: pi_mu(D) atop the n^2 blocks S_mu(e_j)
+        grown = {(): np.eye(n * n + 1, 1)[:, :, None]}
+        for k in range(1, l + 1):
+            for mu in partitions_of(k, max_parts=n):
+                step = _copy_chain(n, mu.parts)
+                x = grown[step.parent]
+                y = _kron(x, density)
+                y[1:] += _kron(x[0], np.eye(n * n).reshape(-1, n, n))
+                grown[mu.parts] = step.branching.T @ y @ step.branching
+        side = m * max(w.shape[1] for _, w in bases)
+        self.shape = (len(bases), side, side)
+        self._copies, rows, idx = [], [], []
+        for k, (lam, w) in enumerate(bases):
+            weight, d = math.sqrt(lam.hook_dimension()), w.shape[1]
+            self._copies.append((weight, w))
+            rows.append(weight * grown[lam.parts][1:].conj().reshape(n * n, d * d) / l)
             # stack position of entry (alpha, beta) of the m-block (i, j) of X
             r = np.arange(m)[:, None] * d + np.arange(d)
             pos = k * side * side + r[:, None, :, None] * side + r[None, :, None, :]
@@ -268,7 +272,7 @@ class _Geometry:
         self._weights = np.array([weight for weight, _ in self._copies])
         self._q = self._gi.T @ self._kh.conj()
         # the copy bases are read-only already (`symmetry.copy_bases`)
-        for arr in (self._d_pow, self._kh, self._gi, self._idx, self._weights, self._q):
+        for arr in (self._kh, self._gi, self._idx, self._weights, self._q):
             arr.setflags(write=False)
 
 
@@ -296,7 +300,7 @@ class ExtensionProblem:
     slice lambda and s = m * max weyl.
 
     `geometry` and the attributes copied from it (`big_legs`, `sym`,
-    `shape`, `_d_pow`, `_copies`, `_kh`, `_gi`, `_idx`, `_weights`, `_q`)
+    `_copies`, `shape`, `_kh`, `_gi`, `_idx`, `_weights`, `_q`)
     are built once per (m, n, l, rho density) and process (`_geometry`) and
     shared by every problem there; their arrays are read-only.  Only `a`,
     `_a_blocks` and `_z0` (and the scalar `_k_floor`) are built here.
@@ -330,9 +334,6 @@ class ExtensionProblem:
         x = LeggedOperator(b_mat, self.big_legs)
         return contract_legs(x, self.rho, self._trailing).entries
 
-    def phi_star(self, y_mat: np.ndarray) -> np.ndarray:
-        return np.kron(y_mat, self._d_pow)
-
     def _phi(self, x: np.ndarray) -> np.ndarray:
         """Phi of a block stack, in m-blocks."""
         return x.reshape(-1)[self._idx] @ self._kh.T
@@ -341,14 +342,6 @@ class ExtensionProblem:
         """K(y) = Sym(y (x) D^{(x)(l-1)}) of y in m-blocks, as a block stack."""
         out = np.zeros(self.shape, dtype=complex)
         out.reshape(-1)[self._idx] = y @ self._kh.conj()
-        return out
-
-    def to_blocks(self, b: np.ndarray) -> np.ndarray:
-        """Block stack of an S_l-invariant b on the full legs."""
-        out = np.zeros(self.shape, dtype=complex)
-        for k, (weight, w) in enumerate(self._copies):
-            f = np.kron(np.eye(self.m), w)
-            out[k, : f.shape[1], : f.shape[1]] = weight * (f.T @ b @ f)
         return out
 
     def to_dense(self, x: np.ndarray) -> np.ndarray:

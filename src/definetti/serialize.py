@@ -40,11 +40,7 @@ def operator_from_json(obj: dict) -> LeggedOperator:
 
 
 def functional_to_json(rho: Functional) -> dict:
-    return {
-        "legs": [rho.dim],
-        "re": rho.density.real.tolist(),
-        "im": rho.density.imag.tolist(),
-    }
+    return operator_to_json(LeggedOperator(rho.density, (rho.dim,)))
 
 
 def functional_from_json(obj: dict) -> Functional:
@@ -82,9 +78,13 @@ def sequence_from_json(obj: dict) -> SymSequence:
     for key in ("m", "n", "rho", "entries"):
         if key not in obj:
             raise ValueError(f"sequence bundle is missing key '{key}'")
-    m, n = int(obj["m"]), int(obj["n"])
+    m, n = obj["m"], obj["n"]
+    if not all(isinstance(d, int) and d > 0 for d in (m, n)):
+        raise ValueError(f"'m' and 'n' must be positive integers, got {m!r} and {n!r}")
     rho = resolve_functional(obj["rho"], n)
     entries = [operator_from_json(e) for e in obj["entries"]]
+    if "L" in obj and obj["L"] != len(entries) - 1:
+        raise ValueError(f"'L' is {obj['L']!r} but the bundle has {len(entries)} entries")
     return SymSequence(m, n, rho, entries)
 
 

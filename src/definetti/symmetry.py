@@ -13,10 +13,10 @@ from .linalg import LeggedOperator
 
 #: largest tensor power l.  Every Schur-Weyl object is built from one
 #: Jucys-Murphy recursion, the copy chain, whose bases have n^l rows and
-#: weyl(lambda) columns; the solver's Gram rows and witness and the isotypic
-#: projectors hook * Sym(W W^T) are dense n^l x n^l, while the exponential
-#: test's blocks are only weyl(lambda) wide and never touch n^l.  The bound
-#: is about those sizes, not about enumerating S_l
+#: weyl(lambda) columns; the solver's witness and the isotypic projectors
+#: hook * Sym(W W^T) are dense n^l x n^l, while the solver's Gram rows and
+#: the exponential test's blocks grow along the chain and are weyl(lambda)
+#: wide.  The bound is about those sizes, not about enumerating S_l
 MAX_LEVEL = 8
 
 
@@ -194,6 +194,13 @@ def _perm_index_map(n: int, l: int, perm: tuple[int, ...]) -> np.ndarray:
     return np.arange(n**l).reshape((n,) * l).transpose(perm).reshape(-1)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b over the last two axes, broadcast over the leading ones."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    *lead, p, r, q, s = out.shape
+    return out.reshape(*lead, p * r, q * s)
+
+
 def _jm_eigenspace(
     prev: np.ndarray, n: int, l: int, content: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -208,15 +215,14 @@ def _jm_eigenspace(
     the kernel of cols^T X_l cols - content, read off an SVD with a gap of
     at least 1.
     """
-    rows, k = prev.shape
-    cols = (prev[:, None, :, None] * np.eye(n)[:, None, :]).reshape(rows * n, k * n)  # prev (x) I_n
+    cols = _kron(prev, np.eye(n))  # prev (x) I_n
     # a transposition is an involution, so it acts by a row gather
     jm = np.zeros_like(cols)
     for j in range(l - 1):
         perm = list(range(l))
         perm[j], perm[l - 1] = l - 1, j
         jm += cols[_perm_index_map(n, l, tuple(perm))]
-    _, sv, vt = np.linalg.svd(cols.T @ jm - content * np.eye(k * n))
+    _, sv, vt = np.linalg.svd(cols.T @ jm - content * np.eye(cols.shape[1]))
     coeffs = vt[sv < 0.5].T
     return cols @ coeffs, coeffs
 

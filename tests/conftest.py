@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from definetti import LeggedOperator
+from definetti import LeggedOperator, Symmetrizer
 from definetti.hierarchy import (
     ANDERSON_MEMORY,
     ANDERSON_REGULARIZATION,
@@ -12,6 +12,7 @@ from definetti.hierarchy import (
     is_checkpoint,
 )
 from definetti.linalg import psd_part
+from definetti.symmetry import copy_bases
 
 
 def rand_psd(n, rng, floor=0.0):
@@ -47,6 +48,46 @@ def random_separable(rng, max_terms=5):
     return LeggedOperator(mat, (2, 2))
 
 
+def d_power(density, k):
+    """D^(x)k by dense Kronecker products."""
+    out = np.eye(1)
+    for _ in range(k):
+        out = np.kron(out, density)
+    return out
+
+
+def phi_star(prob, y):
+    """Phi*(y) = y (x) D^(l-1), from rho's density alone."""
+    return np.kron(y, d_power(prob.rho.density, prob.l - 1))
+
+
+def to_blocks(prob, b):
+    """The zero-padded block stack of an S_l-invariant b on the full legs,
+    sqrt(hook) (I_m (x) W)^T b (I_m (x) W) per copy basis W, from
+    `copy_bases` alone."""
+    bases = copy_bases(prob.n, prob.l)
+    side = prob.m * max(w.shape[1] for _, w in bases)
+    out = np.zeros((len(bases), side, side), dtype=complex)
+    for k, (lam, w) in enumerate(bases):
+        f = np.kron(np.eye(prob.m), w)
+        out[k, : f.shape[1], : f.shape[1]] = np.sqrt(lam.hook_dimension()) * (f.T @ b @ f)
+    return out
+
+
+def dense_gram_rows(n, l, density):
+    """Rows sqrt(hook) conj(W^T Sym(e_j (x) D^(l-1)) W).flat over the copy
+    bases W, one per n x n matrix unit e_j, each K(e_j) built densely on the
+    n^l-side legs."""
+    d_pow = d_power(density, l - 1)
+    sym = Symmetrizer((n,) * l, range(l))
+    rows = []
+    for unit in np.eye(n * n).reshape(-1, n, n):
+        k = sym.apply_matrix(np.kron(unit, d_pow))
+        blocks = [np.sqrt(lam.hook_dimension()) * (w.T @ k @ w) for lam, w in copy_bases(n, l)]
+        rows.append(np.hstack([block.conj().reshape(-1) for block in blocks]))
+    return np.array(rows)
+
+
 class DenseDR:
     """Anderson-accelerated Douglas-Rachford on dense operators on the full
     legs: an independent cross-check of the block solver of
@@ -66,12 +107,13 @@ class DenseDR:
 
     def __init__(self, prob):
         self.prob = prob
+        self.sym = Symmetrizer((prob.m,) + (prob.n,) * prob.l, range(1, prob.l + 1))
         mn = prob.m * prob.n
         self.gram = np.empty((mn * mn, mn * mn), dtype=complex)
         unit = np.zeros((mn, mn), dtype=complex)
         for k in range(mn * mn):
             unit.flat[k] = 1.0
-            self.gram[:, k] = prob.phi(prob.sym.apply_matrix(prob.phi_star(unit))).reshape(-1)
+            self.gram[:, k] = prob.phi(self.sym.apply_matrix(phi_star(prob, unit))).reshape(-1)
             unit.flat[k] = 0.0
         # Sym(I (x) D^(l-1)) >= lambda_min(D)^(l-1) I
         self.floor = np.linalg.eigvalsh(prob.rho.density)[0] ** (prob.l - 1)
@@ -79,10 +121,10 @@ class DenseDR:
     def project_affine(self, b):
         """Metric projection onto {Sym b = b, Phi(b) = a}."""
         prob, mn = self.prob, self.prob.m * self.prob.n
-        sb = prob.sym.apply_matrix(b)
+        sb = self.sym.apply_matrix(b)
         c = prob.a.entries - prob.phi(sb)
         y = np.linalg.solve(self.gram, c.reshape(-1)).reshape(mn, mn)
-        return sb + prob.sym.apply_matrix(prob.phi_star(y))
+        return sb + self.sym.apply_matrix(phi_star(prob, y))
 
     def certificate(self, step):
         """Y + eps I when its margin trace(Y a) / (||Y|| trace(a)) is below
@@ -93,7 +135,7 @@ class DenseDR:
         a = prob.a.entries
         if np.trace(y @ a).real >= 0:
             return None
-        k = prob.sym.apply_matrix(prob.phi_star(y))
+        k = self.sym.apply_matrix(phi_star(prob, y))
         eps = max(0.0, -np.linalg.eigvalsh((k + k.conj().T) / 2)[0]) / self.floor
         y = y + eps * np.eye(mn)
         margin = np.trace(y @ a).real / (np.linalg.norm(y) * np.trace(a).real)
@@ -106,7 +148,7 @@ class DenseDR:
         return np.abs(self.prob.phi(w) - a).max() <= tol * np.abs(a).max()
 
     def start(self):
-        side = self.prob.sym.side
+        side = self.sym.side
         return self.project_affine(np.zeros((side, side), dtype=complex))
 
     def solve(self, opts):

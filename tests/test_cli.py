@@ -203,6 +203,28 @@ def test_boundary_bundle_validates_the_prefix_once(tmp_path, rng, monkeypatch):
     assert report["image_check"] == json.loads(json.dumps(want))
 
 
+def test_boundary_rejects_levels_with_a_bundle(tmp_path, capsys):
+    # --levels sets the prefix of a --grouplike sequence; a bundle's prefix
+    # is its entries, so a --levels there used to be parsed and ignored
+    seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(np.diag([0.9, 0.7])), 2)
+    path = tmp_path / "bundle.json"
+    dump_json(sequence_to_json(seq), str(path))
+    assert main(["boundary", "--bundle", str(path), "--levels", "7"]) == EXIT_INPUT
+    assert "--levels" in capsys.readouterr().err
+    t = write_op(tmp_path / "t.json", LeggedOperator(np.diag([1.0, 0.5]), (2,)))
+    out = tmp_path / "bd.json"
+    assert main(["boundary", "--grouplike", t, "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["config"]["levels"] == 4
+
+
+def test_boundary_bundle_rejects_a_malformed_bundle(tmp_path):
+    seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(np.diag([0.9, 0.7])), 2)
+    for key, value in (("m", 2.5), ("L", 5)):
+        path = tmp_path / f"bundle-{key}.json"
+        dump_json(dict(sequence_to_json(seq), **{key: value}), str(path))
+        assert main(["boundary", "--bundle", str(path)]) == EXIT_INPUT
+
+
 def test_boundary_needs_exactly_one_input(tmp_path):
     t = write_op(tmp_path / "t.json", LeggedOperator(np.eye(2), (2,)))
     assert main(["boundary"]) == EXIT_INPUT

@@ -29,9 +29,9 @@ from definetti import (
 from definetti import hierarchy
 from definetti.hierarchy import CERTIFICATE_PERIOD, ExtensionProblem, is_checkpoint
 from definetti.linalg import psd_part
-from definetti.symmetry import MAX_LEVEL
+from definetti.symmetry import MAX_LEVEL, copy_bases
 
-from conftest import DenseDR, rand_psd, random_separable
+from conftest import DenseDR, dense_gram_rows, phi_star, rand_psd, random_separable, to_blocks
 
 RHO = Functional.normalized_trace(2)
 
@@ -105,7 +105,7 @@ def test_adjoint_identity(rng):
         rho = Functional.random_faithful(2, rng)
         prob = ExtensionProblem(LeggedOperator(np.eye(4), (2, 2)), rho, l)
         y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lhs = prob.phi(prob.phi_star(y))
+        lhs = prob.phi(phi_star(prob, y))
         scale = float(np.trace(rho.density @ rho.density).real) ** (l - 1)
         assert np.abs(lhs - scale * y).max() < 1e-12 * scale
 
@@ -132,7 +132,7 @@ def test_project_affine_per_block(rng, m, n, l):
     a = LeggedOperator(rand_psd(m * n, rng), (m, n))
     prob = ExtensionProblem(a, rho, l)
     b = _random_invariant(prob, rng)
-    out_blocks = prob.project_affine(prob.to_blocks(b))
+    out_blocks = prob.project_affine(to_blocks(prob, b))
     out = prob.to_dense(out_blocks)
     scale = np.abs(out).max()
     assert np.abs(prob.sym.apply_matrix(out) - out).max() < 1e-12 * scale
@@ -148,14 +148,14 @@ def test_block_coordinates_round_trip(rng, m, n, l):
     rho = Functional.random_faithful(n, rng)
     prob = ExtensionProblem(LeggedOperator(rand_psd(m * n, rng), (m, n)), rho, l)
     b = _random_invariant(prob, rng)
-    blocks = prob.to_blocks(b)
+    blocks = to_blocks(prob, b)
     assert (blocks[_padding(prob)] == 0).all()
     assert np.abs(prob.to_dense(blocks) - b).max() < 1e-12 * np.abs(b).max()
     assert abs(np.linalg.norm(blocks) - np.linalg.norm(b)) < 1e-12 * np.linalg.norm(b)
     x = rng.normal(size=prob.shape) + 1j * rng.normal(size=prob.shape)
     x[_padding(prob)] = 0
     dense = prob.to_dense(x)
-    assert np.abs(prob.to_blocks(dense) - x).max() < 1e-12 * np.abs(x).max()
+    assert np.abs(to_blocks(prob, dense) - x).max() < 1e-12 * np.abs(x).max()
     assert abs(np.linalg.norm(dense) - np.linalg.norm(x)) < 1e-12 * np.linalg.norm(x)
 
 
@@ -312,7 +312,7 @@ def test_problems_at_one_level_share_one_geometry(rng):
     assert second._z0 is not first._z0
 
 
-GEOMETRY_ARRAYS = ["_d_pow", "_kh", "_gi", "_idx", "_weights", "_q"]
+GEOMETRY_ARRAYS = ["_kh", "_gi", "_idx", "_weights", "_q"]
 
 
 @pytest.mark.parametrize("m, n, l", [(2, 2, 4), (3, 2, 3), (2, 3, 3)])
@@ -330,18 +330,30 @@ def test_a_rebuilt_geometry_is_bit_identical(rng, m, n, l):
 
 
 def test_a_cold_geometry_holds_few_dense_matrices():
-    # each K(e_j) is compressed as it is built and the affine projector is
-    # kept as two n^2-row factors, so a cold build at (m, n, l) = (2, 3, 5)
-    # peaks below 8 complex 3^5 x 3^5 matrices (the n^2 = 9 dense K(e_j)
-    # alone would be 9)
+    # the Gram rows grow along the copy chain, weyl(lambda) wide, and the
+    # affine projector is kept as two n^2-row factors, so with the copy
+    # chain warm a cold build at (m, n, l) = (2, 3, 6) peaks below one
+    # complex 3^6 x 3^6 matrix (the n^2 = 9 dense K(e_j) would be 9 of them)
     rho = Functional.random_faithful(3, np.random.default_rng(5))
+    copy_bases(3, 6)
     tracemalloc.start()
     try:
-        hierarchy._Geometry(2, 3, 5, rho.density)
+        hierarchy._Geometry(2, 3, 6, rho.density)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 16 * 3 ** 10
+    assert peak < 16 * 3 ** 12
+
+
+@pytest.mark.parametrize("m, n, l", [(2, 2, 1), (2, 2, 8), (2, 3, 5), (3, 3, 4), (2, 4, 3)])
+def test_gram_rows_equal_the_dense_definition(rng, m, n, l):
+    # row j is sqrt(hook) conj(W^T Sym(e_j (x) D^(l-1)) W).flat over the
+    # blocks, whatever the recursion that builds it
+    rho = Functional.random_faithful(n, rng)
+    want = dense_gram_rows(n, l, rho.density)
+    got = hierarchy._Geometry(m, n, l, rho.density)._kh
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_cached_arrays_are_read_only():

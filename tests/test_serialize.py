@@ -79,6 +79,28 @@ def test_sequence_missing_key():
         sequence_from_json(obj)
 
 
+def _bundle():
+    entries = [LeggedOperator(np.eye(2), (2,)), LeggedOperator(np.eye(4) / 2, (2, 2))]
+    return sequence_to_json(SymSequence(2, 2, Functional.normalized_trace(2), entries))
+
+
+def test_sequence_rejects_a_non_integer_dimension():
+    # 2.5 was read as m = 2
+    for key, value in (("m", 2.5), ("m", 0), ("n", "2"), ("n", -2)):
+        with pytest.raises(ValueError):
+            sequence_from_json(dict(_bundle(), **{key: value}))
+
+
+def test_sequence_rejects_a_length_that_disagrees_with_the_entries():
+    # L = 3 was ignored for a two-entry bundle; a bundle without L is fine
+    for value in (3, 0, 1.5):
+        with pytest.raises(ValueError):
+            sequence_from_json(dict(_bundle(), L=value))
+    bundle = _bundle()
+    del bundle["L"]
+    assert sequence_from_json(bundle).L == 1
+
+
 def test_file_round_trip(tmp_path, rng):
     path = str(tmp_path / "op.json")
     x = bell_projector()

@@ -24,13 +24,13 @@ from .linalg import (
     tensor,
     tensor_power,
 )
-# isotypic_projector is unused here; it stays importable from this module,
-# where benchmarks/spans.py patches it
+# isotypic_projector and schur_weyl_table are unused here; they stay
+# importable from this module, where benchmarks/spans.py patches them
 from .symmetry import (
     MAX_LEVEL,
     Partition,
-    _copy_chain,
     _kron,
+    chain_blocks,
     copy_basis,
     isotypic_projector,
     schur_weyl_table,
@@ -51,6 +51,8 @@ class GroupLike:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         n = mat.shape[0]
+        if n < 1:
+            raise ValueError("group-like matrix must be at least 1 x 1")
         norm = float(np.linalg.norm(mat, 2))
         if abs(np.linalg.det(mat)) <= INVERTIBILITY_RTOL * norm**n:
             raise ValueError("group-like matrix must be invertible")
@@ -135,29 +137,15 @@ def exponential_test(g: GroupLike, L: int) -> ExponentialReport:
     itself, Hermiticity included (`is_psd`); the higher blocks, of side
     weyl(lam), cross-validate it numerically. They inherit Hermiticity from
     t, up to rounding of order |t|^l that can exceed a block made small by
-    cancellation, so only their Hermitian part is tested.
-
-    Each block grows from its parent's block of the level before along the
-    copy chain W_lam = (W_mu (x) I_n) C_lam (`symmetry._copy_chain`):
-    pi_lam(t) = C_lam^T (pi_mu(t) (x) t) C_lam, which is
-    `block_compression(g, lam)` = W^T t^{(x)l} W up to rounding.  Neither
-    t^{(x)l} nor any product with n^l rows is formed.
+    cancellation, so only their Hermitian part is tested.  The blocks grow
+    along the copy chain (`chain_blocks`); t^{(x)l} is never formed.
     """
     if not 1 <= L <= MAX_LEVEL:
         raise ValueError(f"L={L} is outside 1..{MAX_LEVEL}")
-    n = g.n
-    blocks = {(): np.eye(1)}
-    for l in range(1, L + 1):
-        level = {}
-        for lam, _, _ in schur_weyl_table(n, l):
-            step = _copy_chain(n, lam.parts)
-            comp = step.branching.T @ _kron(blocks[step.parent], g.t) @ step.branching
-            level[lam.parts] = comp
-            if l > 1:
-                comp = (comp + comp.conj().T) / 2
-            if not is_psd(LeggedOperator(comp, (comp.shape[0],))):
-                return ExponentialReport(False, lam)
-        blocks = level
+    for lam, comp in chain_blocks(g.n, L, np.eye(1), lambda x: _kron(x, g.t)):
+        comp = (comp + comp.conj().T) / 2 if lam.size > 1 else comp
+        if not is_psd(LeggedOperator(comp, (comp.shape[0],))):
+            return ExponentialReport(False, lam)
     return ExponentialReport(True)
 
 

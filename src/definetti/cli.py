@@ -26,7 +26,9 @@ GROUPLIKE_LEVELS = 4  # `boundary --grouplike` prefix length without --levels
 
 
 def _solver_opts(args) -> hy.SolverOptions:
-    return hy.SolverOptions(tol=args.tol, max_iterations=args.max_iter)
+    """The solver flags; `boundary` leaves those not given as None."""
+    given = {"tol": args.tol, "max_iterations": args.max_iter}
+    return hy.SolverOptions(**{k: v for k, v in given.items() if v is not None})
 
 
 def _load_rho(spec: str, n: int) -> Functional:
@@ -125,6 +127,8 @@ def cmd_boundary(args) -> int:
         raise ValueError("boundary needs exactly one of --grouplike or --bundle")
     if args.bundle and args.levels is not None:
         raise ValueError("--levels applies to --grouplike only; a bundle's prefix is its entries")
+    if args.grouplike and (args.tol is not None or args.max_iter is not None):
+        raise ValueError("--tol and --max-iter apply to --bundle only; --grouplike runs no solver")
     if args.grouplike:
         levels = GROUPLIKE_LEVELS if args.levels is None else args.levels
         t_op = io.operator_from_json(io.load_json(args.grouplike))
@@ -153,12 +157,13 @@ def cmd_boundary(args) -> int:
             report["bridge_agrees"] = subharmonic == validation.ok
         _emit(report, args.out, f"boundary: exponential={exp.is_exponential} subharmonic={subharmonic}")
         return EXIT_OK
+    opts = _solver_opts(args)
     seq = io.sequence_from_json(io.load_json(args.bundle))
     rho = seq.rho if args.rho == "bundle" else _load_rho(args.rho, seq.n)
     validation = hy.validate_k_prefix(seq.with_rho(rho))
     subharmonic = validation.ok  # what `subharmonic_check` decides
     report = {
-        "config": _config(args),
+        "config": _config(args, tol=opts.tol, max_iter=opts.max_iterations),
         "subharmonic": subharmonic,
         "validation": {
             "ok": validation.ok,
@@ -171,7 +176,7 @@ def cmd_boundary(args) -> int:
         report["bridge_agrees"] = subharmonic == validation.ok
     if subharmonic and seq.L >= 1:
         # `separable_image_check` without its second prefix validation
-        sep = hy.separability_verdict(seq.entries[1], rho, opts=_solver_opts(args))
+        sep = hy.separability_verdict(seq.entries[1], rho, opts=opts)
         report["image_check"] = bd.ImageCheckReport(True, sep).to_json()
     _emit(report, args.out, f"boundary: subharmonic={subharmonic}")
     return EXIT_OK
@@ -224,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate_k_prefix, so this compares validate_k_prefix with itself",
     )
     _add_solver_flags(p)
-    p.set_defaults(func=cmd_boundary)
+    p.set_defaults(func=cmd_boundary, tol=None, max_iter=None)
 
     p = sub.add_parser("schur-table", help="Schur-Weyl block table")
     p.add_argument("--n", type=int, required=True)

@@ -43,7 +43,7 @@ from .linalg import (
     tensor,
     tensor_power,
 )
-from .symmetry import MAX_LEVEL, Symmetrizer, _copy_chain, _kron, copy_bases, partitions_of
+from .symmetry import MAX_LEVEL, Symmetrizer, _kron, chain_blocks, copy_bases
 
 #: dimensions where the PPT criterion is an exact separability test
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
@@ -235,33 +235,27 @@ class _Geometry:
     the projector onto the range of K, and z0 = K(a G^{-T}) = a q its
     offset, the one part that depends on a (`ExtensionProblem`).  The
     projector is kept as its two n^2-row factors, never as the square
-    matrix on the blocks.  No K(e_j) of side n^l is formed: K(e) = S_l(e) / l
-    with S_k(e) = S_{k-1}(e) (x) D + D^{(x)(k-1)} (x) e, whose two terms are
-    S_{k-1}-invariant, so the blocks grow along the copy chain
-    (`symmetry._copy_chain`): pi_lam(D) = C^T (pi_mu(D) (x) D) C and
-    S_lam(e) = C^T (S_mu(e) (x) D + pi_mu(D) (x) e) C.
+    matrix on the blocks.  No K(e_j) of side n^l is formed (`chain_blocks`).
     """
 
     def __init__(self, m: int, n: int, l: int, density: np.ndarray):
         self.big_legs = (m,) + (n,) * l
         self.sym = Symmetrizer(self.big_legs, range(1, l + 1))
         bases = copy_bases(n, l)
-        # per partition mu of size <= l: pi_mu(D) atop the n^2 blocks S_mu(e_j)
-        grown = {(): np.eye(n * n + 1, 1)[:, :, None]}
-        for k in range(1, l + 1):
-            for mu in partitions_of(k, max_parts=n):
-                step = _copy_chain(n, mu.parts)
-                x = grown[step.parent]
-                y = _kron(x, density)
-                y[1:] += _kron(x[0], np.eye(n * n).reshape(-1, n, n))
-                grown[mu.parts] = step.branching.T @ y @ step.branching
+        def grow(x):  # S_k(e) = S_{k-1}(e) (x) D + D^{(x)(k-1)} (x) e
+            y = _kron(x, density)
+            y[1:] += _kron(x[0], np.eye(n * n).reshape(-1, n, n))
+            return y
+        # per partition lam of l: pi_lam(D) atop the blocks S_lam(e_j) = l K(e_j)
+        walk = chain_blocks(n, l, np.eye(n * n + 1, 1)[:, :, None], grow)
+        stacks = [x for lam, x in walk if lam.size == l]
         side = m * max(w.shape[1] for _, w in bases)
         self.shape = (len(bases), side, side)
         self._copies, rows, idx = [], [], []
-        for k, (lam, w) in enumerate(bases):
+        for k, ((lam, w), x) in enumerate(zip(bases, stacks)):
             weight, d = math.sqrt(lam.hook_dimension()), w.shape[1]
             self._copies.append((weight, w))
-            rows.append(weight * grown[lam.parts][1:].conj().reshape(n * n, d * d) / l)
+            rows.append(weight * x[1:].conj().reshape(n * n, d * d) / l)
             # stack position of entry (alpha, beta) of the m-block (i, j) of X
             r = np.arange(m)[:, None] * d + np.arange(d)
             pos = k * side * side + r[:, None, :, None] * side + r[None, :, None, :]

@@ -12,6 +12,11 @@ from .hierarchy import SymSequence
 from .linalg import Functional, LeggedOperator
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; JSON's true and false are Python bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def operator_to_json(x: LeggedOperator) -> dict:
     return {
         "legs": list(x.legs),
@@ -27,7 +32,7 @@ def operator_from_json(obj: dict) -> LeggedOperator:
         if key not in obj:
             raise ValueError(f"matrix object is missing key '{key}'")
     legs = obj["legs"]
-    if not isinstance(legs, list) or not all(isinstance(d, int) and d > 0 for d in legs):
+    if not isinstance(legs, list) or not all(_is_int(d) and d > 0 for d in legs):
         raise ValueError("'legs' must be a list of positive integers")
     re = np.array(obj["re"], dtype=float)
     im = np.array(obj["im"], dtype=float)
@@ -79,11 +84,11 @@ def sequence_from_json(obj: dict) -> SymSequence:
         if key not in obj:
             raise ValueError(f"sequence bundle is missing key '{key}'")
     m, n = obj["m"], obj["n"]
-    if not all(isinstance(d, int) and d > 0 for d in (m, n)):
+    if not all(_is_int(d) and d > 0 for d in (m, n)):
         raise ValueError(f"'m' and 'n' must be positive integers, got {m!r} and {n!r}")
     rho = resolve_functional(obj["rho"], n)
     entries = [operator_from_json(e) for e in obj["entries"]]
-    if "L" in obj and obj["L"] != len(entries) - 1:
+    if "L" in obj and (not _is_int(obj["L"]) or obj["L"] != len(entries) - 1):
         raise ValueError(f"'L' is {obj['L']!r} but the bundle has {len(entries)} entries")
     return SymSequence(m, n, rho, entries)
 

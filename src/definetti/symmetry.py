@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -287,6 +287,28 @@ def copy_bases(n: int, l: int) -> list[tuple[Partition, np.ndarray]]:
     W^T b W: in Schur-Weyl coordinates b is sum_lambda W^T b W (x) I_hook.
     """
     return [(lam, copy_basis(n, lam)) for lam in partitions_of(l, max_parts=n)]
+
+
+def chain_blocks(n: int, l: int, seed: np.ndarray, grow: Callable) -> Iterator:
+    """(lam, C^T grow(x_mu) C) for each partition lam of 1, ..., l with at most
+    n rows, level by level in `partitions_of` order: the one place where
+    Schur-Weyl blocks grow.  mu is lam's parent on the copy chain, x_mu its
+    block (`seed` for mu = ()), C its branching W_lam = (W_mu (x) I_n) C
+    (`_copy_chain`).  If grow(x_mu) = (W_mu (x) I_n)^T A (W_mu (x) I_n), the
+    block is W_lam^T A W_lam, and no n^l rows are formed: grow(x) = x (x) t
+    from [[1]] gives pi_lam(t) = W^T t^{(x)l} W.  Only the previous level is
+    kept; blocks are read-only, as their children grow from them.
+    """
+    if n < 1:
+        raise ValueError(f"chain_blocks needs n >= 1, got n={n}")
+    level = {(): seed}
+    for k in range(1, l + 1):
+        prev, level = level, {}
+        for lam in partitions_of(k, max_parts=n):
+            step = _copy_chain(n, lam.parts)
+            block = level[lam.parts] = step.branching.T @ grow(prev[step.parent]) @ step.branching
+            block.setflags(write=False)
+            yield lam, block
 
 
 def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:

@@ -53,6 +53,13 @@ def test_grouplike_rejects_singular():
         GroupLike(np.diag([1.0, 0.0]))
 
 
+def test_grouplike_rejects_an_empty_matrix():
+    # the determinant of a 0 x 0 matrix is 1, so it passed the invertibility
+    # test, and an exponential test on it would check no block at all
+    with pytest.raises(ValueError):
+        GroupLike(np.zeros((0, 0)))
+
+
 def test_grouplike_sequence_shape(rng):
     g = random_grouplike(rng)
     a = LeggedOperator(rand_psd(2, rng), (2,))

@@ -217,6 +217,26 @@ def test_boundary_rejects_levels_with_a_bundle(tmp_path, capsys):
     assert json.loads(out.read_text())["config"]["levels"] == 4
 
 
+def test_boundary_rejects_solver_flags_with_a_grouplike(tmp_path, capsys):
+    # --grouplike runs no solver, so --tol and --max-iter used to be parsed,
+    # recorded in the config and ignored; a bundle still uses them
+    t = write_op(tmp_path / "t.json", LeggedOperator(np.diag([1.0, 0.5]), (2,)))
+    for flags in (["--tol", "5"], ["--max-iter", "1"], ["--tol", "1e-7"]):
+        assert main(["boundary", "--grouplike", t, *flags]) == EXIT_INPUT
+        assert "--tol and --max-iter" in capsys.readouterr().err
+    out = tmp_path / "bd.json"
+    assert main(["boundary", "--grouplike", t, "--out", str(out)]) == EXIT_OK
+    config = json.loads(out.read_text())["config"]
+    assert (config["tol"], config["max_iter"]) == (None, None)
+    seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(np.diag([0.9, 0.7])), 2)
+    path = tmp_path / "bundle.json"
+    dump_json(sequence_to_json(seq), str(path))
+    for flags, want in (([], (1e-7, 20000)), (["--tol", "1e-5", "--max-iter", "30"], (1e-5, 30))):
+        assert main(["boundary", "--bundle", str(path), "--out", str(out), *flags]) == EXIT_OK
+        config = json.loads(out.read_text())["config"]
+        assert (config["tol"], config["max_iter"]) == want
+
+
 def test_boundary_bundle_rejects_a_malformed_bundle(tmp_path):
     seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(np.diag([0.9, 0.7])), 2)
     for key, value in (("m", 2.5), ("L", 5)):

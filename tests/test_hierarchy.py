@@ -548,17 +548,18 @@ def _count_eigendecompositions(monkeypatch):
 
 
 def test_one_eigendecomposition_per_step(monkeypatch):
-    # a DR step is one eigh; steps 1, 2 and 4 are checkpoints, each adding one
-    # witness eigh.  trace(Y a) < 0 at all three, but the shift read off the
-    # diagonal of K(Y) already lifts it to >= 0, so no certificate eigvalsh
-    # runs, and the one eigvalsh is the input PSD check.  At the default tol
-    # Werner 0.3 would be witnessed at step 1; tol = 1e-16 keeps the loop
-    # running
-    a = werner_element(0.3)
+    # a DR step is one eigh; steps 1, 2 and 4 are checkpoints, each adding
+    # one witness eigh, and Werner 0.3 at l = 5 is witnessed at step 4 (the
+    # witness's relative defects are about 2e-2, 6e-3 and 2e-16).  No
+    # certificate eigvalsh runs.  At step 2 trace(Y a) is about +0.06.  At
+    # steps 1 and 4 it is about -0.11 and -0.005, but the shift read off the
+    # diagonal of K(Y) lifts it to about +0.04 and +0.24, so the screen
+    # decides on values far above rounding.  The three eigvalsh are the
+    # input's PSD check and the witness's PSD and Loewner checks
     calls = _count_eigendecompositions(monkeypatch)
-    report = sub_extension_feasibility(a, RHO, 3, SolverOptions(tol=1e-16, max_iterations=5))
-    assert report.verdict == "max_iterations"
-    assert calls == {"eigh": 5 + 3, "eigvalsh": 1}
+    report = sub_extension_feasibility(werner_element(0.3), RHO, 5)
+    assert (report.verdict, report.iterations) == ("feasible", 4)
+    assert calls == {"eigh": 4 + 3, "eigvalsh": 1 + 2}
 
 
 def test_a_certified_solve_adds_one_eigvalsh(monkeypatch):

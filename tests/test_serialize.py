@@ -101,6 +101,21 @@ def test_sequence_rejects_a_length_that_disagrees_with_the_entries():
     assert sequence_from_json(bundle).L == 1
 
 
+def test_readers_reject_booleans_for_integers():
+    # a JSON true is a Python bool, an int subclass: "legs": [true, 2] was
+    # read as legs (1, 2), and "m": true as m = 1
+    op = operator_to_json(LeggedOperator(np.eye(2), (1, 2)))
+    assert operator_from_json(op).legs == (1, 2)
+    with pytest.raises(ValueError):
+        operator_from_json(dict(op, legs=[True, 2]))
+    entries = [LeggedOperator(np.eye(1), (1,)), LeggedOperator(np.eye(1), (1, 1))]
+    bundle = sequence_to_json(SymSequence(1, 1, Functional.trace(1), entries))
+    assert sequence_from_json(bundle).L == 1
+    for key in ("m", "n", "L"):
+        with pytest.raises(ValueError):
+            sequence_from_json(dict(bundle, **{key: True}))
+
+
 def test_file_round_trip(tmp_path, rng):
     path = str(tmp_path / "op.json")
     x = bell_projector()

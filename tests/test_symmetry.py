@@ -19,7 +19,8 @@ from definetti import (
     tensor_power,
 )
 from definetti import symmetry
-from definetti.symmetry import copy_basis, copy_bases
+from definetti.boundary import GroupLike, block_compression
+from definetti.symmetry import _kron, chain_blocks, copy_basis, copy_bases
 
 from conftest import rand_hermitian, rand_psd, schur_polynomial
 
@@ -277,6 +278,29 @@ def test_cached_bases_are_read_only():
     for arr in cached:
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n, L", [(2, 8), (3, 5)])
+def test_chain_blocks_grow_the_irrep_blocks(rng, n, L):
+    # grow = x (x) t from [[1]] gives pi_lam(t) = W^T t^{(x)l} W for every
+    # partition of 1..L, in schur_weyl_table order; a seed stack of two
+    # grows both, each with its own factor
+    ts = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+    want = [lam for l in range(1, L + 1) for lam, _, _ in schur_weyl_table(n, l)]
+    walk = list(chain_blocks(n, L, np.ones((2, 1, 1)), lambda x: _kron(x, ts)))
+    assert [lam for lam, _ in walk] == want
+    for lam, blocks in walk:
+        assert blocks.shape == (2,) + (lam.weyl_dimension(n),) * 2
+        assert not blocks.flags.writeable
+        for t, block in zip(ts, blocks):
+            ref = block_compression(GroupLike(t), lam)
+            assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_chain_blocks_needs_a_positive_dimension():
+    assert list(chain_blocks(2, 0, np.eye(1), lambda x: x)) == []
+    with pytest.raises(ValueError):
+        list(chain_blocks(0, 3, np.eye(1), lambda x: x))
 
 
 def test_enumeration_bound_guard():

@@ -33,6 +33,7 @@ from .symmetry import (
     chain_blocks,
     copy_basis,
     isotypic_projector,
+    schur_weyl_block,
     schur_weyl_table,
 )
 
@@ -150,26 +151,24 @@ def exponential_test(g: GroupLike, L: int) -> ExponentialReport:
 
 
 def recover_block(seq: SymSequence, lam: Partition) -> LeggedOperator:
-    """Block lam of entry |lam| in Schur-Weyl coordinates,
-    (I_m (x) W)^T x_l (I_m (x) W) (x) I_hook, of side m * weyl * hook, W the
-    copy basis of lam (`copy_basis`); no projector is formed and nothing is
-    diagonalized.
+    """Block lam of entry |lam| in Schur-Weyl coordinates, B_lam (x) I_hook,
+    of side m * weyl * hook, where B_lam = (I_m (x) W)^T x_l (I_m (x) W) is
+    the block a sequence bundle stores for lam (`schur_weyl_block`, W the
+    copy basis of lam); no projector is formed and nothing is diagonalized.
 
     An entry of a SymSequence is S_l-invariant (`validate_k_prefix` checks
-    it), so its lam-isotypic block is hook copies of one compression; this
-    reads one copy and does not check the invariance.  For a group-like
-    sequence the block is exactly a (x) pi_lam(t) (x) I_hook, pi_lam(t) being
+    it), so its lam-isotypic block is hook copies of B_lam; this reads one
+    copy and does not check the invariance.  For a group-like sequence the
+    block is exactly a (x) pi_lam(t) (x) I_hook, pi_lam(t) being
     `block_compression(g, lam)`.  Raises ValueError when lam has more than n
     rows (the subspace is zero).
     """
     l = lam.size
     if l > seq.L:
         raise ValueError(f"partition size {l} exceeds prefix length {seq.L}")
-    basis = copy_basis(seq.n, lam)
-    full = np.kron(np.eye(seq.m), basis)
+    block = schur_weyl_block(seq.entries[l].entries, seq.m, seq.n, lam)
     hook = lam.hook_dimension()
-    comp = np.kron(full.T @ seq.entries[l].entries @ full, np.eye(hook))
-    return LeggedOperator(comp, (seq.m, basis.shape[1] * hook))
+    return LeggedOperator(np.kron(block, np.eye(hook)), (seq.m, lam.weyl_dimension(seq.n) * hook))
 
 
 @dataclass(frozen=True)

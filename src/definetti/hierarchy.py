@@ -43,7 +43,14 @@ from .linalg import (
     tensor,
     tensor_power,
 )
-from .symmetry import MAX_LEVEL, Symmetrizer, _kron, chain_blocks, copy_bases
+from .symmetry import (
+    MAX_LEVEL,
+    Symmetrizer,
+    _kron,
+    chain_blocks,
+    copy_bases,
+    from_schur_weyl_blocks,
+)
 
 #: dimensions where the PPT criterion is an exact separability test
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
@@ -339,13 +346,13 @@ class ExtensionProblem:
         return out
 
     def to_dense(self, x: np.ndarray) -> np.ndarray:
-        """The S_l-invariant b of a block stack: Sym(sum sqrt(hook) F X F^T),
-        F = I_m (x) W, since hook * Sym(F B F^T) is B (x) I_hook."""
-        total = np.zeros((self.sym.side, self.sym.side), dtype=complex)
+        """The S_l-invariant b of a block stack, whose blocks are
+        B = X / sqrt(hook) (`from_schur_weyl_blocks`)."""
+        blocks = []
         for k, (weight, w) in enumerate(self._copies):
-            f = np.kron(np.eye(self.m), w)
-            total += weight * (f @ x[k, : f.shape[1], : f.shape[1]] @ f.T)
-        return self.sym.apply_matrix(total)
+            side = self.m * w.shape[1]
+            blocks.append(x[k, :side, :side] / weight)
+        return from_schur_weyl_blocks(blocks, self.m, self.n, self.l)
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         """Metric projection of a block stack onto {Phi(b) = a}:

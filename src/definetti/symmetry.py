@@ -289,6 +289,34 @@ def copy_bases(n: int, l: int) -> list[tuple[Partition, np.ndarray]]:
     return [(lam, copy_basis(n, lam)) for lam in partitions_of(l, max_parts=n)]
 
 
+def schur_weyl_block(x: np.ndarray, m: int, n: int, lam: Partition) -> np.ndarray:
+    """B_lambda = F^T x F, F = I_m (x) W_lambda, of side m * weyl(lambda): the
+    block of an S_l-invariant x on legs [m, n, ..., n], whose
+    lambda-isotypic part is B_lambda (x) I_hook in Schur-Weyl coordinates.
+    Reads one copy and does not check the invariance.  Raises ValueError as
+    `copy_basis` does.
+    """
+    f = np.kron(np.eye(m), copy_basis(n, lam))
+    return f.T @ x @ f
+
+
+def from_schur_weyl_blocks(blocks: Sequence[np.ndarray], m: int, n: int, l: int) -> np.ndarray:
+    """The S_l-invariant x on legs [m, n, ..., n] with blocks B_lambda
+    (`schur_weyl_block`), one per partition in `copy_bases(n, l)` order:
+    x = Sym(sum hook(lambda) F B_lambda F^T), F = I_m (x) W_lambda, since
+    hook * Sym(F B F^T) is B (x) I_hook.  At l <= 1, W = I and x is the one
+    block.
+    """
+    bases = copy_bases(n, l)
+    if len(blocks) != len(bases):
+        raise ValueError(f"level {l} on n={n} has {len(bases)} blocks, got {len(blocks)}")
+    total = 0
+    for (lam, w), block in zip(bases, blocks):
+        f = np.kron(np.eye(m), w)
+        total = total + lam.hook_dimension() * (f @ block @ f.T)
+    return Symmetrizer((m,) + (n,) * l, range(1, l + 1)).apply_matrix(total)
+
+
 def chain_blocks(n: int, l: int, seed: np.ndarray, grow: Callable) -> Iterator:
     """(lam, C^T grow(x_mu) C) for each partition lam of 1, ..., l with at most
     n rows, level by level in `partitions_of` order: the one place where

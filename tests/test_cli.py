@@ -237,12 +237,60 @@ def test_boundary_rejects_solver_flags_with_a_grouplike(tmp_path, capsys):
         assert (config["tol"], config["max_iter"]) == want
 
 
-def test_boundary_bundle_rejects_a_malformed_bundle(tmp_path):
+def test_boundary_bundle_rejects_a_malformed_bundle(tmp_path, capsys):
+    # a top-level number and a non-list "entries" used to end in a TypeError
+    # traceback and exit 1
     seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(np.diag([0.9, 0.7])), 2)
-    for key, value in (("m", 2.5), ("L", 5)):
-        path = tmp_path / f"bundle-{key}.json"
-        dump_json(dict(sequence_to_json(seq), **{key: value}), str(path))
+    bundle = sequence_to_json(seq)
+    dense = [operator_to_json(x) for x in seq.entries]
+    for name, obj, message in (
+        ("m", dict(bundle, m=2.5), "'m' and 'n' must be positive integers"),
+        ("L", dict(bundle, L=5), "'L' is 5"),
+        ("number", 5, "JSON object"),
+        ("entries", dict(bundle, entries=5), "'entries' must be a list"),
+        ("dense", dict(bundle, entries=dense), "Schur-Weyl blocks"),
+    ):
+        path = tmp_path / f"bundle-{name}.json"
+        dump_json(obj, str(path))
         assert main(["boundary", "--bundle", str(path)]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+
+def test_boundary_bundle_reports_a_non_psd_block(tmp_path):
+    # the rebuilt entry carries the block, so validation names its level
+    seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(np.diag([0.9, 0.7])), 3)
+    bundle = sequence_to_json(seq)
+    block = bundle["entries"][2][1]
+    assert block["partition"] == [1, 1]
+    block["re"] = (-np.eye(2)).tolist()
+    path = tmp_path / "bundle.json"
+    dump_json(bundle, str(path))
+    out = tmp_path / "bd.json"
+    assert main(["boundary", "--bundle", str(path), "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["subharmonic"] is False
+    assert report["validation"]["condition"] == "psd" and report["validation"]["level"] == 2
+
+
+def test_non_finite_numbers_are_input_errors(tmp_path, capsys):
+    # a NaN in a bundle used to give "entry 2 is not PSD" with exit 0, and an
+    # Infinity in a state a RuntimeWarning before "requires a Hermitian operator"
+    seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(np.diag([0.9, 0.7])), 2)
+    bundle = sequence_to_json(seq)
+    bundle["entries"][2][0]["re"][0][0] = float("nan")
+    path = tmp_path / "bundle.json"
+    dump_json(bundle, str(path))
+    assert "NaN" in path.read_text()
+    assert main(["boundary", "--bundle", str(path)]) == EXIT_INPUT
+    assert "finite" in capsys.readouterr().err
+    for bad in (float("nan"), float("inf")):
+        state = operator_to_json(bell_projector())
+        state["re"][0][0] = bad
+        path = tmp_path / "state.json"
+        dump_json(state, str(path))
+        # pytest turns warnings into errors (pyproject.toml)
+        assert main(["extend-check", "--state", str(path), "--levels", "2"]) == EXIT_INPUT
+        assert "finite" in capsys.readouterr().err
 
 
 def test_boundary_needs_exactly_one_input(tmp_path):

@@ -1,9 +1,12 @@
 """Round-trip tests for the shared JSON formats."""
 
+import json
+
 import numpy as np
 import pytest
 
-from definetti import Functional, LeggedOperator, SymSequence, bell_projector
+from definetti import Functional, LeggedOperator, SymSequence, Symmetrizer, bell_projector
+from definetti.boundary import GroupLike, grouplike_sequence
 from definetti.serialize import (
     dump_json,
     functional_from_json,
@@ -15,8 +18,9 @@ from definetti.serialize import (
     sequence_from_json,
     sequence_to_json,
 )
+from definetti.symmetry import MAX_LEVEL, partitions_of
 
-from conftest import rand_psd
+from conftest import rand_hermitian, rand_psd
 
 
 def test_operator_round_trip(rng):
@@ -122,3 +126,116 @@ def test_file_round_trip(tmp_path, rng):
     dump_json(operator_to_json(x), path)
     back = operator_from_json(load_json(path))
     assert np.abs(back.entries - x.entries).max() < 1e-15
+
+
+def test_operator_from_json_rejects_non_finite_entries():
+    # Python's json reads NaN and Infinity; a NaN entry used to come out as a
+    # "not PSD" verdict, an infinite one as a RuntimeWarning
+    good = operator_to_json(bell_projector())
+    for key in ("re", "im"):
+        for bad in (float("nan"), float("inf"), -float("inf"), None):
+            rows = [list(r) for r in good[key]]
+            rows[1][2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                operator_from_json(dict(good, **{key: rows}))
+    with pytest.raises(ValueError):
+        operator_from_json(dict(good, re=[[{}] * 4] * 4))
+
+
+def _invariant_sequence(m, n, L, rng):
+    """Random Hermitian entries x_l on legs [m, n, ..., n], symmetrized over
+    the n-legs: invariant, and more general than a group-like sequence."""
+    entries = []
+    for l in range(L + 1):
+        legs = (m,) + (n,) * l
+        x = rand_hermitian(m * n**l, rng)
+        entries.append(LeggedOperator(Symmetrizer(legs, range(1, l + 1)).apply_matrix(x), legs))
+    return SymSequence(m, n, Functional.normalized_trace(n), entries)
+
+
+@pytest.mark.parametrize("m, n, L", [(2, 2, 6), (2, 3, 4), (3, 2, 3), (1, 1, 2)])
+def test_block_bundle_round_trip(rng, m, n, L):
+    random = _invariant_sequence(m, n, L, rng)
+    t = rand_psd(n, rng) + 1j * rand_hermitian(n, rng)
+    grouplike = grouplike_sequence(LeggedOperator(rand_psd(m, rng), (m,)), GroupLike(t), L)
+    for seq in (random, grouplike):
+        obj = sequence_to_json(seq)
+        assert [[b["partition"] for b in entry] for entry in obj["entries"]] == [
+            [list(lam.parts) for lam in partitions_of(l, max_parts=n)] for l in range(L + 1)
+        ]
+        back = sequence_from_json(json.loads(json.dumps(obj)))
+        assert (back.m, back.n, back.L) == (m, n, L)
+        for want, got in zip(seq.entries, back.entries):
+            assert got.legs == want.legs
+            assert np.abs(got.entries - want.entries).max() <= 1e-13 * np.abs(want.entries).max()
+
+
+def test_block_bundle_size():
+    # the dense (2, 2, 6) bundle held sum_l (2 * 2^l)^2 = 21 844 complex numbers
+    seq = _invariant_sequence(2, 2, 6, np.random.default_rng(0))
+    obj = sequence_to_json(seq)
+    assert sum(np.size(b["re"]) for entry in obj["entries"] for b in entry) == 840
+    assert [b["legs"] for b in obj["entries"][6]] == [[2, 7], [2, 5], [2, 3], [2, 1]]
+    assert obj["entries"][1][0]["re"] == seq.entries[1].entries.real.tolist()
+
+
+def test_writer_rejects_a_non_invariant_entry(rng):
+    entries = list(_invariant_sequence(2, 2, 3, rng).entries)
+    entries[2] = LeggedOperator(rand_psd(8, rng), (2, 2, 2))
+    with pytest.raises(ValueError, match="entry 2 is not S_2-invariant"):
+        sequence_to_json(SymSequence(2, 2, Functional.normalized_trace(2), entries))
+
+
+def test_reader_rejects_malformed_blocks(rng):
+    good = sequence_to_json(_invariant_sequence(2, 2, 3, rng))
+
+    def broken(edit):
+        obj = json.loads(json.dumps(good))
+        edit(obj["entries"][3])
+        return obj
+
+    def swap(entry):
+        entry[0], entry[1] = entry[1], entry[0]
+
+    def relabel(entry):
+        entry[0]["partition"] = [True, 2]
+
+    def resize(entry):
+        block = sequence_to_json(_invariant_sequence(2, 2, 2, rng))["entries"][2][0]
+        entry[0] = dict(block, partition=[3])
+
+    cases = [
+        (swap, r"partition \[3\]"),
+        (relabel, r"partition \[3\]"),
+        (lambda entry: entry.pop(), "has 1 blocks, expected 2"),
+        (resize, r"legs \[2, 3\], expected \[2, 4\]"),
+        (lambda entry: entry.append(entry[0]), "has 3 blocks"),
+    ]
+    for edit, message in cases:
+        with pytest.raises(ValueError, match=message):
+            sequence_from_json(broken(edit))
+
+
+def test_reader_rejects_a_prefix_beyond_the_level_bound():
+    entries = [LeggedOperator(np.eye(1), (1,) * (l + 1)) for l in range(MAX_LEVEL + 1)]
+    obj = sequence_to_json(SymSequence(1, 1, Functional.trace(1), entries))
+    assert sequence_from_json(obj).L == MAX_LEVEL
+    obj["entries"].append(obj["entries"][-1])
+    obj["L"] = MAX_LEVEL + 1
+    with pytest.raises(ValueError, match="level bound"):
+        sequence_from_json(obj)
+
+
+def test_reader_rejects_a_dense_bundle():
+    obj = _bundle()
+    obj["entries"] = [operator_to_json(LeggedOperator(np.eye(2), (2,)))] + obj["entries"][1:]
+    with pytest.raises(ValueError, match="entry 0 must be a list of Schur-Weyl blocks"):
+        sequence_from_json(obj)
+
+
+def test_reader_rejects_a_malformed_container():
+    # both used to raise TypeError
+    with pytest.raises(ValueError, match="JSON object"):
+        sequence_from_json(5)
+    with pytest.raises(ValueError, match="'entries' must be a list"):
+        sequence_from_json(dict(_bundle(), entries=5))

@@ -3,7 +3,8 @@
 Elements of the dual are represented only through their finite image
 prefixes on tensor powers of the fundamental representation, i.e. as
 SymSequence values.  The transition operator acts on those images by
-contracting the last tensor leg with the functional.
+contracting the last tensor leg with the functional, in Schur-Weyl blocks
+(`symmetry.transition_blocks`).
 """
 
 from __future__ import annotations
@@ -15,17 +16,16 @@ import numpy as np
 
 from . import hierarchy
 from .hierarchy import SeparabilityReport, SolverOptions, SymSequence, validate_k_prefix
+# contract_legs, isotypic_projector and schur_weyl_table are unused here;
+# they stay importable from this module, where benchmarks/spans.py patches them
 from .linalg import (
     HERMITIAN_RTOL,
     Functional,
     LeggedOperator,
     contract_legs,
     is_psd,
-    tensor,
     tensor_power,
 )
-# isotypic_projector and schur_weyl_table are unused here; they stay
-# importable from this module, where benchmarks/spans.py patches them
 from .symmetry import (
     MAX_LEVEL,
     Partition,
@@ -33,8 +33,9 @@ from .symmetry import (
     chain_blocks,
     copy_basis,
     isotypic_projector,
-    schur_weyl_block,
+    partitions_of,
     schur_weyl_table,
+    transition_blocks,
 )
 
 #: a group-like matrix t must satisfy |det t| > INVERTIBILITY_RTOL * ||t||^n
@@ -68,28 +69,37 @@ class GroupLike:
 def grouplike_sequence(
     a: LeggedOperator, g: GroupLike, L: int, rho: Optional[Functional] = None
 ) -> SymSequence:
-    """The sequence (a (x) t^{(x)l})_{l<=L}; each entry is S_l-invariant."""
+    """The sequence (a (x) t^{(x)l})_{l<=L}; each entry is S_l-invariant.
+
+    Its blocks a (x) pi_lam(t) grow along the copy chain (`chain_blocks`,
+    as in `exponential_test`); t^{(x)l} is never formed.
+    """
     if len(a.legs) != 1:
         raise ValueError(f"expected a single m-leg coefficient, got legs {a.legs}")
     if L > MAX_LEVEL:
         raise ValueError(f"L={L} exceeds the level bound {MAX_LEVEL}")
-    t_op = LeggedOperator(g.t, (g.n,))
-    entries = [tensor(a, tensor_power(t_op, l)) for l in range(L + 1)]
+    blocks = [[a.entries]] + [[] for _ in range(L)]
+    for lam, pi in chain_blocks(g.n, L, np.eye(1), lambda x: _kron(x, g.t)):
+        blocks[lam.size].append(np.kron(a.entries, pi))
     rho = rho if rho is not None else Functional.normalized_trace(g.n)
-    return SymSequence(a.legs[0], g.n, rho, entries)
+    return SymSequence.from_blocks(a.legs[0], g.n, rho, blocks)
 
 
 def p_map(seq: SymSequence, rho: Functional) -> SymSequence:
-    """Transition operator on image sequences: contract the last leg with rho.
+    """Transition operator on image sequences: contract the last leg with rho,
+    level by level in Schur-Weyl blocks (`transition_blocks`).
 
     Positivity-preserving; shortens the prefix by one level.
     """
     if seq.L < 1:
         raise ValueError("p_map needs a prefix of length at least 1")
-    entries = [
-        contract_legs(seq.entries[l + 1], rho, [l + 1]) for l in range(seq.L)
+    if rho.dim != seq.n:
+        raise ValueError(f"functional dimension {rho.dim} does not match n={seq.n}")
+    blocks = [
+        transition_blocks(seq.blocks(l + 1), seq.m, seq.n, l + 1, rho.density)
+        for l in range(seq.L)
     ]
-    return SymSequence(seq.m, seq.n, seq.rho, entries)
+    return SymSequence.from_blocks(seq.m, seq.n, seq.rho, blocks)
 
 
 def subharmonic_check(seq: SymSequence, rho: Functional) -> bool:
@@ -158,15 +168,17 @@ def recover_block(seq: SymSequence, lam: Partition) -> LeggedOperator:
 
     An entry of a SymSequence is S_l-invariant (`validate_k_prefix` checks
     it), so its lam-isotypic block is hook copies of B_lam; this reads one
-    copy and does not check the invariance.  For a group-like sequence the
-    block is exactly a (x) pi_lam(t) (x) I_hook, pi_lam(t) being
-    `block_compression(g, lam)`.  Raises ValueError when lam has more than n
-    rows (the subspace is zero).
+    copy, from `seq.blocks(l)`, and does not check the invariance.  For a
+    group-like sequence the block is exactly a (x) pi_lam(t) (x) I_hook,
+    pi_lam(t) being `block_compression(g, lam)`.  Raises ValueError when lam
+    has more than n rows (the subspace is zero).
     """
     l = lam.size
     if l > seq.L:
         raise ValueError(f"partition size {l} exceeds prefix length {seq.L}")
-    block = schur_weyl_block(seq.entries[l].entries, seq.m, seq.n, lam)
+    if len(lam) > seq.n:
+        raise ValueError(f"partition {lam.parts} has more than n={seq.n} rows")
+    block = seq.blocks(l)[list(partitions_of(l, max_parts=seq.n)).index(lam)]
     hook = lam.hook_dimension()
     return LeggedOperator(np.kron(block, np.eye(hook)), (seq.m, lam.weyl_dimension(seq.n) * hook))
 
@@ -202,7 +214,7 @@ def separable_image_check(
     """
     if not subharmonic_check(seq, rho):
         raise ValueError("sequence fails the subharmonic check")
-    return ImageCheckReport(True, hierarchy.separability_verdict(seq.entries[1], rho, max_l, opts))
+    return ImageCheckReport(True, hierarchy.separability_verdict(seq.entry(1), rho, max_l, opts))
 
 
 def determinant_twist(block: LeggedOperator, g: GroupLike, k: int) -> LeggedOperator:

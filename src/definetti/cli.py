@@ -175,8 +175,9 @@ def cmd_boundary(args) -> int:
     if args.verify_bridge:
         report["bridge_agrees"] = subharmonic == validation.ok
     if subharmonic and seq.L >= 1:
-        # `separable_image_check` without its second prefix validation
-        sep = hy.separability_verdict(seq.entries[1], rho, opts=opts)
+        # `separable_image_check` without its second prefix validation; the
+        # level-1 entry is its one m n block, so no dense entry is rebuilt
+        sep = hy.separability_verdict(seq.entry(1), rho, opts=opts)
         report["image_check"] = bd.ImageCheckReport(True, sep).to_json()
     _emit(report, args.out, f"boundary: subharmonic={subharmonic}")
     return EXIT_OK

@@ -23,6 +23,7 @@ comes, never how it is checked.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -34,6 +35,8 @@ from .linalg import (
     PSD_TOL,
     Functional,
     LeggedOperator,
+    _hermitian,
+    _psd,
     contract_legs,
     is_psd,
     loewner_leq,
@@ -50,6 +53,9 @@ from .symmetry import (
     chain_blocks,
     copy_bases,
     from_schur_weyl_blocks,
+    partitions_of,
+    schur_weyl_block,
+    transition_blocks,
 )
 
 #: dimensions where the PPT criterion is an exact separability test
@@ -83,45 +89,106 @@ def is_checkpoint(k: int) -> bool:
     return k & (k - 1) == 0 or k % CERTIFICATE_PERIOD == 0
 
 
-@dataclass(frozen=True)
 class SymSequence:
     """Finite prefix (x_0, ..., x_L) of a candidate sub-martingale sequence.
 
-    Entry l lives on legs [m, n, ..., n] with l copies of n.
+    Entry l lives on legs [m, n, ..., n] with l copies of n.  Every check
+    reads a level as its Schur-Weyl blocks, `blocks(l)`: B_lambda =
+    (I_m (x) W)^T x_l (I_m (x) W) per partition lambda of l with at most n
+    rows, in `partitions_of` order (`symmetry.schur_weyl_block`).  A sequence
+    is given either densely, `SymSequence(m, n, rho, entries)`, whose blocks
+    are compressed from the entries when first read, or by its blocks,
+    `SymSequence.from_blocks`, whose dense `entries` are rebuilt
+    (`symmetry.from_schur_weyl_blocks`) only when first read.  The blocks
+    of a dense entry hold only its S_l-invariant part; `validate_k_prefix`
+    checks that part is all of it.
     """
-
-    m: int
-    n: int
-    rho: Functional
-    entries: tuple[LeggedOperator, ...]
 
     def __init__(self, m: int, n: int, rho: Functional, entries):
         entries = tuple(entries)
-        if not entries:
-            raise ValueError("sequence needs at least the level-0 entry")
-        if rho.dim != n:
-            raise ValueError(f"functional dimension {rho.dim} does not match n={n}")
         for l, x in enumerate(entries):
             want = (m,) + (n,) * l
             if x.legs != want:
                 raise ValueError(f"entry {l} has legs {x.legs}, expected {want}")
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "entries", entries)
+        self._init(m, n, rho, len(entries))
+        self._entries[:] = entries
+        self.given_densely = True
+
+    def _init(self, m: int, n: int, rho: Functional, levels: int) -> None:
+        if not levels:
+            raise ValueError("sequence needs at least the level-0 entry")
+        if rho.dim != n:
+            raise ValueError(f"functional dimension {rho.dim} does not match n={n}")
+        self.m, self.n, self.rho = int(m), int(n), rho
+        # per-level caches, shared with `with_rho` copies: neither depends on rho
+        self._entries: list[Optional[LeggedOperator]] = [None] * levels
+        self._blocks: list[Optional[tuple[np.ndarray, ...]]] = [None] * levels
+
+    @classmethod
+    def from_blocks(cls, m: int, n: int, rho: Functional, blocks) -> "SymSequence":
+        """The sequence whose level l has the Schur-Weyl blocks blocks[l];
+        raises ValueError on a wrong count or side of blocks at some level."""
+        seq = cls.__new__(cls)
+        seq._init(m, n, rho, len(blocks))
+        for l, level in enumerate(blocks):
+            parts = list(partitions_of(l, max_parts=n))
+            level = tuple(np.array(b, dtype=complex) for b in level)
+            if len(level) != len(parts):
+                raise ValueError(f"level {l} on n={n} has {len(parts)} blocks, got {len(level)}")
+            for lam, b in zip(parts, level):
+                side = m * lam.weyl_dimension(n)
+                if b.shape != (side, side):
+                    raise ValueError(
+                        f"block {list(lam.parts)} of level {l} has shape {b.shape}, "
+                        f"expected {(side, side)}"
+                    )
+                b.setflags(write=False)
+            seq._blocks[l] = level
+        seq.given_densely = False
+        return seq
 
     @property
     def L(self) -> int:
-        return len(self.entries) - 1
+        return len(self._blocks) - 1
+
+    def blocks(self, l: int) -> tuple[np.ndarray, ...]:
+        """The Schur-Weyl blocks of level l, read-only; computed once from a
+        dense entry."""
+        if self._blocks[l] is None:
+            x = self._entries[l].entries
+            level = tuple(
+                schur_weyl_block(x, self.m, self.n, lam)
+                for lam in partitions_of(l, max_parts=self.n)
+            )
+            for b in level:
+                b.setflags(write=False)
+            self._blocks[l] = level
+        return self._blocks[l]
+
+    def entry(self, l: int) -> LeggedOperator:
+        """The dense entry x_l; rebuilt once from the blocks when not given."""
+        if self._entries[l] is None:
+            dense = from_schur_weyl_blocks(self._blocks[l], self.m, self.n, l)
+            self._entries[l] = LeggedOperator(dense, (self.m,) + (self.n,) * l)
+        return self._entries[l]
+
+    @property
+    def entries(self) -> tuple[LeggedOperator, ...]:
+        """The dense export (x_0, ..., x_L), of sides m n^l."""
+        return tuple(self.entry(l) for l in range(self.L + 1))
 
     def with_rho(self, rho: Functional) -> "SymSequence":
-        return SymSequence(self.m, self.n, rho, self.entries)
+        if rho.dim != self.n:
+            raise ValueError(f"functional dimension {rho.dim} does not match n={self.n}")
+        out = copy.copy(self)
+        out.rho = rho
+        return out
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
-    condition: Optional[str] = None  # "psd" | "symmetry" | "sub_martingale"
+    condition: Optional[str] = None  # "symmetry" | "psd" | "sub_martingale"
     level: Optional[int] = None
     detail: str = ""
 
@@ -132,22 +199,59 @@ def _is_invariant(sym: Symmetrizer, mat: np.ndarray, tol: float) -> bool:
     return dev <= tol * max(1.0, float(np.abs(mat).max()))
 
 
-def validate_k_prefix(seq: SymSequence) -> ValidationReport:
-    """Check PSD entries, S_l-invariance, and the sub-martingale condition.
-
-    Reports the first violated condition and the level where it fails.
-    """
-    for l, x in enumerate(seq.entries):
-        if not is_psd(x):
-            return ValidationReport(False, "psd", l, f"entry {l} is not PSD at tol {PSD_TOL}")
-    for l, x in enumerate(seq.entries[2:], start=2):
+def _asymmetric_level(seq: SymSequence) -> Optional[int]:
+    """The first level l >= 2 whose entry was given densely and is not
+    S_l-invariant (`_is_invariant` at PSD_TOL), else None.  A sequence
+    given by its blocks is invariant by construction and is not rebuilt."""
+    if not seq.given_densely:
+        return None
+    for l in range(2, seq.L + 1):
+        x = seq.entry(l)
         if not _is_invariant(Symmetrizer(x.legs, range(1, l + 1)), x.entries, PSD_TOL):
-            return ValidationReport(
-                False, "symmetry", l, f"entry {l} is not S_{l}-invariant at tol {PSD_TOL}"
-            )
+            return l
+    return None
+
+
+def _block_diag(blocks) -> np.ndarray:
+    side = sum(b.shape[0] for b in blocks)
+    out = np.zeros((side, side), dtype=complex)
+    k = 0
+    for b in blocks:
+        out[k : k + b.shape[0], k : k + b.shape[0]] = b
+        k += b.shape[0]
+    return out
+
+
+def validate_k_prefix(seq: SymSequence) -> ValidationReport:
+    """Check, in this order, S_l-invariance, PSD entries and the
+    sub-martingale condition x_l >= P(x_{l+1}), and report the first
+    violated condition with the level where it fails.
+
+    Invariance comes first, and only for entries at l >= 2 given densely
+    (`_asymmetric_level`): the other two checks read the Schur-Weyl blocks,
+    which hold only a dense entry's invariant part.  In Schur-Weyl
+    coordinates x_l is the direct sum of B_lambda (x) I_hook, so x_l is
+    Hermitian and PSD exactly when the block-diagonal matrix of its blocks
+    is; that matrix gets the Hermitian rule and the PSD rule
+    (`linalg._hermitian`, `linalg._psd`) with the dense side m n^l in the
+    tolerance.  The sub-martingale check applies the PSD rule in the same
+    way to the blocks of x_l - P(x_{l+1}), P in blocks
+    (`symmetry.transition_blocks`); no dense entry is formed.
+    """
+    m, n = seq.m, seq.n
+    l = _asymmetric_level(seq)
+    if l is not None:
+        return ValidationReport(
+            False, "symmetry", l, f"entry {l} is not S_{l}-invariant at tol {PSD_TOL}"
+        )
+    for l in range(seq.L + 1):
+        x = _block_diag(seq.blocks(l))
+        if not (_hermitian(x) and _psd(x, PSD_TOL, m * n**l)):
+            return ValidationReport(False, "psd", l, f"entry {l} is not PSD at tol {PSD_TOL}")
     for l in range(seq.L):
-        upper = contract_legs(seq.entries[l + 1], seq.rho, [l + 1])
-        if not loewner_leq(upper, seq.entries[l]):
+        upper = transition_blocks(seq.blocks(l + 1), m, n, l + 1, seq.rho.density)
+        gap = _block_diag([x - u for x, u in zip(seq.blocks(l), upper)])
+        if not _psd(gap, PSD_TOL, m * n**l):
             return ValidationReport(
                 False,
                 "sub_martingale",

@@ -30,10 +30,12 @@ def _hermitian(mat: np.ndarray) -> bool:
     return dev <= HERMITIAN_RTOL * max(np.abs(mat).max(), 1e-300)
 
 
-def _psd(mat: np.ndarray, tol: float) -> bool:
-    """Min eig of the Hermitian part >= -tol * side * max(1, |mat|max)."""
+def _psd(mat: np.ndarray, tol: float, side: int | None = None) -> bool:
+    """Min eig of the Hermitian part >= -tol * side * max(1, |mat|max); side
+    is mat's own unless given (the dense side of an operator in blocks)."""
     w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    return w[0] >= -tol * mat.shape[0] * max(1.0, float(np.abs(mat).max()))
+    side = mat.shape[0] if side is None else side
+    return w[0] >= -tol * side * max(1.0, float(np.abs(mat).max()))
 
 
 def _as_square_complex(entries) -> np.ndarray:

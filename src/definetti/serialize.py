@@ -7,32 +7,37 @@ of matrix objects `{"partition", "legs": [m, weyl], "re", "im"}`, one per
 partition lambda of l with at most n rows in `partitions_of(l, max_parts=n)`
 order, holding B_lambda = (I_m (x) W)^T x_l (I_m (x) W), W the copy basis of
 lambda (`symmetry.schur_weyl_block`).  At l <= 1 the one block is x_l
-itself.  The reader rebuilds each dense entry from its blocks
-(`symmetry.from_schur_weyl_blocks`).
+itself.  The reader keeps the blocks (`SymSequence.from_blocks`) and
+rebuilds no dense entry.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Union
 
 import numpy as np
 
-from .hierarchy import SymSequence, _is_invariant
+from .hierarchy import SymSequence, _asymmetric_level
 from .linalg import PSD_TOL, Functional, LeggedOperator
-from .symmetry import (
-    MAX_LEVEL,
-    Symmetrizer,
-    from_schur_weyl_blocks,
-    partitions_of,
-    schur_weyl_block,
-)
+from .symmetry import MAX_LEVEL, partitions_of
 
 
 def _is_int(x) -> bool:
     """A JSON integer; JSON's true and false are Python bools, which are ints."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _numbers(rows) -> np.ndarray:
+    """Rows of JSON numbers as a float array.  JSON strings and booleans,
+    which numpy would convert, raise ValueError; a null becomes NaN, which
+    the finiteness check rejects."""
+    kinds = set(map(type, itertools.chain.from_iterable(rows))) - {int, float, type(None)}
+    if kinds:
+        raise ValueError(f"got {', '.join(sorted(k.__name__ for k in kinds))}")
+    return np.array(rows, dtype=float)
 
 
 def operator_to_json(x: LeggedOperator) -> dict:
@@ -53,8 +58,7 @@ def operator_from_json(obj: dict) -> LeggedOperator:
     if not isinstance(legs, list) or not all(_is_int(d) and d > 0 for d in legs):
         raise ValueError("'legs' must be a list of positive integers")
     try:
-        re = np.array(obj["re"], dtype=float)
-        im = np.array(obj["im"], dtype=float)
+        re, im = _numbers(obj["re"]), _numbers(obj["im"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"'re' and 'im' must be nested lists of numbers: {exc}") from None
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
@@ -93,23 +97,23 @@ def resolve_functional(spec: Union[str, dict], n: int) -> Functional:
 
 
 def _blocks_to_json(seq: SymSequence, l: int) -> list[dict]:
-    x = seq.entries[l]
-    if l >= 2 and not _is_invariant(Symmetrizer(x.legs, range(1, l + 1)), x.entries, PSD_TOL):
-        raise ValueError(
-            f"entry {l} is not S_{l}-invariant at tol {PSD_TOL}; a bundle stores only its blocks"
-        )
     out = []
-    for lam in partitions_of(l, max_parts=seq.n):
-        block = schur_weyl_block(x.entries, seq.m, seq.n, lam)
+    for lam, block in zip(partitions_of(l, max_parts=seq.n), seq.blocks(l)):
         op = LeggedOperator(block, (seq.m, lam.weyl_dimension(seq.n)))
         out.append({"partition": list(lam.parts), **operator_to_json(op)})
     return out
 
 
 def sequence_to_json(seq: SymSequence) -> dict:
-    """The bundle of seq; raises ValueError when an entry at l >= 2 is not
-    S_l-invariant (`hierarchy._is_invariant` at PSD_TOL), as its blocks
-    would hold only its invariant part."""
+    """The bundle of seq, from `seq.blocks`; raises ValueError when an entry
+    given densely at l >= 2 is not S_l-invariant
+    (`hierarchy._asymmetric_level`), as its blocks would hold only its
+    invariant part."""
+    l = _asymmetric_level(seq)
+    if l is not None:
+        raise ValueError(
+            f"entry {l} is not S_{l}-invariant at tol {PSD_TOL}; a bundle stores only its blocks"
+        )
     return {
         "m": seq.m,
         "n": seq.n,
@@ -119,9 +123,8 @@ def sequence_to_json(seq: SymSequence) -> dict:
     }
 
 
-def _entry_from_json(obj, m: int, n: int, l: int) -> LeggedOperator:
-    """Entry l from its blocks; every block is checked before any copy basis
-    is built."""
+def _entry_from_json(obj, m: int, n: int, l: int) -> list[np.ndarray]:
+    """The blocks of entry l, each checked; no copy basis is built."""
     partitions = list(partitions_of(l, max_parts=n))
     labels = [list(lam.parts) for lam in partitions]
     if not isinstance(obj, list):
@@ -143,7 +146,7 @@ def _entry_from_json(obj, m: int, n: int, l: int) -> LeggedOperator:
                 f"block {label} of entry {l} has legs {list(op.legs)}, expected {list(want)}"
             )
         blocks.append(op.entries)
-    return LeggedOperator(from_schur_weyl_blocks(blocks, m, n, l), (m,) + (n,) * l)
+    return blocks
 
 
 def sequence_from_json(obj: dict) -> SymSequence:
@@ -163,7 +166,8 @@ def sequence_from_json(obj: dict) -> SymSequence:
         raise ValueError(f"'L' is {obj['L']!r} but the bundle has {len(raw)} entries")
     if len(raw) - 1 > MAX_LEVEL:
         raise ValueError(f"L={len(raw) - 1} exceeds the level bound {MAX_LEVEL}")
-    return SymSequence(m, n, rho, [_entry_from_json(e, m, n, l) for l, e in enumerate(raw)])
+    blocks = [_entry_from_json(e, m, n, l) for l, e in enumerate(raw)]
+    return SymSequence.from_blocks(m, n, rho, blocks)
 
 
 def load_json(path: str) -> dict:

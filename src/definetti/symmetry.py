@@ -14,9 +14,10 @@ from .linalg import LeggedOperator
 #: largest tensor power l.  Every Schur-Weyl object is built from one
 #: Jucys-Murphy recursion, the copy chain, whose bases have n^l rows and
 #: weyl(lambda) columns; the solver's witness and the isotypic projectors
-#: hook * Sym(W W^T) are dense n^l x n^l, while the solver's Gram rows and
-#: the exponential test's blocks grow along the chain and are weyl(lambda)
-#: wide.  The bound is about those sizes, not about enumerating S_l
+#: hook * Sym(W W^T) are dense n^l x n^l, while the solver's Gram rows, the
+#: exponential test's blocks and a sequence's blocks and their transition
+#: map (`transition_blocks`) are weyl(lambda) wide.  The bound is about
+#: those sizes, not about enumerating S_l
 MAX_LEVEL = 8
 
 
@@ -262,6 +263,62 @@ def _copy_chain(n: int, parts: tuple[int, ...]) -> _ChainStep:
     return step
 
 
+#: the group-algebra element g of `_alignment`: a seeded combination of the
+#: adjacent transpositions and the l-cycle, fixed so every run aligns alike
+_ALIGNMENT_SEED = 0
+
+
+def _alignment(n: int, nu: tuple[int, ...], lam: tuple[int, ...]) -> np.ndarray:
+    """A_{nu lam}, of side weyl(nu) n x weyl(lam), with
+    (W_nu (x) I_n)^T x (W_nu (x) I_n) = sum over lam = nu + box of
+    A_{nu lam} B_lam A_{nu lam}^T for an S_l-invariant x with blocks
+    B_lam = W_lam^T x W_lam.  Built once per process, in `_transition_plan`.
+
+    The vectors of range(W_nu (x) I_n) in the lam-isotypic subspace are
+    E = (W_nu (x) I_n) C, C from `_jm_eigenspace`: a copy of V_lam, though not
+    the copy W_lam when nu is not lam's parent on the chain.  A permutation of
+    the legs acts on the multiplicity space alone, so by Schur's lemma
+    M = E^T g W_lam is s R with R orthogonal, for every g in the group
+    algebra; then E^T x E = R B_lam R^T and A = C R.  g is generic so that
+    s != 0, and an R that is not orthogonal raises LinAlgError.
+    """
+    l = sum(lam)
+    step = _copy_chain(n, lam)
+    if step.parent == nu:
+        return step.branching  # E = W_lam, R = I
+    row = next(i for i in range(len(lam)) if i >= len(nu) or lam[i] != nu[i])
+    basis, coeffs = _jm_eigenspace(_copy_chain(n, nu).basis, n, l, lam[row] - 1 - row)
+    perms = [tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, l)) for j in range(l - 1)]
+    perms.append(tuple(range(1, l)) + (0,))
+    weights = np.random.default_rng(_ALIGNMENT_SEED).normal(size=len(perms))
+    g_w = sum(c * step.basis[_perm_index_map(n, l, p)] for c, p in zip(weights, perms))
+    m = basis.T @ g_w
+    r = m / np.sqrt(np.trace(m.T @ m) / m.shape[0])
+    if np.abs(r.T @ r - np.eye(r.shape[0])).max() > 1e-10:
+        raise np.linalg.LinAlgError(f"alignment of {lam} from {nu} on n={n} is not orthogonal")
+    return coeffs @ r
+
+
+@functools.lru_cache(maxsize=None)
+def _transition_plan(n: int, l: int) -> tuple:
+    """Per partition nu of l - 1 with at most n rows, in `partitions_of`
+    order: (weyl(nu), ((k, A_{nu lam}), ...)) over the children
+    lam = nu + box with at most n rows, k the position of lam among the
+    partitions of l.  Built once per process, its arrays read-only."""
+    parts = [lam.parts for lam in partitions_of(l, max_parts=n)]
+    plan = []
+    for nu in partitions_of(l - 1, max_parts=n):
+        children = []
+        for k, lam in enumerate(parts):
+            # |lam| = |nu| + 1, so lam = nu + box when it contains nu
+            if len(lam) >= len(nu) and all(a >= b for a, b in zip(lam, nu.parts)):
+                a = _alignment(n, nu.parts, lam)
+                a.setflags(write=False)
+                children.append((k, a))
+        plan.append((nu.weyl_dimension(n), tuple(children)))
+    return tuple(plan)
+
+
 def copy_basis(n: int, lam: Partition) -> np.ndarray:
     """Real isometry W_lambda with n^l rows and weyl(lambda) columns onto one
     copy V_lambda (x) |T> of the U(n) irrep of lambda, T the standard
@@ -310,11 +367,41 @@ def from_schur_weyl_blocks(blocks: Sequence[np.ndarray], m: int, n: int, l: int)
     bases = copy_bases(n, l)
     if len(blocks) != len(bases):
         raise ValueError(f"level {l} on n={n} has {len(bases)} blocks, got {len(blocks)}")
+    if l <= 1:
+        return np.array(blocks[0])
     total = 0
     for (lam, w), block in zip(bases, blocks):
         f = np.kron(np.eye(m), w)
         total = total + lam.hook_dimension() * (f @ block @ f.T)
     return Symmetrizer((m,) + (n,) * l, range(1, l + 1)).apply_matrix(total)
+
+
+def transition_blocks(
+    blocks: Sequence[np.ndarray], m: int, n: int, l: int, density: np.ndarray
+) -> list[np.ndarray]:
+    """The blocks of P x at level l - 1 from the blocks B_lam of an
+    S_l-invariant x at level l (both as in `schur_weyl_block`, in
+    `copy_bases` order), P contracting the last leg with rho(y) = trace(D y):
+    block_nu(P x) = tr_last[(sum over lam = nu + box of F B_lam F^T)(I (x) D)],
+    F = I_m (x) A_{nu lam} (`_alignment`).  The A come from the cached
+    `_transition_plan`; past that, no n^l rows are read.
+    """
+    if not 1 <= l <= MAX_LEVEL:
+        raise ValueError(f"transition_blocks needs 1 <= l <= {MAX_LEVEL}, got l={l}")
+    plan = _transition_plan(n, l)
+    count = sum(1 for _ in partitions_of(l, max_parts=n))
+    if len(blocks) != count:
+        raise ValueError(f"level {l} on n={n} has {count} blocks, got {len(blocks)}")
+    out = []
+    for w, children in plan:
+        acc = 0  # F B F^T over the children lam, as (m, m, weyl(nu) n, weyl(nu) n)
+        for k, a in children:
+            d = a.shape[1]
+            acc = acc + a @ blocks[k].reshape(m, d, m, d).transpose(0, 2, 1, 3) @ a.T
+        # tr_last[Y (I (x) D)]: row index r of the last leg pairs with D[c, r]
+        y = np.einsum("ijprqc,cr->ipjq", acc.reshape(m, m, w, n, w, n), density)
+        out.append(y.reshape(m * w, m * w))
+    return out
 
 
 def chain_blocks(n: int, l: int, seed: np.ndarray, grow: Callable) -> Iterator:

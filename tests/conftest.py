@@ -9,9 +9,11 @@ from definetti.hierarchy import (
     ANDERSON_REGULARIZATION,
     ANDERSON_SAFEGUARD,
     CERTIFICATE_RTOL,
+    ValidationReport,
+    _is_invariant,
     is_checkpoint,
 )
-from definetti.linalg import psd_part
+from definetti.linalg import PSD_TOL, contract_legs, is_psd, loewner_leq, psd_part
 from definetti.symmetry import copy_bases
 
 
@@ -86,6 +88,30 @@ def dense_gram_rows(n, l, density):
         blocks = [np.sqrt(lam.hook_dimension()) * (w.T @ k @ w) for lam, w in copy_bases(n, l)]
         rows.append(np.hstack([block.conj().reshape(-1) for block in blocks]))
     return np.array(rows)
+
+
+def dense_validate_k_prefix(seq):
+    """The dense reference for `validate_k_prefix`: PSD entries, then
+    S_l-invariance, then x_l >= P(x_{l+1}), each on the dense entries of
+    side m n^l, P by `contract_legs`."""
+    for l, x in enumerate(seq.entries):
+        if not is_psd(x):
+            return ValidationReport(False, "psd", l, f"entry {l} is not PSD at tol {PSD_TOL}")
+    for l, x in enumerate(seq.entries[2:], start=2):
+        if not _is_invariant(Symmetrizer(x.legs, range(1, l + 1)), x.entries, PSD_TOL):
+            return ValidationReport(
+                False, "symmetry", l, f"entry {l} is not S_{l}-invariant at tol {PSD_TOL}"
+            )
+    for l in range(seq.L):
+        upper = contract_legs(seq.entries[l + 1], seq.rho, [l + 1])
+        if not loewner_leq(upper, seq.entries[l]):
+            return ValidationReport(
+                False,
+                "sub_martingale",
+                l,
+                f"contraction of entry {l + 1} is not dominated by entry {l}",
+            )
+    return ValidationReport(True)
 
 
 class DenseDR:

@@ -41,7 +41,7 @@ from definetti import (
 from definetti.hierarchy import ExtensionProblem
 from definetti.symmetry import partitions_of
 
-from conftest import phi_star, rand_psd, random_separable
+from conftest import dense_validate_k_prefix, phi_star, rand_psd, random_separable
 
 RHO = Functional.normalized_trace(2)
 WERNER_GRID = np.linspace(0.0, 1.0, 21)
@@ -258,6 +258,16 @@ def test_criterion_05_bridge_identity(subharmonic_suite):
         ok,
         f"bridge agreement {agree}/100, transition images PSD {psd_ok}/100",
     )
+
+
+def test_blockwise_validation_agrees_with_the_dense_reference(subharmonic_suite):
+    # the bridge suite, given densely and by its blocks, and its transition
+    # images under P (given by blocks)
+    for seq in subharmonic_suite:
+        blocks = SymSequence.from_blocks(2, 2, RHO, [seq.blocks(l) for l in range(seq.L + 1)])
+        for s in (seq, blocks, p_map(seq, RHO)):
+            want, got = dense_validate_k_prefix(s), validate_k_prefix(s)
+            assert (got.ok, got.condition, got.level) == (want.ok, want.condition, want.level)
 
 
 def test_criterion_06_exponential_classification():

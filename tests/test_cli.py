@@ -6,7 +6,7 @@ import numpy as np
 from definetti import Functional, LeggedOperator, bell_projector
 from definetti.cli import EXIT_INPUT, EXIT_OK, _parse_grid, main
 from definetti.serialize import dump_json, operator_from_json, operator_to_json, sequence_to_json
-from definetti import boundary, hierarchy
+from definetti import boundary, hierarchy, serialize, symmetry
 from definetti.boundary import GroupLike, grouplike_sequence, separable_image_check
 
 from conftest import rand_psd, random_separable
@@ -201,6 +201,71 @@ def test_boundary_bundle_validates_the_prefix_once(tmp_path, rng, monkeypatch):
     assert report["subharmonic"] is True and report["bridge_agrees"] is True
     assert report["validation"] == {"ok": True, "condition": None, "level": None, "detail": ""}
     assert report["image_check"] == json.loads(json.dumps(want))
+
+
+def test_boundary_bundle_checks_the_blocks_without_dense_entries(tmp_path, rng, monkeypatch):
+    # outside the image check, which solves on the level-1 entry, reading and
+    # validating a bundle rebuilds no entry at l >= 2 and symmetrizes nothing
+    seq = grouplike_sequence(LeggedOperator(rand_psd(2, rng), (2,)), GroupLike(np.diag([0.9, 0.7])), 5)
+    path = tmp_path / "bundle.json"
+    dump_json(sequence_to_json(seq), str(path))
+    seen, in_image_check = [], []
+
+    def record(what, l):
+        if l >= 2 and not in_image_check:
+            seen.append((what, l))
+
+    for module in (symmetry, hierarchy, serialize):
+        inner = getattr(module, "from_schur_weyl_blocks", None)
+        if inner is not None:
+            def rebuild(blocks, m, n, l, inner=inner):
+                record("from_schur_weyl_blocks", l)
+                return inner(blocks, m, n, l)
+
+            monkeypatch.setattr(module, "from_schur_weyl_blocks", rebuild)
+    apply_matrix = symmetry.Symmetrizer.apply_matrix
+
+    def symmetrize(self, entries):
+        record("Symmetrizer.apply_matrix", len(self.indices))
+        return apply_matrix(self, entries)
+
+    monkeypatch.setattr(symmetry.Symmetrizer, "apply_matrix", symmetrize)
+    verdict = hierarchy.separability_verdict
+
+    def image_check(a, *args, **kwargs):
+        in_image_check.append(a)
+        try:
+            return verdict(a, *args, **kwargs)
+        finally:
+            in_image_check.pop()
+
+    monkeypatch.setattr(hierarchy, "separability_verdict", image_check)
+    out = tmp_path / "bd.json"
+    assert main(["boundary", "--bundle", str(path), "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["subharmonic"] is True and report["image_check"]["consistent"] is True
+    assert seen == []
+
+
+def test_an_operator_file_must_hold_json_numbers(tmp_path, capsys):
+    # numpy read a JSON true as 1 and "0.5" as 0.5, so this state was Bell's
+    state = operator_to_json(bell_projector())
+    state["re"][0][0], state["re"][3][3] = True, "0.5"
+    path = tmp_path / "state.json"
+    dump_json(state, str(path))
+    assert main(["extend-check", "--state", str(path), "--levels", "2"]) == EXIT_INPUT
+    assert "nested lists of numbers: got bool, str" in capsys.readouterr().err
+
+
+def test_a_bundle_block_must_hold_json_numbers(tmp_path, capsys):
+    seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(np.diag([0.9, 0.7])), 2)
+    for bad in (False, "0.5"):
+        bundle = sequence_to_json(seq)
+        bundle["entries"][2][1]["im"][0][0] = bad
+        path = tmp_path / "bundle.json"
+        dump_json(bundle, str(path))
+        assert main(["boundary", "--bundle", str(path)]) == EXIT_INPUT
+        assert "nested lists of numbers" in capsys.readouterr().err
 
 
 def test_boundary_rejects_levels_with_a_bundle(tmp_path, capsys):

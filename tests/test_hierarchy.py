@@ -31,7 +31,15 @@ from definetti.hierarchy import CERTIFICATE_PERIOD, ExtensionProblem, is_checkpo
 from definetti.linalg import psd_part
 from definetti.symmetry import MAX_LEVEL, copy_bases
 
-from conftest import DenseDR, dense_gram_rows, phi_star, rand_psd, random_separable, to_blocks
+from conftest import (
+    DenseDR,
+    dense_gram_rows,
+    dense_validate_k_prefix,
+    phi_star,
+    rand_psd,
+    random_separable,
+    to_blocks,
+)
 
 RHO = Functional.normalized_trace(2)
 
@@ -94,6 +102,110 @@ def test_validate_reports_first_violation_only():
     x1 = LeggedOperator(np.eye(4) * 100, (2, 2))
     report = validate_k_prefix(SymSequence(2, 2, RHO, [x0, x1]))
     assert report.condition == "psd" and report.level == 0
+
+
+def _verdict(report):
+    return report.ok, report.condition, report.level
+
+
+def _as_blocks(seq):
+    """The same sequence given by its Schur-Weyl blocks."""
+    return SymSequence.from_blocks(seq.m, seq.n, seq.rho, [seq.blocks(l) for l in range(seq.L + 1)])
+
+
+def _mixture(m, n, L, rho, rng, terms=3):
+    """sum_i w_i a_i (x) t_i^{(x)l} with rho(t_i) in [0.6, 0.95]: PSD and
+    strictly subharmonic, so each gap x_l - P(x_{l+1}) is positive definite."""
+    entries = [0] * (L + 1)
+    for w in rng.dirichlet(np.ones(terms)):
+        t = rand_psd(n, rng, floor=0.1)
+        t *= rng.uniform(0.6, 0.95) / rho.value(t).real
+        a = LeggedOperator(rand_psd(m, rng, floor=0.1), (m,))
+        power = LeggedOperator(np.eye(1), ())
+        for l in range(L + 1):
+            entries[l] = entries[l] + w * tensor(a, power).entries
+            power = tensor(power, LeggedOperator(t, (n,)))
+    return [LeggedOperator(x, (m,) + (n,) * l) for l, x in enumerate(entries)]
+
+
+def test_validate_agrees_with_the_dense_reference_on_product_chains(rng):
+    for rho in (RHO, Functional.random_faithful(2, rng)):
+        for _ in range(5):
+            seq, _ = product_chain(rand_psd(2, rng), rand_psd(2, rng), rho, 4)
+            want = _verdict(dense_validate_k_prefix(seq))
+            assert want == (True, None, None)
+            assert _verdict(validate_k_prefix(seq)) == want
+            assert _verdict(validate_k_prefix(_as_blocks(seq))) == want
+
+
+@pytest.mark.parametrize("m, n, L", [(2, 2, 4), (2, 3, 3), (1, 3, 3)])
+def test_validate_agrees_with_the_dense_reference_across_the_boundaries(rng, m, n, L):
+    # shift one entry by a multiple of I (invariant) so that the least
+    # eigenvalue of x_l, or of the gap x_l - P(x_{l+1}), lands at -+1e-6
+    # times its scale: just outside the PSD rule's band on either side; and
+    # make one entry slightly non-Hermitian
+    rho = Functional.random_faithful(n, rng)
+    entries = _mixture(m, n, L, rho, rng)
+    cases = []
+    for l in range(L + 1):
+        x = entries[l].entries
+        gaps = [("psd", np.linalg.eigvalsh(x)[0])]
+        if l < L:
+            gap = x - contract_legs(entries[l + 1], rho, [l + 1]).entries
+            gaps.append(("sub_martingale", np.linalg.eigvalsh(gap)[0]))
+        for condition, least in gaps:
+            delta = 1e-6 * np.abs(x).max()
+            for sign in (1, -1):
+                shifted = list(entries)
+                shifted[l] = LeggedOperator(x - (least + sign * delta) * np.eye(len(x)), entries[l].legs)
+                cases.append((condition, l, sign, SymSequence(m, n, rho, shifted)))
+        # invariant but not Hermitian: only the Hermitian rule rejects it
+        skewed = list(entries)
+        skewed[l] = LeggedOperator(x + 1e-6j * np.abs(x).max() * np.eye(len(x)), entries[l].legs)
+        cases.append(("psd", l, 1, SymSequence(m, n, rho, skewed)))
+    for condition, l, sign, seq in cases:
+        want = _verdict(dense_validate_k_prefix(seq))
+        if sign == 1:  # just across the rule: least eigenvalue -delta, or skewed
+            assert want == (False, condition, l)
+        assert _verdict(validate_k_prefix(seq)) == want
+        assert _verdict(validate_k_prefix(_as_blocks(seq))) == want
+
+
+def test_validate_checks_the_symmetry_of_dense_entries_first(rng):
+    # the blocks of a dense entry hold only its invariant part, so invariance
+    # is checked before them: an entry that is neither S_2-invariant nor PSD
+    # fails on symmetry, where the dense reference (PSD first) says psd
+    entries = _mixture(2, 2, 3, RHO, rng)
+    bump = np.zeros((8, 8))
+    bump[1, 1] = -2 * np.abs(entries[2].entries).max()
+    entries[2] = LeggedOperator(entries[2].entries + bump, (2, 2, 2))
+    seq = SymSequence(2, 2, RHO, entries)
+    assert _verdict(dense_validate_k_prefix(seq)) == (False, "psd", 2)
+    assert _verdict(validate_k_prefix(seq)) == (False, "symmetry", 2)
+
+
+def test_a_sequence_given_by_blocks_rebuilds_entries_only_when_read(rng, monkeypatch):
+    dense = SymSequence(2, 2, RHO, _mixture(2, 2, 4, RHO, rng))
+    rebuilt = []
+    inner = hierarchy.from_schur_weyl_blocks
+
+    def counted(blocks, m, n, l):
+        rebuilt.append(l)
+        return inner(blocks, m, n, l)
+
+    monkeypatch.setattr(hierarchy, "from_schur_weyl_blocks", counted)
+    seq = _as_blocks(dense)
+    assert validate_k_prefix(seq).ok and seq.with_rho(RHO).L == 4
+    assert seq.blocks(3) is seq.blocks(3) and not seq.blocks(3)[0].flags.writeable
+    assert rebuilt == []
+    assert seq.entry(1).legs == (2, 2) and rebuilt == [1]
+    for want, got in zip(dense.entries, seq.entries):
+        assert np.abs(got.entries - want.entries).max() <= 1e-13 * np.abs(want.entries).max()
+    assert sorted(rebuilt) == [0, 1, 2, 3, 4]
+    with pytest.raises(ValueError, match="has 2 blocks, got 1"):
+        SymSequence.from_blocks(2, 2, RHO, [[np.eye(2)], [np.eye(4)], [np.eye(6)]])
+    with pytest.raises(ValueError, match=r"expected \(6, 6\)"):
+        SymSequence.from_blocks(2, 2, RHO, [[np.eye(2)], [np.eye(4)], [np.eye(4), np.eye(2)]])
 
 
 # -- the feasibility solver --------------------------------------------------

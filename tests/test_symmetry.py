@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from definetti import (
+    Functional,
     LeggedOperator,
     LegPermutation,
     Partition,
     Symmetrizer,
+    contract_legs,
     isotypic_projector,
     partitions_of,
     permute_legs,
@@ -20,7 +22,15 @@ from definetti import (
 )
 from definetti import symmetry
 from definetti.boundary import GroupLike, block_compression
-from definetti.symmetry import _kron, chain_blocks, copy_basis, copy_bases
+from definetti.symmetry import (
+    _kron,
+    chain_blocks,
+    copy_basis,
+    copy_bases,
+    from_schur_weyl_blocks,
+    schur_weyl_block,
+    transition_blocks,
+)
 
 from conftest import rand_hermitian, rand_psd, schur_polynomial
 
@@ -301,6 +311,36 @@ def test_chain_blocks_needs_a_positive_dimension():
     assert list(chain_blocks(2, 0, np.eye(1), lambda x: x)) == []
     with pytest.raises(ValueError):
         list(chain_blocks(0, 3, np.eye(1), lambda x: x))
+
+
+@pytest.mark.parametrize(
+    "m, n, l", [(2, 2, 3), (2, 2, 6), (2, 3, 4), (3, 3, 4), (2, 2, 8), (1, 4, 4), (2, 3, 6)]
+)
+def test_transition_blocks_match_the_dense_contraction(rng, m, n, l):
+    # P x by contract_legs on the dense x of side m n^l, then compressed,
+    # against P on the blocks, under a complex faithful rho (D^T != D)
+    rho = Functional.random_faithful(n, rng)
+    blocks = []
+    for lam in partitions_of(l, max_parts=n):
+        side = m * lam.weyl_dimension(n)
+        blocks.append(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+    legs = (m,) + (n,) * l
+    x = LeggedOperator(from_schur_weyl_blocks(blocks, m, n, l), legs)
+    px = contract_legs(x, rho, [l]).entries
+    want = [schur_weyl_block(px, m, n, nu) for nu in partitions_of(l - 1, max_parts=n)]
+    got = transition_blocks(blocks, m, n, l, rho.density)
+    scale = max(np.abs(b).max() for b in want)
+    assert [b.shape for b in got] == [b.shape for b in want]
+    assert max(np.abs(g - w).max() for g, w in zip(got, want)) <= 1e-13 * scale
+
+
+def test_transition_blocks_rejects_a_bad_level():
+    blocks = [np.eye(2 * lam.weyl_dimension(2)) for lam in partitions_of(3, max_parts=2)]
+    density = np.eye(2) / 2
+    with pytest.raises(ValueError, match="has 2 blocks, got 1"):
+        transition_blocks(blocks[:1], 2, 2, 3, density)
+    with pytest.raises(ValueError, match="1 <= l"):
+        transition_blocks([np.eye(2)], 2, 2, 0, density)
 
 
 def test_enumeration_bound_guard():

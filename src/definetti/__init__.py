@@ -12,12 +12,10 @@ from .linalg import (
     tensor_power,
 )
 from .symmetry import (
-    LegPermutation,
     Partition,
     Symmetrizer,
     isotypic_projector,
     partitions_of,
-    permute_legs,
     schur_weyl_table,
 )
 from .hierarchy import (

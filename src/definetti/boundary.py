@@ -55,6 +55,8 @@ class GroupLike:
         n = mat.shape[0]
         if n < 1:
             raise ValueError("group-like matrix must be at least 1 x 1")
+        if not np.isfinite(mat).all():
+            raise ValueError("group-like matrix entries must be finite; NaN and Inf are rejected")
         norm = float(np.linalg.norm(mat, 2))
         if abs(np.linalg.det(mat)) <= INVERTIBILITY_RTOL * norm**n:
             raise ValueError("group-like matrix must be invertible")

@@ -10,10 +10,11 @@ and the hierarchy would detect nothing).
 
 Both answers are checked.  `feasible` ships a witness b, PSD and
 S_l-invariant by construction, with |Phi(b) - a|max <= tol |a|max, and
-validated against a on the full legs.  `infeasible_at_tolerance` ships a
-separating functional (the dual of Doherty, Parrilo and Spedalieri): a
-Hermitian Y on m (x) n with Sym(Y (x) D^{(x)(l-1)}) PSD and trace(Y a) < 0,
-so that every feasible b would give
+validated against a in Schur-Weyl blocks by the rules that check a
+sequence (`ExtensionProblem.validate_witness`).  `infeasible_at_tolerance`
+ships a separating functional (the dual of Doherty, Parrilo and
+Spedalieri): a Hermitian Y on m (x) n with Sym(Y (x) D^{(x)(l-1)}) PSD and
+trace(Y a) < 0, so that every feasible b would give
 0 <= <Sym(Y (x) D^{(x)(l-1)}), b> = trace(Y Phi(b)) = trace(Y a).
 A run that ends with neither is `max_iterations`.  The search is
 Douglas-Rachford splitting with safeguarded Anderson acceleration
@@ -193,10 +194,10 @@ class ValidationReport:
     detail: str = ""
 
 
-def _is_invariant(sym: Symmetrizer, mat: np.ndarray, tol: float) -> bool:
-    """S_l-invariance: |Sym mat - mat|max <= tol * max(1, |mat|max)."""
-    dev = np.abs(sym.apply_matrix(mat) - mat).max()
-    return dev <= tol * max(1.0, float(np.abs(mat).max()))
+def _is_invariant(x: LeggedOperator, tol: float) -> bool:
+    """S_l-invariance on legs [m, n, ..., n]: |Sym x - x|max <= tol * max(1, |x|max)."""
+    sym = Symmetrizer(x.legs, range(1, x.nlegs)).apply_matrix(x.entries)
+    return np.abs(sym - x.entries).max() <= tol * max(1.0, x.norm_max())
 
 
 def _asymmetric_level(seq: SymSequence) -> Optional[int]:
@@ -206,20 +207,21 @@ def _asymmetric_level(seq: SymSequence) -> Optional[int]:
     if not seq.given_densely:
         return None
     for l in range(2, seq.L + 1):
-        x = seq.entry(l)
-        if not _is_invariant(Symmetrizer(x.legs, range(1, l + 1)), x.entries, PSD_TOL):
+        if not _is_invariant(seq.entry(l), PSD_TOL):
             return l
     return None
 
 
-def _block_diag(blocks) -> np.ndarray:
-    side = sum(b.shape[0] for b in blocks)
-    out = np.zeros((side, side), dtype=complex)
-    k = 0
-    for b in blocks:
-        out[k : k + b.shape[0], k : k + b.shape[0]] = b
-        k += b.shape[0]
-    return out
+def _psd_blocks(blocks, tol: float, side: int, hermitian: bool = True) -> bool:
+    """The Hermitian rule (unless `hermitian` is False) and the PSD rule
+    (`linalg._hermitian`, `linalg._psd`) for the direct sum of `blocks`, of
+    dense side `side`, run once on their zero-padded stack: its spectrum is
+    the blocks' and the padding's zeros, and its largest entry theirs."""
+    s = max(b.shape[0] for b in blocks)
+    stack = np.zeros((len(blocks), s, s), dtype=complex)
+    for k, b in enumerate(blocks):
+        stack[k, : b.shape[0], : b.shape[0]] = b
+    return (not hermitian or _hermitian(stack)) and _psd(stack, tol, side)
 
 
 def validate_k_prefix(seq: SymSequence) -> ValidationReport:
@@ -231,10 +233,10 @@ def validate_k_prefix(seq: SymSequence) -> ValidationReport:
     (`_asymmetric_level`): the other two checks read the Schur-Weyl blocks,
     which hold only a dense entry's invariant part.  In Schur-Weyl
     coordinates x_l is the direct sum of B_lambda (x) I_hook, so x_l is
-    Hermitian and PSD exactly when the block-diagonal matrix of its blocks
-    is; that matrix gets the Hermitian rule and the PSD rule
-    (`linalg._hermitian`, `linalg._psd`) with the dense side m n^l in the
-    tolerance.  The sub-martingale check applies the PSD rule in the same
+    Hermitian and PSD exactly when the direct sum of its blocks is; that
+    sum gets the Hermitian rule and the PSD rule with the dense side m n^l
+    in the tolerance (`_psd_blocks`, which also checks the solver's
+    witnesses).  The sub-martingale check applies the PSD rule in the same
     way to the blocks of x_l - P(x_{l+1}), P in blocks
     (`symmetry.transition_blocks`); no dense entry is formed.
     """
@@ -245,13 +247,12 @@ def validate_k_prefix(seq: SymSequence) -> ValidationReport:
             False, "symmetry", l, f"entry {l} is not S_{l}-invariant at tol {PSD_TOL}"
         )
     for l in range(seq.L + 1):
-        x = _block_diag(seq.blocks(l))
-        if not (_hermitian(x) and _psd(x, PSD_TOL, m * n**l)):
+        if not _psd_blocks(seq.blocks(l), PSD_TOL, m * n**l):
             return ValidationReport(False, "psd", l, f"entry {l} is not PSD at tol {PSD_TOL}")
     for l in range(seq.L):
         upper = transition_blocks(seq.blocks(l + 1), m, n, l + 1, seq.rho.density)
-        gap = _block_diag([x - u for x, u in zip(seq.blocks(l), upper)])
-        if not _psd(gap, PSD_TOL, m * n**l):
+        gap = [x - u for x, u in zip(seq.blocks(l), upper)]
+        if not _psd_blocks(gap, PSD_TOL, m * n**l, hermitian=False):
             return ValidationReport(
                 False,
                 "sub_martingale",
@@ -328,7 +329,7 @@ GEOMETRY_CACHE_SIZE = 8
 
 class _Geometry:
     """Everything the level-l solver precomputes that does not depend on a:
-    the symmetrizer, the copy bases, the Gram rows `_kh` of K, G^{-1} and
+    the copy bases, the Gram rows `_kh` of K, G^{-1} and
     the right factor `_q` of the affine projector.  Its arrays are
     read-only, because every problem at the same (m, n, l, rho) shares them
     (`_geometry`).
@@ -351,7 +352,6 @@ class _Geometry:
 
     def __init__(self, m: int, n: int, l: int, density: np.ndarray):
         self.big_legs = (m,) + (n,) * l
-        self.sym = Symmetrizer(self.big_legs, range(1, l + 1))
         bases = copy_bases(n, l)
         def grow(x):  # S_k(e) = S_{k-1}(e) (x) D + D^{(x)(k-1)} (x) e
             y = _kron(x, density)
@@ -404,8 +404,8 @@ class ExtensionProblem:
     of shape `shape` = (k, s, s), with X_lambda in the top-left corner of
     slice lambda and s = m * max weyl.
 
-    `geometry` and the attributes copied from it (`big_legs`, `sym`,
-    `_copies`, `shape`, `_kh`, `_gi`, `_idx`, `_weights`, `_q`)
+    `geometry` and the attributes copied from it (`big_legs`, `_copies`,
+    `shape`, `_kh`, `_gi`, `_idx`, `_weights`, `_q`)
     are built once per (m, n, l, rho density) and process (`_geometry`) and
     shared by every problem there; their arrays are read-only.  Only `a`,
     `_a_blocks` and `_z0` (and the scalar `_k_floor`) are built here.
@@ -425,19 +425,11 @@ class ExtensionProblem:
         self.rho = rho
         self.l = l
         self.m, self.n = m, n
-        self._trailing = list(range(2, l + 1))
         self._k_floor = rho.least_eig ** (l - 1)  # K(I) >= _k_floor * I
         self.geometry = _geometry(m, n, l, rho.density.tobytes())
         vars(self).update(vars(self.geometry))
         self._a_blocks = a.entries.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
         self._z0 = self._k(self._a_blocks @ self._gi.T)
-
-    # Phi contracts the trailing l-1 legs with rho.
-    def phi(self, b_mat: np.ndarray) -> np.ndarray:
-        if not self._trailing:
-            return b_mat
-        x = LeggedOperator(b_mat, self.big_legs)
-        return contract_legs(x, self.rho, self._trailing).entries
 
     def _phi(self, x: np.ndarray) -> np.ndarray:
         """Phi of a block stack, in m-blocks."""
@@ -449,14 +441,17 @@ class ExtensionProblem:
         out.reshape(-1)[self._idx] = y @ self._kh.conj()
         return out
 
-    def to_dense(self, x: np.ndarray) -> np.ndarray:
-        """The S_l-invariant b of a block stack, whose blocks are
-        B = X / sqrt(hook) (`from_schur_weyl_blocks`)."""
+    def _blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """The blocks B = X / sqrt(hook) of a block stack (`schur_weyl_block`)."""
         blocks = []
         for k, (weight, w) in enumerate(self._copies):
             side = self.m * w.shape[1]
             blocks.append(x[k, :side, :side] / weight)
-        return from_schur_weyl_blocks(blocks, self.m, self.n, self.l)
+        return blocks
+
+    def to_dense(self, x: np.ndarray) -> np.ndarray:
+        """The S_l-invariant b of a block stack (`from_schur_weyl_blocks`)."""
+        return from_schur_weyl_blocks(self._blocks(x), self.m, self.n, self.l)
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         """Metric projection of a block stack onto {Phi(b) = a}:
@@ -535,12 +530,19 @@ class ExtensionProblem:
             return None
         return w, dev / a_max if a_max > 0 else 0.0
 
-    def validate_witness(self, witness: LeggedOperator, tol: float) -> bool:
-        """PSD, S_l-invariant, Phi(b) <= a, and |Phi(b) - a|max <= tol |a|max:
-        the anchor, without which b = 0 would pass."""
-        if not is_psd(witness, tol) or not _is_invariant(self.sym, witness.entries, tol):
+    def validate_witness(self, x: np.ndarray, tol: float) -> bool:
+        """Whether the b of a block stack is PSD (`_psd_blocks`, as for a
+        sequence), with Phi(b) <= a and |Phi(b) - a|max <= tol |a|max: the
+        anchor, without which b = 0 would pass.  b is S_l-invariant by
+        construction.  Phi = P^{l-1} runs `transition_blocks` down to level
+        1, whose one block is the marginal: not through `_kh`, which
+        `witness` reads, and with no matrix of side m n^l."""
+        blocks = self._blocks(x)
+        if not _psd_blocks(blocks, tol, self.m * self.n**self.l):
             return False
-        marg = LeggedOperator(self.phi(witness.entries), (self.m, self.n))
+        for k in range(self.l, 1, -1):
+            blocks = transition_blocks(blocks, self.m, self.n, k, self.rho.density)
+        marg = LeggedOperator(blocks[0], self.a.legs)
         if np.abs(marg.entries - self.a.entries).max() > tol * self.a.norm_max():
             return False
         return loewner_leq(marg, self.a, tol)
@@ -665,9 +667,9 @@ def sub_extension_feasibility(
       `infeasible_at_tolerance` and the report carries it;
     - c, the PSD part of z, yields an extension w whose marginal defect
       |Phi(w) - a|max is at most tol |a|max (`tol`, see
-      `ExtensionProblem.witness`): the witness is tr(a) times the dense form
-      of w, validated against the normalized problem; the verdict is
-      `feasible` if it passes.
+      `ExtensionProblem.witness`): if w passes `validate_witness` in blocks
+      against the normalized problem, the verdict is `feasible` and the
+      witness tr(a) times the dense form of w, built once.
 
     A step whose residual is below tol runs the witness check at once.  A
     run that ends with neither is `max_iterations`.
@@ -704,11 +706,9 @@ def sub_extension_feasibility(
     final = history[-1] if history else 0.0
     if stop == "tol":
         w, defect = found
-        witness = LeggedOperator(prob.to_dense(w), prob.big_legs)
-        if prob.validate_witness(witness, 10 * opts.tol):
-            verdict, witness, final = "feasible", witness * scale, defect
-        else:
-            witness = None
+        if prob.validate_witness(w, 10 * opts.tol):
+            witness = LeggedOperator(prob.to_dense(w), prob.big_legs) * scale
+            verdict, final = "feasible", defect
     elif stop == "certificate":
         verdict = "infeasible_at_tolerance"
         certificate, margin = found
@@ -773,7 +773,7 @@ def separability_verdict(
 def compress_chain(x_k: LeggedOperator, rho: Functional, l: int) -> LeggedOperator:
     """Contract the trailing k-l legs with rho; keeps PSD and symmetry."""
     k = len(x_k.legs) - 1
-    if l > k:
+    if not 0 <= l <= k:
         raise ValueError(f"cannot compress level {k} chain member to level {l}")
     if l == k:
         return x_k

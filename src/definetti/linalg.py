@@ -25,17 +25,19 @@ FAITHFUL_RTOL = 1e-12
 
 
 def _hermitian(mat: np.ndarray) -> bool:
-    """Relative rule: |mat - mat^H|max <= HERMITIAN_RTOL * |mat|max."""
-    dev = np.abs(mat - mat.conj().T).max()
+    """Relative rule: |mat - mat^H|max <= HERMITIAN_RTOL * |mat|max.  On a
+    stack (..., s, s) the maxima run over the whole stack."""
+    dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max()
     return dev <= HERMITIAN_RTOL * max(np.abs(mat).max(), 1e-300)
 
 
 def _psd(mat: np.ndarray, tol: float, side: int | None = None) -> bool:
     """Min eig of the Hermitian part >= -tol * side * max(1, |mat|max); side
-    is mat's own unless given (the dense side of an operator in blocks)."""
-    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    side = mat.shape[0] if side is None else side
-    return w[0] >= -tol * side * max(1.0, float(np.abs(mat).max()))
+    is mat's own unless given (the dense side of an operator in blocks).  On
+    a stack (..., s, s) the minimum and maximum run over the whole stack."""
+    w = np.linalg.eigvalsh((mat + mat.conj().swapaxes(-1, -2)) / 2)
+    side = mat.shape[-1] if side is None else side
+    return w.min() >= -tol * side * max(1.0, float(np.abs(mat).max()))
 
 
 def _as_square_complex(entries) -> np.ndarray:

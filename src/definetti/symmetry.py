@@ -13,8 +13,9 @@ from .linalg import LeggedOperator
 
 #: largest tensor power l.  Every Schur-Weyl object is built from one
 #: Jucys-Murphy recursion, the copy chain, whose bases have n^l rows and
-#: weyl(lambda) columns; the solver's witness and the isotypic projectors
-#: hook * Sym(W W^T) are dense n^l x n^l, while the solver's Gram rows, the
+#: weyl(lambda) columns; the isotypic projectors hook * Sym(W W^T) and the
+#: dense exports (the solver's witness, a sequence's entries) are
+#: n^l x n^l, while the solver's Gram rows and its witness check, the
 #: exponential test's blocks and a sequence's blocks and their transition
 #: map (`transition_blocks`) are weyl(lambda) wide.  The bound is about
 #: those sizes, not about enumerating S_l
@@ -86,53 +87,6 @@ def partitions_of(l: int, max_parts: int | None = None):
 
     for parts in gen(l, l, 0):
         yield Partition(parts)
-
-
-@dataclass(frozen=True)
-class LegPermutation:
-    """A permutation of {0, ..., l-1} acting on equal-dimension tensor legs."""
-
-    images: tuple[int, ...]
-
-    def __init__(self, images: Iterable[int]):
-        images = tuple(int(i) for i in images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation: {images}")
-        object.__setattr__(self, "images", images)
-
-    def __len__(self) -> int:
-        return len(self.images)
-
-    @staticmethod
-    def identity(l: int) -> "LegPermutation":
-        return LegPermutation(range(l))
-
-    def __mul__(self, other: "LegPermutation") -> "LegPermutation":
-        """Product such that (sigma * tau) . x == sigma . (tau . x)."""
-        if len(self) != len(other):
-            raise ValueError("permutation size mismatch")
-        return LegPermutation(tuple(other.images[self.images[p]] for p in range(len(self))))
-
-
-def permute_legs(x: LeggedOperator, sigma: LegPermutation) -> LeggedOperator:
-    """Act with sigma on the trailing len(sigma) legs of x.
-
-    Position p of the result carries the factor at position sigma(p), so the
-    action matches sigma.(x_1 (x) ... (x) x_l) = x_sigma(1) (x) ... (x) x_sigma(l)
-    on the permuted legs; leading legs are fixed.
-    """
-    l = len(sigma)
-    if l > x.nlegs:
-        raise ValueError(f"permutation of length {l} exceeds leg count {x.nlegs}")
-    fixed = x.nlegs - l
-    dims = set(x.legs[fixed:])
-    if len(dims) > 1:
-        raise ValueError(f"permuted legs must share one dimension, got {x.legs[fixed:]}")
-    k = x.nlegs
-    row = list(range(fixed)) + [fixed + sigma.images[p] for p in range(l)]
-    axes = row + [k + a for a in row]
-    ten = np.transpose(x.as_tensor(), axes)
-    return LeggedOperator(ten.reshape(x.side, x.side), x.legs)
 
 
 class Symmetrizer:

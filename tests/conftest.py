@@ -1,4 +1,7 @@
-"""Shared sampling helpers and the dense reference solver for the test suite."""
+"""Shared sampling helpers and the dense references for the test suite."""
+
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -58,6 +61,17 @@ def d_power(density, k):
     return out
 
 
+def dense_sym(prob):
+    """The symmetrizer of legs 1..l on the full legs [m, n, ..., n]."""
+    return Symmetrizer((prob.m,) + (prob.n,) * prob.l, range(1, prob.l + 1))
+
+
+def dense_phi(prob, b):
+    """Phi(b): rho on the trailing l-1 legs of a dense b, by `contract_legs`."""
+    x = LeggedOperator(b, (prob.m,) + (prob.n,) * prob.l)
+    return contract_legs(x, prob.rho, range(2, prob.l + 1)).entries
+
+
 def phi_star(prob, y):
     """Phi*(y) = y (x) D^(l-1), from rho's density alone."""
     return np.kron(y, d_power(prob.rho.density, prob.l - 1))
@@ -98,7 +112,7 @@ def dense_validate_k_prefix(seq):
         if not is_psd(x):
             return ValidationReport(False, "psd", l, f"entry {l} is not PSD at tol {PSD_TOL}")
     for l, x in enumerate(seq.entries[2:], start=2):
-        if not _is_invariant(Symmetrizer(x.legs, range(1, l + 1)), x.entries, PSD_TOL):
+        if not _is_invariant(x, PSD_TOL):
             return ValidationReport(
                 False, "symmetry", l, f"entry {l} is not S_{l}-invariant at tol {PSD_TOL}"
             )
@@ -112,6 +126,63 @@ def dense_validate_k_prefix(seq):
                 f"contraction of entry {l + 1} is not dominated by entry {l}",
             )
     return ValidationReport(True)
+
+
+def dense_validate_witness(prob, witness, tol):
+    """The dense reference for `ExtensionProblem.validate_witness`, on a
+    witness on the full legs: PSD (`is_psd`), S_l-invariant, Phi(b) <= a and
+    |Phi(b) - a|max <= tol |a|max, Phi by `contract_legs`."""
+    if not is_psd(witness, tol) or not _is_invariant(witness, tol):
+        return False
+    marg = LeggedOperator(dense_phi(prob, witness.entries), (prob.m, prob.n))
+    if np.abs(marg.entries - prob.a.entries).max() > tol * prob.a.norm_max():
+        return False
+    return loewner_leq(marg, prob.a, tol)
+
+
+@dataclass(frozen=True)
+class LegPermutation:
+    """A permutation of {0, ..., l-1} acting on equal-dimension tensor legs:
+    with `permute_legs`, the one-permutation-at-a-time reference that the
+    `Symmetrizer` tests average over."""
+
+    images: tuple[int, ...]
+
+    def __init__(self, images: Iterable[int]):
+        images = tuple(int(i) for i in images)
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a permutation: {images}")
+        object.__setattr__(self, "images", images)
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def __mul__(self, other: "LegPermutation") -> "LegPermutation":
+        """Product such that (sigma * tau) . x == sigma . (tau . x)."""
+        if len(self) != len(other):
+            raise ValueError("permutation size mismatch")
+        return LegPermutation(tuple(other.images[self.images[p]] for p in range(len(self))))
+
+
+def permute_legs(x: LeggedOperator, sigma: LegPermutation) -> LeggedOperator:
+    """Act with sigma on the trailing len(sigma) legs of x.
+
+    Position p of the result carries the factor at position sigma(p), so the
+    action matches sigma.(x_1 (x) ... (x) x_l) = x_sigma(1) (x) ... (x) x_sigma(l)
+    on the permuted legs; leading legs are fixed.
+    """
+    l = len(sigma)
+    if l > x.nlegs:
+        raise ValueError(f"permutation of length {l} exceeds leg count {x.nlegs}")
+    fixed = x.nlegs - l
+    dims = set(x.legs[fixed:])
+    if len(dims) > 1:
+        raise ValueError(f"permuted legs must share one dimension, got {x.legs[fixed:]}")
+    k = x.nlegs
+    row = list(range(fixed)) + [fixed + sigma.images[p] for p in range(l)]
+    axes = row + [k + a for a in row]
+    ten = np.transpose(x.as_tensor(), axes)
+    return LeggedOperator(ten.reshape(x.side, x.side), x.legs)
 
 
 class DenseDR:
@@ -133,13 +204,14 @@ class DenseDR:
 
     def __init__(self, prob):
         self.prob = prob
-        self.sym = Symmetrizer((prob.m,) + (prob.n,) * prob.l, range(1, prob.l + 1))
+        self.sym = dense_sym(prob)
         mn = prob.m * prob.n
         self.gram = np.empty((mn * mn, mn * mn), dtype=complex)
         unit = np.zeros((mn, mn), dtype=complex)
         for k in range(mn * mn):
             unit.flat[k] = 1.0
-            self.gram[:, k] = prob.phi(self.sym.apply_matrix(phi_star(prob, unit))).reshape(-1)
+            column = dense_phi(prob, self.sym.apply_matrix(phi_star(prob, unit)))
+            self.gram[:, k] = column.reshape(-1)
             unit.flat[k] = 0.0
         # Sym(I (x) D^(l-1)) >= lambda_min(D)^(l-1) I
         self.floor = np.linalg.eigvalsh(prob.rho.density)[0] ** (prob.l - 1)
@@ -148,7 +220,7 @@ class DenseDR:
         """Metric projection onto {Sym b = b, Phi(b) = a}."""
         prob, mn = self.prob, self.prob.m * self.prob.n
         sb = self.sym.apply_matrix(b)
-        c = prob.a.entries - prob.phi(sb)
+        c = prob.a.entries - dense_phi(prob, sb)
         y = np.linalg.solve(self.gram, c.reshape(-1)).reshape(mn, mn)
         return sb + self.sym.apply_matrix(phi_star(prob, y))
 
@@ -156,7 +228,7 @@ class DenseDR:
         """Y + eps I when its margin trace(Y a) / (||Y|| trace(a)) is below
         -CERTIFICATE_RTOL, else None."""
         prob, mn = self.prob, self.prob.m * self.prob.n
-        y = np.linalg.solve(self.gram, prob.phi(-step).reshape(-1)).reshape(mn, mn)
+        y = np.linalg.solve(self.gram, dense_phi(prob, -step).reshape(-1)).reshape(mn, mn)
         y = (y + y.conj().T) / 2
         a = prob.a.entries
         if np.trace(y @ a).real >= 0:
@@ -171,7 +243,7 @@ class DenseDR:
         """Whether psd_part(project_affine(c)) has |Phi(w) - a|max <= tol |a|max."""
         w = psd_part(self.project_affine(c))
         a = self.prob.a.entries
-        return np.abs(self.prob.phi(w) - a).max() <= tol * np.abs(a).max()
+        return np.abs(dense_phi(self.prob, w) - a).max() <= tol * np.abs(a).max()
 
     def start(self):
         side = self.sym.side

@@ -41,7 +41,7 @@ from definetti import (
 from definetti.hierarchy import ExtensionProblem
 from definetti.symmetry import partitions_of
 
-from conftest import dense_validate_k_prefix, phi_star, rand_psd, random_separable
+from conftest import dense_phi, dense_validate_k_prefix, phi_star, rand_psd, random_separable
 
 RHO = Functional.normalized_trace(2)
 WERNER_GRID = np.linspace(0.0, 1.0, 21)
@@ -347,7 +347,7 @@ def test_criterion_09_adjoint_identity():
             rho = Functional.random_faithful(2, rng)
             prob = ExtensionProblem(LeggedOperator(np.eye(4), (2, 2)), rho, l)
             y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            lhs = prob.phi(phi_star(prob, y))
+            lhs = dense_phi(prob, phi_star(prob, y))
             scale = float(np.trace(rho.density @ rho.density).real) ** (l - 1)
             worst = max(worst, np.abs(lhs - scale * y).max() / scale)
     emit(

@@ -60,6 +60,15 @@ def test_grouplike_rejects_an_empty_matrix():
         GroupLike(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("t", [[[np.inf, 0.0], [0.0, 1.0]], [[np.nan]], [[1.0, 0.0], [0.0, -np.inf]]],
+                         ids=["inf", "nan", "minus-inf"])
+def test_grouplike_rejects_non_finite_entries(t):
+    # as operator_from_json does: an infinite entry used to pass the
+    # determinant test with a RuntimeWarning, and NaN failed inside the SVD
+    with pytest.raises(ValueError, match="finite"):
+        GroupLike(t)
+
+
 def test_grouplike_sequence_shape(rng):
     g = random_grouplike(rng)
     a = LeggedOperator(rand_psd(2, rng), (2,))

@@ -34,7 +34,10 @@ from definetti.symmetry import MAX_LEVEL, copy_bases
 from conftest import (
     DenseDR,
     dense_gram_rows,
+    dense_phi,
+    dense_sym,
     dense_validate_k_prefix,
+    dense_validate_witness,
     phi_star,
     rand_psd,
     random_separable,
@@ -217,7 +220,7 @@ def test_adjoint_identity(rng):
         rho = Functional.random_faithful(2, rng)
         prob = ExtensionProblem(LeggedOperator(np.eye(4), (2, 2)), rho, l)
         y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lhs = prob.phi(phi_star(prob, y))
+        lhs = dense_phi(prob, phi_star(prob, y))
         scale = float(np.trace(rho.density @ rho.density).real) ** (l - 1)
         assert np.abs(lhs - scale * y).max() < 1e-12 * scale
 
@@ -232,9 +235,9 @@ def _padding(prob):
 
 
 def _random_invariant(prob, rng):
-    side = prob.sym.side
-    g = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
-    return prob.sym.apply_matrix((g + g.conj().T) / 2)
+    sym = dense_sym(prob)
+    g = rng.normal(size=(sym.side, sym.side)) + 1j * rng.normal(size=(sym.side, sym.side))
+    return sym.apply_matrix((g + g.conj().T) / 2)
 
 
 @pytest.mark.parametrize("m, n, l", [(3, 2, 3), (2, 3, 3)])
@@ -247,8 +250,8 @@ def test_project_affine_per_block(rng, m, n, l):
     out_blocks = prob.project_affine(to_blocks(prob, b))
     out = prob.to_dense(out_blocks)
     scale = np.abs(out).max()
-    assert np.abs(prob.sym.apply_matrix(out) - out).max() < 1e-12 * scale
-    assert np.abs(prob.phi(out) - a.entries).max() < 1e-10 * max(1.0, a.norm_max())
+    assert np.abs(dense_sym(prob).apply_matrix(out) - out).max() < 1e-12 * scale
+    assert np.abs(dense_phi(prob, out) - a.entries).max() < 1e-10 * max(1.0, a.norm_max())
     assert np.abs(prob.project_affine(out_blocks) - out_blocks).max() < 1e-10 * scale
     assert np.abs(out - DenseDR(prob).project_affine(b)).max() < 1e-10 * scale
 
@@ -294,7 +297,7 @@ def test_dr_iterates_stay_invariant():
     assert (z[_padding(prob)] == 0).all()
     assert np.abs(z - z.conj().swapaxes(-1, -2)).max() <= 1e-12 * np.abs(z).max()
     dense = prob.to_dense(z)
-    assert np.abs(prob.sym.apply_matrix(dense) - dense).max() <= 1e-10 * np.abs(dense).max()
+    assert np.abs(dense_sym(prob).apply_matrix(dense) - dense).max() <= 1e-10 * np.abs(dense).max()
 
 
 def test_mixed_iterates_do_not_run_off_on_an_infeasible_input():
@@ -418,7 +421,7 @@ def test_problems_at_one_level_share_one_geometry(rng):
     first = ExtensionProblem(werner_element(0.3), rho, 4)
     second = ExtensionProblem(bell_projector(), Functional(rho.density.copy()), 4)
     assert second.geometry is first.geometry
-    assert second._q is first._q and second.sym is first.sym
+    assert second._q is first._q and second._copies is first._copies
     assert ExtensionProblem(werner_element(0.3), rho, 3).geometry is not first.geometry
     assert ExtensionProblem(werner_element(0.3), RHO, 4).geometry is not first.geometry
     assert second._z0 is not first._z0
@@ -500,7 +503,7 @@ def test_werner_level6_feasible_below_threshold():
     report = sub_extension_feasibility(a, RHO, 6)
     assert report.verdict == "feasible"
     assert report.witness.legs == (2,) * 7
-    assert ExtensionProblem(a, RHO, 6).validate_witness(report.witness, 1e-6)
+    assert dense_validate_witness(ExtensionProblem(a, RHO, 6), report.witness, 1e-6)
 
 
 def test_product_element_feasible(rng):
@@ -515,29 +518,138 @@ def test_product_element_feasible(rng):
 def test_validate_witness_rejects_asymmetric_and_non_hermitian():
     # base = p (x) I (x) I is a witness for a = Phi(base) = p (x) I; adding
     # p (x) (X (x) Z - Z (x) X) keeps z PSD with the same marginal (X and Z
-    # are traceless), so only the S_2-invariance differs
+    # are traceless), so only the S_2-invariance differs.  A block stack is
+    # invariant by construction, so only the dense reference can see that
     x, zz = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
     p = np.diag([1.0, 0.5])
     base = LeggedOperator(np.kron(p, np.eye(4)), (2, 2, 2))
     z = LeggedOperator(base.entries + 0.1 * np.kron(p, np.kron(x, zz) - np.kron(zz, x)), base.legs)
     a = LeggedOperator(np.kron(p, np.eye(2)), (2, 2))
     prob = ExtensionProblem(a, RHO, 2)
-    assert prob.validate_witness(base, 1e-6)
-    assert is_psd(z) and np.abs(prob.phi(z.entries) - a.entries).max() < 1e-15
-    assert not prob.validate_witness(z, 1e-6)
-    # an invariant matrix of marginal zero, added with its Hermitian part or alone
+    assert dense_validate_witness(prob, base, 1e-6)
+    assert prob.validate_witness(to_blocks(prob, base.entries), 1e-6)
+    assert is_psd(z) and np.abs(dense_phi(prob, z.entries) - a.entries).max() < 1e-15
+    assert not dense_validate_witness(prob, z, 1e-6)
+    # an invariant matrix of marginal zero, added with its Hermitian part or
+    # alone: only the Hermitian rule rejects the second, densely and in blocks
     skew = 1e-3 * np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.kron(x, x))
-    herm_part = LeggedOperator(base.entries + (skew + skew.T) / 2, base.legs)
-    assert prob.validate_witness(herm_part, 1e-6)
-    assert not prob.validate_witness(LeggedOperator(base.entries + skew, base.legs), 1e-6)
+    herm_part = base.entries + (skew + skew.T) / 2
+    assert dense_validate_witness(prob, LeggedOperator(herm_part, base.legs), 1e-6)
+    assert prob.validate_witness(to_blocks(prob, herm_part), 1e-6)
+    assert not dense_validate_witness(prob, LeggedOperator(base.entries + skew, base.legs), 1e-6)
+    assert not prob.validate_witness(to_blocks(prob, base.entries + skew), 1e-6)
 
 
 @pytest.mark.parametrize("l", [2, 3])
 def test_validate_witness_checks_the_anchor(l):
     # b = 0 is PSD, invariant and has Phi(b) = 0 <= a: only |Phi(b) - a|
-    # rejects it
+    # rejects it, in blocks and densely
     prob = ExtensionProblem(werner_element(0.9), RHO, l)
-    assert not prob.validate_witness(LeggedOperator.zeros(prob.big_legs), 1e-6)
+    assert not prob.validate_witness(np.zeros(prob.shape), 1e-6)
+    assert not dense_validate_witness(prob, LeggedOperator.zeros(prob.big_legs), 1e-6)
+
+
+def _record_witness_checks(monkeypatch):
+    """(problem, block stack, tol, verdict) of every `validate_witness` call."""
+    seen = []
+    inner = ExtensionProblem.validate_witness
+
+    def recorded(prob, x, tol):
+        ok = inner(prob, x, tol)
+        seen.append((prob, x, tol, ok))
+        return ok
+
+    monkeypatch.setattr(ExtensionProblem, "validate_witness", recorded)
+    return seen
+
+
+def _assert_checks_agree_with_the_dense_reference(seen):
+    assert seen
+    for prob, x, tol, ok in seen:
+        dense = LeggedOperator(prob.to_dense(x), prob.big_legs)
+        assert ok and dense_validate_witness(prob, dense, tol)
+
+
+@pytest.mark.parametrize("m, n, l", PARITY_CASES)
+def test_witness_check_agrees_with_the_dense_reference_on_parity_cases(monkeypatch, m, n, l):
+    # the inputs of `test_block_solver_matches_dense_replay`, all feasible
+    seen = _record_witness_checks(monkeypatch)
+    rng = np.random.default_rng(100 * m + 10 * n + l)
+    rho = Functional.random_faithful(n, rng)
+    a = LeggedOperator(rand_psd(m * n, rng), (m, n))
+    assert sub_extension_feasibility(a, rho, l).verdict == "feasible"
+    _assert_checks_agree_with_the_dense_reference(seen)
+
+
+@pytest.mark.parametrize("m, n, l", [(2, 3, 3), (2, 3, 4), (3, 2, 4), (2, 2, 8)])
+def test_witness_check_agrees_with_the_dense_reference_on_separable_mixtures(
+    monkeypatch, m, n, l
+):
+    seen = _record_witness_checks(monkeypatch)
+    rng = np.random.default_rng(7)
+    rho = Functional.random_faithful(n, rng)
+    for _ in range(3):
+        weights = rng.dirichlet(np.ones(3))
+        mat = sum(w * np.kron(rand_psd(m, rng), rand_psd(n, rng)) for w in weights)
+        report = sub_extension_feasibility(LeggedOperator(mat, (m, n)), rho, l)
+        assert report.verdict == "feasible"
+    assert len(seen) == 3
+    _assert_checks_agree_with_the_dense_reference(seen)
+
+
+def _random_block_stack(prob, rng):
+    """sqrt(hook) B per block, B random PSD of norm 1/2: every entry of the
+    blocks and of the dense b is then at most 1/2, so the PSD rule's
+    max(1, .) floor is 1 on both."""
+    x = np.zeros(prob.shape, dtype=complex)
+    for k, (weight, w) in enumerate(prob._copies):
+        side = prob.m * w.shape[1]
+        b = rand_psd(side, rng)
+        x[k, :side, :side] = weight * b / (2 * np.linalg.norm(b, 2))
+    return x
+
+
+def _problem_of(prob, x):
+    """The problem at prob's (rho, l) whose a is the marginal of x, so the
+    anchor and the Loewner check hold and only the PSD rule can fail."""
+    a = dense_phi(prob, prob.to_dense(x))
+    return ExtensionProblem(LeggedOperator(a, (prob.m, prob.n)), prob.rho, prob.l)
+
+
+@pytest.mark.parametrize("m, n, l", [(2, 2, 4), (2, 3, 3), (3, 2, 3)])
+def test_witness_check_rejects_a_block_just_past_the_psd_rule(rng, m, n, l):
+    # one block shifted so its least eigenvalue is -(1 -+ 1e-3) tol m n^l:
+    # accepted just inside the rule and rejected just past it, in blocks and
+    # densely (the dense spectrum is the union of the blocks')
+    tol = 1e-6
+    rho = Functional.random_faithful(n, rng)
+    prob = ExtensionProblem(LeggedOperator(np.eye(m * n), (m, n)), rho, l)
+    for k, (weight, w) in enumerate(prob._copies):
+        side = prob.m * w.shape[1]
+        for factor, want in ((1 - 1e-3, True), (1 + 1e-3, False)):
+            x = _random_block_stack(prob, rng)
+            block = x[k, :side, :side] / weight
+            shift = np.linalg.eigvalsh(block)[0] + factor * tol * m * n**l
+            x[k, :side, :side] -= weight * shift * np.eye(side)
+            target = _problem_of(prob, x)
+            assert target.validate_witness(x, tol) == want
+            dense = LeggedOperator(prob.to_dense(x), prob.big_legs)
+            assert dense_validate_witness(target, dense, tol) == want
+
+
+@pytest.mark.parametrize("m, n, l", [(2, 2, 4), (2, 3, 3), (3, 2, 3)])
+def test_witness_check_rejects_a_marginal_past_the_anchor(rng, m, n, l):
+    # (1 - kappa) b has Phi((1 - kappa) b) <= a and is PSD, and its marginal
+    # is off by kappa |a|max: accepted below tol, rejected above it
+    tol = 1e-6
+    rho = Functional.random_faithful(n, rng)
+    base = ExtensionProblem(LeggedOperator(np.eye(m * n), (m, n)), rho, l)
+    x = _random_block_stack(base, rng)
+    prob = _problem_of(base, x)
+    assert prob.validate_witness(x, tol)
+    assert prob.validate_witness((1 - tol / 2) * x, tol)
+    assert not prob.validate_witness((1 - 2 * tol) * x, tol)
+    assert not prob.validate_witness(np.zeros(prob.shape), tol)
 
 
 def test_witness_properties(rng):
@@ -598,7 +710,7 @@ def test_werner_witnesses_just_below_the_threshold(l):
     a = werner_element((l + 2) / (3 * l) - 1e-3)
     report = sub_extension_feasibility(a, RHO, l)
     assert report.verdict == "feasible" and report.stop_reason == "tol"
-    assert ExtensionProblem(a, RHO, l).validate_witness(report.witness, 1e-6)
+    assert dense_validate_witness(ExtensionProblem(a, RHO, l), report.witness, 1e-6)
     assert report.final_residual <= SolverOptions().tol
     assert report.iterations <= CERTIFICATE_PERIOD
 
@@ -755,7 +867,7 @@ def test_a_solve_with_safeguard_restarts_ends_checked():
     report = sub_extension_feasibility(a, RHO, 5)
     assert report.restarts >= 1
     assert report.verdict == "feasible" and report.stop_reason == "tol"
-    assert ExtensionProblem(a, RHO, 5).validate_witness(report.witness, 1e-6)
+    assert dense_validate_witness(ExtensionProblem(a, RHO, 5), report.witness, 1e-6)
     dense = DenseDR(ExtensionProblem(a, RHO, 5))
     assert dense.solve(SolverOptions()) == ("feasible", report.iterations)
     assert dense.restarts == report.restarts
@@ -770,7 +882,7 @@ def test_residual_history_monotone_tail(rng):
     # a feasible solve ends at its first checked witness, not at a small
     # displacement: the verdict rests on the witness's marginal defect
     assert report.final_residual <= SolverOptions().tol
-    assert ExtensionProblem(a, RHO, 2).validate_witness(report.witness, 1e-6)
+    assert dense_validate_witness(ExtensionProblem(a, RHO, 2), report.witness, 1e-6)
 
 
 def test_max_iterations_verdict(rng):
@@ -886,6 +998,15 @@ def test_compress_chain_walks_down(rng):
         )
     with pytest.raises(ValueError):
         compress_chain(seq.entries[2], RHO, 3)
+
+
+def test_compress_chain_rejects_a_negative_level(rng):
+    # range(l + 1, k + 1) would start at the m-leg and contract it too
+    x = LeggedOperator(rand_psd(8, rng), (2, 2, 2))
+    for l in (-1, -3):
+        with pytest.raises(ValueError, match="to level"):
+            compress_chain(x, RHO, l)
+    assert compress_chain(x, RHO, 0).legs == (2,)
 
 
 def test_product_probe_accepts_product_chain(rng):

@@ -9,13 +9,11 @@ import pytest
 from definetti import (
     Functional,
     LeggedOperator,
-    LegPermutation,
     Partition,
     Symmetrizer,
     contract_legs,
     isotypic_projector,
     partitions_of,
-    permute_legs,
     schur_weyl_table,
     tensor,
     tensor_power,
@@ -32,7 +30,7 @@ from definetti.symmetry import (
     transition_blocks,
 )
 
-from conftest import rand_hermitian, rand_psd, schur_polynomial
+from conftest import LegPermutation, permute_legs, rand_hermitian, rand_psd, schur_polynomial
 
 
 # -- partitions --------------------------------------------------------------

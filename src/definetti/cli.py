@@ -8,6 +8,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -61,7 +62,8 @@ def cmd_extend_check(args) -> int:
     report = hy.separability_verdict(state, rho, args.levels, _solver_opts(args))
     out = {"config": _config(args), **report.to_json()}
     levels = report.levels.values()
-    witnessed = sum(r.witness is not None for r in levels)
+    # the blocks, not `r.witness`, whose first read builds the dense witness
+    witnessed = sum(r.witness_blocks is not None for r in levels)
     certified = sum(r.certificate is not None for r in levels)
     _emit(
         out,
@@ -200,7 +202,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: `parse_args`
+    gives each call a fresh namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(prog="definetti")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -242,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except np.linalg.LinAlgError as exc:

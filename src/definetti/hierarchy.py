@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -288,12 +288,19 @@ class FeasibilityReport:
     entry of `residual_history`.  `restarts` counts the mixed points the
     solver dropped for plain DR steps (`_Anderson`): how often the
     acceleration backed off.
+
+    A `feasible` report carries the checked witness b as `witness_blocks`:
+    its Schur-Weyl blocks B_lambda (`symmetry.schur_weyl_block`), one per
+    partition of l with at most n rows in `copy_bases` order, scaled by
+    trace(a) and read-only, the format of a sequence bundle's entry.  The
+    dense b of side m n^l, `witness`, is built from the blocks only when it
+    is first read.
     """
 
     # "feasible" (with a checked witness) | "infeasible_at_tolerance" (with a
     # checked certificate) | "max_iterations" (neither)
     verdict: str
-    witness: Optional[LeggedOperator]
+    witness_blocks: Optional[tuple[np.ndarray, ...]]
     final_residual: float
     residual_history: tuple[float, ...]
     iterations: int
@@ -302,9 +309,24 @@ class FeasibilityReport:
     certificate: Optional[LeggedOperator]  # separating functional Y on (m, n)
     certificate_margin: Optional[float]  # trace(Y a) / (||Y|| trace(a)) < 0
     restarts: int = 0  # safeguard restarts of the Anderson mixing (`_Anderson`)
+    # (m, n, trace(a), the checked blocks of the problem for a / trace(a)):
+    # `witness` rebuilds these and then scales, since rebuilding the scaled
+    # `witness_blocks` would round differently
+    witness_source: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def witness(self) -> Optional[LeggedOperator]:
+        """The dense witness b on legs [m, n, ..., n], None unless
+        `feasible`: one `from_schur_weyl_blocks` (a symmetrizer pass of side
+        m n^l) on first read, then kept."""
+        if self.witness_source is None:
+            return None
+        m, n, scale, blocks = self.witness_source
+        dense = from_schur_weyl_blocks(blocks, m, n, self.level)
+        return LeggedOperator(dense, (m,) + (n,) * self.level) * scale
 
     def to_json(self) -> dict:
-        from .serialize import operator_to_json
+        from .serialize import _blocks_to_json, operator_to_json
 
         out = {
             "verdict": self.verdict,
@@ -317,8 +339,9 @@ class FeasibilityReport:
             "certificate_margin": self.certificate_margin,
             "restarts": self.restarts,
         }
-        if self.witness is not None:
-            out["witness"] = operator_to_json(self.witness)
+        if self.witness_blocks is not None:
+            m, n = self.witness_source[:2]
+            out["witness"] = _blocks_to_json(self.witness_blocks, m, n, self.level)
         return out
 
 
@@ -669,7 +692,8 @@ def sub_extension_feasibility(
       |Phi(w) - a|max is at most tol |a|max (`tol`, see
       `ExtensionProblem.witness`): if w passes `validate_witness` in blocks
       against the normalized problem, the verdict is `feasible` and the
-      witness tr(a) times the dense form of w, built once.
+      report carries w's blocks times tr(a) (`FeasibilityReport`); no
+      object of side m n^l is formed unless `report.witness` is read.
 
     A step whose residual is below tol runs the witness check at once.  A
     run that ends with neither is `max_iterations`.
@@ -702,20 +726,24 @@ def sub_extension_feasibility(
                 stop = "tol"
                 break
         z = mixer.update(z + step, step, residual)
-    verdict, witness, certificate, margin = "max_iterations", None, None, None
+    verdict, blocks, source, certificate, margin = "max_iterations", None, None, None, None
     final = history[-1] if history else 0.0
     if stop == "tol":
         w, defect = found
         if prob.validate_witness(w, 10 * opts.tol):
-            witness = LeggedOperator(prob.to_dense(w), prob.big_legs) * scale
+            normalized = tuple(prob._blocks(w))
+            blocks = tuple(b * scale for b in normalized)
+            for b in normalized + blocks:
+                b.setflags(write=False)
+            source = (prob.m, prob.n, scale, normalized)
             verdict, final = "feasible", defect
     elif stop == "certificate":
         verdict = "infeasible_at_tolerance"
         certificate, margin = found
     return FeasibilityReport(
-        verdict, witness, final, tuple(history), len(history), l,
+        verdict, blocks, final, tuple(history), len(history), l,
         stop_reason=stop, certificate=certificate, certificate_margin=margin,
-        restarts=mixer.restarts,
+        restarts=mixer.restarts, witness_source=source,
     )
 
 

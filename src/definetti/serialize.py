@@ -96,10 +96,14 @@ def resolve_functional(spec: Union[str, dict], n: int) -> Functional:
     return rho
 
 
-def _blocks_to_json(seq: SymSequence, l: int) -> list[dict]:
+def _blocks_to_json(blocks, m: int, n: int, l: int) -> list[dict]:
+    """The Schur-Weyl blocks of an S_l-invariant operator on legs
+    [m, n, ..., n], in `partitions_of(l, max_parts=n)` order, as matrix
+    objects `{"partition", "legs": [m, weyl], "re", "im"}`: a bundle's
+    entry, and a solver report's witness (`FeasibilityReport.to_json`)."""
     out = []
-    for lam, block in zip(partitions_of(l, max_parts=seq.n), seq.blocks(l)):
-        op = LeggedOperator(block, (seq.m, lam.weyl_dimension(seq.n)))
+    for lam, block in zip(partitions_of(l, max_parts=n), blocks):
+        op = LeggedOperator(block, (m, lam.weyl_dimension(n)))
         out.append({"partition": list(lam.parts), **operator_to_json(op)})
     return out
 
@@ -119,7 +123,7 @@ def sequence_to_json(seq: SymSequence) -> dict:
         "n": seq.n,
         "L": seq.L,
         "rho": functional_to_json(seq.rho),
-        "entries": [_blocks_to_json(seq, l) for l in range(seq.L + 1)],
+        "entries": [_blocks_to_json(seq.blocks(l), seq.m, seq.n, l) for l in range(seq.L + 1)],
     }
 
 

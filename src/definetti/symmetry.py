@@ -254,11 +254,12 @@ def _alignment(n: int, nu: tuple[int, ...], lam: tuple[int, ...]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _transition_plan(n: int, l: int) -> tuple:
-    """Per partition nu of l - 1 with at most n rows, in `partitions_of`
-    order: (weyl(nu), ((k, A_{nu lam}), ...)) over the children
-    lam = nu + box with at most n rows, k the position of lam among the
-    partitions of l.  Built once per process, its arrays read-only."""
+def _transition_plan(n: int, l: int) -> tuple[int, tuple]:
+    """(the number of partitions of l with at most n rows, the plan): per
+    partition nu of l - 1 with at most n rows, in `partitions_of` order,
+    (weyl(nu), ((k, A_{nu lam}), ...)) over the children lam = nu + box
+    with at most n rows, k the position of lam among the partitions of l.
+    Built once per process, its arrays read-only."""
     parts = [lam.parts for lam in partitions_of(l, max_parts=n)]
     plan = []
     for nu in partitions_of(l - 1, max_parts=n):
@@ -270,7 +271,7 @@ def _transition_plan(n: int, l: int) -> tuple:
                 a.setflags(write=False)
                 children.append((k, a))
         plan.append((nu.weyl_dimension(n), tuple(children)))
-    return tuple(plan)
+    return len(parts), tuple(plan)
 
 
 def copy_basis(n: int, lam: Partition) -> np.ndarray:
@@ -342,8 +343,7 @@ def transition_blocks(
     """
     if not 1 <= l <= MAX_LEVEL:
         raise ValueError(f"transition_blocks needs 1 <= l <= {MAX_LEVEL}, got l={l}")
-    plan = _transition_plan(n, l)
-    count = sum(1 for _ in partitions_of(l, max_parts=n))
+    count, plan = _transition_plan(n, l)
     if len(blocks) != count:
         raise ValueError(f"level {l} on n={n} has {count} blocks, got {len(blocks)}")
     out = []

@@ -3,10 +3,11 @@
 import json
 
 import numpy as np
-from definetti import Functional, LeggedOperator, bell_projector
-from definetti.cli import EXIT_INPUT, EXIT_OK, _parse_grid, main
+import pytest
+from definetti import Functional, LeggedOperator, bell_projector, werner_element
+from definetti.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, _parse_grid, main
 from definetti.serialize import dump_json, operator_from_json, operator_to_json, sequence_to_json
-from definetti import boundary, hierarchy, serialize, symmetry
+from definetti import boundary, cli, hierarchy, serialize, symmetry
 from definetti.boundary import GroupLike, grouplike_sequence, separable_image_check
 
 from conftest import rand_psd, random_separable
@@ -245,6 +246,106 @@ def test_boundary_bundle_checks_the_blocks_without_dense_entries(tmp_path, rng, 
     report = json.loads(out.read_text())
     assert report["subharmonic"] is True and report["image_check"]["consistent"] is True
     assert seen == []
+
+
+def _record_dense_rebuilds(monkeypatch, seen):
+    """Append (what, l) to `seen` for every `from_schur_weyl_blocks` and
+    `Symmetrizer.apply_matrix` call at l >= 2, wherever it is looked up."""
+    for module in (symmetry, hierarchy, serialize):
+        inner = getattr(module, "from_schur_weyl_blocks", None)
+        if inner is not None:
+            def rebuild(blocks, m, n, l, inner=inner):
+                if l >= 2:
+                    seen.append(("from_schur_weyl_blocks", l))
+                return inner(blocks, m, n, l)
+
+            monkeypatch.setattr(module, "from_schur_weyl_blocks", rebuild)
+    apply_matrix = symmetry.Symmetrizer.apply_matrix
+
+    def symmetrize(self, entries):
+        if len(self.indices) >= 2:
+            seen.append(("Symmetrizer.apply_matrix", len(self.indices)))
+        return apply_matrix(self, entries)
+
+    monkeypatch.setattr(symmetry.Symmetrizer, "apply_matrix", symmetrize)
+
+
+def test_boundary_bundle_forms_no_dense_object_image_check_included(tmp_path, rng, monkeypatch):
+    # the image check's solves report their witnesses as blocks, so the whole
+    # op, reading, validating and the image check, rebuilds no operator at
+    # l >= 2 and symmetrizes nothing
+    seq = grouplike_sequence(LeggedOperator(rand_psd(2, rng), (2,)), GroupLike(np.diag([0.9, 0.7])), 5)
+    path = tmp_path / "bundle.json"
+    dump_json(sequence_to_json(seq), str(path))
+    seen = []
+    _record_dense_rebuilds(monkeypatch, seen)
+    out = tmp_path / "bd.json"
+    assert main(["boundary", "--bundle", str(path), "--out", str(out)]) == EXIT_OK
+    assert seen == []
+    levels = json.loads(out.read_text())["image_check"]["separability"]["levels"]
+    assert {l: r["verdict"] for l, r in levels.items()} == {"2": "feasible", "3": "feasible"}
+    for l, r in levels.items():
+        assert [b["partition"] for b in r["witness"]] == [
+            list(lam.parts) for lam in symmetry.partitions_of(int(l), max_parts=2)
+        ]
+
+
+def test_extend_check_writes_the_witnesses_as_bundle_blocks(tmp_path, capsys):
+    # Werner 0.3 is extendable at every level to 8; its report holds each
+    # witness as the blocks of a bundle entry (the dense witnesses made it
+    # 18.4 MB), which the bundle reader accepts as they are
+    state = write_op(tmp_path / "w.json", werner_element(0.3))
+    out = tmp_path / "report.json"
+    assert main(["extend-check", "--state", state, "--levels", "8", "--out", str(out)]) == EXIT_OK
+    assert "7 of 7 levels witnessed" in capsys.readouterr().err
+    assert out.stat().st_size < 1_000_000
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "separable_evidence"
+    want = hierarchy.separability_verdict(werner_element(0.3), Functional.normalized_trace(2), 8)
+    for l in range(2, 9):
+        blocks = serialize._entry_from_json(report["levels"][str(l)]["witness"], 2, 2, l)
+        for got, block in zip(blocks, want.levels[l].witness_blocks, strict=True):
+            assert np.array_equal(got, block)
+
+
+def test_consecutive_calls_share_one_parser_and_leak_no_defaults(tmp_path, rng, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    t = write_op(tmp_path / "t.json", LeggedOperator(np.diag([1.0, 0.5]), (2,)))
+    seq = grouplike_sequence(LeggedOperator(rand_psd(2, rng), (2,)), GroupLike(np.diag([0.9, 0.7])), 3)
+    bundle = tmp_path / "bundle.json"
+    dump_json(sequence_to_json(seq), str(bundle))
+    state = write_op(tmp_path / "bell.json", bell_projector())
+    out = tmp_path / "out.json"
+
+    def config(argv):
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        return json.loads(out.read_text())["config"]
+
+    defaults = hierarchy.SolverOptions()
+    assert config(["extend-check", "--state", state, "--levels", "2", "--tol", "1e-5"])["tol"] == 1e-5
+    grouplike = config(["boundary", "--grouplike", t, "--levels", "2"])
+    assert (grouplike["tol"], grouplike["max_iter"], grouplike["levels"]) == (None, None, 2)
+    bundled = config(["boundary", "--bundle", str(bundle)])
+    assert (bundled["tol"], bundled["max_iter"]) == (defaults.tol, defaults.max_iterations)
+    assert bundled["levels"] is None and bundled["grouplike"] is None
+    checked = config(["extend-check", "--state", state, "--levels", "2"])
+    assert checked["tol"] == defaults.tol
+    assert set(checked) == {"command", "state", "rho", "levels", "tol", "max_iter", "out"}
+    assert config(["boundary", "--grouplike", t])["levels"] == cli.GROUPLIKE_LEVELS
+    # a usage error still exits 2 through argparse, and the next call parses
+    for argv in (["extend-check"], ["no-such-command"], ["boundary", "--levels", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+    assert main(["boundary", "--grouplike", t, "--tol", "1e-5"]) == EXIT_INPUT
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("planted")
+
+    monkeypatch.setattr(hierarchy, "separability_verdict", fail)
+    assert main(["extend-check", "--state", state, "--levels", "2"]) == EXIT_NUMERICAL
+    monkeypatch.undo()
+    assert config(["extend-check", "--state", state, "--levels", "2"])["levels"] == 2
 
 
 def test_an_operator_file_must_hold_json_numbers(tmp_path, capsys):

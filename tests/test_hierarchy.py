@@ -1,5 +1,6 @@
 """Tests for sequence validation, the feasibility solver, and probes."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,7 @@ from definetti import (
 from definetti import hierarchy
 from definetti.hierarchy import CERTIFICATE_PERIOD, ExtensionProblem, is_checkpoint
 from definetti.linalg import psd_part
-from definetti.symmetry import MAX_LEVEL, copy_bases
+from definetti.symmetry import MAX_LEVEL, copy_bases, schur_weyl_block
 
 from conftest import (
     DenseDR,
@@ -339,8 +340,11 @@ def test_block_solver_matches_dense_replay(m, n, l):
     rho = Functional.random_faithful(n, rng)
     a = LeggedOperator(rand_psd(m * n, rng), (m, n))
     report = sub_extension_feasibility(a, rho, l)
-    verdict, iterations = DenseDR(ExtensionProblem(a * (1 / a.trace().real), rho, l)).solve(SolverOptions())
+    dense = DenseDR(ExtensionProblem(a * (1 / a.trace().real), rho, l))
+    verdict, iterations = dense.solve(SolverOptions())
     assert (report.verdict, report.iterations) == (verdict, iterations)
+    # the residuals too, to the rounding of dense against block arithmetic
+    assert np.allclose(report.residual_history, dense.history, rtol=1e-5, atol=0)
 
 
 def test_block_solver_matches_dense_replay_on_a_flat_residual():
@@ -663,6 +667,77 @@ def test_witness_properties(rng):
     assert np.abs(sym.entries - w.entries).max() < 1e-6
     marg = contract_legs(w, RHO, [2, 3])
     assert loewner_leq(marg, a, tol=1e-6)
+
+
+def _parity_input(m, n, l):
+    """The input of `test_block_solver_matches_dense_replay` at (m, n, l)."""
+    rng = np.random.default_rng(100 * m + 10 * n + l)
+    rho = Functional.random_faithful(n, rng)
+    return LeggedOperator(rand_psd(m * n, rng), (m, n)), rho, l
+
+
+# the parity inputs, and criterion 3b's Werner solves (tests/test_acceptance.py)
+LAZY_WITNESS_CASES = [_parity_input(*case) for case in PARITY_CASES] + [
+    (werner_element(float(p)), RHO, l) for p in np.linspace(0.0, 1.0, 21) for l in (2, 3)
+]
+
+
+def test_witness_is_the_eager_export_built_on_first_read(monkeypatch):
+    # a solve forms no dense witness; the first read of report.witness builds
+    # it once, byte for byte the export the solver used to build at once,
+    # to_dense of the checked block stack times trace(a), and the dense
+    # reference check accepts it
+    rebuilds = []
+    rebuild = hierarchy.from_schur_weyl_blocks
+
+    def counted(blocks, m, n, l):
+        rebuilds.append(l)
+        return rebuild(blocks, m, n, l)
+
+    checked = []
+    validate = ExtensionProblem.validate_witness
+
+    def record(prob, x, tol):
+        checked.append((prob, x))
+        return validate(prob, x, tol)
+
+    monkeypatch.setattr(hierarchy, "from_schur_weyl_blocks", counted)
+    monkeypatch.setattr(ExtensionProblem, "validate_witness", record)
+    feasible = 0
+    for a, rho, l in LAZY_WITNESS_CASES:
+        rebuilds.clear()
+        report = sub_extension_feasibility(a, rho, l)
+        assert rebuilds == []
+        if report.verdict != "feasible":
+            assert report.witness is None and report.witness_blocks is None
+            continue
+        feasible += 1
+        w = report.witness
+        assert rebuilds == [l]
+        assert report.witness is w and rebuilds == [l]
+        prob, x = checked[-1]
+        eager = LeggedOperator(prob.to_dense(x), prob.big_legs) * a.trace().real
+        assert w.legs == eager.legs and w.entries.tobytes() == eager.entries.tobytes()
+        assert dense_validate_witness(ExtensionProblem(a, rho, l), w, 1e-6)
+    # Werner p <= (l + 2) / (3l): 14 grid points at l = 2 and 12 at l = 3
+    assert feasible == len(PARITY_CASES) + 14 + 12
+
+
+def test_witness_blocks_are_the_scaled_read_only_blocks_of_the_witness():
+    a = werner_element(0.4) * 3.0
+    report = sub_extension_feasibility(a, RHO, 4)
+    parts = list(partitions_of(4, max_parts=2))
+    assert len(report.witness_blocks) == len(parts)
+    for lam, block in zip(parts, report.witness_blocks):
+        want = schur_weyl_block(report.witness.entries, 2, 2, lam)
+        assert block.shape == want.shape == (2 * lam.weyl_dimension(2),) * 2
+        assert np.abs(block - want).max() <= 1e-12 * np.abs(want).max()
+        with pytest.raises(ValueError):
+            block[0, 0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.witness_blocks = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.witness = None
 
 
 def test_bell_projector_infeasible():

@@ -341,6 +341,23 @@ def test_transition_blocks_rejects_a_bad_level():
         transition_blocks([np.eye(2)], 2, 2, 0, density)
 
 
+def test_transition_blocks_count_the_blocks_from_the_cached_plan(monkeypatch):
+    # the number of partitions of l comes with the plan, so once the plan is
+    # built a call enumerates no partition
+    blocks = [np.eye(2 * lam.weyl_dimension(2)) for lam in partitions_of(4, max_parts=2)]
+    density = np.eye(2) / 2
+    transition_blocks(blocks, 2, 2, 4, density)
+    assert symmetry._transition_plan(2, 4)[0] == len(blocks)
+
+    def counted(*args, **kwargs):
+        raise AssertionError("partitions_of called")
+
+    monkeypatch.setattr(symmetry, "partitions_of", counted)
+    assert len(transition_blocks(blocks, 2, 2, 4, density)) == 2
+    with pytest.raises(ValueError, match="has 3 blocks, got 2"):
+        transition_blocks(blocks[:2], 2, 2, 4, density)
+
+
 def test_enumeration_bound_guard():
     with pytest.raises(ValueError):
         isotypic_projector(2, 9, Partition((9,)))

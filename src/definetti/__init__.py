@@ -25,7 +25,6 @@ from .hierarchy import (
     SymSequence,
     ValidationReport,
     bell_projector,
-    compress_chain,
     ppt_min_eig,
     product_probe,
     separability_verdict,

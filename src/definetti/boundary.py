@@ -33,7 +33,7 @@ from .symmetry import (
     chain_blocks,
     copy_basis,
     isotypic_projector,
-    partitions_of,
+    level_layout,
     schur_weyl_table,
     transition_blocks,
 )
@@ -180,9 +180,10 @@ def recover_block(seq: SymSequence, lam: Partition) -> LeggedOperator:
         raise ValueError(f"partition size {l} exceeds prefix length {seq.L}")
     if len(lam) > seq.n:
         raise ValueError(f"partition {lam.parts} has more than n={seq.n} rows")
-    block = seq.blocks(l)[list(partitions_of(l, max_parts=seq.n)).index(lam)]
-    hook = lam.hook_dimension()
-    return LeggedOperator(np.kron(block, np.eye(hook)), (seq.m, lam.weyl_dimension(seq.n) * hook))
+    layout = level_layout(seq.n, l)
+    k = next(k for k, (mu, _, _) in enumerate(layout) if mu == lam)
+    _, weyl, hook = layout[k]
+    return LeggedOperator(np.kron(seq.blocks(l)[k], np.eye(hook)), (seq.m, weyl * hook))
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,15 @@ def _solver_opts(args) -> hy.SolverOptions:
 
 
 def _load_rho(spec: str, n: int) -> Functional:
-    if spec in ("trace", "normalized-trace"):
+    """A preset of `serialize.resolve_functional` or a density file's path."""
+    try:
         return io.resolve_functional(spec, n)
-    return io.resolve_functional(io.load_json(spec), n)
+    except ValueError:
+        return io.resolve_functional(io.load_json(spec), n)
 
 
 def _emit(report: dict, out_path: str | None, summary: str) -> None:
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -52,9 +52,10 @@ from .symmetry import (
     Symmetrizer,
     _kron,
     chain_blocks,
-    copy_bases,
+    check_blocks,
+    copy_basis,
     from_schur_weyl_blocks,
-    partitions_of,
+    level_layout,
     schur_weyl_block,
     transition_blocks,
 )
@@ -96,7 +97,7 @@ class SymSequence:
     Entry l lives on legs [m, n, ..., n] with l copies of n.  Every check
     reads a level as its Schur-Weyl blocks, `blocks(l)`: B_lambda =
     (I_m (x) W)^T x_l (I_m (x) W) per partition lambda of l with at most n
-    rows, in `partitions_of` order (`symmetry.schur_weyl_block`).  A sequence
+    rows, in `level_layout` order (`symmetry.schur_weyl_block`).  A sequence
     is given either densely, `SymSequence(m, n, rho, entries)`, whose blocks
     are compressed from the entries when first read, or by its blocks,
     `SymSequence.from_blocks`, whose dense `entries` are rebuilt
@@ -127,22 +128,14 @@ class SymSequence:
 
     @classmethod
     def from_blocks(cls, m: int, n: int, rho: Functional, blocks) -> "SymSequence":
-        """The sequence whose level l has the Schur-Weyl blocks blocks[l];
-        raises ValueError on a wrong count or side of blocks at some level."""
+        """The sequence whose level l has the Schur-Weyl blocks blocks[l],
+        each level checked by `check_blocks`."""
         seq = cls.__new__(cls)
         seq._init(m, n, rho, len(blocks))
         for l, level in enumerate(blocks):
-            parts = list(partitions_of(l, max_parts=n))
             level = tuple(np.array(b, dtype=complex) for b in level)
-            if len(level) != len(parts):
-                raise ValueError(f"level {l} on n={n} has {len(parts)} blocks, got {len(level)}")
-            for lam, b in zip(parts, level):
-                side = m * lam.weyl_dimension(n)
-                if b.shape != (side, side):
-                    raise ValueError(
-                        f"block {list(lam.parts)} of level {l} has shape {b.shape}, "
-                        f"expected {(side, side)}"
-                    )
+            check_blocks(level, m, n, l)
+            for b in level:
                 b.setflags(write=False)
             seq._blocks[l] = level
         seq.given_densely = False
@@ -158,8 +151,7 @@ class SymSequence:
         if self._blocks[l] is None:
             x = self._entries[l].entries
             level = tuple(
-                schur_weyl_block(x, self.m, self.n, lam)
-                for lam in partitions_of(l, max_parts=self.n)
+                schur_weyl_block(x, self.m, self.n, lam) for lam, _, _ in level_layout(self.n, l)
             )
             for b in level:
                 b.setflags(write=False)
@@ -291,7 +283,7 @@ class FeasibilityReport:
 
     A `feasible` report carries the checked witness b as `witness_blocks`:
     its Schur-Weyl blocks B_lambda (`symmetry.schur_weyl_block`), one per
-    partition of l with at most n rows in `copy_bases` order, scaled by
+    partition of l with at most n rows in `level_layout` order, scaled by
     trace(a) and read-only, the format of a sequence bundle's entry.  The
     dense b of side m n^l, `witness`, is built from the blocks only when it
     is first read.
@@ -375,7 +367,7 @@ class _Geometry:
 
     def __init__(self, m: int, n: int, l: int, density: np.ndarray):
         self.big_legs = (m,) + (n,) * l
-        bases = copy_bases(n, l)
+        layout = level_layout(n, l)
         def grow(x):  # S_k(e) = S_{k-1}(e) (x) D + D^{(x)(k-1)} (x) e
             y = _kron(x, density)
             y[1:] += _kron(x[0], np.eye(n * n).reshape(-1, n, n))
@@ -383,12 +375,12 @@ class _Geometry:
         # per partition lam of l: pi_lam(D) atop the blocks S_lam(e_j) = l K(e_j)
         walk = chain_blocks(n, l, np.eye(n * n + 1, 1)[:, :, None], grow)
         stacks = [x for lam, x in walk if lam.size == l]
-        side = m * max(w.shape[1] for _, w in bases)
-        self.shape = (len(bases), side, side)
+        side = m * max(d for _, d, _ in layout)
+        self.shape = (len(layout), side, side)
         self._copies, rows, idx = [], [], []
-        for k, ((lam, w), x) in enumerate(zip(bases, stacks)):
-            weight, d = math.sqrt(lam.hook_dimension()), w.shape[1]
-            self._copies.append((weight, w))
+        for k, ((lam, d, hook), x) in enumerate(zip(layout, stacks)):
+            weight = math.sqrt(hook)
+            self._copies.append((weight, copy_basis(n, lam)))
             rows.append(weight * x[1:].conj().reshape(n * n, d * d) / l)
             # stack position of entry (alpha, beta) of the m-block (i, j) of X
             r = np.arange(m)[:, None] * d + np.arange(d)
@@ -399,7 +391,7 @@ class _Geometry:
         self._idx = np.hstack(idx)
         self._weights = np.array([weight for weight, _ in self._copies])
         self._q = self._gi.T @ self._kh.conj()
-        # the copy bases are read-only already (`symmetry.copy_bases`)
+        # the copy bases are read-only already (`symmetry.copy_basis`)
         for arr in (self._kh, self._gi, self._idx, self._weights, self._q):
             arr.setflags(write=False)
 
@@ -420,7 +412,7 @@ class ExtensionProblem:
     at most n rows of blocks B_lambda (x) I_hook(lambda), B_lambda on
     m (x) V_lambda.  The variable for lambda is
     X_lambda = sqrt(hook(lambda)) (I_m (x) W)^T b (I_m (x) W), with W the
-    copy basis of lambda (`copy_bases`), of side m * weyl(lambda).  The
+    copy basis of lambda (`copy_basis`), of side m * weyl(lambda).  The
     sqrt(hook) weights make the Euclidean norm of the X equal the Frobenius
     norm of b, so Douglas-Rachford on the blocks takes exactly the steps of
     Douglas-Rachford on b.  The blocks are stored as one zero-padded stack
@@ -471,10 +463,6 @@ class ExtensionProblem:
             side = self.m * w.shape[1]
             blocks.append(x[k, :side, :side] / weight)
         return blocks
-
-    def to_dense(self, x: np.ndarray) -> np.ndarray:
-        """The S_l-invariant b of a block stack (`from_schur_weyl_blocks`)."""
-        return from_schur_weyl_blocks(self._blocks(x), self.m, self.n, self.l)
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         """Metric projection of a block stack onto {Phi(b) = a}:
@@ -796,16 +784,6 @@ def separability_verdict(
         overall = "undetermined"
     ppt = ppt_min_eig(a) if tuple(a.legs) in PPT_EXACT_DIMS else None
     return SeparabilityReport(overall, reports, ppt)
-
-
-def compress_chain(x_k: LeggedOperator, rho: Functional, l: int) -> LeggedOperator:
-    """Contract the trailing k-l legs with rho; keeps PSD and symmetry."""
-    k = len(x_k.legs) - 1
-    if not 0 <= l <= k:
-        raise ValueError(f"cannot compress level {k} chain member to level {l}")
-    if l == k:
-        return x_k
-    return contract_legs(x_k, rho, range(l + 1, k + 1))
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,12 @@ A matrix is `{"legs", "re", "im"}` with finite entries.  A sequence bundle
 is `{"m", "n", "L", "rho", "entries"}`, and entry l, an S_l-invariant
 operator on legs [m, n, ..., n], is stored as its Schur-Weyl blocks: a list
 of matrix objects `{"partition", "legs": [m, weyl], "re", "im"}`, one per
-partition lambda of l with at most n rows in `partitions_of(l, max_parts=n)`
-order, holding B_lambda = (I_m (x) W)^T x_l (I_m (x) W), W the copy basis of
-lambda (`symmetry.schur_weyl_block`).  At l <= 1 the one block is x_l
-itself.  The reader keeps the blocks (`SymSequence.from_blocks`) and
-rebuilds no dense entry.
+partition lambda of l with at most n rows in `symmetry.level_layout(n, l)`
+order, the one block order, holding B_lambda = (I_m (x) W)^T x_l (I_m (x) W),
+W the copy basis of lambda (`symmetry.schur_weyl_block`).  At l <= 1 the one
+block is x_l itself.  The reader checks the labels and legs, and keeps the
+blocks (`SymSequence.from_blocks`, whose shape check is
+`symmetry.check_blocks`); it rebuilds no dense entry.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .hierarchy import SymSequence, _asymmetric_level
 from .linalg import PSD_TOL, Functional, LeggedOperator
-from .symmetry import MAX_LEVEL, partitions_of
+from .symmetry import MAX_LEVEL, level_layout
 
 
 def _is_int(x) -> bool:
@@ -83,7 +84,8 @@ def functional_from_json(obj: dict) -> Functional:
 
 
 def resolve_functional(spec: Union[str, dict], n: int) -> Functional:
-    """Accept the presets 'trace' / 'normalized-trace' or a density object."""
+    """Accept the presets 'trace' / 'normalized-trace' or a density object;
+    any other string raises ValueError."""
     if spec == "trace":
         return Functional.trace(n)
     if spec == "normalized-trace":
@@ -98,14 +100,13 @@ def resolve_functional(spec: Union[str, dict], n: int) -> Functional:
 
 def _blocks_to_json(blocks, m: int, n: int, l: int) -> list[dict]:
     """The Schur-Weyl blocks of an S_l-invariant operator on legs
-    [m, n, ..., n], in `partitions_of(l, max_parts=n)` order, as matrix
-    objects `{"partition", "legs": [m, weyl], "re", "im"}`: a bundle's
-    entry, and a solver report's witness (`FeasibilityReport.to_json`)."""
-    out = []
-    for lam, block in zip(partitions_of(l, max_parts=n), blocks):
-        op = LeggedOperator(block, (m, lam.weyl_dimension(n)))
-        out.append({"partition": list(lam.parts), **operator_to_json(op)})
-    return out
+    [m, n, ..., n], in `level_layout(n, l)` order, as matrix objects
+    `{"partition", "legs": [m, weyl], "re", "im"}`: a bundle's entry, and a
+    solver report's witness (`FeasibilityReport.to_json`)."""
+    return [
+        {"partition": list(lam.parts), **operator_to_json(LeggedOperator(block, (m, weyl)))}
+        for (lam, weyl, _), block in zip(level_layout(n, l), blocks)
+    ]
 
 
 def sequence_to_json(seq: SymSequence) -> dict:
@@ -129,22 +130,22 @@ def sequence_to_json(seq: SymSequence) -> dict:
 
 def _entry_from_json(obj, m: int, n: int, l: int) -> list[np.ndarray]:
     """The blocks of entry l, each checked; no copy basis is built."""
-    partitions = list(partitions_of(l, max_parts=n))
-    labels = [list(lam.parts) for lam in partitions]
+    layout = level_layout(n, l)
+    labels = [list(lam.parts) for lam, _, _ in layout]
     if not isinstance(obj, list):
         raise ValueError(
             f"entry {l} must be a list of Schur-Weyl blocks, one per partition {labels}; "
             "dense matrix entries are not read"
         )
-    if len(obj) != len(partitions):
-        raise ValueError(f"entry {l} has {len(obj)} blocks, expected {len(partitions)}: {labels}")
+    if len(obj) != len(layout):
+        raise ValueError(f"entry {l} has {len(obj)} blocks, expected {len(layout)}: {labels}")
     blocks = []
-    for i, (lam, label, block) in enumerate(zip(partitions, labels, obj)):
+    for i, ((_, weyl, _), label, block) in enumerate(zip(layout, labels, obj)):
         got = block.get("partition") if isinstance(block, dict) else None
         if not (isinstance(got, list) and all(_is_int(p) for p in got) and got == label):
             raise ValueError(f"block {i} of entry {l} must have partition {label}, got {got!r}")
         op = operator_from_json(block)
-        want = (m, lam.weyl_dimension(n))
+        want = (m, weyl)
         if op.legs != want:
             raise ValueError(
                 f"block {label} of entry {l} has legs {list(op.legs)}, expected {list(want)}"
@@ -181,5 +182,5 @@ def load_json(path: str) -> dict:
 
 def dump_json(obj: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(obj, fh)
         fh.write("\n")

@@ -89,6 +89,29 @@ def partitions_of(l: int, max_parts: int | None = None):
         yield Partition(parts)
 
 
+@functools.lru_cache(maxsize=None)
+def level_layout(n: int, l: int) -> tuple[tuple[Partition, int, int], ...]:
+    """(lambda, weyl(lambda), hook(lambda)) per partition lambda of l with at
+    most n rows, in `partitions_of` order: the one block order of a level."""
+    parts = partitions_of(l, max_parts=n)
+    return tuple((lam, lam.weyl_dimension(n), lam.hook_dimension()) for lam in parts)
+
+
+def check_blocks(blocks: Sequence[np.ndarray], m: int, n: int, l: int) -> None:
+    """Raise ValueError unless `blocks` has one block per entry of
+    `level_layout(n, l)`, of side m weyl: the blocks of an operator on legs
+    [m, n, ..., n]."""
+    layout = level_layout(n, l)
+    if len(blocks) != len(layout):
+        raise ValueError(f"level {l} on n={n} has {len(layout)} blocks, got {len(blocks)}")
+    for (lam, weyl, _), b in zip(layout, blocks):
+        if np.shape(b) != (m * weyl,) * 2:
+            raise ValueError(
+                f"block {list(lam.parts)} of level {l} has shape {np.shape(b)}, "
+                f"expected {(m * weyl,) * 2}"
+            )
+
+
 class Symmetrizer:
     """Group average over permutations of chosen legs, by coset factorization.
 
@@ -254,24 +277,23 @@ def _alignment(n: int, nu: tuple[int, ...], lam: tuple[int, ...]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _transition_plan(n: int, l: int) -> tuple[int, tuple]:
-    """(the number of partitions of l with at most n rows, the plan): per
-    partition nu of l - 1 with at most n rows, in `partitions_of` order,
-    (weyl(nu), ((k, A_{nu lam}), ...)) over the children lam = nu + box
-    with at most n rows, k the position of lam among the partitions of l.
-    Built once per process, its arrays read-only."""
-    parts = [lam.parts for lam in partitions_of(l, max_parts=n)]
+def _transition_plan(n: int, l: int) -> tuple:
+    """Per partition nu of l - 1 with at most n rows, in `level_layout`
+    order, (weyl(nu), ((k, A_{nu lam}), ...)) over the children
+    lam = nu + box with at most n rows, k the position of lam in
+    `level_layout(n, l)`.  Built once per process, its arrays read-only."""
+    layout = level_layout(n, l)
     plan = []
-    for nu in partitions_of(l - 1, max_parts=n):
+    for nu, weyl, _ in level_layout(n, l - 1):
         children = []
-        for k, lam in enumerate(parts):
+        for k, (lam, _, _) in enumerate(layout):
             # |lam| = |nu| + 1, so lam = nu + box when it contains nu
-            if len(lam) >= len(nu) and all(a >= b for a, b in zip(lam, nu.parts)):
-                a = _alignment(n, nu.parts, lam)
+            if len(lam) >= len(nu) and all(a >= b for a, b in zip(lam, nu)):
+                a = _alignment(n, nu.parts, lam.parts)
                 a.setflags(write=False)
                 children.append((k, a))
-        plan.append((nu.weyl_dimension(n), tuple(children)))
-    return len(parts), tuple(plan)
+        plan.append((weyl, tuple(children)))
+    return tuple(plan)
 
 
 def copy_basis(n: int, lam: Partition) -> np.ndarray:
@@ -298,7 +320,7 @@ def copy_bases(n: int, l: int) -> list[tuple[Partition, np.ndarray]]:
     S_l-invariant operator b on the n-legs is determined by its compressions
     W^T b W: in Schur-Weyl coordinates b is sum_lambda W^T b W (x) I_hook.
     """
-    return [(lam, copy_basis(n, lam)) for lam in partitions_of(l, max_parts=n)]
+    return [(lam, copy_basis(n, lam)) for lam, _, _ in level_layout(n, l)]
 
 
 def schur_weyl_block(x: np.ndarray, m: int, n: int, lam: Partition) -> np.ndarray:
@@ -314,20 +336,18 @@ def schur_weyl_block(x: np.ndarray, m: int, n: int, lam: Partition) -> np.ndarra
 
 def from_schur_weyl_blocks(blocks: Sequence[np.ndarray], m: int, n: int, l: int) -> np.ndarray:
     """The S_l-invariant x on legs [m, n, ..., n] with blocks B_lambda
-    (`schur_weyl_block`), one per partition in `copy_bases(n, l)` order:
+    (`schur_weyl_block`), as `check_blocks` requires:
     x = Sym(sum hook(lambda) F B_lambda F^T), F = I_m (x) W_lambda, since
     hook * Sym(F B F^T) is B (x) I_hook.  At l <= 1, W = I and x is the one
     block.
     """
-    bases = copy_bases(n, l)
-    if len(blocks) != len(bases):
-        raise ValueError(f"level {l} on n={n} has {len(bases)} blocks, got {len(blocks)}")
+    check_blocks(blocks, m, n, l)
     if l <= 1:
         return np.array(blocks[0])
     total = 0
-    for (lam, w), block in zip(bases, blocks):
-        f = np.kron(np.eye(m), w)
-        total = total + lam.hook_dimension() * (f @ block @ f.T)
+    for (lam, _, hook), block in zip(level_layout(n, l), blocks):
+        f = np.kron(np.eye(m), copy_basis(n, lam))
+        total = total + hook * (f @ block @ f.T)
     return Symmetrizer((m,) + (n,) * l, range(1, l + 1)).apply_matrix(total)
 
 
@@ -335,19 +355,17 @@ def transition_blocks(
     blocks: Sequence[np.ndarray], m: int, n: int, l: int, density: np.ndarray
 ) -> list[np.ndarray]:
     """The blocks of P x at level l - 1 from the blocks B_lam of an
-    S_l-invariant x at level l (both as in `schur_weyl_block`, in
-    `copy_bases` order), P contracting the last leg with rho(y) = trace(D y):
+    S_l-invariant x at level l (as in `schur_weyl_block`, checked by
+    `check_blocks`), P contracting the last leg with rho(y) = trace(D y):
     block_nu(P x) = tr_last[(sum over lam = nu + box of F B_lam F^T)(I (x) D)],
     F = I_m (x) A_{nu lam} (`_alignment`).  The A come from the cached
     `_transition_plan`; past that, no n^l rows are read.
     """
     if not 1 <= l <= MAX_LEVEL:
         raise ValueError(f"transition_blocks needs 1 <= l <= {MAX_LEVEL}, got l={l}")
-    count, plan = _transition_plan(n, l)
-    if len(blocks) != count:
-        raise ValueError(f"level {l} on n={n} has {count} blocks, got {len(blocks)}")
+    check_blocks(blocks, m, n, l)
     out = []
-    for w, children in plan:
+    for w, children in _transition_plan(n, l):
         acc = 0  # F B F^T over the children lam, as (m, m, weyl(nu) n, weyl(nu) n)
         for k, a in children:
             d = a.shape[1]
@@ -360,7 +378,7 @@ def transition_blocks(
 
 def chain_blocks(n: int, l: int, seed: np.ndarray, grow: Callable) -> Iterator:
     """(lam, C^T grow(x_mu) C) for each partition lam of 1, ..., l with at most
-    n rows, level by level in `partitions_of` order: the one place where
+    n rows, level by level in `level_layout` order: the one place where
     Schur-Weyl blocks grow.  mu is lam's parent on the copy chain, x_mu its
     block (`seed` for mu = ()), C its branching W_lam = (W_mu (x) I_n) C
     (`_copy_chain`).  If grow(x_mu) = (W_mu (x) I_n)^T A (W_mu (x) I_n), the
@@ -373,7 +391,7 @@ def chain_blocks(n: int, l: int, seed: np.ndarray, grow: Callable) -> Iterator:
     level = {(): seed}
     for k in range(1, l + 1):
         prev, level = level, {}
-        for lam in partitions_of(k, max_parts=n):
+        for lam, _, _ in level_layout(n, k):
             step = _copy_chain(n, lam.parts)
             block = level[lam.parts] = step.branching.T @ grow(prev[step.parent]) @ step.branching
             block.setflags(write=False)
@@ -402,16 +420,12 @@ def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:
 def schur_weyl_table(n: int, l: int) -> list[tuple[Partition, int, int]]:
     """(partition, U(n) block dimension, multiplicity) for each nonzero block.
 
-    Closed forms: the block dimension is the Weyl dimension and the
-    multiplicity the hook-length dimension; every partition with at most n
-    parts has a nonzero block.  Raises ValueError unless n >= 1 and
+    `level_layout(n, l)` as a list: every partition with at most n parts
+    has a nonzero block.  Raises ValueError unless n >= 1 and
     0 <= l <= `MAX_LEVEL`.
     """
     if n < 1 or l < 0:
         raise ValueError(f"schur_weyl_table needs n >= 1 and l >= 0, got n={n}, l={l}")
     if l > MAX_LEVEL:
         raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
-    return [
-        (lam, lam.weyl_dimension(n), lam.hook_dimension())
-        for lam in partitions_of(l, max_parts=n)
-    ]
+    return list(level_layout(n, l))

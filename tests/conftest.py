@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from definetti import LeggedOperator, Symmetrizer
+from definetti import boundary, cli, hierarchy, serialize, symmetry
 from definetti.hierarchy import (
     ANDERSON_MEMORY,
     ANDERSON_REGULARIZATION,
@@ -17,7 +18,7 @@ from definetti.hierarchy import (
     is_checkpoint,
 )
 from definetti.linalg import PSD_TOL, contract_legs, is_psd, loewner_leq, psd_part
-from definetti.symmetry import copy_bases
+from definetti.symmetry import copy_bases, from_schur_weyl_blocks
 
 
 def rand_psd(n, rng, floor=0.0):
@@ -88,6 +89,16 @@ def to_blocks(prob, b):
         f = np.kron(np.eye(prob.m), w)
         out[k, : f.shape[1], : f.shape[1]] = np.sqrt(lam.hook_dimension()) * (f.T @ b @ f)
     return out
+
+
+def to_dense(prob, x):
+    """The S_l-invariant b on the full legs of a zero-padded block stack, the
+    inverse of `to_blocks`: `from_schur_weyl_blocks` of X / sqrt(hook)."""
+    blocks = []
+    for k, (lam, w) in enumerate(copy_bases(prob.n, prob.l)):
+        side = prob.m * w.shape[1]
+        blocks.append(x[k, :side, :side] / np.sqrt(lam.hook_dimension()))
+    return from_schur_weyl_blocks(blocks, prob.m, prob.n, prob.l)
 
 
 def dense_gram_rows(n, l, density):
@@ -289,6 +300,18 @@ class DenseDR:
             gamma = np.linalg.solve(gram + reg * np.eye(len(memory)), rhs)
             z, mixed = g - sum(gm * dg for gm, (_, dg) in zip(gamma, memory)), True
         return "max_iterations", opts.max_iterations
+
+
+def forbid_enumeration(monkeypatch):
+    """Make `partitions_of` raise AssertionError wherever the package looks
+    it up, so a call that enumerates a level's partitions fails."""
+
+    def enumerated(*args, **kwargs):
+        raise AssertionError("partitions_of called")
+
+    for module in (symmetry, hierarchy, boundary, serialize, cli):
+        if hasattr(module, "partitions_of"):
+            monkeypatch.setattr(module, "partitions_of", enumerated)
 
 
 @pytest.fixture

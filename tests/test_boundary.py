@@ -26,7 +26,7 @@ from definetti import (
 from definetti import boundary, symmetry
 from definetti.symmetry import partitions_of, schur_weyl_table
 
-from conftest import rand_psd, schur_polynomial
+from conftest import forbid_enumeration, rand_psd, schur_polynomial
 
 RHO = Functional.normalized_trace(2)
 
@@ -281,6 +281,18 @@ def test_recover_block_at_level_six_has_the_character(rng):
         assert block.legs == (2, lam.weyl_dimension(2) * hook)
         want = np.trace(a.entries) * hook * schur_polynomial(lam.parts, eigs)
         assert abs(np.trace(block.entries) - want) <= 1e-10 * abs(want)
+
+
+def test_warm_block_recovery_and_exponential_test_enumerate_no_partition(rng, monkeypatch):
+    # both read each level's blocks in the cached `level_layout`
+    g = random_grouplike(rng)
+    seq = grouplike_sequence(LeggedOperator(rand_psd(2, rng), (2,)), g, 6, RHO)
+    lams = list(partitions_of(6, max_parts=2))
+    want = [recover_block(seq, lam).entries for lam in lams], exponential_test(g, 8)
+    forbid_enumeration(monkeypatch)
+    blocks = [recover_block(seq, lam).entries for lam in lams]
+    assert [b.tobytes() for b in blocks] == [b.tobytes() for b in want[0]]
+    assert exponential_test(g, 8) == want[1]
 
 
 @pytest.mark.parametrize("n, L", [(2, 6), (3, 4)])

@@ -10,7 +10,7 @@ from definetti.serialize import dump_json, operator_from_json, operator_to_json,
 from definetti import boundary, cli, hierarchy, serialize, symmetry
 from definetti.boundary import GroupLike, grouplike_sequence, separable_image_check
 
-from conftest import rand_psd, random_separable
+from conftest import forbid_enumeration, rand_psd, random_separable
 
 
 def write_op(path, op):
@@ -288,6 +288,22 @@ def test_boundary_bundle_forms_no_dense_object_image_check_included(tmp_path, rn
         assert [b["partition"] for b in r["witness"]] == [
             list(lam.parts) for lam in symmetry.partitions_of(int(l), max_parts=2)
         ]
+
+
+def test_a_warm_boundary_bundle_call_enumerates_no_partition(tmp_path, rng, monkeypatch):
+    # reading, checking and writing blocks all follow the cached
+    # `symmetry.level_layout`, so a second call enumerates nothing
+    seq = grouplike_sequence(LeggedOperator(rand_psd(2, rng), (2,)), GroupLike(np.diag([0.9, 0.7])), 5)
+    path = tmp_path / "bundle.json"
+    dump_json(sequence_to_json(seq), str(path))
+    out = tmp_path / "bd.json"
+    argv = ["boundary", "--bundle", str(path), "--verify-bridge", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    want = out.read_text()
+    forbid_enumeration(monkeypatch)
+    assert main(argv) == EXIT_OK
+    assert out.read_text() == want
+    assert "image_check" in json.loads(want)
 
 
 def test_extend_check_writes_the_witnesses_as_bundle_blocks(tmp_path, capsys):

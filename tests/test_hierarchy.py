@@ -13,7 +13,6 @@ from definetti import (
     SymSequence,
     Symmetrizer,
     bell_projector,
-    compress_chain,
     contract_legs,
     is_psd,
     loewner_leq,
@@ -39,10 +38,12 @@ from conftest import (
     dense_sym,
     dense_validate_k_prefix,
     dense_validate_witness,
+    forbid_enumeration,
     phi_star,
     rand_psd,
     random_separable,
     to_blocks,
+    to_dense,
 )
 
 RHO = Functional.normalized_trace(2)
@@ -249,7 +250,7 @@ def test_project_affine_per_block(rng, m, n, l):
     prob = ExtensionProblem(a, rho, l)
     b = _random_invariant(prob, rng)
     out_blocks = prob.project_affine(to_blocks(prob, b))
-    out = prob.to_dense(out_blocks)
+    out = to_dense(prob, out_blocks)
     scale = np.abs(out).max()
     assert np.abs(dense_sym(prob).apply_matrix(out) - out).max() < 1e-12 * scale
     assert np.abs(dense_phi(prob, out) - a.entries).max() < 1e-10 * max(1.0, a.norm_max())
@@ -266,11 +267,11 @@ def test_block_coordinates_round_trip(rng, m, n, l):
     b = _random_invariant(prob, rng)
     blocks = to_blocks(prob, b)
     assert (blocks[_padding(prob)] == 0).all()
-    assert np.abs(prob.to_dense(blocks) - b).max() < 1e-12 * np.abs(b).max()
+    assert np.abs(to_dense(prob, blocks) - b).max() < 1e-12 * np.abs(b).max()
     assert abs(np.linalg.norm(blocks) - np.linalg.norm(b)) < 1e-12 * np.linalg.norm(b)
     x = rng.normal(size=prob.shape) + 1j * rng.normal(size=prob.shape)
     x[_padding(prob)] = 0
-    dense = prob.to_dense(x)
+    dense = to_dense(prob, x)
     assert np.abs(to_blocks(prob, dense) - x).max() < 1e-12 * np.abs(x).max()
     assert abs(np.linalg.norm(dense) - np.linalg.norm(x)) < 1e-12 * np.linalg.norm(x)
 
@@ -297,7 +298,7 @@ def test_dr_iterates_stay_invariant():
     z = _solver_iterate(prob)
     assert (z[_padding(prob)] == 0).all()
     assert np.abs(z - z.conj().swapaxes(-1, -2)).max() <= 1e-12 * np.abs(z).max()
-    dense = prob.to_dense(z)
+    dense = to_dense(prob, z)
     assert np.abs(dense_sym(prob).apply_matrix(dense) - dense).max() <= 1e-10 * np.abs(dense).max()
 
 
@@ -395,7 +396,7 @@ def _assert_screen_keeps_every_certificate(prob):
     dense = DenseDR(prob)
     accepted = 0
     for step in _certificate_steps(prob):
-        if dense.certificate(prob.to_dense(step)) is not None:
+        if dense.certificate(to_dense(prob, step)) is not None:
             accepted += 1
             assert prob.certificate(step) is not None
     return accepted
@@ -570,7 +571,7 @@ def _record_witness_checks(monkeypatch):
 def _assert_checks_agree_with_the_dense_reference(seen):
     assert seen
     for prob, x, tol, ok in seen:
-        dense = LeggedOperator(prob.to_dense(x), prob.big_legs)
+        dense = LeggedOperator(to_dense(prob, x), prob.big_legs)
         assert ok and dense_validate_witness(prob, dense, tol)
 
 
@@ -616,7 +617,7 @@ def _random_block_stack(prob, rng):
 def _problem_of(prob, x):
     """The problem at prob's (rho, l) whose a is the marginal of x, so the
     anchor and the Loewner check hold and only the PSD rule can fail."""
-    a = dense_phi(prob, prob.to_dense(x))
+    a = dense_phi(prob, to_dense(prob, x))
     return ExtensionProblem(LeggedOperator(a, (prob.m, prob.n)), prob.rho, prob.l)
 
 
@@ -637,7 +638,7 @@ def test_witness_check_rejects_a_block_just_past_the_psd_rule(rng, m, n, l):
             x[k, :side, :side] -= weight * shift * np.eye(side)
             target = _problem_of(prob, x)
             assert target.validate_witness(x, tol) == want
-            dense = LeggedOperator(prob.to_dense(x), prob.big_legs)
+            dense = LeggedOperator(to_dense(prob, x), prob.big_legs)
             assert dense_validate_witness(target, dense, tol) == want
 
 
@@ -716,11 +717,21 @@ def test_witness_is_the_eager_export_built_on_first_read(monkeypatch):
         assert rebuilds == [l]
         assert report.witness is w and rebuilds == [l]
         prob, x = checked[-1]
-        eager = LeggedOperator(prob.to_dense(x), prob.big_legs) * a.trace().real
+        eager = LeggedOperator(to_dense(prob, x), prob.big_legs) * a.trace().real
         assert w.legs == eager.legs and w.entries.tobytes() == eager.entries.tobytes()
         assert dense_validate_witness(ExtensionProblem(a, rho, l), w, 1e-6)
     # Werner p <= (l + 2) / (3l): 14 grid points at l = 2 and 12 at l = 3
     assert feasible == len(PARITY_CASES) + 14 + 12
+
+
+def test_a_warm_solve_and_its_report_enumerate_no_partition(monkeypatch):
+    a = werner_element(0.4)
+    want = sub_extension_feasibility(a, RHO, 4)
+    forbid_enumeration(monkeypatch)
+    got = sub_extension_feasibility(a, RHO, 4)
+    assert got.verdict == want.verdict == "feasible"
+    assert got.residual_history == want.residual_history
+    assert got.to_json() == want.to_json()
 
 
 def test_witness_blocks_are_the_scaled_read_only_blocks_of_the_witness():
@@ -1058,30 +1069,7 @@ def test_verdicts_do_not_depend_on_the_scale_of_the_input(s):
     assert separability_verdict(werner_element(0.9) * s, RHO, max_l=3).verdict == "entangled_evidence"
 
 
-# -- chain compression and the product probe ---------------------------------
-
-
-def test_compress_chain_walks_down(rng):
-    p = rand_psd(2, rng)
-    q = rand_psd(2, rng)
-    seq, _ = product_chain(p, q, RHO, 4)
-    x4 = seq.entries[4]
-    for l in (3, 2, 1):
-        got = compress_chain(x4, RHO, l)
-        assert np.abs(got.entries - seq.entries[l].entries).max() < 1e-10 * max(
-            1.0, seq.entries[l].norm_max()
-        )
-    with pytest.raises(ValueError):
-        compress_chain(seq.entries[2], RHO, 3)
-
-
-def test_compress_chain_rejects_a_negative_level(rng):
-    # range(l + 1, k + 1) would start at the m-leg and contract it too
-    x = LeggedOperator(rand_psd(8, rng), (2, 2, 2))
-    for l in (-1, -3):
-        with pytest.raises(ValueError, match="to level"):
-            compress_chain(x, RHO, l)
-    assert compress_chain(x, RHO, 0).legs == (2,)
+# -- the product probe ------------------------------------------------------
 
 
 def test_product_probe_accepts_product_chain(rng):

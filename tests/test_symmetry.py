@@ -10,6 +10,7 @@ from definetti import (
     Functional,
     LeggedOperator,
     Partition,
+    SymSequence,
     Symmetrizer,
     contract_legs,
     isotypic_projector,
@@ -342,12 +343,11 @@ def test_transition_blocks_rejects_a_bad_level():
 
 
 def test_transition_blocks_count_the_blocks_from_the_cached_plan(monkeypatch):
-    # the number of partitions of l comes with the plan, so once the plan is
-    # built a call enumerates no partition
+    # the block count comes from the cached `level_layout`, so once the plan
+    # is built a call enumerates no partition
     blocks = [np.eye(2 * lam.weyl_dimension(2)) for lam in partitions_of(4, max_parts=2)]
     density = np.eye(2) / 2
     transition_blocks(blocks, 2, 2, 4, density)
-    assert symmetry._transition_plan(2, 4)[0] == len(blocks)
 
     def counted(*args, **kwargs):
         raise AssertionError("partitions_of called")
@@ -356,6 +356,45 @@ def test_transition_blocks_count_the_blocks_from_the_cached_plan(monkeypatch):
     assert len(transition_blocks(blocks, 2, 2, 4, density)) == 2
     with pytest.raises(ValueError, match="has 3 blocks, got 2"):
         transition_blocks(blocks[:2], 2, 2, 4, density)
+
+
+def test_level_layout_is_the_cached_table_without_the_level_bound():
+    layout = symmetry.level_layout(2, 9)
+    assert layout is symmetry.level_layout(2, 9)
+    assert [lam for lam, _, _ in layout] == list(partitions_of(9, max_parts=2))
+    assert [(d, h) for _, d, h in layout] == [
+        (lam.weyl_dimension(2), lam.hook_dimension()) for lam in partitions_of(9, max_parts=2)
+    ]
+    assert schur_weyl_table(3, 4) == list(symmetry.level_layout(3, 4))
+
+
+@pytest.mark.parametrize(
+    "swap, message",
+    [
+        (lambda blocks: blocks[:1], "level 3 on n=2 has 2 blocks, got 1"),
+        (
+            lambda blocks: [blocks[0], np.eye(6)],
+            "block [2, 1] of level 3 has shape (6, 6), expected (4, 4)",
+        ),
+    ],
+    ids=["count", "side"],
+)
+def test_every_reader_of_a_block_list_raises_the_one_shape_error(swap, message):
+    # `check_blocks` is the one count and side check: a sequence given by
+    # its blocks, the dense rebuild and the transition map raise its
+    # ValueError before a numpy reshape or matmul sees a wrong side
+    blocks = swap([np.eye(2 * lam.weyl_dimension(2)) for lam in partitions_of(3, max_parts=2)])
+    lower = [[np.eye(2)], [np.eye(4)], [np.eye(6), np.eye(2)]]
+    readers = [
+        lambda: symmetry.check_blocks(blocks, 2, 2, 3),
+        lambda: SymSequence.from_blocks(2, 2, Functional.normalized_trace(2), lower + [blocks]),
+        lambda: from_schur_weyl_blocks(blocks, 2, 2, 3),
+        lambda: transition_blocks(blocks, 2, 2, 3, np.eye(2) / 2),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value) == message
 
 
 def test_enumeration_bound_guard():

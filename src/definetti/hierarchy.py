@@ -53,7 +53,6 @@ from .symmetry import (
     _kron,
     chain_blocks,
     check_blocks,
-    copy_basis,
     from_schur_weyl_blocks,
     level_layout,
     schur_weyl_block,
@@ -91,19 +90,25 @@ def is_checkpoint(k: int) -> bool:
     return k & (k - 1) == 0 or k % CERTIFICATE_PERIOD == 0
 
 
+def _is_invariant(x: LeggedOperator, tol: float) -> bool:
+    """S_l-invariance on legs [m, n, ..., n]: |Sym x - x|max <= tol * max(1, |x|max)."""
+    sym = Symmetrizer(x.legs, range(1, x.nlegs)).apply_matrix(x.entries)
+    return np.abs(sym - x.entries).max() <= tol * max(1.0, x.norm_max())
+
+
 class SymSequence:
     """Finite prefix (x_0, ..., x_L) of a candidate sub-martingale sequence.
 
-    Entry l lives on legs [m, n, ..., n] with l copies of n.  Every check
-    reads a level as its Schur-Weyl blocks, `blocks(l)`: B_lambda =
-    (I_m (x) W)^T x_l (I_m (x) W) per partition lambda of l with at most n
-    rows, in `level_layout` order (`symmetry.schur_weyl_block`).  A sequence
-    is given either densely, `SymSequence(m, n, rho, entries)`, whose blocks
-    are compressed from the entries when first read, or by its blocks,
-    `SymSequence.from_blocks`, whose dense `entries` are rebuilt
-    (`symmetry.from_schur_weyl_blocks`) only when first read.  The blocks
-    of a dense entry hold only its S_l-invariant part; `validate_k_prefix`
-    checks that part is all of it.
+    Entry l lives on legs [m, n, ..., n] with l copies of n, and is stored as
+    its Schur-Weyl blocks, `blocks(l)`: B_lambda = (I_m (x) W)^T x_l (I_m (x) W)
+    per partition lambda of l with at most n rows, in `level_layout` order
+    (`symmetry.schur_weyl_block`), read-only.  Every check reads the blocks.
+    `SymSequence(m, n, rho, entries)` compresses dense entries once, when it
+    is built, and keeps them as the dense cache; `SymSequence.from_blocks`
+    takes the blocks, and its dense `entries` are rebuilt
+    (`symmetry.from_schur_weyl_blocks`) only when first read.  The blocks of
+    a dense entry hold only its S_l-invariant part: `asymmetric_level` says
+    whether that part is all of it.
     """
 
     def __init__(self, m: int, n: int, rho: Functional, entries):
@@ -112,33 +117,37 @@ class SymSequence:
             want = (m,) + (n,) * l
             if x.legs != want:
                 raise ValueError(f"entry {l} has legs {x.legs}, expected {want}")
-        self._init(m, n, rho, len(entries))
+        self._init(m, n, rho, [
+            [schur_weyl_block(x.entries, m, n, lam) for lam, _, _ in level_layout(n, l)]
+            for l, x in enumerate(entries)
+        ])
         self._entries[:] = entries
-        self.given_densely = True
 
-    def _init(self, m: int, n: int, rho: Functional, levels: int) -> None:
+    def _init(self, m: int, n: int, rho: Functional, levels) -> None:
+        """Check and store the blocks of each level."""
         if not levels:
             raise ValueError("sequence needs at least the level-0 entry")
         if rho.dim != n:
             raise ValueError(f"functional dimension {rho.dim} does not match n={n}")
         self.m, self.n, self.rho = int(m), int(n), rho
-        # per-level caches, shared with `with_rho` copies: neither depends on rho
-        self._entries: list[Optional[LeggedOperator]] = [None] * levels
-        self._blocks: list[Optional[tuple[np.ndarray, ...]]] = [None] * levels
+        # the blocks, and the dense entries as a cache, are shared with
+        # `with_rho` copies: neither depends on rho
+        self._blocks: list[tuple[np.ndarray, ...]] = []
+        for l, level in enumerate(levels):
+            level = tuple(np.array(b, dtype=complex) for b in level)
+            check_blocks(level, m, n, l)
+            for b in level:
+                b.setflags(write=False)
+            self._blocks.append(level)
+        self._entries: list[Optional[LeggedOperator]] = [None] * len(levels)
 
     @classmethod
     def from_blocks(cls, m: int, n: int, rho: Functional, blocks) -> "SymSequence":
         """The sequence whose level l has the Schur-Weyl blocks blocks[l],
         each level checked by `check_blocks`."""
         seq = cls.__new__(cls)
-        seq._init(m, n, rho, len(blocks))
-        for l, level in enumerate(blocks):
-            level = tuple(np.array(b, dtype=complex) for b in level)
-            check_blocks(level, m, n, l)
-            for b in level:
-                b.setflags(write=False)
-            seq._blocks[l] = level
-        seq.given_densely = False
+        seq._init(m, n, rho, blocks)
+        seq.asymmetric_level = None  # blocks are S_l-invariant by construction
         return seq
 
     @property
@@ -146,17 +155,18 @@ class SymSequence:
         return len(self._blocks) - 1
 
     def blocks(self, l: int) -> tuple[np.ndarray, ...]:
-        """The Schur-Weyl blocks of level l, read-only; computed once from a
-        dense entry."""
-        if self._blocks[l] is None:
-            x = self._entries[l].entries
-            level = tuple(
-                schur_weyl_block(x, self.m, self.n, lam) for lam, _, _ in level_layout(self.n, l)
-            )
-            for b in level:
-                b.setflags(write=False)
-            self._blocks[l] = level
+        """The Schur-Weyl blocks of level l, read-only."""
         return self._blocks[l]
+
+    @functools.cached_property
+    def asymmetric_level(self) -> Optional[int]:
+        """The first level l >= 2 whose dense entry is not S_l-invariant
+        (`_is_invariant` at PSD_TOL), else None: checked on first read, then
+        kept.  A sequence from blocks has None without a check."""
+        for l in range(2, self.L + 1):
+            if not _is_invariant(self._entries[l], PSD_TOL):
+                return l
+        return None
 
     def entry(self, l: int) -> LeggedOperator:
         """The dense entry x_l; rebuilt once from the blocks when not given."""
@@ -186,24 +196,6 @@ class ValidationReport:
     detail: str = ""
 
 
-def _is_invariant(x: LeggedOperator, tol: float) -> bool:
-    """S_l-invariance on legs [m, n, ..., n]: |Sym x - x|max <= tol * max(1, |x|max)."""
-    sym = Symmetrizer(x.legs, range(1, x.nlegs)).apply_matrix(x.entries)
-    return np.abs(sym - x.entries).max() <= tol * max(1.0, x.norm_max())
-
-
-def _asymmetric_level(seq: SymSequence) -> Optional[int]:
-    """The first level l >= 2 whose entry was given densely and is not
-    S_l-invariant (`_is_invariant` at PSD_TOL), else None.  A sequence
-    given by its blocks is invariant by construction and is not rebuilt."""
-    if not seq.given_densely:
-        return None
-    for l in range(2, seq.L + 1):
-        if not _is_invariant(seq.entry(l), PSD_TOL):
-            return l
-    return None
-
-
 def _psd_blocks(blocks, tol: float, side: int, hermitian: bool = True) -> bool:
     """The Hermitian rule (unless `hermitian` is False) and the PSD rule
     (`linalg._hermitian`, `linalg._psd`) for the direct sum of `blocks`, of
@@ -222,18 +214,18 @@ def validate_k_prefix(seq: SymSequence) -> ValidationReport:
     violated condition with the level where it fails.
 
     Invariance comes first, and only for entries at l >= 2 given densely
-    (`_asymmetric_level`): the other two checks read the Schur-Weyl blocks,
-    which hold only a dense entry's invariant part.  In Schur-Weyl
-    coordinates x_l is the direct sum of B_lambda (x) I_hook, so x_l is
-    Hermitian and PSD exactly when the direct sum of its blocks is; that
-    sum gets the Hermitian rule and the PSD rule with the dense side m n^l
-    in the tolerance (`_psd_blocks`, which also checks the solver's
-    witnesses).  The sub-martingale check applies the PSD rule in the same
-    way to the blocks of x_l - P(x_{l+1}), P in blocks
-    (`symmetry.transition_blocks`); no dense entry is formed.
+    (`SymSequence.asymmetric_level`, run once per sequence): the other two
+    checks read the Schur-Weyl blocks, which hold only a dense entry's
+    invariant part.  In Schur-Weyl coordinates x_l is the direct sum of
+    B_lambda (x) I_hook, so x_l is Hermitian and PSD exactly when the
+    direct sum of its blocks is; that sum gets the Hermitian rule and the
+    PSD rule with the dense side m n^l in the tolerance (`_psd_blocks`,
+    which also checks the solver's witnesses).  The sub-martingale check
+    applies the PSD rule in the same way to the blocks of x_l - P(x_{l+1}),
+    P in blocks (`symmetry.transition_blocks`); no dense entry is formed.
     """
     m, n = seq.m, seq.n
-    l = _asymmetric_level(seq)
+    l = seq.asymmetric_level
     if l is not None:
         return ValidationReport(
             False, "symmetry", l, f"entry {l} is not S_{l}-invariant at tol {PSD_TOL}"
@@ -344,10 +336,12 @@ GEOMETRY_CACHE_SIZE = 8
 
 class _Geometry:
     """Everything the level-l solver precomputes that does not depend on a:
-    the copy bases, the Gram rows `_kh` of K, G^{-1} and
-    the right factor `_q` of the affine projector.  Its arrays are
-    read-only, because every problem at the same (m, n, l, rho) shares them
-    (`_geometry`).
+    the stack `shape`, the sqrt(hook) `_weights` of the blocks, the Gram
+    rows `_kh` of K, G^{-1} and the right factor `_q` of the affine
+    projector.  Its arrays are read-only, because every problem at the same
+    (m, n, l, rho) shares them (`_geometry`).  It holds no copy basis: the
+    Gram rows grow along the copy chain (`chain_blocks`), weyl(lambda)
+    wide.
 
     Phi and Sym o Phi* act on every m-block E_ik (x) B of b in the same way,
     through the n-side map K(Y) = Sym(Y (x) D^{(x)(l-1)}) on M_n.  Row j of
@@ -362,11 +356,10 @@ class _Geometry:
     the projector onto the range of K, and z0 = K(a G^{-T}) = a q its
     offset, the one part that depends on a (`ExtensionProblem`).  The
     projector is kept as its two n^2-row factors, never as the square
-    matrix on the blocks.  No K(e_j) of side n^l is formed (`chain_blocks`).
+    matrix on the blocks.  No K(e_j) of side n^l is formed.
     """
 
     def __init__(self, m: int, n: int, l: int, density: np.ndarray):
-        self.big_legs = (m,) + (n,) * l
         layout = level_layout(n, l)
         def grow(x):  # S_k(e) = S_{k-1}(e) (x) D + D^{(x)(k-1)} (x) e
             y = _kron(x, density)
@@ -377,10 +370,10 @@ class _Geometry:
         stacks = [x for lam, x in walk if lam.size == l]
         side = m * max(d for _, d, _ in layout)
         self.shape = (len(layout), side, side)
-        self._copies, rows, idx = [], [], []
-        for k, ((lam, d, hook), x) in enumerate(zip(layout, stacks)):
+        weights, rows, idx = [], [], []
+        for k, ((_, d, hook), x) in enumerate(zip(layout, stacks)):
             weight = math.sqrt(hook)
-            self._copies.append((weight, copy_basis(n, lam)))
+            weights.append(weight)
             rows.append(weight * x[1:].conj().reshape(n * n, d * d) / l)
             # stack position of entry (alpha, beta) of the m-block (i, j) of X
             r = np.arange(m)[:, None] * d + np.arange(d)
@@ -389,9 +382,8 @@ class _Geometry:
         self._kh = np.hstack(rows)
         self._gi = np.linalg.inv(self._kh @ self._kh.conj().T)
         self._idx = np.hstack(idx)
-        self._weights = np.array([weight for weight, _ in self._copies])
+        self._weights = np.array(weights)
         self._q = self._gi.T @ self._kh.conj()
-        # the copy bases are read-only already (`symmetry.copy_basis`)
         for arr in (self._kh, self._gi, self._idx, self._weights, self._q):
             arr.setflags(write=False)
 
@@ -412,18 +404,19 @@ class ExtensionProblem:
     at most n rows of blocks B_lambda (x) I_hook(lambda), B_lambda on
     m (x) V_lambda.  The variable for lambda is
     X_lambda = sqrt(hook(lambda)) (I_m (x) W)^T b (I_m (x) W), with W the
-    copy basis of lambda (`copy_basis`), of side m * weyl(lambda).  The
+    copy basis of lambda (`symmetry.copy_basis`), of side m * weyl(lambda);
+    no W is read here, and the blocks are sliced by their sides.  The
     sqrt(hook) weights make the Euclidean norm of the X equal the Frobenius
     norm of b, so Douglas-Rachford on the blocks takes exactly the steps of
     Douglas-Rachford on b.  The blocks are stored as one zero-padded stack
     of shape `shape` = (k, s, s), with X_lambda in the top-left corner of
     slice lambda and s = m * max weyl.
 
-    `geometry` and the attributes copied from it (`big_legs`, `_copies`,
-    `shape`, `_kh`, `_gi`, `_idx`, `_weights`, `_q`)
-    are built once per (m, n, l, rho density) and process (`_geometry`) and
-    shared by every problem there; their arrays are read-only.  Only `a`,
-    `_a_blocks` and `_z0` (and the scalar `_k_floor`) are built here.
+    `geometry` and the attributes copied from it (`shape`, `_kh`, `_gi`,
+    `_idx`, `_weights`, `_q`) are built once per (m, n, l, rho density)
+    and process (`_geometry`) and shared by every problem there; their
+    arrays are read-only.  Only `a`, `_a_blocks` and `_z0` (and the scalar
+    `_k_floor`) are built here.
     """
 
     def __init__(self, a: LeggedOperator, rho: Functional, l: int):
@@ -458,11 +451,11 @@ class ExtensionProblem:
 
     def _blocks(self, x: np.ndarray) -> list[np.ndarray]:
         """The blocks B = X / sqrt(hook) of a block stack (`schur_weyl_block`)."""
-        blocks = []
-        for k, (weight, w) in enumerate(self._copies):
-            side = self.m * w.shape[1]
-            blocks.append(x[k, :side, :side] / weight)
-        return blocks
+        layout = level_layout(self.n, self.l)
+        return [
+            x[k, : self.m * d, : self.m * d] / weight
+            for k, ((_, d, _), weight) in enumerate(zip(layout, self._weights))
+        ]
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         """Metric projection of a block stack onto {Phi(b) = a}:

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .hierarchy import SymSequence, _asymmetric_level
+from .hierarchy import SymSequence
 from .linalg import PSD_TOL, Functional, LeggedOperator
 from .symmetry import MAX_LEVEL, level_layout
 
@@ -112,9 +112,9 @@ def _blocks_to_json(blocks, m: int, n: int, l: int) -> list[dict]:
 def sequence_to_json(seq: SymSequence) -> dict:
     """The bundle of seq, from `seq.blocks`; raises ValueError when an entry
     given densely at l >= 2 is not S_l-invariant
-    (`hierarchy._asymmetric_level`), as its blocks would hold only its
-    invariant part."""
-    l = _asymmetric_level(seq)
+    (`SymSequence.asymmetric_level`), as its blocks hold only its invariant
+    part."""
+    l = seq.asymmetric_level
     if l is not None:
         raise ValueError(
             f"entry {l} is not S_{l}-invariant at tol {PSD_TOL}; a bundle stores only its blocks"

@@ -65,7 +65,8 @@ class Partition:
             return 0
         lam = list(self.parts) + [0] * (n - len(self.parts))
         num, den = 1, 1
-        for i in range(n):
+        # a row i past the last part has lam[i] = lam[j] = 0: a factor 1
+        for i in range(len(self.parts)):
             for j in range(i + 1, n):
                 num *= lam[i] - lam[j] + j - i
                 den *= j - i
@@ -310,17 +311,6 @@ def copy_basis(n: int, lam: Partition) -> np.ndarray:
     if len(lam) > n:
         raise ValueError(f"partition {lam.parts} has more than n={n} rows")
     return _copy_chain(n, lam.parts).basis
-
-
-def copy_bases(n: int, l: int) -> list[tuple[Partition, np.ndarray]]:
-    """`copy_basis` for every partition lambda of l with at most n rows.
-
-    The bases come from one process-wide cache, so sub-chains are shared
-    between partitions and calls, and every array is read-only.  An
-    S_l-invariant operator b on the n-legs is determined by its compressions
-    W^T b W: in Schur-Weyl coordinates b is sum_lambda W^T b W (x) I_hook.
-    """
-    return [(lam, copy_basis(n, lam)) for lam, _, _ in level_layout(n, l)]
 
 
 def schur_weyl_block(x: np.ndarray, m: int, n: int, lam: Partition) -> np.ndarray:

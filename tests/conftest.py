@@ -18,7 +18,7 @@ from definetti.hierarchy import (
     is_checkpoint,
 )
 from definetti.linalg import PSD_TOL, contract_legs, is_psd, loewner_leq, psd_part
-from definetti.symmetry import copy_bases, from_schur_weyl_blocks
+from definetti.symmetry import copy_basis, from_schur_weyl_blocks, level_layout
 
 
 def rand_psd(n, rng, floor=0.0):
@@ -76,6 +76,14 @@ def dense_phi(prob, b):
 def phi_star(prob, y):
     """Phi*(y) = y (x) D^(l-1), from rho's density alone."""
     return np.kron(y, d_power(prob.rho.density, prob.l - 1))
+
+
+def copy_bases(n, l):
+    """(lambda, `copy_basis(n, lambda)`) for every partition lambda of l with
+    at most n rows, in `level_layout` order: the n^l-row bases of the dense
+    references.  An S_l-invariant b on the n-legs is
+    sum_lambda W^T b W (x) I_hook in Schur-Weyl coordinates."""
+    return [(lam, copy_basis(n, lam)) for lam, _, _ in level_layout(n, l)]
 
 
 def to_blocks(prob, b):

@@ -26,13 +26,15 @@ from definetti import (
     validate_k_prefix,
     werner_element,
 )
-from definetti import hierarchy
+from definetti import hierarchy, symmetry
+from definetti.serialize import sequence_to_json
 from definetti.hierarchy import CERTIFICATE_PERIOD, ExtensionProblem, is_checkpoint
 from definetti.linalg import psd_part
-from definetti.symmetry import MAX_LEVEL, copy_bases, schur_weyl_block
+from definetti.symmetry import MAX_LEVEL, level_layout, schur_weyl_block
 
 from conftest import (
     DenseDR,
+    copy_bases,
     dense_gram_rows,
     dense_phi,
     dense_sym,
@@ -187,6 +189,30 @@ def test_validate_checks_the_symmetry_of_dense_entries_first(rng):
     seq = SymSequence(2, 2, RHO, entries)
     assert _verdict(dense_validate_k_prefix(seq)) == (False, "psd", 2)
     assert _verdict(validate_k_prefix(seq)) == (False, "symmetry", 2)
+
+
+def test_a_dense_sequence_is_compressed_at_once_and_checked_once(rng, monkeypatch):
+    # the blocks are computed when the sequence is built, and the invariance
+    # of its L - 1 entries at l >= 2 is checked on first need, once for every
+    # later validation and export
+    seq = SymSequence(2, 2, RHO, _mixture(2, 2, 4, RHO, rng))
+
+    def compressed(*args):
+        raise AssertionError("schur_weyl_block called after construction")
+
+    calls = []
+    apply = Symmetrizer.apply_matrix
+
+    def counted(self, entries):
+        calls.append(len(self.indices))
+        return apply(self, entries)
+
+    monkeypatch.setattr(hierarchy, "schur_weyl_block", compressed)
+    monkeypatch.setattr(Symmetrizer, "apply_matrix", counted)
+    assert validate_k_prefix(seq).ok and validate_k_prefix(seq).ok
+    bundle = sequence_to_json(seq)
+    assert len(bundle["entries"]) == 5
+    assert sorted(calls) == [2, 3, 4]
 
 
 def test_a_sequence_given_by_blocks_rebuilds_entries_only_when_read(rng, monkeypatch):
@@ -426,7 +452,7 @@ def test_problems_at_one_level_share_one_geometry(rng):
     first = ExtensionProblem(werner_element(0.3), rho, 4)
     second = ExtensionProblem(bell_projector(), Functional(rho.density.copy()), 4)
     assert second.geometry is first.geometry
-    assert second._q is first._q and second._copies is first._copies
+    assert second._q is first._q and second._weights is first._weights
     assert ExtensionProblem(werner_element(0.3), rho, 3).geometry is not first.geometry
     assert ExtensionProblem(werner_element(0.3), RHO, 4).geometry is not first.geometry
     assert second._z0 is not first._z0
@@ -445,8 +471,9 @@ def test_a_rebuilt_geometry_is_bit_identical(rng, m, n, l):
     assert after.geometry is not before.geometry
     for name in GEOMETRY_ARRAYS + ["_z0"]:
         assert getattr(after, name).tobytes() == getattr(before, name).tobytes(), name
-    assert [w.tobytes() for _, w in after._copies] == [w.tobytes() for _, w in before._copies]
     assert after.shape == before.shape
+    sides = [[b.shape for b in prob._blocks(np.zeros(prob.shape))] for prob in (before, after)]
+    assert sides[0] == sides[1]
 
 
 def test_a_cold_geometry_holds_few_dense_matrices():
@@ -481,8 +508,20 @@ def test_cached_arrays_are_read_only():
     for name in GEOMETRY_ARRAYS:
         with pytest.raises(ValueError):
             getattr(prob, name)[(0,) * getattr(prob, name).ndim] = 1
-    with pytest.raises(ValueError):
-        prob._copies[0][1][0, 0] = 1
+
+
+def test_a_solve_and_its_report_read_no_copy_basis(monkeypatch):
+    # the geometry grows its Gram rows along the copy chain and slices the
+    # blocks by their sides: a cold solve builds no n^l-row basis
+    def forbidden(*args):
+        raise AssertionError("copy_basis called")
+
+    hierarchy._geometry.cache_clear()
+    monkeypatch.setattr(symmetry, "copy_basis", forbidden)
+    monkeypatch.setattr(hierarchy, "copy_basis", forbidden, raising=False)
+    report = sub_extension_feasibility(werner_element(0.4), RHO, 5)
+    assert report.verdict == "feasible"
+    assert report.to_json()["verdict"] == "feasible"
 
 
 def _report_key(report):
@@ -551,7 +590,8 @@ def test_validate_witness_checks_the_anchor(l):
     # rejects it, in blocks and densely
     prob = ExtensionProblem(werner_element(0.9), RHO, l)
     assert not prob.validate_witness(np.zeros(prob.shape), 1e-6)
-    assert not dense_validate_witness(prob, LeggedOperator.zeros(prob.big_legs), 1e-6)
+    legs = (prob.m,) + (prob.n,) * prob.l
+    assert not dense_validate_witness(prob, LeggedOperator.zeros(legs), 1e-6)
 
 
 def _record_witness_checks(monkeypatch):
@@ -571,7 +611,7 @@ def _record_witness_checks(monkeypatch):
 def _assert_checks_agree_with_the_dense_reference(seen):
     assert seen
     for prob, x, tol, ok in seen:
-        dense = LeggedOperator(to_dense(prob, x), prob.big_legs)
+        dense = LeggedOperator(to_dense(prob, x), (prob.m,) + (prob.n,) * prob.l)
         assert ok and dense_validate_witness(prob, dense, tol)
 
 
@@ -607,8 +647,8 @@ def _random_block_stack(prob, rng):
     blocks and of the dense b is then at most 1/2, so the PSD rule's
     max(1, .) floor is 1 on both."""
     x = np.zeros(prob.shape, dtype=complex)
-    for k, (weight, w) in enumerate(prob._copies):
-        side = prob.m * w.shape[1]
+    for k, (weight, (_, d, _)) in enumerate(zip(prob._weights, level_layout(prob.n, prob.l))):
+        side = prob.m * d
         b = rand_psd(side, rng)
         x[k, :side, :side] = weight * b / (2 * np.linalg.norm(b, 2))
     return x
@@ -629,8 +669,8 @@ def test_witness_check_rejects_a_block_just_past_the_psd_rule(rng, m, n, l):
     tol = 1e-6
     rho = Functional.random_faithful(n, rng)
     prob = ExtensionProblem(LeggedOperator(np.eye(m * n), (m, n)), rho, l)
-    for k, (weight, w) in enumerate(prob._copies):
-        side = prob.m * w.shape[1]
+    for k, (weight, (_, d, _)) in enumerate(zip(prob._weights, level_layout(prob.n, prob.l))):
+        side = prob.m * d
         for factor, want in ((1 - 1e-3, True), (1 + 1e-3, False)):
             x = _random_block_stack(prob, rng)
             block = x[k, :side, :side] / weight
@@ -638,7 +678,7 @@ def test_witness_check_rejects_a_block_just_past_the_psd_rule(rng, m, n, l):
             x[k, :side, :side] -= weight * shift * np.eye(side)
             target = _problem_of(prob, x)
             assert target.validate_witness(x, tol) == want
-            dense = LeggedOperator(to_dense(prob, x), prob.big_legs)
+            dense = LeggedOperator(to_dense(prob, x), (prob.m,) + (prob.n,) * prob.l)
             assert dense_validate_witness(target, dense, tol) == want
 
 
@@ -717,7 +757,7 @@ def test_witness_is_the_eager_export_built_on_first_read(monkeypatch):
         assert rebuilds == [l]
         assert report.witness is w and rebuilds == [l]
         prob, x = checked[-1]
-        eager = LeggedOperator(to_dense(prob, x), prob.big_legs) * a.trace().real
+        eager = LeggedOperator(to_dense(prob, x), (prob.m,) + (prob.n,) * prob.l) * a.trace().real
         assert w.legs == eager.legs and w.entries.tobytes() == eager.entries.tobytes()
         assert dense_validate_witness(ExtensionProblem(a, rho, l), w, 1e-6)
     # Werner p <= (l + 2) / (3l): 14 grid points at l = 2 and 12 at l = 3

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,13 +26,19 @@ from definetti.symmetry import (
     _kron,
     chain_blocks,
     copy_basis,
-    copy_bases,
     from_schur_weyl_blocks,
     schur_weyl_block,
     transition_blocks,
 )
 
-from conftest import LegPermutation, permute_legs, rand_hermitian, rand_psd, schur_polynomial
+from conftest import (
+    LegPermutation,
+    copy_bases,
+    permute_legs,
+    rand_hermitian,
+    rand_psd,
+    schur_polynomial,
+)
 
 
 # -- partitions --------------------------------------------------------------
@@ -65,6 +72,27 @@ def test_weyl_dimensions_n2():
     assert Partition((3,)).weyl_dimension(2) == 4  # Sym^3 of C^2
     assert Partition((2, 1)).weyl_dimension(2) == 2
     assert Partition((1, 1, 1)).weyl_dimension(2) == 0  # too many rows
+
+
+def test_weyl_dimension_against_the_full_product():
+    # the product over every pair of rows i < j of (lam_i - lam_j + j - i)
+    # / (j - i), zero rows included
+    for n in range(1, 7):
+        for l in range(7):
+            for lam in partitions_of(l, max_parts=n):
+                rows = list(lam.parts) + [0] * (n - len(lam))
+                want = math.prod(
+                    Fraction(rows[i] - rows[j] + j - i, j - i)
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                )
+                assert lam.weyl_dimension(n) == want
+
+
+def test_weyl_dimension_is_linear_in_n_past_the_rows():
+    # only the partition's rows contribute, so a wide n is cheap
+    assert Partition(()).weyl_dimension(2000) == 1
+    assert Partition((2, 1)).weyl_dimension(2000) == 2000 * (2000**2 - 1) // 3
 
 
 # -- leg permutations --------------------------------------------------------
@@ -279,7 +307,8 @@ def test_copy_bases_fill_the_isotypic_subspaces(rng, n, l):
 
 
 def test_cached_bases_are_read_only():
-    # every caller, `hierarchy._Geometry` among them, shares the cached arrays
+    # every caller, the dense exports and the tests' references among them,
+    # shares the cached arrays
     lam = Partition((2, 1))
     step = symmetry._copy_chain(2, lam.parts)
     cached = [copy_basis(2, lam), step.branching]

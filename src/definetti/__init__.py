@@ -9,7 +9,6 @@ from .linalg import (
     min_eig,
     partial_transpose,
     tensor,
-    tensor_power,
 )
 from .symmetry import (
     Partition,
@@ -36,7 +35,6 @@ from .boundary import (
     ExponentialReport,
     GroupLike,
     block_compression,
-    determinant_twist,
     e_rho_value,
     exponential_test,
     grouplike_sequence,

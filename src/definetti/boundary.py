@@ -18,20 +18,11 @@ from . import hierarchy
 from .hierarchy import SeparabilityReport, SolverOptions, SymSequence, validate_k_prefix
 # contract_legs, isotypic_projector and schur_weyl_table are unused here;
 # they stay importable from this module, where benchmarks/spans.py patches them
-from .linalg import (
-    HERMITIAN_RTOL,
-    Functional,
-    LeggedOperator,
-    contract_legs,
-    is_psd,
-    tensor_power,
-)
+from .linalg import HERMITIAN_RTOL, Functional, LeggedOperator, contract_legs, is_psd
 from .symmetry import (
     MAX_LEVEL,
     Partition,
-    _kron,
-    chain_blocks,
-    copy_basis,
+    _power_blocks,
     isotypic_projector,
     level_layout,
     schur_weyl_table,
@@ -73,15 +64,15 @@ def grouplike_sequence(
 ) -> SymSequence:
     """The sequence (a (x) t^{(x)l})_{l<=L}; each entry is S_l-invariant.
 
-    Its blocks a (x) pi_lam(t) grow along the copy chain (`chain_blocks`,
-    as in `exponential_test`); t^{(x)l} is never formed.
+    Its blocks a (x) pi_lam(t) grow along the copy chain
+    (`symmetry._power_blocks`); t^{(x)l} is never formed.
     """
     if len(a.legs) != 1:
         raise ValueError(f"expected a single m-leg coefficient, got legs {a.legs}")
-    if L > MAX_LEVEL:
-        raise ValueError(f"L={L} exceeds the level bound {MAX_LEVEL}")
+    if not 0 <= L <= MAX_LEVEL:
+        raise ValueError(f"L={L} is outside 0..{MAX_LEVEL}")
     blocks = [[a.entries]] + [[] for _ in range(L)]
-    for lam, pi in chain_blocks(g.n, L, np.eye(1), lambda x: _kron(x, g.t)):
+    for lam, pi in _power_blocks(g.t, L):
         blocks[lam.size].append(np.kron(a.entries, pi))
     rho = rho if rho is not None else Functional.normalized_trace(g.n)
     return SymSequence.from_blocks(a.legs[0], g.n, rho, blocks)
@@ -126,15 +117,18 @@ def e_rho_value(g: GroupLike, rho: Functional) -> float:
 
 
 def block_compression(g: GroupLike, lam: Partition) -> np.ndarray:
-    """pi_lam(t) = W^T t^{(x)l} W, of side weyl(lam), on the copy basis W of
-    lam (`copy_basis`); the isotypic block of t^{(x)l} is pi_lam(t) (x) I_hook.
+    """pi_lam(t) = W^T t^{(x)l} W, of side weyl(lam), W the copy basis of lam:
+    the isotypic block of t^{(x)l} is pi_lam(t) (x) I_hook.  Read off the copy
+    chain (`symmetry._power_blocks`) up to lam, forming neither W nor t^{(x)l}.
 
-    For lam = (1,), W = I and the block is t itself.  Raises ValueError when
-    lam has more than n rows or |lam| exceeds `MAX_LEVEL`.
+    For lam = (1,) it is t itself, for lam = () (an empty walk) [[1]].  Raises
+    ValueError when |lam| exceeds `MAX_LEVEL` or lam has more than n rows.
     """
-    basis = copy_basis(g.n, lam)
-    t_pow = tensor_power(LeggedOperator(g.t, (g.n,)), lam.size).entries
-    return basis.T @ t_pow @ basis
+    if lam.size > MAX_LEVEL:
+        raise ValueError(f"l={lam.size} exceeds the level bound {MAX_LEVEL}")
+    if len(lam) > g.n:
+        raise ValueError(f"partition {lam.parts} has more than n={g.n} rows")
+    return next((pi for mu, pi in _power_blocks(g.t, lam.size) if mu == lam), np.eye(1))
 
 
 @dataclass(frozen=True)
@@ -151,11 +145,12 @@ def exponential_test(g: GroupLike, L: int) -> ExponentialReport:
     weyl(lam), cross-validate it numerically. They inherit Hermiticity from
     t, up to rounding of order |t|^l that can exceed a block made small by
     cancellation, so only their Hermitian part is tested.  The blocks grow
-    along the copy chain (`chain_blocks`); t^{(x)l} is never formed.
+    lazily along the copy chain (`symmetry._power_blocks`), up to the first
+    that fails; t^{(x)l} is never formed.
     """
     if not 1 <= L <= MAX_LEVEL:
         raise ValueError(f"L={L} is outside 1..{MAX_LEVEL}")
-    for lam, comp in chain_blocks(g.n, L, np.eye(1), lambda x: _kron(x, g.t)):
+    for lam, comp in _power_blocks(g.t, L):
         comp = (comp + comp.conj().T) / 2 if lam.size > 1 else comp
         if not is_psd(LeggedOperator(comp, (comp.shape[0],))):
             return ExponentialReport(False, lam)
@@ -219,7 +214,3 @@ def separable_image_check(
         raise ValueError("sequence fails the subharmonic check")
     return ImageCheckReport(True, hierarchy.separability_verdict(seq.entry(1), rho, max_l, opts))
 
-
-def determinant_twist(block: LeggedOperator, g: GroupLike, k: int) -> LeggedOperator:
-    """Multiply a recovered block by det(t)^(-k), the negative-weight twist."""
-    return block * (np.linalg.det(g.t) ** (-k))

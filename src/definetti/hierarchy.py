@@ -44,13 +44,12 @@ from .linalg import (
     min_eig,
     partial_transpose,
     psd_part,
-    tensor,
-    tensor_power,
 )
 from .symmetry import (
     MAX_LEVEL,
     Symmetrizer,
     _kron,
+    _power_blocks,
     chain_blocks,
     check_blocks,
     from_schur_weyl_blocks,
@@ -790,23 +789,32 @@ def product_probe(seq: SymSequence) -> ProbeResult:
     """Detect the product normal form x_l = a (x) b^{(x)l} of an extreme ray.
 
     The candidate b is recovered from x_1 by tracing out the m-leg and
-    normalizing by trace(x_0); a is x_0 itself.
+    normalizing by trace(x_0); a is x_0 itself.  Level l is a product when
+    ||x_l - a (x) b^{(x)l}||_F <= PSD_TOL ||x_l||_F, read in blocks: x_l is the
+    direct sum of B_lam (x) I_hook, so the squares are sums of hook times
+    ||B_lam - a (x) pi_lam(b)||_F^2 and ||B_lam||_F^2, pi_lam(b) from the copy
+    chain (`symmetry._power_blocks`).  A sequence with an entry that is not
+    S_l-invariant (`SymSequence.asymmetric_level`) is not a product.
     """
     if seq.L < 2:
         raise ValueError("product probe needs a prefix of length at least 2")
-    x0 = seq.entries[0]
+    x0 = seq.entry(0)
     tr0 = x0.trace().real
     if tr0 <= 0:
         raise ValueError(f"level-0 entry has trace {tr0:.3e}; need a positive trace")
-    b = contract_legs(seq.entries[1], Functional.trace(seq.m), [0]) * (1.0 / tr0)
-    is_product = True
-    for l, x in enumerate(seq.entries):
-        model = tensor(x0, tensor_power(b, l))
-        dev = np.abs(x.entries - model.entries).max()
-        if dev > PSD_TOL * max(x.norm_max(), 1e-300):
-            is_product = False
-            break
-    return ProbeResult(is_product, x0, b)
+    b = contract_legs(seq.entry(1), Functional.trace(seq.m), [0]) * (1.0 / tr0)
+    if seq.asymmetric_level is not None:
+        return ProbeResult(False, x0, b)
+    models = _power_blocks(b.entries, seq.L)
+    for l in range(1, seq.L + 1):  # level 0's model is x_0 itself
+        dev = norm = 0.0
+        # zip draws from `models` last, so it stops at the level's end
+        for (_, _, hook), block, (_, pi) in zip(level_layout(seq.n, l), seq.blocks(l), models):
+            dev += hook * np.linalg.norm(block - np.kron(x0.entries, pi)) ** 2
+            norm += hook * np.linalg.norm(block) ** 2
+        if dev > PSD_TOL**2 * norm:
+            return ProbeResult(False, x0, b)
+    return ProbeResult(True, x0, b)
 
 
 def ppt_min_eig(a: LeggedOperator) -> float:

@@ -388,6 +388,13 @@ def chain_blocks(n: int, l: int, seed: np.ndarray, grow: Callable) -> Iterator:
             yield lam, block
 
 
+def _power_blocks(t: np.ndarray, l: int) -> Iterator:
+    """(lam, pi_lam(t) = W^T t^{(x)l} W) for each partition lam of 1, ..., l
+    with at most n rows, t n x n: `chain_blocks` growing x (x) t from [[1]],
+    lazily, so a caller that stops early grows no further level."""
+    return chain_blocks(t.shape[0], l, np.eye(1), lambda x: _kron(x, t))
+
+
 def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:
     """Orthogonal projector hook(lambda) * Sym(W W^T) onto the
     lambda-isotypic subspace of (C^n)^{(x)l}, W the copy basis of lambda

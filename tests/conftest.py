@@ -17,7 +17,7 @@ from definetti.hierarchy import (
     _is_invariant,
     is_checkpoint,
 )
-from definetti.linalg import PSD_TOL, contract_legs, is_psd, loewner_leq, psd_part
+from definetti.linalg import PSD_TOL, contract_legs, is_psd, loewner_leq, psd_part, tensor
 from definetti.symmetry import copy_basis, from_schur_weyl_blocks, level_layout
 
 
@@ -60,6 +60,25 @@ def d_power(density, k):
     for _ in range(k):
         out = np.kron(out, density)
     return out
+
+
+def tensor_power(x, k):
+    """x^(x)k by dense Kronecker products, legs repeated k times; k = 0
+    gives the scalar identity on no legs."""
+    if k < 0:
+        raise ValueError("tensor power must be non-negative")
+    out = LeggedOperator(np.eye(1), ())
+    for _ in range(k):
+        out = tensor(out, x)
+    return out
+
+
+def dense_block_compression(g, lam):
+    """The dense reference for `boundary.block_compression`:
+    pi_lam(t) = W^T t^(x)l W, W = `copy_basis(n, lam)`, from the n^l-side
+    t^(x)l."""
+    w = copy_basis(g.n, lam)
+    return w.T @ tensor_power(LeggedOperator(g.t, (g.n,)), lam.size).entries @ w
 
 
 def dense_sym(prob):

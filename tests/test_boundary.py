@@ -11,7 +11,6 @@ from definetti import (
     Partition,
     SymSequence,
     block_compression,
-    determinant_twist,
     e_rho_value,
     exponential_test,
     grouplike_sequence,
@@ -26,7 +25,7 @@ from definetti import (
 from definetti import boundary, symmetry
 from definetti.symmetry import partitions_of, schur_weyl_table
 
-from conftest import forbid_enumeration, rand_psd, schur_polynomial
+from conftest import dense_block_compression, forbid_enumeration, rand_psd, schur_polynomial
 
 RHO = Functional.normalized_trace(2)
 
@@ -77,6 +76,15 @@ def test_grouplike_sequence_shape(rng):
     assert seq.entries[3].legs == (2, 2, 2, 2)
     expect = np.kron(a.entries, np.kron(g.t, g.t))
     assert np.abs(seq.entries[2].entries - expect).max() < 1e-13
+
+
+def test_grouplike_sequence_rejects_levels_outside_the_bound(rng):
+    a = LeggedOperator(np.eye(2), (2,))
+    g = random_grouplike(rng)
+    assert grouplike_sequence(a, g, 0, RHO).L == 0
+    for L in (-1, -2, 9):
+        with pytest.raises(ValueError):
+            grouplike_sequence(a, g, L, RHO)
 
 
 def test_p_map_eigen_relation(rng):
@@ -184,6 +192,12 @@ def test_block_compression_is_the_irrep_block():
     # the fundamental block is t itself, bit for bit
     t = np.array([[1.0, 0.3 - 0.2j], [0.5j, -0.7]])
     assert np.array_equal(block_compression(GroupLike(t), Partition((1,))), t)
+    # every block is the dense W^T t^{(x)l} W, and the empty partition's is [[1]]
+    g = GroupLike(np.arange(9.0).reshape(3, 3) + 1j * np.eye(3))
+    for lam in partitions_of(4, max_parts=3):
+        ref = dense_block_compression(g, lam)
+        assert np.abs(block_compression(g, lam) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(block_compression(g, Partition(())), [[1.0]])
 
 
 def test_block_compression_rejects_missing_blocks_and_deep_levels():
@@ -225,11 +239,11 @@ def test_exponential_test_accepts_ill_conditioned_positive_t():
 
 @pytest.mark.parametrize("n, L", [(2, 8), (3, 5)])
 def test_exponential_test_checks_each_block_compression_once(monkeypatch, rng, n, L):
-    # every block it tests is block_compression(g, lam) (its Hermitian part
+    # every block it tests is the dense W^T t^{(x)l} W (its Hermitian part
     # above l = 1); from a cold cache the first call builds each copy chain
     # once, and a second call builds none
     g = random_grouplike(rng, n)
-    want = [block_compression(g, lam) for l in range(1, L + 1) for lam, _, _ in schur_weyl_table(n, l)]
+    want = [dense_block_compression(g, lam) for l in range(1, L + 1) for lam, _, _ in schur_weyl_table(n, l)]
     distinct = sum(len(schur_weyl_table(n, l)) for l in range(2, L + 1))
     symmetry._copy_chain.cache_clear()
     seen, filters = [], []
@@ -306,7 +320,7 @@ def test_recover_block_is_a_times_the_irrep_block(rng, n, L):
     seq = grouplike_sequence(LeggedOperator(a, (2,)), g, L)
     for l in range(1, L + 1):
         for lam in partitions_of(l, max_parts=n):
-            want = np.kron(a, np.kron(block_compression(g, lam), np.eye(lam.hook_dimension())))
+            want = np.kron(a, np.kron(dense_block_compression(g, lam), np.eye(lam.hook_dimension())))
             got = recover_block(seq, lam).entries
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -335,15 +349,6 @@ def test_recover_block_rejects_more_rows_than_n(rng):
     seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), g, 3, RHO)
     with pytest.raises(ValueError):
         recover_block(seq, Partition((1, 1, 1)))
-
-
-def test_determinant_twist():
-    g = GroupLike(np.diag([2.0, 3.0]))
-    block = LeggedOperator(np.eye(2), (2,))
-    out = determinant_twist(block, g, 1)
-    assert np.allclose(out.entries, np.eye(2) / 6.0)
-    back = determinant_twist(out, g, -1)
-    assert np.allclose(back.entries, np.eye(2))
 
 
 # -- consistency of the boundary with the hierarchy --------------------------

@@ -22,11 +22,11 @@ from definetti import (
     separability_verdict,
     sub_extension_feasibility,
     tensor,
-    tensor_power,
     validate_k_prefix,
     werner_element,
 )
 from definetti import hierarchy, symmetry
+from definetti.boundary import GroupLike, grouplike_sequence
 from definetti.serialize import sequence_to_json
 from definetti.hierarchy import CERTIFICATE_PERIOD, ExtensionProblem, is_checkpoint
 from definetti.linalg import psd_part
@@ -44,6 +44,7 @@ from conftest import (
     phi_star,
     rand_psd,
     random_separable,
+    tensor_power,
     to_blocks,
     to_dense,
 )
@@ -1145,3 +1146,39 @@ def test_product_probe_rejects_mixture(rng):
         entries.append((e1 + e2) * 0.5)
     probe = product_probe(SymSequence(2, 2, RHO, entries))
     assert not probe.is_product
+
+
+def test_product_probe_reads_blocks_and_forms_no_dense_entry(rng, monkeypatch):
+    # a (x) t^{(x)8} on m, n = 2, 3 has dense entries of side 2 * 3^8; the
+    # probe compares the blocks with a (x) pi_lam(b) and reads only x_0 and
+    # x_1, each of which is a single block
+    t = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    t /= np.linalg.norm(t, 2)
+    a = LeggedOperator(rand_psd(2, rng), (2,))
+    seq = grouplike_sequence(a, GroupLike(t), 8)
+    dense = hierarchy.from_schur_weyl_blocks
+
+    def level_one_at_most(blocks, m, n, l):
+        assert l <= 1, f"dense entry {l} formed"
+        return dense(blocks, m, n, l)
+
+    monkeypatch.setattr(hierarchy, "from_schur_weyl_blocks", level_one_at_most)
+    probe = product_probe(seq)
+    assert probe.is_product
+    assert np.abs(probe.b.entries - t).max() < 1e-12
+    # a relative 1e-6 change of one level-8 block is seen
+    blocks = [list(seq.blocks(l)) for l in range(9)]
+    blocks[8][-1] = blocks[8][-1] * (1 + 1e-6)
+    assert not product_probe(SymSequence.from_blocks(2, 3, seq.rho, blocks)).is_product
+
+
+def test_product_probe_rejects_a_non_invariant_dense_entry(rng):
+    # x_2 = p (x) (q (x) q + eps C) with C = q (x) r - r (x) q: C is odd
+    # under the swap, so its blocks vanish and the blocks are a product's,
+    # but the dense entry is not S_2-invariant
+    p, q, r = (rand_psd(2, rng) for _ in range(3))
+    c = np.kron(q, r) - np.kron(r, q)
+    entries = [p, np.kron(p, q), np.kron(p, np.kron(q, q) + 1e-3 * c)]
+    seq = SymSequence(2, 2, RHO, [LeggedOperator(x, (2,) * (l + 1)) for l, x in enumerate(entries)])
+    assert seq.asymmetric_level == 2
+    assert not product_probe(seq).is_product

@@ -12,11 +12,10 @@ from definetti import (
     min_eig,
     partial_transpose,
     tensor,
-    tensor_power,
 )
 from definetti.linalg import psd_part
 
-from conftest import rand_hermitian, rand_psd
+from conftest import rand_hermitian, rand_psd, tensor_power
 
 
 def test_legs_must_match_matrix_side():
@@ -104,6 +103,25 @@ def test_functional_faithfulness_guard():
     rho = Functional.normalized_trace(3)
     assert np.isclose(rho.value(np.eye(3)), 1.0)
     assert np.isclose(Functional.trace(3).value(np.eye(3)), 3.0)
+
+
+def test_diagonal_densities_are_checked_without_eigvalsh(monkeypatch):
+    # a diagonal density's least eigenvalue is its least diagonal entry; a
+    # non-diagonal one still gets the eigenvalue check
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    assert Functional.trace(300).least_eig == 1.0
+    assert Functional(np.diag([0.5, 0.2, 0.3])).least_eig == 0.2
+    for bad in ([1.0, 0.0], [1.0, -0.1], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="not faithful"):
+            Functional(np.diag(bad))
+    assert calls == []
+    # eigenvalues 1 +- 1 and 1 +- 0.9, while every diagonal entry is 1
+    with pytest.raises(ValueError, match="not faithful"):
+        Functional(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    rho = Functional(np.array([[1.0, 0.9j], [-0.9j, 1.0]]))
+    assert np.isclose(rho.least_eig, 0.1) and len(calls) == 2
 
 
 def test_random_faithful_is_a_state(rng):

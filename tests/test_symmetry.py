@@ -18,10 +18,9 @@ from definetti import (
     partitions_of,
     schur_weyl_table,
     tensor,
-    tensor_power,
 )
 from definetti import symmetry
-from definetti.boundary import GroupLike, block_compression
+from definetti.boundary import GroupLike
 from definetti.symmetry import (
     _kron,
     chain_blocks,
@@ -34,10 +33,12 @@ from definetti.symmetry import (
 from conftest import (
     LegPermutation,
     copy_bases,
+    dense_block_compression,
     permute_legs,
     rand_hermitian,
     rand_psd,
     schur_polynomial,
+    tensor_power,
 )
 
 
@@ -331,7 +332,7 @@ def test_chain_blocks_grow_the_irrep_blocks(rng, n, L):
         assert blocks.shape == (2,) + (lam.weyl_dimension(n),) * 2
         assert not blocks.flags.writeable
         for t, block in zip(ts, blocks):
-            ref = block_compression(GroupLike(t), lam)
+            ref = dense_block_compression(GroupLike(t), lam)
             assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

@@ -18,7 +18,15 @@ from . import hierarchy
 from .hierarchy import SeparabilityReport, SolverOptions, SymSequence, validate_k_prefix
 # contract_legs, isotypic_projector and schur_weyl_table are unused here;
 # they stay importable from this module, where benchmarks/spans.py patches them
-from .linalg import HERMITIAN_RTOL, Functional, LeggedOperator, contract_legs, is_psd
+from .linalg import (
+    HERMITIAN_RTOL,
+    PSD_TOL,
+    Functional,
+    LeggedOperator,
+    _first_non_psd,
+    contract_legs,
+    is_psd,
+)
 from .symmetry import (
     MAX_LEVEL,
     Partition,
@@ -138,23 +146,28 @@ class ExponentialReport:
 
 
 def exponential_test(g: GroupLike, L: int) -> ExponentialReport:
-    """Check that every block pi_lam(t) of t^{(x)l} for 1 <= l <= L is PSD.
+    """Check that every block pi_lam(t) of t^{(x)l} for 1 <= l <= L is PSD,
+    and report the first that is not, in `_power_blocks` order.
 
     The fundamental block (l=1) is t and settles the classification for t
-    itself, Hermiticity included (`is_psd`); the higher blocks, of side
-    weyl(lam), cross-validate it numerically. They inherit Hermiticity from
-    t, up to rounding of order |t|^l that can exceed a block made small by
-    cancellation, so only their Hermitian part is tested.  The blocks grow
-    lazily along the copy chain (`symmetry._power_blocks`), up to the first
-    that fails; t^{(x)l} is never formed.
+    itself, Hermiticity included (`is_psd`): a t that fails grows no higher
+    level.  The higher blocks, of side weyl(lam), cross-validate it
+    numerically.  They inherit Hermiticity from t, up to rounding of order
+    |t|^l that can exceed a block made small by cancellation, so only their
+    Hermitian part is tested, each block with its own side and largest
+    entry, all in one `_first_non_psd` call.  They grow along the copy chain
+    (`symmetry._power_blocks`); t^{(x)l} is never formed.
     """
     if not 1 <= L <= MAX_LEVEL:
         raise ValueError(f"L={L} is outside 1..{MAX_LEVEL}")
-    for lam, comp in _power_blocks(g.t, L):
-        comp = (comp + comp.conj().T) / 2 if lam.size > 1 else comp
-        if not is_psd(LeggedOperator(comp, (comp.shape[0],))):
-            return ExponentialReport(False, lam)
-    return ExponentialReport(True)
+    walk = _power_blocks(g.t, L)
+    lam, t = next(walk)
+    if not is_psd(LeggedOperator(t, (g.n,))):
+        return ExponentialReport(False, lam)
+    higher = list(walk)
+    groups, sides = [[b] for _, b in higher], [b.shape[0] for _, b in higher]
+    k = _first_non_psd(groups, sides, PSD_TOL, hermitian=False)
+    return ExponentialReport(True) if k is None else ExponentialReport(False, higher[k][0])
 
 
 def recover_block(seq: SymSequence, lam: Partition) -> LeggedOperator:

@@ -36,8 +36,7 @@ from .linalg import (
     PSD_TOL,
     Functional,
     LeggedOperator,
-    _hermitian,
-    _psd,
+    _first_non_psd,
     contract_legs,
     is_psd,
     loewner_leq,
@@ -195,18 +194,6 @@ class ValidationReport:
     detail: str = ""
 
 
-def _psd_blocks(blocks, tol: float, side: int, hermitian: bool = True) -> bool:
-    """The Hermitian rule (unless `hermitian` is False) and the PSD rule
-    (`linalg._hermitian`, `linalg._psd`) for the direct sum of `blocks`, of
-    dense side `side`, run once on their zero-padded stack: its spectrum is
-    the blocks' and the padding's zeros, and its largest entry theirs."""
-    s = max(b.shape[0] for b in blocks)
-    stack = np.zeros((len(blocks), s, s), dtype=complex)
-    for k, b in enumerate(blocks):
-        stack[k, : b.shape[0], : b.shape[0]] = b
-    return (not hermitian or _hermitian(stack)) and _psd(stack, tol, side)
-
-
 def validate_k_prefix(seq: SymSequence) -> ValidationReport:
     """Check, in this order, S_l-invariance, PSD entries and the
     sub-martingale condition x_l >= P(x_{l+1}), and report the first
@@ -218,10 +205,12 @@ def validate_k_prefix(seq: SymSequence) -> ValidationReport:
     invariant part.  In Schur-Weyl coordinates x_l is the direct sum of
     B_lambda (x) I_hook, so x_l is Hermitian and PSD exactly when the
     direct sum of its blocks is; that sum gets the Hermitian rule and the
-    PSD rule with the dense side m n^l in the tolerance (`_psd_blocks`,
-    which also checks the solver's witnesses).  The sub-martingale check
-    applies the PSD rule in the same way to the blocks of x_l - P(x_{l+1}),
-    P in blocks (`symmetry.transition_blocks`); no dense entry is formed.
+    PSD rule with the dense side m n^l in the tolerance.  The sub-martingale
+    check applies the PSD rule in the same way to the blocks of
+    x_l - P(x_{l+1}), P in blocks (`symmetry.transition_blocks`); no dense
+    entry is formed.  Each condition is one `linalg._first_non_psd` call
+    over all its levels, one group per level; the solver's witness check
+    applies the same rules.
     """
     m, n = seq.m, seq.n
     l = seq.asymmetric_level
@@ -229,19 +218,22 @@ def validate_k_prefix(seq: SymSequence) -> ValidationReport:
         return ValidationReport(
             False, "symmetry", l, f"entry {l} is not S_{l}-invariant at tol {PSD_TOL}"
         )
-    for l in range(seq.L + 1):
-        if not _psd_blocks(seq.blocks(l), PSD_TOL, m * n**l):
-            return ValidationReport(False, "psd", l, f"entry {l} is not PSD at tol {PSD_TOL}")
+    sides = [m * n**l for l in range(seq.L + 1)]
+    l = _first_non_psd([seq.blocks(l) for l in range(seq.L + 1)], sides, PSD_TOL)
+    if l is not None:
+        return ValidationReport(False, "psd", l, f"entry {l} is not PSD at tol {PSD_TOL}")
+    gaps = []
     for l in range(seq.L):
         upper = transition_blocks(seq.blocks(l + 1), m, n, l + 1, seq.rho.density)
-        gap = [x - u for x, u in zip(seq.blocks(l), upper)]
-        if not _psd_blocks(gap, PSD_TOL, m * n**l, hermitian=False):
-            return ValidationReport(
-                False,
-                "sub_martingale",
-                l,
-                f"contraction of entry {l + 1} is not dominated by entry {l}",
-            )
+        gaps.append([x - u for x, u in zip(seq.blocks(l), upper)])
+    l = _first_non_psd(gaps, sides[:-1], PSD_TOL, hermitian=False)
+    if l is not None:
+        return ValidationReport(
+            False,
+            "sub_martingale",
+            l,
+            f"contraction of entry {l + 1} is not dominated by entry {l}",
+        )
     return ValidationReport(True)
 
 
@@ -534,14 +526,15 @@ class ExtensionProblem:
         return w, dev / a_max if a_max > 0 else 0.0
 
     def validate_witness(self, x: np.ndarray, tol: float) -> bool:
-        """Whether the b of a block stack is PSD (`_psd_blocks`, as for a
-        sequence), with Phi(b) <= a and |Phi(b) - a|max <= tol |a|max: the
-        anchor, without which b = 0 would pass.  b is S_l-invariant by
-        construction.  Phi = P^{l-1} runs `transition_blocks` down to level
-        1, whose one block is the marginal: not through `_kh`, which
-        `witness` reads, and with no matrix of side m n^l."""
+        """Whether the b of a block stack is PSD (`linalg._first_non_psd`,
+        one group, as for a sequence), with Phi(b) <= a and
+        |Phi(b) - a|max <= tol |a|max: the anchor, without which b = 0 would
+        pass.  b is S_l-invariant by construction.  Phi = P^{l-1} runs
+        `transition_blocks` down to level 1, whose one block is the marginal:
+        not through `_kh`, which `witness` reads, and with no matrix of side
+        m n^l."""
         blocks = self._blocks(x)
-        if not _psd_blocks(blocks, tol, self.m * self.n**self.l):
+        if _first_non_psd([blocks], [self.m * self.n**self.l], tol) is not None:
             return False
         for k in range(self.l, 1, -1):
             blocks = transition_blocks(blocks, self.m, self.n, k, self.rho.density)

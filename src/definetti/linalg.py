@@ -8,9 +8,10 @@ convention is row-major Kronecker: leg 0 is the slowest index, so
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -24,20 +25,68 @@ PSD_TOL = 1e-9
 FAITHFUL_RTOL = 1e-12
 
 
+def _hermitian_rule(dev, big):
+    """The relative Hermitian rule |x - x^H|max <= HERMITIAN_RTOL * |x|max,
+    from dev = |x - x^H|max and big = |x|max (elementwise on arrays)."""
+    return dev <= HERMITIAN_RTOL * np.maximum(big, 1e-300)
+
+
+def _psd_rule(least, big, side, tol):
+    """The PSD rule: min eig of the Hermitian part >= -tol * side *
+    max(1, |x|max), from least = that eigenvalue and big = |x|max
+    (elementwise on arrays); side is x's dense side."""
+    return least >= -tol * side * np.maximum(1.0, big)
+
+
 def _hermitian(mat: np.ndarray) -> bool:
-    """Relative rule: |mat - mat^H|max <= HERMITIAN_RTOL * |mat|max.  On a
-    stack (..., s, s) the maxima run over the whole stack."""
-    dev = np.abs(mat - mat.conj().swapaxes(-1, -2)).max()
-    return dev <= HERMITIAN_RTOL * max(np.abs(mat).max(), 1e-300)
+    return bool(_hermitian_rule(np.abs(mat - mat.conj().T).max(), np.abs(mat).max()))
 
 
-def _psd(mat: np.ndarray, tol: float, side: int | None = None) -> bool:
-    """Min eig of the Hermitian part >= -tol * side * max(1, |mat|max); side
-    is mat's own unless given (the dense side of an operator in blocks).  On
-    a stack (..., s, s) the minimum and maximum run over the whole stack."""
-    w = np.linalg.eigvalsh((mat + mat.conj().swapaxes(-1, -2)) / 2)
-    side = mat.shape[-1] if side is None else side
-    return w.min() >= -tol * side * max(1.0, float(np.abs(mat).max()))
+def _psd(mat: np.ndarray, tol: float) -> bool:
+    least = np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0]
+    return bool(_psd_rule(least, np.abs(mat).max(), mat.shape[0], tol))
+
+
+#: blocks up to this side share one zero-padded stack in `_first_non_psd`:
+#: an eigvalsh of side 16 costs about three call overheads (one BLAS thread)
+_PAD_SIDE = 16
+
+
+def _first_non_psd(
+    groups: Sequence[Sequence[np.ndarray]], sides: Sequence[int], tol: float, hermitian: bool = True
+) -> Optional[int]:
+    """The index of the first group of blocks that fails the Hermitian rule
+    (unless `hermitian` is False) or the PSD rule, else None.  Group i, not
+    empty, is the direct sum of its blocks, an operator of dense side
+    sides[i], and gets `_hermitian_rule` and `_psd_rule` with its own
+    largest entry.  The blocks of all groups get one eigvalsh per stack:
+    the blocks of side <= _PAD_SIDE zero-padded into one (a padded block's
+    spectrum is its own and zeros, which pass), the larger ones one stack
+    per side, unpadded."""
+    blocks = [b for group in groups for b in group]
+    if not blocks:
+        return None
+    stacks: dict[int, list[int]] = {}
+    for k, b in enumerate(blocks):
+        stacks.setdefault(b.shape[0] if b.shape[0] > _PAD_SIDE else 0, []).append(k)
+    big, least, dev = np.empty(len(blocks)), np.empty(len(blocks)), np.zeros(len(blocks))
+    for ks in stacks.values():
+        s = max(blocks[k].shape[0] for k in ks)
+        stack = np.zeros((len(ks), s, s), dtype=complex)
+        for i, k in enumerate(ks):
+            stack[i, : blocks[k].shape[0], : blocks[k].shape[0]] = blocks[k]
+        adjoint = stack.conj().swapaxes(-1, -2)
+        big[ks] = np.abs(stack).max(axis=(1, 2))
+        least[ks] = np.linalg.eigvalsh((stack + adjoint) / 2)[:, 0]
+        if hermitian:
+            dev[ks] = np.abs(stack - adjoint).max(axis=(1, 2))
+    starts = list(itertools.accumulate((len(group) for group in groups[:-1]), initial=0))
+    big = np.maximum.reduceat(big, starts)
+    ok = _psd_rule(np.minimum.reduceat(least, starts), big, np.asarray(sides, dtype=float), tol)
+    if hermitian:
+        ok &= _hermitian_rule(np.maximum.reduceat(dev, starts), big)
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
 
 
 def _as_square_complex(entries) -> np.ndarray:
@@ -131,13 +180,22 @@ class Functional:
 
     def __init__(self, density):
         mat = _as_square_complex(density)
-        if not _hermitian(mat):
-            raise ValueError("functional density must be Hermitian")
-        mat = (mat + mat.conj().T) / 2
-        diag = np.diagonal(mat).real
-        # a diagonal density's spectrum is its diagonal
-        diagonal = np.count_nonzero(mat) == np.count_nonzero(diag)
-        least = float(diag.min() if diagonal else np.linalg.eigvalsh(mat)[0])
+        diag = np.diagonal(mat)
+        if np.count_nonzero(mat) == np.count_nonzero(diag):
+            # a diagonal density is Hermitian when its diagonal is real (the
+            # Hermitian rule, with |x - x^H|max = 2 |Im diag|max), and its
+            # spectrum is that diagonal
+            if not _hermitian_rule(2 * np.abs(diag.imag).max(), np.abs(diag).max()):
+                raise ValueError("functional density must be Hermitian")
+            diag = diag.real.copy()
+            np.fill_diagonal(mat, diag)
+            least = float(diag.min())
+        else:
+            if not _hermitian(mat):
+                raise ValueError("functional density must be Hermitian")
+            mat = (mat + mat.conj().T) / 2
+            diag = np.diagonal(mat).real
+            least = float(np.linalg.eigvalsh(mat)[0])
         tr = float(diag.sum())
         if least < FAITHFUL_RTOL * tr or tr <= 0:
             raise ValueError(

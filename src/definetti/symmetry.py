@@ -374,16 +374,24 @@ def chain_blocks(n: int, l: int, seed: np.ndarray, grow: Callable) -> Iterator:
     (`_copy_chain`).  If grow(x_mu) = (W_mu (x) I_n)^T A (W_mu (x) I_n), the
     block is W_lam^T A W_lam, and no n^l rows are formed: grow(x) = x (x) t
     from [[1]] gives pi_lam(t) = W^T t^{(x)l} W.  Only the previous level is
-    kept; blocks are read-only, as their children grow from them.
+    kept.  Siblings are adjacent in `level_layout` order (mu plus a box in
+    its last row, then mu plus a new row), so grow runs once per parent
+    with only one grown parent held at a time; blocks are read-only, as
+    their children grow from them.
     """
     if n < 1:
         raise ValueError(f"chain_blocks needs n >= 1, got n={n}")
     level = {(): seed}
     for k in range(1, l + 1):
-        prev, level = level, {}
+        prev, level, parent, grown = level, {}, None, None
         for lam, _, _ in level_layout(n, k):
             step = _copy_chain(n, lam.parts)
-            block = level[lam.parts] = step.branching.T @ grow(prev[step.parent]) @ step.branching
+            if step.parent != parent:
+                # drop the last grown parent before growing the next, so
+                # one is held at a time
+                parent, grown = step.parent, None
+                grown = grow(prev[parent])
+            block = level[lam.parts] = step.branching.T @ grown @ step.branching
             block.setflags(write=False)
             yield lam, block
 

@@ -239,24 +239,71 @@ def test_exponential_test_accepts_ill_conditioned_positive_t():
 
 @pytest.mark.parametrize("n, L", [(2, 8), (3, 5)])
 def test_exponential_test_checks_each_block_compression_once(monkeypatch, rng, n, L):
-    # every block it tests is the dense W^T t^{(x)l} W (its Hermitian part
-    # above l = 1); from a cold cache the first call builds each copy chain
-    # once, and a second call builds none
+    # t goes through is_psd, every higher block through one batched check,
+    # each block its own group of side weyl(lam); every block is the dense
+    # W^T t^{(x)l} W (the check reads its Hermitian part above l = 1); from a
+    # cold cache the first call builds each copy chain once, and a second
+    # call builds none
     g = random_grouplike(rng, n)
     want = [dense_block_compression(g, lam) for l in range(1, L + 1) for lam, _, _ in schur_weyl_table(n, l)]
     distinct = sum(len(schur_weyl_table(n, l)) for l in range(2, L + 1))
     symmetry._copy_chain.cache_clear()
     seen, filters = [], []
     inner = symmetry._jm_eigenspace
+
+    def batched(groups, sides, tol, hermitian=True):
+        assert not hermitian and sides == [group[0].shape[0] for group in groups]
+        seen.extend(group[0] for group in groups if len(group) == 1)
+        return None
+
     monkeypatch.setattr(boundary, "is_psd", lambda x: seen.append(x.entries) or True)
+    monkeypatch.setattr(boundary, "_first_non_psd", batched)
     monkeypatch.setattr(symmetry, "_jm_eigenspace", lambda *args: filters.append(args) or inner(*args))
     assert exponential_test(g, L).is_exponential
     assert len(seen) == len(want) and len(filters) == distinct
-    for got, block in zip(seen, want):
+    assert np.abs(seen[0] - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
+    for got, block in zip(seen[1:], want[1:]):
         herm = (block + block.conj().T) / 2
-        assert np.abs(got - herm).max() <= 1e-12 * np.abs(block).max()
+        assert np.abs((got + got.conj().T) / 2 - herm).max() <= 1e-12 * np.abs(block).max()
     assert exponential_test(g, L).is_exponential
     assert len(filters) == distinct
+
+
+def test_exponential_test_stops_at_a_non_psd_t(monkeypatch, rng):
+    # t settles the test: a t that fails is reported as (1,), and no copy
+    # chain past level 1 is read, so no higher block grows
+    symmetry._copy_chain.cache_clear()
+    inner = symmetry._copy_chain
+    built = []
+    monkeypatch.setattr(symmetry, "_copy_chain", lambda n, parts: built.append(parts) or inner(n, parts))
+    for n in (2, 3):
+        report = exponential_test(GroupLike(mixed_sign_matrix(rng, n)), 8)
+        assert not report.is_exponential and report.failing_block == Partition((1,))
+    assert built and all(sum(parts) <= 1 for parts in built)
+
+
+def test_exponential_test_reports_the_first_failing_block_in_walk_order(monkeypatch):
+    # non-PSD blocks at two levels: the first in walk order is reported,
+    # even when a later one fails by more
+    def walk(failing):
+        def power_blocks(t, L):
+            for l in range(1, L + 1):
+                for lam, weyl, _ in schur_weyl_table(2, l):
+                    sign = -failing.get(lam.parts, -1.0)
+                    yield lam, np.diag([1.0] * (weyl - 1) + [sign])
+        return power_blocks
+
+    g = GroupLike(np.eye(2))
+    for failing, first in [
+        ({(1, 1): 1e-3, (3,): 1.0}, (1, 1)),
+        ({(2, 2): 5.0, (2, 1): 1e-3}, (2, 1)),
+        ({(4,): 1e-3, (3, 1): 1e-3}, (4,)),
+        ({(5, 3): 1e-3}, (5, 3)),
+    ]:
+        monkeypatch.setattr(boundary, "_power_blocks", walk(failing))
+        report = exponential_test(g, 8)
+        assert not report.is_exponential and report.failing_block == Partition(first)
+        assert exponential_test(g, sum(first) - 1).is_exponential
 
 
 def test_non_normal_grouplike_detected(rng):

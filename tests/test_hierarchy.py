@@ -1,6 +1,7 @@
 """Tests for sequence validation, the feasibility solver, and probes."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -151,10 +152,19 @@ def test_validate_agrees_with_the_dense_reference_across_the_boundaries(rng, m, 
     # shift one entry by a multiple of I (invariant) so that the least
     # eigenvalue of x_l, or of the gap x_l - P(x_{l+1}), lands at -+1e-6
     # times its scale: just outside the PSD rule's band on either side; and
-    # make one entry slightly non-Hermitian
+    # make one entry slightly non-Hermitian.  Then push two levels across at
+    # once: each condition is checked over all levels in one batch, and must
+    # still report the first level that fails
     rho = Functional.random_faithful(n, rng)
     entries = _mixture(m, n, L, rho, rng)
-    cases = []
+
+    def shifted(shifts):
+        out = list(entries)
+        for l, c in shifts.items():
+            out[l] = LeggedOperator(out[l].entries - c * np.eye(out[l].side), out[l].legs)
+        return SymSequence(m, n, rho, out)
+
+    cases, across = [], {}
     for l in range(L + 1):
         x = entries[l].entries
         gaps = [("psd", np.linalg.eigvalsh(x)[0])]
@@ -163,10 +173,9 @@ def test_validate_agrees_with_the_dense_reference_across_the_boundaries(rng, m, 
             gaps.append(("sub_martingale", np.linalg.eigvalsh(gap)[0]))
         for condition, least in gaps:
             delta = 1e-6 * np.abs(x).max()
+            across[condition, l] = least + delta
             for sign in (1, -1):
-                shifted = list(entries)
-                shifted[l] = LeggedOperator(x - (least + sign * delta) * np.eye(len(x)), entries[l].legs)
-                cases.append((condition, l, sign, SymSequence(m, n, rho, shifted)))
+                cases.append((condition, l, sign, shifted({l: least + sign * delta})))
         # invariant but not Hermitian: only the Hermitian rule rejects it
         skewed = list(entries)
         skewed[l] = LeggedOperator(x + 1e-6j * np.abs(x).max() * np.eye(len(x)), entries[l].legs)
@@ -177,6 +186,20 @@ def test_validate_agrees_with_the_dense_reference_across_the_boundaries(rng, m, 
             assert want == (False, condition, l)
         assert _verdict(validate_k_prefix(seq)) == want
         assert _verdict(validate_k_prefix(_as_blocks(seq))) == want
+    pairs = 0
+    for (first, l), (second, k) in itertools.combinations(across, 2):
+        if l == k:
+            continue
+        seq = shifted({l: across[first, l], k: across[second, k]})
+        want = _verdict(dense_validate_k_prefix(seq))
+        if first == second == "psd":
+            assert want == (False, "psd", l)
+        else:  # a psd failure comes before any sub_martingale failure
+            assert want[:2] == (False, "psd" if "psd" in (first, second) else "sub_martingale")
+        assert _verdict(validate_k_prefix(seq)) == want
+        assert _verdict(validate_k_prefix(_as_blocks(seq))) == want
+        pairs += 1
+    assert pairs == L * (L + 1) // 2 + L * L + L * (L - 1) // 2
 
 
 def test_validate_checks_the_symmetry_of_dense_entries_first(rng):

@@ -13,7 +13,7 @@ from definetti import (
     partial_transpose,
     tensor,
 )
-from definetti.linalg import psd_part
+from definetti.linalg import _PAD_SIDE, PSD_TOL, _first_non_psd, _hermitian, psd_part
 
 from conftest import rand_hermitian, rand_psd, tensor_power
 
@@ -76,6 +76,80 @@ def test_is_psd_rejects_non_hermitian():
         min_eig(x)
 
 
+def _direct_sum(blocks):
+    side = sum(b.shape[0] for b in blocks)
+    out, k = np.zeros((side, side), dtype=complex), 0
+    for b in blocks:
+        out[k : k + b.shape[0], k : k + b.shape[0]] = b
+        k += b.shape[0]
+    return out
+
+
+def test_first_non_psd_applies_each_groups_own_rule():
+    # each group gets the rules with its own largest entry and dense side:
+    # a block at -1e-7 fails beside a group whose entries reach 1e3, passes
+    # in a group that reaches 1e3 itself, and passes with a dense side of 1e3
+    big, small = np.array([[1e3]]), np.array([[-1e-7]])
+    assert _first_non_psd([[big], [small]], [1, 1], PSD_TOL) == 1
+    assert _first_non_psd([[big, small]], [2], PSD_TOL) is None
+    assert _first_non_psd([[big], [small]], [1, 1000], PSD_TOL) is None
+    # the Hermitian rule, only where asked
+    skew = np.array([[1.0, 1e-6], [0.0, 1.0]])
+    assert _first_non_psd([[np.eye(1)], [skew]], [1, 2], PSD_TOL) == 1
+    assert _first_non_psd([[np.eye(1)], [skew]], [1, 2], PSD_TOL, hermitian=False) is None
+    assert _first_non_psd([], [], PSD_TOL) is None
+
+
+def test_first_non_psd_pads_only_narrow_blocks(monkeypatch):
+    # blocks up to _PAD_SIDE share one padded stack; wider ones are stacked
+    # by side, unpadded, whatever group they are in
+    shapes, inner = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or inner(a))
+    w = _PAD_SIDE + 1
+    groups = [[np.eye(2), np.eye(w)], [np.eye(30), np.eye(_PAD_SIDE)], [np.eye(w)]]
+    assert _first_non_psd(groups, [100, 100, 100], PSD_TOL) is None
+    assert sorted(shapes) == sorted([(2, _PAD_SIDE, _PAD_SIDE), (2, w, w), (1, 30, 30)])
+
+
+def test_first_non_psd_agrees_with_the_rules_on_the_direct_sums(rng):
+    # random groups of blocks of mixed sides, on both sides of the padded
+    # stack's bound, some pushed just across the PSD or the Hermitian rule:
+    # the first group whose direct sum fails `_hermitian` or the PSD rule
+    # with the group's side is the one reported
+    wide = 0
+    for _ in range(40):
+        groups, sides = [], []
+        for _ in range(rng.integers(1, 6)):
+            widths = rng.integers(1, 21, rng.integers(1, 4))
+            blocks = [rand_hermitian(int(s), rng) + 3 * np.eye(int(s)) for s in widths]
+            wide += sum(len(b) > _PAD_SIDE for b in blocks)
+            side = int(rng.integers(1, 50))
+            dense = _direct_sum(blocks)
+            least = np.linalg.eigvalsh(dense)[0]
+            scale = PSD_TOL * side * max(1.0, np.abs(dense).max())
+            kind = rng.integers(4)
+            if kind == 1:  # just outside or inside the PSD band
+                shift = least + scale * rng.choice([0.5, 2.0])
+                blocks = [b - shift * np.eye(len(b)) for b in blocks]
+            elif kind == 2:  # an anti-Hermitian part just above or below the rule
+                b = blocks[0]
+                b[0, -1] += np.abs(dense).max() * 1e-10 * rng.choice([0.3, 3.0]) * (1 + 1j)
+            groups.append(blocks)
+            sides.append(side)
+        want = None
+        for i, (blocks, side) in enumerate(zip(groups, sides)):
+            dense = _direct_sum(blocks)
+            herm = (dense + dense.conj().T) / 2
+            ok = _hermitian(dense) and np.linalg.eigvalsh(herm)[0] >= -PSD_TOL * side * max(
+                1.0, np.abs(dense).max()
+            )
+            if not ok:
+                want = i
+                break
+        assert _first_non_psd(groups, sides, PSD_TOL) == want
+    assert wide >= 10
+
+
 def test_psd_part_clips_negative_part():
     p = psd_part(np.diag([2.0, -3.0]))
     assert np.allclose(p, np.diag([2.0, 0.0]))
@@ -122,6 +196,18 @@ def test_diagonal_densities_are_checked_without_eigvalsh(monkeypatch):
         Functional(np.array([[1.0, 1.0], [1.0, 1.0]]))
     rho = Functional(np.array([[1.0, 0.9j], [-0.9j, 1.0]]))
     assert np.isclose(rho.least_eig, 0.1) and len(calls) == 2
+
+
+def test_a_diagonal_density_gets_the_hermitian_rule():
+    # |x - x^H|max = 2 |Im diag|max: a non-real diagonal entry above the
+    # relative rule is rejected, one below it is dropped, as the dense
+    # hermitization (x + x^H) / 2 would drop it
+    for bad in ([1.0, 0.5 + 1e-3j], [1.0, 1e-9j + 0.5], [2.0 + 1j, 1.0]):
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            Functional(np.diag(bad))
+    rho = Functional(np.diag([1.0, 0.5 + 2e-11j]))
+    assert np.array_equal(rho.density, np.diag([1.0, 0.5])) and rho.least_eig == 0.5
+    assert rho.density.dtype == complex and not rho.density.flags.writeable
 
 
 def test_random_faithful_is_a_state(rng):

@@ -142,6 +142,26 @@ def test_operator_from_json_rejects_non_finite_entries():
         operator_from_json(dict(good, re=[[{}] * 4] * 4))
 
 
+def test_operator_from_json_names_each_fault_of_re_and_im():
+    # each fault of 're' and 'im' gets its own message
+    good = operator_to_json(LeggedOperator(np.eye(2), (2,)))
+    zeros = [[0, 0], [0, 0]]
+    for bad, message in [
+        (dict(good, re=5), "nested lists of numbers: 'int' object is not iterable"),
+        (dict(good, im=[1, 0]), "nested lists of numbers: 'int' object is not iterable"),
+        (dict(good, re=[[1, "1"], [True, 1]]), "nested lists of numbers: got bool, str"),
+        (dict(good, im=[[True, 0], [0, 0]]), "nested lists of numbers: got bool"),
+        (dict(good, re=[{}, {}]), "nested lists of numbers: float"),
+        (dict(good, re=[{}, {}], im=[{}, {}]), "nested lists of numbers: float"),
+        (dict(good, re=[[1, 0], [0]]), "nested lists of numbers: setting an array element"),
+        (dict(good, im=[[0, 0]]), r"'re' shape \(2, 2\) does not match 'im' shape \(1, 2\)"),
+        (dict(good, re=[[1, None]], im=zeros), "finite"),
+        (dict(good, legs=[3], im=zeros), r"matrix shape \(2, 2\) does not match legs \[3\]"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            operator_from_json(bad)
+
+
 def _invariant_sequence(m, n, L, rng):
     """Random Hermitian entries x_l on legs [m, n, ..., n], symmetrized over
     the n-legs: invariant, and more general than a group-like sequence."""

@@ -336,6 +336,20 @@ def test_chain_blocks_grow_the_irrep_blocks(rng, n, L):
             assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("n, L", [(2, 8), (3, 5)])
+def test_chain_blocks_grow_each_parent_once(rng, n, L):
+    # a parent with two children, as (k,) has (k + 1,) and (k, 1), is grown
+    # once; the walk stays lazy, growing nothing past the block it yields
+    t = rng.normal(size=(n, n))
+    grown = []
+    walk = chain_blocks(n, L, np.eye(1), lambda x: grown.append(x.shape) or _kron(x, t))
+    blocks = []
+    for lam, _ in walk:
+        blocks.append(lam)
+        assert len(grown) == len({(mu.size, symmetry._copy_chain(n, mu.parts).parent) for mu in blocks})
+    assert len(grown) < len(blocks)
+
+
 def test_chain_blocks_needs_a_positive_dimension():
     assert list(chain_blocks(2, 0, np.eye(1), lambda x: x)) == []
     with pytest.raises(ValueError):

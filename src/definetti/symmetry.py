@@ -12,13 +12,14 @@ import numpy as np
 from .linalg import LeggedOperator
 
 #: largest tensor power l.  Every Schur-Weyl object is built from one
-#: Jucys-Murphy recursion, the copy chain, whose bases have n^l rows and
-#: weyl(lambda) columns; the isotypic projectors hook * Sym(W W^T) and the
-#: dense exports (the solver's witness, a sequence's entries) are
-#: n^l x n^l, while the solver's Gram rows and its witness check, the
-#: exponential test's blocks and a sequence's blocks and their transition
-#: map (`transition_blocks`) are weyl(lambda) wide.  The bound is about
-#: those sizes, not about enumerating S_l
+#: Jucys-Murphy recursion, the copy chain, which keeps per partition lambda
+#: its branching and the U(n) generators on its copy, weyl(lambda) wide, and
+#: forms no n^l rows; so are the solver's Gram rows and its witness check,
+#: the exponential test's blocks and a sequence's blocks.  The bound is on
+#: what does form n^l rows: the dense exports (`copy_basis`, the isotypic
+#: projectors, the solver's witness and a sequence's entries, n^l x n^l) and
+#: the alignment plans of `transition_blocks`, built once per (n, l).  It is
+#: about those sizes, not about enumerating S_l
 MAX_LEVEL = 8
 
 
@@ -180,64 +181,49 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(*lead, p * r, q * s)
 
 
-def _jm_eigenspace(
-    prev: np.ndarray, n: int, l: int, content: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal real basis of the vectors of range(prev (x) I_n) on which
-    the Jucys-Murphy element X_l = sum_{j<l} (j l) takes the value `content`,
-    as (basis, coefficients), basis = (prev (x) I_n) @ coefficients.
-
-    `prev` is a copy basis: orthonormal real columns in (C^n)^{(x)(l-1)}
-    whose range is a joint eigenspace of X_1..X_{l-1}.  X_l commutes with
-    those, so it maps range(prev (x) I_n) to itself.  Its eigenvalues there
-    are contents of boxes, so they are integers and the wanted eigenspace is
-    the kernel of cols^T X_l cols - content, read off an SVD with a gap of
-    at least 1.
-    """
-    cols = _kron(prev, np.eye(n))  # prev (x) I_n
-    # a transposition is an involution, so it acts by a row gather
-    jm = np.zeros_like(cols)
-    for j in range(l - 1):
-        perm = list(range(l))
-        perm[j], perm[l - 1] = l - 1, j
-        jm += cols[_perm_index_map(n, l, tuple(perm))]
-    _, sv, vt = np.linalg.svd(cols.T @ jm - content * np.eye(cols.shape[1]))
-    coeffs = vt[sv < 0.5].T
-    return cols @ coeffs, coeffs
-
-
 @dataclass(frozen=True)
 class _ChainStep:
-    """One copy basis and how it branches from its parent:
-    basis = (copy basis of `parent` (x) I_n) @ branching."""
+    """How one copy basis branches from its parent's,
+    W_lam = (W_parent (x) I_n) @ branching, and the U(n) generators on it,
+    gens[a n + b] = W_lam^T E_ab W_lam with E_ab = sum over the legs of e_ab."""
 
     parent: tuple[int, ...]
-    basis: np.ndarray
     branching: np.ndarray
+    gens: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
 def _copy_chain(n: int, parts: tuple[int, ...]) -> _ChainStep:
-    """The copy basis of `parts` with its branching coefficients, built once
-    per process; its arrays are read-only, as every caller shares them.
+    """The chain step of a nonempty partition `parts`, built once per
+    process from its parent's generators; no n^l rows are formed.  Its
+    arrays are read-only, as every caller shares them.
 
     Branching along one chain of corners, always removing the last row's
     box mu = lambda - box: range(W_mu (x) I_n) is the joint eigenspace of the
     Jucys-Murphy elements X_1..X_{l-1} for the contents of T_mu, X_l
     commutes with those, and its eigenspace for the content of the removed
-    box is V_lambda (x) |T>, with weyl(lambda) vectors.
+    box is V_lambda (x) |T>, with weyl(lambda) vectors.  The swap (j l) is
+    sum_ab e_ab^(j) e_ba^(l), so there X_l = sum_ab gens_mu[a n + b] (x) e_ba.
+    Its eigenvalues are contents of boxes, integers, so the wanted
+    eigenspace is a kernel read off an SVD with a gap of at least 1.
     """
     l = sum(parts)
-    if l <= 1:
-        step = _ChainStep((), np.eye(n**l), np.eye(n**l))
+    units = np.eye(n * n).reshape(n * n, n, n)
+    if l == 1:
+        step = _ChainStep((), np.eye(n), units)
     else:
         # the last row's box: row i, column p - 1, content p - 1 - i
         i, p = len(parts) - 1, parts[-1]
         mu = parts[:-1] + ((p - 1,) if p > 1 else ())
-        basis, branching = _jm_eigenspace(_copy_chain(n, mu).basis, n, l, p - 1 - i)
-        step = _ChainStep(mu, basis, branching)
-    step.basis.setflags(write=False)
+        gens = _copy_chain(n, mu).gens
+        w = gens.shape[1]
+        jm = gens.reshape(n, n, w, w).transpose(2, 1, 3, 0).reshape(w * n, w * n)
+        _, sv, vt = np.linalg.svd(jm - (p - 1 - i) * np.eye(w * n))
+        c = vt[sv < 0.5].T
+        # E_ab on (legs of mu) (x) (last leg) is gens_mu (x) I_n + I_w (x) e_ab
+        step = _ChainStep(mu, c, c.T @ (_kron(gens, np.eye(n)) + _kron(np.eye(w), units)) @ c)
     step.branching.setflags(write=False)
+    step.gens.setflags(write=False)
     return step
 
 
@@ -252,29 +238,31 @@ def _alignment(n: int, nu: tuple[int, ...], lam: tuple[int, ...]) -> np.ndarray:
     A_{nu lam} B_lam A_{nu lam}^T for an S_l-invariant x with blocks
     B_lam = W_lam^T x W_lam.  Built once per process, in `_transition_plan`.
 
-    The vectors of range(W_nu (x) I_n) in the lam-isotypic subspace are
-    E = (W_nu (x) I_n) C, C from `_jm_eigenspace`: a copy of V_lam, though not
-    the copy W_lam when nu is not lam's parent on the chain.  A permutation of
-    the legs acts on the multiplicity space alone, so by Schur's lemma
-    M = E^T g W_lam is s R with R orthogonal, for every g in the group
-    algebra; then E^T x E = R B_lam R^T and A = C R.  g is generic so that
-    s != 0, and an R that is not orthogonal raises LinAlgError.
+    The lam-isotypic vectors of range(W_nu (x) I_n) are a copy of V_lam,
+    E = (W_nu (x) I_n) C for some C, though not the copy W_lam when nu is not
+    lam's parent on the chain.  A permutation of the legs acts on the
+    multiplicity space alone, so by Schur's lemma E^T g W_lam is s R with R
+    orthogonal, for every g in the group algebra; then E^T x E = R B_lam R^T
+    and A = C R.  g W_lam is lam-isotypic, so its projection
+    M = (W_nu (x) I_n)^T g W_lam is C s R = s A, and A = M / s.  g is generic
+    so that s != 0, and an A that is not an isometry raises LinAlgError.
     """
     l = sum(lam)
     step = _copy_chain(n, lam)
     if step.parent == nu:
         return step.branching  # E = W_lam, R = I
-    row = next(i for i in range(len(lam)) if i >= len(nu) or lam[i] != nu[i])
-    basis, coeffs = _jm_eigenspace(_copy_chain(n, nu).basis, n, l, lam[row] - 1 - row)
+    w_lam, w_nu = copy_basis(n, Partition(lam)), copy_basis(n, Partition(nu))
     perms = [tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, l)) for j in range(l - 1)]
     perms.append(tuple(range(1, l)) + (0,))
     weights = np.random.default_rng(_ALIGNMENT_SEED).normal(size=len(perms))
-    g_w = sum(c * step.basis[_perm_index_map(n, l, p)] for c, p in zip(weights, perms))
-    m = basis.T @ g_w
-    r = m / np.sqrt(np.trace(m.T @ m) / m.shape[0])
-    if np.abs(r.T @ r - np.eye(r.shape[0])).max() > 1e-10:
+    g_w = sum(c * w_lam[_perm_index_map(n, l, p)] for c, p in zip(weights, perms))
+    w = w_lam.shape[1]
+    # M, with the rows of g W_lam split into (row of W_nu, last leg)
+    m = (w_nu.T @ g_w.reshape(-1, n * w)).reshape(-1, w)
+    a = m / np.sqrt(np.trace(m.T @ m) / w)
+    if np.abs(a.T @ a - np.eye(w)).max() > 1e-10:
         raise np.linalg.LinAlgError(f"alignment of {lam} from {nu} on n={n} is not orthogonal")
-    return coeffs @ r
+    return a
 
 
 @functools.lru_cache(maxsize=None)
@@ -300,8 +288,9 @@ def _transition_plan(n: int, l: int) -> tuple:
 def copy_basis(n: int, lam: Partition) -> np.ndarray:
     """Real isometry W_lambda with n^l rows and weyl(lambda) columns onto one
     copy V_lambda (x) |T> of the U(n) irrep of lambda, T the standard
-    tableau grown along the chain of `_copy_chain`.  The array is the
-    process-wide cached one and is read-only.
+    tableau grown along the chain of `_copy_chain`:
+    W_lambda = (W_mu (x) I_n) C down the chain's branchings C from
+    W_() = [[1]].  Built on each call, for the dense exports.
 
     Raises ValueError when lambda has more than n rows (no copy exists) or
     |lambda| exceeds `MAX_LEVEL`.
@@ -310,7 +299,12 @@ def copy_basis(n: int, lam: Partition) -> np.ndarray:
         raise ValueError(f"l={lam.size} exceeds the level bound {MAX_LEVEL}")
     if len(lam) > n:
         raise ValueError(f"partition {lam.parts} has more than n={n} rows")
-    return _copy_chain(n, lam.parts).basis
+    if not lam.parts:
+        return np.eye(1)
+    step = _copy_chain(n, lam.parts)
+    w = step.branching.shape[1]
+    # (W_mu (x) I_n) C, with C's rows split into (column of W_mu, last leg)
+    return (copy_basis(n, Partition(step.parent)) @ step.branching.reshape(-1, n * w)).reshape(-1, w)
 
 
 def schur_weyl_block(x: np.ndarray, m: int, n: int, lam: Partition) -> np.ndarray:
@@ -404,11 +398,11 @@ def _power_blocks(t: np.ndarray, l: int) -> Iterator:
 
 
 def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:
-    """Orthogonal projector hook(lambda) * Sym(W W^T) onto the
-    lambda-isotypic subspace of (C^n)^{(x)l}, W the copy basis of lambda
-    (`copy_basis`): twirling one copy over S_l gives the whole block, and
-    `Symmetrizer` never sums over S_l.  Returns the zero operator when
-    lambda has more than n parts (its Schur-Weyl multiplicity vanishes).
+    """Orthogonal projector onto the lambda-isotypic subspace of
+    (C^n)^{(x)l}: `from_schur_weyl_blocks` of the unit block at lambda,
+    hook(lambda) * Sym(W W^T) with W the copy basis of lambda.  Returns the
+    zero operator when lambda has more than n parts (its Schur-Weyl
+    multiplicity vanishes).
     """
     if l > MAX_LEVEL:
         raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
@@ -417,9 +411,8 @@ def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:
     legs = (n,) * l
     if len(lam) > n:
         return LeggedOperator(np.zeros((n**l, n**l)), legs)
-    w = copy_basis(n, lam)
-    twirl = Symmetrizer(legs, range(l)).apply_matrix(w @ w.T)
-    return LeggedOperator(lam.hook_dimension() * twirl, legs)
+    blocks = [np.eye(w) * (mu == lam) for mu, w, _ in level_layout(n, l)]
+    return LeggedOperator(from_schur_weyl_blocks(blocks, 1, n, l), legs)
 
 
 def schur_weyl_table(n: int, l: int) -> list[tuple[Partition, int, int]]:

@@ -81,6 +81,39 @@ def dense_block_compression(g, lam):
     return w.T @ tensor_power(LeggedOperator(g.t, (g.n,)), lam.size).entries @ w
 
 
+def dense_copy_basis(n, parts):
+    """The dense reference for `symmetry.copy_basis`: the Jucys-Murphy step
+    on n^l rows.  On cols = W_mu (x) I_n, mu the chain parent of `parts` (its
+    last row's box removed), X_l = sum_{j<l} (j l) acts by gathering the
+    rows of cols, and the copy is cols times the kernel of
+    cols^T X_l cols - content, read off an SVD."""
+    l = sum(parts)
+    if l <= 1:
+        return np.eye(n**l)
+    i, p = len(parts) - 1, parts[-1]
+    mu = parts[:-1] + ((p - 1,) if p > 1 else ())
+    cols = np.kron(dense_copy_basis(n, mu), np.eye(n))
+    jm = np.zeros_like(cols)
+    for j in range(l - 1):
+        perm = list(range(l))
+        perm[j], perm[l - 1] = l - 1, j
+        jm += cols[np.arange(n**l).reshape((n,) * l).transpose(perm).reshape(-1)]
+    _, sv, vt = np.linalg.svd(cols.T @ jm - (p - 1 - i) * np.eye(cols.shape[1]))
+    return cols @ vt[sv < 0.5].T
+
+
+def dense_generators(w, n, l):
+    """W^T E_ab W stacked at a n + b, E_ab = sum over the l legs of the
+    matrix unit e_ab, from the n^l rows of W: the dense reference for a
+    chain step's `gens`."""
+    d = w.shape[1]
+    out = np.zeros((n, n, d, d))
+    for j in range(l):
+        wt = w.reshape(n**j, n, n ** (l - 1 - j), d)
+        out += np.einsum("rask,rbsm->abkm", wt, wt)
+    return out.reshape(n * n, d, d)
+
+
 def dense_sym(prob):
     """The symmetrizer of legs 1..l on the full legs [m, n, ..., n]."""
     return Symmetrizer((prob.m,) + (prob.n,) * prob.l, range(1, prob.l + 1))

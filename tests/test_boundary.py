@@ -242,14 +242,12 @@ def test_exponential_test_checks_each_block_compression_once(monkeypatch, rng, n
     # t goes through is_psd, every higher block through one batched check,
     # each block its own group of side weyl(lam); every block is the dense
     # W^T t^{(x)l} W (the check reads its Hermitian part above l = 1); from a
-    # cold cache the first call builds each copy chain once, and a second
+    # cold cache the first call builds each chain step once, and a second
     # call builds none
     g = random_grouplike(rng, n)
     want = [dense_block_compression(g, lam) for l in range(1, L + 1) for lam, _, _ in schur_weyl_table(n, l)]
-    distinct = sum(len(schur_weyl_table(n, l)) for l in range(2, L + 1))
     symmetry._copy_chain.cache_clear()
-    seen, filters = [], []
-    inner = symmetry._jm_eigenspace
+    seen = []
 
     def batched(groups, sides, tol, hermitian=True):
         assert not hermitian and sides == [group[0].shape[0] for group in groups]
@@ -258,15 +256,14 @@ def test_exponential_test_checks_each_block_compression_once(monkeypatch, rng, n
 
     monkeypatch.setattr(boundary, "is_psd", lambda x: seen.append(x.entries) or True)
     monkeypatch.setattr(boundary, "_first_non_psd", batched)
-    monkeypatch.setattr(symmetry, "_jm_eigenspace", lambda *args: filters.append(args) or inner(*args))
     assert exponential_test(g, L).is_exponential
-    assert len(seen) == len(want) and len(filters) == distinct
+    assert len(seen) == len(want) and symmetry._copy_chain.cache_info().misses == len(want)
     assert np.abs(seen[0] - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
     for got, block in zip(seen[1:], want[1:]):
         herm = (block + block.conj().T) / 2
         assert np.abs((got + got.conj().T) / 2 - herm).max() <= 1e-12 * np.abs(block).max()
     assert exponential_test(g, L).is_exponential
-    assert len(filters) == distinct
+    assert symmetry._copy_chain.cache_info().misses == len(want)
 
 
 def test_exponential_test_stops_at_a_non_psd_t(monkeypatch, rng):

@@ -19,7 +19,7 @@ from definetti import (
     schur_weyl_table,
     tensor,
 )
-from definetti import symmetry
+from definetti import boundary, hierarchy, symmetry
 from definetti.boundary import GroupLike
 from definetti.symmetry import (
     _kron,
@@ -34,6 +34,8 @@ from conftest import (
     LegPermutation,
     copy_bases,
     dense_block_compression,
+    dense_copy_basis,
+    dense_generators,
     permute_legs,
     rand_hermitian,
     rand_psd,
@@ -307,13 +309,58 @@ def test_copy_bases_fill_the_isotypic_subspaces(rng, n, l):
                 copy_basis(n, lam)
 
 
+@pytest.mark.parametrize("n, L", [(2, 8), (3, 6), (4, 5)])
+def test_copy_chain_matches_the_dense_jucys_murphy_step(n, L):
+    # the chain grows from U(n) generators alone: each copy basis spans the
+    # copy of the Jucys-Murphy step on n^l rows, and each step's generators
+    # are W^T E_ab W on that basis
+    for l in range(1, L + 1):
+        for lam, _, _ in symmetry.level_layout(n, l):
+            w, ref = copy_basis(n, lam), dense_copy_basis(n, lam.parts)
+            assert np.abs(w @ w.T - ref @ ref.T).max() < 1e-12
+            gens = symmetry._copy_chain(n, lam.parts).gens
+            assert np.abs(gens - dense_generators(w, n, l)).max() < 1e-12
+
+
+def test_a_cold_chain_walk_forms_no_matrix_with_n_to_the_l_rows(monkeypatch, rng):
+    # from a cold cache, the exponential test at (n, L) = (3, 8) and a level-6
+    # solver geometry on n = 3 build every chain step and walk the chain;
+    # every Kronecker product they form is at most n * weyl(lam) wide, lam of
+    # level L - 1, far below n^(L-1) rows, and no copy basis or row gather
+    # of the n^l-side legs is formed
+    def forbidden(*args):
+        raise AssertionError("an n^l-row matrix was formed")
+
+    rows = []
+
+    def kron(a, b):
+        out = _kron(a, b)
+        rows.append(out.shape[-2])
+        return out
+
+    for module in (symmetry, hierarchy):
+        monkeypatch.setattr(module, "_kron", kron)
+    monkeypatch.setattr(symmetry, "_perm_index_map", forbidden)
+    monkeypatch.setattr(symmetry, "copy_basis", forbidden)
+    n = 3
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    density = Functional.random_faithful(n, rng).density
+    for L, walk in [
+        (8, lambda: boundary.exponential_test(GroupLike(x @ x.conj().T + np.eye(n)), 8)),
+        (6, lambda: hierarchy._Geometry(2, n, 6, density)),
+    ]:
+        symmetry._copy_chain.cache_clear()
+        rows.clear()
+        walk()
+        bound = n * max(w for _, w, _ in symmetry.level_layout(n, L - 1))
+        assert rows and max(rows) <= bound < n ** (L - 1)
+
+
 def test_cached_bases_are_read_only():
-    # every caller, the dense exports and the tests' references among them,
-    # shares the cached arrays
-    lam = Partition((2, 1))
-    step = symmetry._copy_chain(2, lam.parts)
-    cached = [copy_basis(2, lam), step.branching]
-    cached += [w for _, w in copy_bases(2, 3)]
+    # every caller shares the cached chain steps and alignment plans
+    step = symmetry._copy_chain(2, (2, 1))
+    cached = [step.branching, step.gens]
+    cached += [a for _, children in symmetry._transition_plan(2, 3) for _, a in children]
     for arr in cached:
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0

@@ -16,10 +16,10 @@ ships a separating functional (the dual of Doherty, Parrilo and
 Spedalieri): a Hermitian Y on m (x) n with Sym(Y (x) D^{(x)(l-1)}) PSD and
 trace(Y a) < 0, so that every feasible b would give
 0 <= <Sym(Y (x) D^{(x)(l-1)}), b> = trace(Y Phi(b)) = trace(Y a).
-A run that ends with neither is `max_iterations`.  The search is
-Douglas-Rachford splitting with safeguarded Anderson acceleration
-(`sub_extension_feasibility`); the acceleration changes how fast an answer
-comes, never how it is checked.
+A run that ends with neither is `max_iterations`.  The search is one
+Douglas-Rachford step, then a log-barrier interior-point method on that dual
+(`sub_extension_feasibility`); the method changes how fast an answer comes,
+never how it is checked.
 """
 
 from __future__ import annotations
@@ -60,32 +60,16 @@ from .symmetry import (
 #: dimensions where the PPT criterion is an exact separability test
 PPT_EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 
-#: at every step k that is a power of two or a multiple of CERTIFICATE_PERIOD
-#: (`is_checkpoint`) the DR loop tries to read a separating functional off its
-#: step T(z) - z (`ExtensionProblem.certificate`), then an extension off the
-#: PSD part of z (`ExtensionProblem.witness`): densely early, where most
-#: solves end, and every CERTIFICATE_PERIOD steps later on
-CERTIFICATE_PERIOD = 25
 #: a certificate Y is accepted when trace(Y a) < -CERTIFICATE_RTOL ||Y|| trace(a),
 #: far above the rounding of trace(Y a) and of the eigenvalues behind Y
 CERTIFICATE_RTOL = 1e-9
-#: after each DR step the loop mixes the differences of its last
-#: ANDERSON_MEMORY steps into the next point (`_Anderson`)
-ANDERSON_MEMORY = 10
-#: Tikhonov weight of the mixing least squares, relative to the summed squared
-#: norms of the differences it mixes; it keeps the mix near plain DR where the
-#: iterates drift without converging, as on an infeasible problem
-ANDERSON_REGULARIZATION = 1e-8
-#: a mixed point whose residual ||T(z) - z|| is more than ANDERSON_SAFEGUARD
-#: times the previous one is dropped, and the loop restarts from the plain DR
-#: point before it
-ANDERSON_SAFEGUARD = 2.0
-
-
-def is_checkpoint(k: int) -> bool:
-    """Whether DR step k >= 1 tries both answers: k = 1, 2, 4, 8, 16, 25, 32,
-    50, 64, 75, ..."""
-    return k & (k - 1) == 0 or k % CERTIFICATE_PERIOD == 0
+#: a Newton step of the barrier search is damped to 1 / (1 + delta) while its
+#: decrement delta is at least DAMPED_DECREMENT, and taken in full below it
+DAMPED_DECREMENT = 0.25
+#: after a step whose decrement is below CENTRED_DECREMENT the barrier weight
+#: mu is divided by BARRIER_SHRINK
+CENTRED_DECREMENT = 0.5
+BARRIER_SHRINK = 10.0
 
 
 def _is_invariant(x: LeggedOperator, tol: float) -> bool:
@@ -243,7 +227,7 @@ def validate_k_prefix(seq: SymSequence) -> ValidationReport:
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-7
-    max_iterations: int = 20000
+    max_iterations: int = 200  # the first check, then Newton steps
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -256,13 +240,22 @@ class SolverOptions:
 class FeasibilityReport:
     """One level of the hierarchy: the verdict and what it rests on.
 
-    `final_residual` is the quantity the verdict rests on.  For `feasible`
-    it is the witness's relative marginal defect |Phi(b) - a|max / |a|max,
-    at most the solver's tol.  Otherwise it is the last fixed-point
-    residual ||T(z) - z|| of the DR map, relative to trace(a), the last
-    entry of `residual_history`.  `restarts` counts the mixed points the
-    solver dropped for plain DR steps (`_Anderson`): how often the
-    acceleration backed off.
+    `iterations` counts the first check and the Newton steps after it
+    (`sub_extension_feasibility`), and `residual_history` has one entry per
+    iteration, relative to trace(a): first the first check's Douglas-Rachford
+    residual ||T(z) - z||, then the duality gap trace(Y a) - t of each
+    Newton step.  `final_residual` is the quantity the verdict rests on.
+    For `feasible` it is the witness's relative marginal defect
+    |Phi(b) - a|max / |a|max, at most the solver's tol.  Otherwise it is the
+    last entry of `residual_history`.
+
+    `t_lower` <= t* <= `t_upper` brackets t* = max{t : Phi(X) = a,
+    X >= t J} (J the identity of the block stack, `ExtensionProblem`), in
+    the units of a: a is level-l extendable exactly when t* >= 0, so the
+    bracket says how far the solve was from the opposite verdict.
+    `t_upper` is trace(Y a) at the last dual iterate and `t_lower` the t of
+    the last primal estimate whose Newton decrement was below 1; each is
+    None when the first check answered or no such iterate was reached.
 
     A `feasible` report carries the checked witness b as `witness_blocks`:
     its Schur-Weyl blocks B_lambda (`symmetry.schur_weyl_block`), one per
@@ -283,7 +276,8 @@ class FeasibilityReport:
     stop_reason: str  # "tol" | "certificate" | "max_iterations"
     certificate: Optional[LeggedOperator]  # separating functional Y on (m, n)
     certificate_margin: Optional[float]  # trace(Y a) / (||Y|| trace(a)) < 0
-    restarts: int = 0  # safeguard restarts of the Anderson mixing (`_Anderson`)
+    t_lower: Optional[float] = None
+    t_upper: Optional[float] = None
     # (m, n, trace(a), the checked blocks of the problem for a / trace(a)):
     # `witness` rebuilds these and then scales, since rebuilding the scaled
     # `witness_blocks` would round differently
@@ -312,7 +306,8 @@ class FeasibilityReport:
             "residual_history": list(self.residual_history),
             "certificate": None if self.certificate is None else operator_to_json(self.certificate),
             "certificate_margin": self.certificate_margin,
-            "restarts": self.restarts,
+            "t_lower": self.t_lower,
+            "t_upper": self.t_upper,
         }
         if self.witness_blocks is not None:
             m, n = self.witness_source[:2]
@@ -348,6 +343,12 @@ class _Geometry:
     offset, the one part that depends on a (`ExtensionProblem`).  The
     projector is kept as its two n^2-row factors, never as the square
     matrix on the blocks.  No K(e_j) of side n^l is formed.
+
+    The barrier search (`ExtensionProblem.barrier_search`) reads, per block,
+    `_units`: the same blocks K(e_j) side by side, weyl x n^2 weyl, for the
+    blockwise Hessian; the identity J of the blocks' active corners
+    (`_eye`) and the identity of the padding (`_pad`), `_rows` = the sum of
+    the corners' sides, Phi(J) (`_phi_eye`) and its start `_y0`.
     """
 
     def __init__(self, m: int, n: int, l: int, density: np.ndarray):
@@ -361,21 +362,38 @@ class _Geometry:
         stacks = [x for lam, x in walk if lam.size == l]
         side = m * max(d for _, d, _ in layout)
         self.shape = (len(layout), side, side)
-        weights, rows, idx = [], [], []
+        weights, rows, idx, units = [], [], [], []
+        eye = np.zeros(self.shape)
         for k, ((_, d, hook), x) in enumerate(zip(layout, stacks)):
             weight = math.sqrt(hook)
             weights.append(weight)
             rows.append(weight * x[1:].conj().reshape(n * n, d * d) / l)
+            # the n-side blocks K(e_j) of lambda as one (d, n^2 d) matrix
+            units.append(weight * x[1:].transpose(1, 0, 2).reshape(d, n * n * d) / l)
             # stack position of entry (alpha, beta) of the m-block (i, j) of X
             r = np.arange(m)[:, None] * d + np.arange(d)
             pos = k * side * side + r[:, None, :, None] * side + r[None, :, None, :]
             idx.append(pos.reshape(m * m, d * d))
+            eye[k, np.arange(m * d), np.arange(m * d)] = 1.0
         self._kh = np.hstack(rows)
         self._gi = np.linalg.inv(self._kh @ self._kh.conj().T)
         self._idx = np.hstack(idx)
         self._weights = np.array(weights)
         self._q = self._gi.T @ self._kh.conj()
-        for arr in (self._kh, self._gi, self._idx, self._weights, self._q):
+        self._units = tuple(units)
+        # the barrier's Hessian reads K(e_j)^H = K(e_j^T) by this permutation
+        self._transposed = np.arange(n * n).reshape(n, n).T.reshape(-1)
+        # the identity J of the active corners, the identity of the padding,
+        # the number of rows of the corners and Phi(J): <Phi(J), y> = trace K(y)
+        self._eye = eye
+        self._pad = np.eye(side) - self._eye
+        self._rows = sum(m * d for _, d, _ in layout)
+        self._phi_eye = self._eye.reshape(-1)[self._idx] @ self._kh.T
+        # the dual's start: the identity on m (x) n with trace K(Y) = 1
+        unit = (np.eye(m)[:, :, None, None] * np.eye(n)).reshape(m * m, n * n)
+        self._y0 = unit / np.vdot(self._phi_eye, unit).real
+        for arr in (self._kh, self._gi, self._idx, self._weights, self._q, *self._units,
+                    self._transposed, self._eye, self._pad, self._phi_eye, self._y0):
             arr.setflags(write=False)
 
 
@@ -398,13 +416,15 @@ class ExtensionProblem:
     copy basis of lambda (`symmetry.copy_basis`), of side m * weyl(lambda);
     no W is read here, and the blocks are sliced by their sides.  The
     sqrt(hook) weights make the Euclidean norm of the X equal the Frobenius
-    norm of b, so Douglas-Rachford on the blocks takes exactly the steps of
-    Douglas-Rachford on b.  The blocks are stored as one zero-padded stack
-    of shape `shape` = (k, s, s), with X_lambda in the top-left corner of
-    slice lambda and s = m * max weyl.
+    norm of b, so a Douglas-Rachford step on the blocks is exactly the step
+    on b.  The blocks are stored as one zero-padded stack of shape `shape` =
+    (k, s, s), with X_lambda in the top-left corner of slice lambda and
+    s = m * max weyl.
 
     `geometry` and the attributes copied from it (`shape`, `_kh`, `_gi`,
-    `_idx`, `_weights`, `_q`) are built once per (m, n, l, rho density)
+    `_idx`, `_weights`, `_q`, and what the barrier search reads: `_units`,
+    `_transposed`, `_eye`, `_pad`, `_rows`, `_phi_eye`, `_y0`)
+    are built once per (m, n, l, rho density)
     and process (`_geometry`) and shared by every problem there; their
     arrays are read-only.  Only `a`, `_a_blocks` and `_z0` (and the scalar
     `_k_floor`) are built here.
@@ -456,7 +476,7 @@ class ExtensionProblem:
 
         Every zero-padded stack is an S_l-invariant b, so invariance needs
         no work here; the correction only touches the blocks, and the
-        padding stays as it came in (zero in the DR loop, because the PSD
+        padding stays as it came in (zero in the solver, because the PSD
         part of a zero-padded block is zero-padded).  Phi and K commute with
         the adjoint, so a Hermitian x gives a Hermitian result.
         """
@@ -465,12 +485,13 @@ class ExtensionProblem:
         return out
 
     def certificate(self, step: np.ndarray) -> Optional[tuple[LeggedOperator, float]]:
-        """A separating functional read off a DR step, with its margin.
+        """A separating functional read off a DR step, with its margin: the
+        solver's first check.
 
         On an infeasible problem the DR step T(z) - z tends to the gap
         vector between the PSD cone and the affine set (Banjac et al., JOTA
-        183, 2019), which is -K(Y) for a separating Y; at a mixed point too,
-        since the mixing then stays near plain DR (`_Anderson`).  Y is the
+        183, 2019), which is -K(Y) for a separating Y, and on most clearly
+        infeasible inputs the first step already shows it.  Y is the
         least-squares solution of K(Y) = -step, G^{-1} Phi(-step).  One
         eigvalsh of the stack gives the least eigenvalue of K(Y) (block
         eigenvalue over its sqrt(hook) weight), and since
@@ -509,7 +530,9 @@ class ExtensionProblem:
         return max(0.0, -float(least)) / self._k_floor
 
     def witness(self, c: np.ndarray, tol: float) -> Optional[tuple[np.ndarray, float]]:
-        """An extension read off a DR iterate, with its marginal defect.
+        """An extension read off a block stack c (the first DR step's PSD
+        part, or a primal estimate of the barrier search), with its marginal
+        defect.
 
         b = project_affine(c) meets Phi(b) = a to rounding, and its PSD part
         w (one batched eigh of the stack) is PSD and S_l-invariant by
@@ -532,97 +555,149 @@ class ExtensionProblem:
         pass.  b is S_l-invariant by construction.  Phi = P^{l-1} runs
         `transition_blocks` down to level 1, whose one block is the marginal:
         not through `_kh`, which `witness` reads, and with no matrix of side
-        m n^l."""
+        m n^l.  The Loewner check reads the marginal's Hermitian part: its
+        anti-Hermitian part, the rounding of a witness far larger than a
+        (under a functional with a small eigenvalue), is at most
+        tol |a|max by the anchor check."""
         blocks = self._blocks(x)
         if _first_non_psd([blocks], [self.m * self.n**self.l], tol) is not None:
             return False
         for k in range(self.l, 1, -1):
             blocks = transition_blocks(blocks, self.m, self.n, k, self.rho.density)
-        marg = LeggedOperator(blocks[0], self.a.legs)
-        if np.abs(marg.entries - self.a.entries).max() > tol * self.a.norm_max():
+        marg = blocks[0]
+        if np.abs(marg - self.a.entries).max() > tol * self.a.norm_max():
             return False
-        return loewner_leq(marg, self.a, tol)
+        return loewner_leq(LeggedOperator((marg + marg.conj().T) / 2, self.a.legs), self.a, tol)
 
+    def _inverse(self, y: np.ndarray) -> Optional[np.ndarray]:
+        """Z = K(y)^{-1} on the active corners, zero-padded, or None when a
+        Cholesky factorization shows that K(y) is not positive definite.
+        The padding gets the identity first, so the stack factors and
+        inverts as a whole, and the padding of the inverse is that identity
+        again."""
+        k_y = self._k(y) + self._pad
+        try:
+            np.linalg.cholesky(k_y)
+        except np.linalg.LinAlgError:
+            return None
+        return np.linalg.inv(k_y) - self._pad
 
-def _real(x: np.ndarray) -> np.ndarray:
-    """The flat float view of a contiguous complex array: its dot products
-    are the real Frobenius inner products Re trace(x^H y)."""
-    return x.reshape(-1).view(np.float64)
+    def _hessian(self, z: np.ndarray) -> np.ndarray:
+        """The Hessian of -log det K(y) at Z = K(y)^{-1}, from Z in gathered
+        coordinates (the m-blocks Z_ai of each block, as `_phi` reads them):
+        the matrix of the map y -> Phi(Z K(y) Z) on the (m n)^2 complex
+        coordinates of y in m-blocks, built blockwise.
 
+        K(E_ij (x) e) is K(e) in the m-block (i, j), so the m-block (a, b)
+        of Z K(E_ij (x) e) Z is Z_ai K(e) Z_jb, and its Phi against the unit
+        f is trace(K(e_f)^H Z_ai K(e) Z_jb).  With P[a, i, e] = Z_ai K(e),
+        one product per block with the unit blocks side by side (`_units`),
+        and K(e_f)^H = K(e_f^T), that is sum over x, v of
+        P[a, i, e][x, v] P[j, b, f^T][v, x]: one contraction of P with
+        itself.  The cost per block of side m d is m^2 n^2 d^3 + m^4 n^4 d^2,
+        against (m n)^2 (m d)^3 for Z K(E) Z on every coordinate E.
+        """
+        m, nn = self.m, self.n * self.n
+        # left[(a, i, e), (x, v)] = P[a, i, e][x, v] and right[..., (x, v)] =
+        # P[...][v, x], the blocks side by side along (x, v) as in `_kh`
+        left = np.empty((m, m, nn, z.shape[1]), dtype=complex)
+        right = np.empty_like(left)
+        start = 0
+        for units in self._units:
+            d = units.shape[0]
+            cols = slice(start, start + d * d)
+            prod = (z[:, cols].reshape(m * m, d, d) @ units).reshape(m, m, d, nn, d)
+            left[..., cols].reshape(m, m, nn, d, d)[...] = prod.transpose(0, 1, 3, 2, 4)
+            right[..., cols].reshape(m, m, nn, d, d)[...] = prod.transpose(0, 1, 3, 4, 2)
+            start = cols.stop
+        total = left.reshape(m * m * nn, -1) @ right.reshape(m * m * nn, -1).T
+        # total[a, i, e, j, b, f^T] -> entry ((a, b, f), (i, j, e))
+        hess = total.reshape(m, m, nn, m, m, nn)[..., self._transposed].transpose(0, 4, 5, 1, 3, 2)
+        return hess.reshape(m * m * nn, m * m * nn)
 
-class _Anderson:
-    """Safeguarded type-II Anderson mixing of a fixed-point map T (Walker and
-    Ni, SIAM J. Numer. Anal. 49, 2011; Zhang, O'Donoghue and Boyd, SIAM J.
-    Optim. 30, 2020).
+    def barrier_search(self, tol: float, steps: int, history: list) -> tuple:
+        """The dual of the search by a log-barrier method (Boyd and
+        Vandenberghe, *Convex Optimization*, 2004, section 11).
 
-    `update(g, f, residual)` takes g = T(z) and f = g - z at the point z
-    just evaluated, with residual = ||f||, and returns the next point
-    g - sum_i gamma_i dg_i.  The dg_i and df_i are the differences of
-    consecutive g and f over the last ANDERSON_MEMORY evaluations, and gamma
-    minimizes ||f - sum_i gamma_i df_i||^2 + reg ||gamma||^2, with
-    reg = ANDERSON_REGULARIZATION sum_i (||df_i||^2 + ||dg_i||^2), the
-    weight of Zhang et al. with the dg_i in place of the differences of the
-    points.  Where the iterates drift without converging, as on an
-    infeasible problem, the dg_i tend to the gap vector while the df_i
-    vanish, so this weight keeps the mix near plain DR instead of
-    extrapolating along the drift.  Inner products are real Frobenius
-    products (`_real`), so gamma is real and Hermitian g give Hermitian
-    points.  The Gram matrix of the df_i gains one row per evaluation, and
-    the differences live in ring buffers allocated at the first difference,
-    so nothing of the size of z is allocated after that.
+        Primal: max t s.t. Phi(X) = a and X >= t J, J the identity of the
+        active corners; a is level-l extendable exactly when t* >= 0.  Dual:
+        min trace(Y a) s.t. K(Y) >= 0 and trace K(Y) = <Phi(J), Y> = 1, over
+        Hermitian Y on m (x) n, (m n)^2 real coordinates whatever l is.  For
+        a barrier weight mu the search takes damped Newton steps on
+        trace(Y a) / mu - sum_lambda log det K_lambda(Y) under the equality,
+        from Y = I scaled to it and mu = trace(Y a) / `_rows`: step
+        1 / (1 + delta) while the decrement delta is at least
+        DAMPED_DECREMENT, and mu / BARRIER_SHRINK after a step with delta
+        below CENTRED_DECREMENT.  Every iterate is Hermitian, rescaled onto
+        the equality and shown positive definite by a Cholesky factorization
+        (`_inverse`).
 
-    Safeguard: when the point just evaluated was mixed and its residual is
-    more than ANDERSON_SAFEGUARD times the previous one, the mix is dropped.
-    The next point is then the previous plain DR point, T of the point
-    before, and the memory is cleared (`restarts` counts these).
-    """
+        Both answers are read off each step and checked as the first check's
+        are:
+        - the primal estimate X = mu (Z - Z K(dY) Z) + t J, with Z = K(Y)^{-1},
+          dY the Newton step and t = -mu times the multiplier of the
+          equality, has Phi(X) = a to rounding, and X - t J >= 0 when
+          delta < 1.  Once t >= -10 tol it goes through `witness`, and a
+          witness through `validate_witness` at 10 tol;
+        - an iterate with trace(Y a) < -CERTIFICATE_RTOL ||Y|| trace(a) is
+          a separating functional, since K(Y) > 0.
 
-    def __init__(self):
-        self.restarts = 0
-        self._prev = None  # (g, `_real` views of g and f, residual) of the last evaluation
-        self._mixed = False  # whether the last evaluated point was mixed
-        self._count = 0  # differences stored since the last (re)start
-        self._df = None
-
-    def update(self, g: np.ndarray, f: np.ndarray, residual: float) -> np.ndarray:
-        prev = self._prev
-        if self._mixed and residual > ANDERSON_SAFEGUARD * prev[3]:
-            self.restarts += 1
-            self._prev, self._mixed, self._count = None, False, 0
-            return prev[0]
-        gv, fv = _real(g), _real(f)
-        self._prev, self._mixed = (g, gv, fv, residual), False
-        if prev is None:
-            return g
-        if self._df is None:
-            self._df = np.empty((ANDERSON_MEMORY, gv.size))
-            self._dg = np.empty_like(self._df)
-            self._gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
-            self._sq = [0.0] * ANDERSON_MEMORY  # ||df_i||^2 + ||dg_i||^2
-            self._mix = np.empty(gv.size)
-            self._z = np.empty_like(g)
-            self._zv = _real(self._z)
-        slot = self._count % ANDERSON_MEMORY
-        self._count += 1
-        k = min(self._count, ANDERSON_MEMORY)
-        df = self._df[:k]
-        np.subtract(fv, prev[2], out=df[slot])
-        dg = self._dg[slot]
-        np.subtract(gv, prev[1], out=dg)
-        row = df @ df[slot]
-        self._gram[slot, :k] = row
-        self._gram[:k, slot] = row
-        self._sq[slot] = float(row[slot] + dg @ dg)
-        reg = ANDERSON_REGULARIZATION * sum(self._sq[:k])
-        if reg == 0:
-            return g
-        gram = self._gram[:k, :k].copy()
-        gram.flat[:: k + 1] += reg
-        gamma = np.linalg.solve(gram, df @ fv)
-        np.dot(gamma, self._dg[:k], out=self._mix)
-        np.subtract(gv, self._mix, out=self._zv)
-        self._mixed = True
-        return self._z
+        Appends the duality gap trace(Y a) - t of each step to `history`, and
+        returns (stop, found, t_lower, t_upper): stop is "tol" with found =
+        (w, defect), "certificate" with found = (Y, margin), or
+        "max_iterations" with found None, after `steps` steps or at a
+        breakdown (a singular Newton system or an iterate that is not
+        positive definite).  t_upper = trace(Y a) of the last iterate and
+        t_lower = t of the last estimate with delta < 1 bracket t* (None
+        when no such estimate was reached).
+        """
+        m, n = self.m, self.n
+        a, c = self._a_blocks, self._phi_eye
+        tr_a = float(self.a.trace().real)
+        y = self._y0
+        z = self._inverse(y)
+        if z is None:  # K(I) >= lambda_min(D)^(l-1) I is too close to singular
+            return "max_iterations", None, None, None
+        upper = float(np.vdot(a, y).real)
+        mu = upper / self._rows
+        lower = None
+        for _ in range(steps):
+            z_gathered = z.reshape(-1)[self._idx]
+            grad = a / mu - z_gathered @ self._kh.T  # a / mu - Phi(Z)
+            try:
+                hess = self._hessian(z_gathered)
+                sol = np.linalg.solve(hess, np.stack([grad.ravel(), c.ravel()], axis=1))
+            except np.linalg.LinAlgError:
+                break
+            w = -np.vdot(c, sol[:, 0]).real / np.vdot(c, sol[:, 1]).real
+            dy = -(sol[:, 0] + w * sol[:, 1]).reshape(m * m, n * n)
+            dec = math.sqrt(max(0.0, -np.vdot(grad, dy).real))
+            if not (math.isfinite(dec) and math.isfinite(w)):
+                break
+            t = -mu * w
+            history.append(upper - t)
+            if dec < 1:
+                lower = t
+            if t >= -10 * tol:
+                x = mu * (z - z @ self._k(dy) @ z)
+                found = self.witness((x + x.conj().swapaxes(1, 2)) / 2 + t * self._eye, tol)
+                if found is not None and self.validate_witness(found[0], 10 * tol):
+                    return "tol", found, lower, upper
+            y = y + (dy if dec < DAMPED_DECREMENT else dy / (1 + dec))
+            y = y.reshape(m, m, n, n)
+            y = ((y + y.transpose(1, 0, 3, 2).conj()) / 2).reshape(m * m, n * n)
+            y = y / np.vdot(c, y).real
+            if dec < CENTRED_DECREMENT:
+                mu /= BARRIER_SHRINK
+            z = self._inverse(y)
+            if z is None:
+                break
+            upper = float(np.vdot(a, y).real)
+            margin = upper / (float(np.linalg.norm(y)) * tr_a)
+            if margin < -CERTIFICATE_RTOL:
+                y_mat = y.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
+                return "certificate", (LeggedOperator(y_mat, (m, n)), margin), lower, upper
+        return "max_iterations", None, lower, upper
 
 
 def sub_extension_feasibility(
@@ -631,45 +706,35 @@ def sub_extension_feasibility(
     l: int,
     opts: SolverOptions = SolverOptions(),
 ) -> FeasibilityReport:
-    """Douglas-Rachford splitting for the level-l sub-extension search.
+    """The level-l sub-extension search: one Douglas-Rachford step, then a
+    log-barrier interior-point method on the dual.
 
-    Alternates reflections between the cone {b PSD} and the affine set
-    {b S_l-invariant, Phi(b) = a}; the rho-mass anchor pins the slack
-    a - Phi(b) to zero, so the slack variable is eliminated rather than
-    carried along.  The iterates are block stacks (`ExtensionProblem`), so
-    invariance is built in and the PSD projection is one batched eigh of
-    small blocks.  One step evaluates the DR map at the current point z:
-    c = psd_part(z) and T(z) = z + project_affine(2c - z) - c.  The residual
-    is the fixed-point residual ||T(z) - z|| at that point.  Plain DR would
-    continue from T(z); the loop instead continues from the safeguarded
-    Anderson mix of T over its last ANDERSON_MEMORY points (`_Anderson`),
-    which cuts the steps of a slowly converging solve several-fold.  The
-    first two steps are plain, and a mixed point whose residual is more than
-    ANDERSON_SAFEGUARD times the previous one is dropped for the plain DR
-    point before it (`FeasibilityReport.restarts` counts these).  A step is
-    one eigh, two thin matmuls by the precomputed affine projector's
-    factors and one small least-squares solve; the iterates stay Hermitian
-    by construction, so no step re-symmetrizes them.
+    The search solves for a / tr(a), so its residuals and tolerance are
+    relative to the normalized problem and a verdict does not depend on the
+    overall scale of a.  The iterates are block stacks (`ExtensionProblem`),
+    so invariance is built in.
 
-    DR is positively homogeneous in a, so the loop solves for a / tr(a):
-    the residuals and the tolerance are relative to the normalized problem,
-    and a verdict does not depend on the overall scale of a.  At every step
-    k that `is_checkpoint` (k = 1, 2, 4, 8, 16, 25, 32, 50, 64, 75, ...: the
-    powers of two, where most solves can already answer, and every
-    CERTIFICATE_PERIOD steps) the loop tries both answers, in this order:
+    The first check is one step of Douglas-Rachford splitting between the
+    cone {b PSD} and the affine set {b S_l-invariant, Phi(b) = a}, from
+    z = project_affine(0): c = psd_part(z) and the step
+    T(z) - z = project_affine(2c - z) - c.  It tries both answers, in this
+    order:
 
-    - the step T(z) - z yields a checked separating functional
-      (`certificate`, see `ExtensionProblem.certificate`): the verdict is
+    - the step yields a checked separating functional (`certificate`, see
+      `ExtensionProblem.certificate`): the verdict is
       `infeasible_at_tolerance` and the report carries it;
-    - c, the PSD part of z, yields an extension w whose marginal defect
-      |Phi(w) - a|max is at most tol |a|max (`tol`, see
-      `ExtensionProblem.witness`): if w passes `validate_witness` in blocks
-      against the normalized problem, the verdict is `feasible` and the
-      report carries w's blocks times tr(a) (`FeasibilityReport`); no
-      object of side m n^l is formed unless `report.witness` is read.
+    - c yields an extension w whose marginal defect |Phi(w) - a|max is at
+      most tol |a|max (`tol`, see `ExtensionProblem.witness`) and which
+      passes `validate_witness` in blocks at 10 tol: the verdict is
+      `feasible` and the report carries w's blocks times tr(a)
+      (`FeasibilityReport`); no object of side m n^l is formed unless
+      `report.witness` is read.
 
-    A step whose residual is below tol runs the witness check at once.  A
-    run that ends with neither is `max_iterations`.
+    Most clearly infeasible inputs, and some easy feasible ones, end there.
+    Otherwise the search goes on with at most max_iterations - 1 Newton
+    steps of `ExtensionProblem.barrier_search`, whose answers get the same
+    checks; the report then carries the bracket on t*.  A run that ends
+    with neither answer is `max_iterations`.
     """
     a.require_hermitian("sub_extension_feasibility")
     if not is_psd(a):
@@ -679,44 +744,36 @@ def sub_extension_feasibility(
         scale = 1.0  # a PSD a of zero trace is 0, which solves in one step
     prob = ExtensionProblem(a * (1.0 / scale), rho, l)
     z = prob.project_affine(np.zeros(prob.shape))
-    history: list[float] = []
-    stop, found = "max_iterations", None
-    mixer = _Anderson()
-    for it in range(opts.max_iterations):
-        c = psd_part(z)
-        step = prob.project_affine(2 * c - z) - c
-        residual = float(np.linalg.norm(step))
-        history.append(residual)
-        checkpoint = is_checkpoint(it + 1)
-        if checkpoint:
-            found = prob.certificate(step)
-            if found is not None:
-                stop = "certificate"
-                break
-        if checkpoint or residual < opts.tol:
-            found = prob.witness(c, opts.tol)
-            if found is not None:
-                stop = "tol"
-                break
-        z = mixer.update(z + step, step, residual)
+    c = psd_part(z)
+    step = prob.project_affine(2 * c - z) - c
+    history = [float(np.linalg.norm(step))]
+    lower = upper = None
+    stop, found = "certificate", prob.certificate(step)
+    if found is None:
+        stop, found = "tol", prob.witness(c, opts.tol)
+        if found is not None and not prob.validate_witness(found[0], 10 * opts.tol):
+            found = None
+    if found is None:
+        stop, found, lower, upper = prob.barrier_search(opts.tol, opts.max_iterations - 1, history)
     verdict, blocks, source, certificate, margin = "max_iterations", None, None, None, None
-    final = history[-1] if history else 0.0
+    final = history[-1]
     if stop == "tol":
-        w, defect = found
-        if prob.validate_witness(w, 10 * opts.tol):
-            normalized = tuple(prob._blocks(w))
-            blocks = tuple(b * scale for b in normalized)
-            for b in normalized + blocks:
-                b.setflags(write=False)
-            source = (prob.m, prob.n, scale, normalized)
-            verdict, final = "feasible", defect
+        w, final = found
+        normalized = tuple(prob._blocks(w))
+        blocks = tuple(b * scale for b in normalized)
+        for b in normalized + blocks:
+            b.setflags(write=False)
+        source = (prob.m, prob.n, scale, normalized)
+        verdict = "feasible"
     elif stop == "certificate":
         verdict = "infeasible_at_tolerance"
         certificate, margin = found
     return FeasibilityReport(
         verdict, blocks, final, tuple(history), len(history), l,
         stop_reason=stop, certificate=certificate, certificate_margin=margin,
-        restarts=mixer.restarts, witness_source=source,
+        t_lower=None if lower is None else lower * scale,
+        t_upper=None if upper is None else upper * scale,
+        witness_source=source,
     )
 
 

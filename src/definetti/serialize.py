@@ -181,6 +181,7 @@ def load_json(path: str) -> dict:
 
 
 def dump_json(obj: dict, path: str) -> None:
+    """Write obj as one line of JSON.  `json.dumps` encodes in C; `json.dump`
+    would stream the same text through the pure-Python encoder."""
     with open(path, "w") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")

@@ -9,13 +9,12 @@ import pytest
 from definetti import LeggedOperator, Symmetrizer
 from definetti import boundary, cli, hierarchy, serialize, symmetry
 from definetti.hierarchy import (
-    ANDERSON_MEMORY,
-    ANDERSON_REGULARIZATION,
-    ANDERSON_SAFEGUARD,
+    BARRIER_SHRINK,
+    CENTRED_DECREMENT,
     CERTIFICATE_RTOL,
+    DAMPED_DECREMENT,
     ValidationReport,
     _is_invariant,
-    is_checkpoint,
 )
 from definetti.linalg import PSD_TOL, contract_legs, is_psd, loewner_leq, psd_part, tensor
 from definetti.symmetry import copy_basis, from_schur_weyl_blocks, level_layout
@@ -256,36 +255,41 @@ def permute_legs(x: LeggedOperator, sigma: LegPermutation) -> LeggedOperator:
     return LeggedOperator(ten.reshape(x.side, x.side), x.legs)
 
 
-class DenseDR:
-    """Anderson-accelerated Douglas-Rachford on dense operators on the full
-    legs: an independent cross-check of the block solver of
-    `ExtensionProblem`.  The sqrt(hook) weights of the blocks make their
-    inner products those of the dense operators, so both take the same
-    steps.
+class DenseSolver:
+    """The solver on dense operators on the full legs: an independent
+    cross-check of `sub_extension_feasibility`.
 
-    The affine projection comes from the dense Gram operator
-    Phi o Sym o Phi* on m (x) n, built column by column, and symmetrizes
-    its input, so it assumes nothing about the block coordinates.  The
-    certificate test is the solver's rule on dense operators: Y solves the
-    Gram system for Phi(-step), and the shift that makes Sym(Y (x) D^(l-1))
-    PSD comes from a dense eigvalsh of that operator.  So is the witness
-    test: the PSD part of the affine projection, by a dense eigh, with its
-    marginal defect.
+    The first check is a Douglas-Rachford step.  Its affine projection comes
+    from the dense Gram operator Phi o Sym o Phi* on m (x) n, built column
+    by column, and symmetrizes its input, so it assumes nothing about the
+    block coordinates.  The certificate test is the solver's rule on dense
+    operators: Y solves the Gram system for Phi(-step), and the shift that
+    makes Sym(Y (x) D^(l-1)) PSD comes from a dense eigvalsh of that
+    operator.  So is the witness test: the PSD part of the affine
+    projection, by a dense eigh, with its marginal defect, then
+    `dense_validate_witness`.
+
+    The barrier search is written out afresh on the blocks of the copy
+    bases (`to_blocks`): K(E_k) = Sym(E_k (x) D^(l-1)) of every matrix unit
+    E_k on m (x) n is built densely and cut into blocks once, Phi(X) is read
+    as <K(E_k), X>, and the Hessian is <K(E_j), Z K(E_k) Z> on every pair of
+    units, with no use of the solver's Gram rows, unit blocks or m-block
+    layout.  The Newton steps, the schedule and both answers follow
+    `ExtensionProblem.barrier_search`.
     """
 
     def __init__(self, prob):
         self.prob = prob
         self.sym = dense_sym(prob)
         mn = prob.m * prob.n
-        self.gram = np.empty((mn * mn, mn * mn), dtype=complex)
-        unit = np.zeros((mn, mn), dtype=complex)
-        for k in range(mn * mn):
-            unit.flat[k] = 1.0
-            column = dense_phi(prob, self.sym.apply_matrix(phi_star(prob, unit)))
-            self.gram[:, k] = column.reshape(-1)
-            unit.flat[k] = 0.0
+        # K(E_k) = Sym(E_k (x) D^(l-1)) for the matrix units E_k on m (x) n:
+        # the columns Phi(K(E_k)) of the Gram operator, and K(E_k) in blocks
+        k_units = [self.sym.apply_matrix(phi_star(prob, e)) for e in np.eye(mn * mn).reshape(-1, mn, mn)]
+        self.gram = np.stack([dense_phi(prob, k).reshape(-1) for k in k_units], axis=1)
+        self.units = np.array([to_blocks(prob, k) for k in k_units])
         # Sym(I (x) D^(l-1)) >= lambda_min(D)^(l-1) I
         self.floor = np.linalg.eigvalsh(prob.rho.density)[0] ** (prob.l - 1)
+        self.sides = [prob.m * w.shape[1] for _, w in copy_bases(prob.n, prob.l)]
 
     def project_affine(self, b):
         """Metric projection onto {Sym b = b, Phi(b) = a}."""
@@ -311,55 +315,87 @@ class DenseDR:
         return y if margin < -CERTIFICATE_RTOL else None
 
     def witness(self, c, tol):
-        """Whether psd_part(project_affine(c)) has |Phi(w) - a|max <= tol |a|max."""
+        """Whether w = psd_part(project_affine(c)) has |Phi(w) - a|max <=
+        tol |a|max and passes `dense_validate_witness` at 10 tol."""
+        prob = self.prob
         w = psd_part(self.project_affine(c))
-        a = self.prob.a.entries
-        return np.abs(dense_phi(self.prob, w) - a).max() <= tol * np.abs(a).max()
+        a = prob.a.entries
+        if np.abs(dense_phi(prob, w) - a).max() > tol * np.abs(a).max():
+            return False
+        legs = (prob.m,) + (prob.n,) * prob.l
+        return dense_validate_witness(prob, LeggedOperator(w, legs), 10 * tol)
 
     def start(self):
         side = self.sym.side
         return self.project_affine(np.zeros((side, side), dtype=complex))
 
-    def solve(self, opts):
-        """The solver's stopping rule and its safeguarded Anderson mixing on
-        the dense iterates: returns the verdict before the dense witness
-        validation and the iteration count, and keeps the residuals
-        ||T(z) - z|| in `history` and the safeguard restarts in `restarts`.
+    def _k(self, y):
+        return np.tensordot(y.reshape(-1), self.units, axes=1)
 
-        The mixing is written out afresh: the last ANDERSON_MEMORY differences
-        are kept in a list, and their Gram matrix, in the real Frobenius
-        product Re trace(x^H y), is rebuilt at every step."""
+    def _phi(self, x):
+        p = len(self.units)
+        return (self.units.reshape(p, -1).conj() @ x.reshape(-1)).reshape(self.prob.a.entries.shape)
+
+    def _inverse(self, y):
+        """The blockwise inverse of K(y), or None unless every block has a
+        Cholesky factor."""
+        k_y = self._k(y)
+        z = np.zeros_like(k_y)
+        for j, side in enumerate(self.sides):
+            try:
+                np.linalg.cholesky(k_y[j, :side, :side])
+            except np.linalg.LinAlgError:
+                return None
+            z[j, :side, :side] = np.linalg.inv(k_y[j, :side, :side])
+        return z
+
+    def solve(self, opts):
+        """The solver's first check and barrier search on these references:
+        returns the verdict and the iteration count, and keeps the residuals
+        in `history`."""
         z = self.start()
-        self.history, self.restarts = [], 0
-        memory, prev, mixed = [], None, False  # prev = (g, f, ||f||)
-        for it in range(opts.max_iterations):
-            c = psd_part(z)
-            g = z + self.project_affine(2 * c - z) - c
-            f = g - z
-            residual = np.linalg.norm(f)
-            self.history.append(residual)
-            checkpoint = is_checkpoint(it + 1)
-            if checkpoint and self.certificate(f) is not None:
-                return "infeasible_at_tolerance", it + 1
-            if (checkpoint or residual < opts.tol) and self.witness(c, opts.tol):
-                return "feasible", it + 1
-            if mixed and residual > ANDERSON_SAFEGUARD * prev[2]:
-                z, memory, prev, mixed = prev[0], [], None, False
-                self.restarts += 1
-                continue
-            if prev is not None:
-                memory = (memory + [(f - prev[1], g - prev[0])])[-ANDERSON_MEMORY:]
-            prev = (g, f, residual)
-            gram = np.array([[np.vdot(x, y).real for y, _ in memory] for x, _ in memory])
-            sq = sum(np.linalg.norm(df) ** 2 + np.linalg.norm(dg) ** 2 for df, dg in memory)
-            reg = ANDERSON_REGULARIZATION * sq
-            if reg == 0:
-                z, mixed = g, False
-                continue
-            rhs = [np.vdot(df, f).real for df, _ in memory]
-            gamma = np.linalg.solve(gram + reg * np.eye(len(memory)), rhs)
-            z, mixed = g - sum(gm * dg for gm, (_, dg) in zip(gamma, memory)), True
-        return "max_iterations", opts.max_iterations
+        c = psd_part(z)
+        step = self.project_affine(2 * c - z) - c
+        self.history = [np.linalg.norm(step)]
+        if self.certificate(step) is not None:
+            return "infeasible_at_tolerance", 1
+        if self.witness(c, opts.tol):
+            return "feasible", 1
+        prob, p = self.prob, len(self.units)
+        a = prob.a.entries
+        eye = np.zeros_like(self.units[0])
+        for j, side in enumerate(self.sides):
+            eye[j, :side, :side] = np.eye(side)
+        phi_eye = self._phi(eye)
+        y = np.eye(a.shape[0]) / np.trace(phi_eye).real
+        z = self._inverse(y)
+        mu = np.trace(y @ a).real / sum(self.sides)
+        flat = self.units.reshape(p, -1)
+        for _ in range(opts.max_iterations - 1):
+            grad = a / mu - self._phi(z)
+            hess = flat.conj() @ (z @ self.units @ z).reshape(p, -1).T
+            sol = np.linalg.solve(hess, np.stack([grad.reshape(-1), phi_eye.reshape(-1)], axis=1))
+            w = -np.vdot(phi_eye, sol[:, 0]).real / np.vdot(phi_eye, sol[:, 1]).real
+            dy = -(sol[:, 0] + w * sol[:, 1]).reshape(a.shape)
+            dec = np.sqrt(max(0.0, -np.vdot(grad, dy).real))
+            t = -mu * w
+            self.history.append(np.trace(y @ a).real - t)
+            if t >= -10 * opts.tol:
+                x = mu * (z - z @ self._k(dy) @ z) + t * eye
+                if self.witness(to_dense(prob, x), opts.tol):
+                    return "feasible", len(self.history)
+            y = y + (dy if dec < DAMPED_DECREMENT else dy / (1 + dec))
+            y = (y + y.conj().T) / 2
+            y = y / np.vdot(phi_eye, y).real
+            if dec < CENTRED_DECREMENT:
+                mu /= BARRIER_SHRINK
+            z = self._inverse(y)
+            if z is None:
+                break
+            value = np.trace(y @ a).real
+            if value / (np.linalg.norm(y) * np.trace(a).real) < -CERTIFICATE_RTOL:
+                return "infeasible_at_tolerance", len(self.history)
+        return "max_iterations", len(self.history)
 
 
 def forbid_enumeration(monkeypatch):

@@ -32,7 +32,9 @@ def test_extend_check_entangled(tmp_path, capsys):
     y = operator_from_json(level["certificate"]).entries
     assert np.isclose(np.trace(y @ bell_projector().entries).real / np.linalg.norm(y), level["certificate_margin"])
     assert level["certificate_margin"] < 0
-    assert level["restarts"] == 0
+    # certified by the first check: no bracket on t*
+    assert "restarts" not in level
+    assert (level["t_lower"], level["t_upper"]) == (None, None)
     assert "0 of 1 levels witnessed, 1 of 1 levels certified" in capsys.readouterr().err
     assert np.isclose(report["ppt_min_eig"], -0.5)
     assert report["config"]["levels"] == 2
@@ -50,7 +52,9 @@ def test_extend_check_separable(tmp_path, rng, capsys):
     assert report["levels"]["3"]["stop_reason"] == "tol"
     assert report["levels"]["3"]["certificate"] is None
     assert report["levels"]["3"]["certificate_margin"] is None
-    assert report["levels"]["3"]["restarts"] >= 0
+    lower, upper = report["levels"]["3"]["t_lower"], report["levels"]["3"]["t_upper"]
+    assert upper is None or upper >= 0
+    assert lower is None or upper is None or lower <= upper
 
 
 def test_extend_check_rejects_level_below_two(tmp_path):
@@ -413,7 +417,7 @@ def test_boundary_rejects_solver_flags_with_a_grouplike(tmp_path, capsys):
     seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(np.diag([0.9, 0.7])), 2)
     path = tmp_path / "bundle.json"
     dump_json(sequence_to_json(seq), str(path))
-    for flags, want in (([], (1e-7, 20000)), (["--tol", "1e-5", "--max-iter", "30"], (1e-5, 30))):
+    for flags, want in (([], (1e-7, 200)), (["--tol", "1e-5", "--max-iter", "30"], (1e-5, 30))):
         assert main(["boundary", "--bundle", str(path), "--out", str(out), *flags]) == EXIT_OK
         config = json.loads(out.read_text())["config"]
         assert (config["tol"], config["max_iter"]) == want

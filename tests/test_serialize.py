@@ -23,6 +23,18 @@ from definetti.symmetry import MAX_LEVEL, partitions_of
 from conftest import rand_hermitian, rand_psd
 
 
+def test_dump_json_writes_what_json_dump_writes(tmp_path, rng):
+    seq = grouplike_sequence(LeggedOperator(rand_psd(2, rng), (2,)), GroupLike(rand_psd(2, rng)), 4)
+    obj = sequence_to_json(seq)
+    path = tmp_path / "bundle.json"
+    dump_json(obj, str(path))
+    with open(tmp_path / "streamed.json", "w") as fh:
+        json.dump(obj, fh)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "streamed.json").read_bytes()
+    assert load_json(str(path)) == obj
+
+
 def test_operator_round_trip(rng):
     x = LeggedOperator(rand_psd(4, rng), (2, 2))
     back = operator_from_json(operator_to_json(x))

@@ -139,10 +139,13 @@ def cmd_boundary(args) -> int:
         if len(t_op.legs) != 1:
             raise ValueError(f"group-like file must carry a single leg, got {t_op.legs}")
         g = bd.GroupLike(t_op.entries)
-        rho = _load_rho(args.rho, g.n)
+        spec = args.rho or "normalized-trace"
+        if spec == "bundle":
+            raise ValueError("--rho bundle applies to --bundle only")
+        rho = _load_rho(spec, g.n)
         exp = bd.exponential_test(g, levels)
         report = {
-            "config": _config(args, levels=levels),
+            "config": _config(args, levels=levels, rho=spec),
             "is_exponential": exp.is_exponential,
             "failing_block": list(exp.failing_block.parts) if exp.failing_block else None,
         }
@@ -163,11 +166,12 @@ def cmd_boundary(args) -> int:
         return EXIT_OK
     opts = _solver_opts(args)
     seq = io.sequence_from_json(io.load_json(args.bundle))
-    rho = seq.rho if args.rho == "bundle" else _load_rho(args.rho, seq.n)
+    spec = args.rho or "bundle"
+    rho = seq.rho if spec == "bundle" else _load_rho(spec, seq.n)
     validation = hy.validate_k_prefix(seq.with_rho(rho))
     subharmonic = validation.ok  # what `subharmonic_check` decides
     report = {
-        "config": _config(args, tol=opts.tol, max_iter=opts.max_iterations),
+        "config": _config(args, tol=opts.tol, max_iter=opts.max_iterations, rho=spec),
         "subharmonic": subharmonic,
         "validation": {
             "ok": validation.ok,
@@ -228,7 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boundary", help="boundary report for a group-like matrix or bundle")
     p.add_argument("--grouplike", default=None)
     p.add_argument("--bundle", default=None)
-    p.add_argument("--rho", default="normalized-trace")
+    p.add_argument(
+        "--rho",
+        default=None,
+        help="a preset, a density file, or 'bundle': the bundle's own functional "
+        "(--bundle only); default 'bundle' with --bundle, 'normalized-trace' with --grouplike",
+    )
     p.add_argument("--levels", type=int, help=f"--grouplike prefix (default {GROUPLIKE_LEVELS})")
     p.add_argument(
         "--verify-bridge",

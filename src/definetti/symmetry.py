@@ -1,4 +1,4 @@
-"""Symmetric-group action on tensor legs and Schur-Weyl isotypic projectors."""
+"""Symmetric-group action on tensor legs, the Schur-Weyl copy chain, P in blocks."""
 
 from __future__ import annotations
 
@@ -15,11 +15,11 @@ from .linalg import LeggedOperator
 #: Jucys-Murphy recursion, the copy chain, which keeps per partition lambda
 #: its branching and the U(n) generators on its copy, weyl(lambda) wide, and
 #: forms no n^l rows; so are the solver's Gram rows and its witness check,
-#: the exponential test's blocks and a sequence's blocks.  The bound is on
-#: what does form n^l rows: the dense exports (`copy_basis`, the isotypic
-#: projectors, the solver's witness and a sequence's entries, n^l x n^l) and
-#: the alignment plans of `transition_blocks`, built once per (n, l).  It is
-#: about those sizes, not about enumerating S_l
+#: the exponential test's blocks, a sequence's blocks and the alignment
+#: plans of `transition_blocks`.  The bound is on what does form n^l rows:
+#: the dense exports (`copy_basis`, the isotypic projectors, the solver's
+#: witness and a sequence's entries, n^l x n^l).  It is about those sizes,
+#: not about enumerating S_l
 MAX_LEVEL = 8
 
 
@@ -169,11 +169,6 @@ class Symmetrizer:
 # -- Schur-Weyl isotypic projectors ----------------------------------------
 
 
-def _perm_index_map(n: int, l: int, perm: tuple[int, ...]) -> np.ndarray:
-    """Flat index map of the unitary permuting the l tensor factors of C^n."""
-    return np.arange(n**l).reshape((n,) * l).transpose(perm).reshape(-1)
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a (x) b over the last two axes, broadcast over the leading ones."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
@@ -192,44 +187,45 @@ class _ChainStep:
     gens: np.ndarray
 
 
+def _branch(n: int, mu: tuple[int, ...], content: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, gens) of the copy of lambda = mu + box in range(W_mu (x) I_n), the
+    box of content `content`: C is weyl(mu) n x weyl(lambda), gens the U(n)
+    generators on (W_mu (x) I_n) C.  No n^l rows are formed.
+
+    range(W_mu (x) I_n) is the joint eigenspace of the Jucys-Murphy elements
+    X_1..X_{l-1} for the contents of T_mu, X_l commutes with those, and its
+    eigenspace for the content of the added box is V_lambda (x) |T>, with
+    weyl(lambda) vectors.  The swap (j l) is sum_ab e_ab^(j) e_ba^(l), so
+    there X_l = sum_ab gens_mu[a n + b] (x) e_ba.  Its eigenvalues are
+    contents of boxes, integers, so the wanted eigenspace is a kernel read
+    off an SVD with a gap of at least 1.
+    """
+    gens = _copy_chain(n, mu).gens
+    units = np.eye(n * n).reshape(n * n, n, n)
+    w = gens.shape[1]
+    jm = gens.reshape(n, n, w, w).transpose(2, 1, 3, 0).reshape(w * n, w * n)
+    _, sv, vt = np.linalg.svd(jm - content * np.eye(w * n))
+    c = vt[sv < 0.5].T
+    # E_ab on (legs of mu) (x) (last leg) is gens_mu (x) I_n + I_w (x) e_ab
+    return c, c.T @ (_kron(gens, np.eye(n)) + _kron(np.eye(w), units)) @ c
+
+
 @functools.lru_cache(maxsize=None)
 def _copy_chain(n: int, parts: tuple[int, ...]) -> _ChainStep:
     """The chain step of a nonempty partition `parts`, built once per
-    process from its parent's generators; no n^l rows are formed.  Its
-    arrays are read-only, as every caller shares them.
-
-    Branching along one chain of corners, always removing the last row's
-    box mu = lambda - box: range(W_mu (x) I_n) is the joint eigenspace of the
-    Jucys-Murphy elements X_1..X_{l-1} for the contents of T_mu, X_l
-    commutes with those, and its eigenspace for the content of the removed
-    box is V_lambda (x) |T>, with weyl(lambda) vectors.  The swap (j l) is
-    sum_ab e_ab^(j) e_ba^(l), so there X_l = sum_ab gens_mu[a n + b] (x) e_ba.
-    Its eigenvalues are contents of boxes, integers, so the wanted
-    eigenspace is a kernel read off an SVD with a gap of at least 1.
-    """
-    l = sum(parts)
-    units = np.eye(n * n).reshape(n * n, n, n)
-    if l == 1:
-        step = _ChainStep((), np.eye(n), units)
+    process by `_branch` from its parent's generators, always removing the
+    last row's box mu = lambda - box.  Its arrays are read-only, as every
+    caller shares them."""
+    if sum(parts) == 1:
+        step = _ChainStep((), np.eye(n), np.eye(n * n).reshape(n * n, n, n))
     else:
         # the last row's box: row i, column p - 1, content p - 1 - i
         i, p = len(parts) - 1, parts[-1]
         mu = parts[:-1] + ((p - 1,) if p > 1 else ())
-        gens = _copy_chain(n, mu).gens
-        w = gens.shape[1]
-        jm = gens.reshape(n, n, w, w).transpose(2, 1, 3, 0).reshape(w * n, w * n)
-        _, sv, vt = np.linalg.svd(jm - (p - 1 - i) * np.eye(w * n))
-        c = vt[sv < 0.5].T
-        # E_ab on (legs of mu) (x) (last leg) is gens_mu (x) I_n + I_w (x) e_ab
-        step = _ChainStep(mu, c, c.T @ (_kron(gens, np.eye(n)) + _kron(np.eye(w), units)) @ c)
+        step = _ChainStep(mu, *_branch(n, mu, p - 1 - i))
     step.branching.setflags(write=False)
     step.gens.setflags(write=False)
     return step
-
-
-#: the group-algebra element g of `_alignment`: a seeded combination of the
-#: adjacent transpositions and the l-cycle, fixed so every run aligns alike
-_ALIGNMENT_SEED = 0
 
 
 def _alignment(n: int, nu: tuple[int, ...], lam: tuple[int, ...]) -> np.ndarray:
@@ -239,27 +235,31 @@ def _alignment(n: int, nu: tuple[int, ...], lam: tuple[int, ...]) -> np.ndarray:
     B_lam = W_lam^T x W_lam.  Built once per process, in `_transition_plan`.
 
     The lam-isotypic vectors of range(W_nu (x) I_n) are a copy of V_lam,
-    E = (W_nu (x) I_n) C for some C, though not the copy W_lam when nu is not
-    lam's parent on the chain.  A permutation of the legs acts on the
-    multiplicity space alone, so by Schur's lemma E^T g W_lam is s R with R
-    orthogonal, for every g in the group algebra; then E^T x E = R B_lam R^T
-    and A = C R.  g W_lam is lam-isotypic, so its projection
-    M = (W_nu (x) I_n)^T g W_lam is C s R = s A, and A = M / s.  g is generic
-    so that s != 0, and an A that is not an isometry raises LinAlgError.
+    E = (W_nu (x) I_n) C (`_branch`), though not the copy W_lam when nu is
+    not lam's parent on the chain.  Then E^T x E = R B_lam R^T and A = C R,
+    R the U(n) intertwiner from W_lam's generators to E's, orthogonal and
+    unique up to sign (Schur's lemma).  It maps the highest-weight vector,
+    the kernel of sum_a E_{a,a+1}^T E_{a,a+1}, of one side to the other's,
+    and so every lowering word E_{a+1,a}... of it: depth by depth, each
+    orthonormalized on W_lam's side, the words give weyl(lam) columns X
+    there and X_E on E's, and R = X_E X^T.  A non-isometry raises LinAlgError.
     """
-    l = sum(lam)
     step = _copy_chain(n, lam)
     if step.parent == nu:
         return step.branching  # E = W_lam, R = I
-    w_lam, w_nu = copy_basis(n, Partition(lam)), copy_basis(n, Partition(nu))
-    perms = [tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, l)) for j in range(l - 1)]
-    perms.append(tuple(range(1, l)) + (0,))
-    weights = np.random.default_rng(_ALIGNMENT_SEED).normal(size=len(perms))
-    g_w = sum(c * w_lam[_perm_index_map(n, l, p)] for c, p in zip(weights, perms))
-    w = w_lam.shape[1]
-    # M, with the rows of g W_lam split into (row of W_nu, last leg)
-    m = (w_nu.T @ g_w.reshape(-1, n * w)).reshape(-1, w)
-    a = m / np.sqrt(np.trace(m.T @ m) / w)
+    i = next(i for i, p in enumerate(lam) if i == len(nu) or p > nu[i])
+    c, gens = _branch(n, nu, lam[i] - 1 - i)
+    # gens[1::n + 1] are the E_{a,a+1}, gens[n::n + 1] the E_{a+1,a}; r^T r
+    # of the E_{a,a+1} stacked by rows is sum_a E_{a,a+1}^T E_{a,a+1}
+    sides, w = (step.gens, gens), c.shape[1]
+    raising = [g[1::n + 1].reshape(-1, w) for g in sides]
+    x = depth = [np.linalg.eigh(r.T @ r)[1][:, :1] for r in raising]
+    while x[0].shape[1] < w and depth[0].size:
+        depth = [np.concatenate(g[n::n + 1] @ v, axis=1) for g, v in zip(sides, depth)]
+        _, sv, vt = np.linalg.svd(depth[0], full_matrices=False)
+        depth = [v @ (vt[sv > 1e-6].T / sv[sv > 1e-6]) for v in depth]
+        x = [np.concatenate(pair, axis=1) for pair in zip(x, depth)]
+    a = c @ x[1] @ x[0].T
     if np.abs(a.T @ a - np.eye(w)).max() > 1e-10:
         raise np.linalg.LinAlgError(f"alignment of {lam} from {nu} on n={n} is not orthogonal")
     return a
@@ -342,8 +342,8 @@ def transition_blocks(
     S_l-invariant x at level l (as in `schur_weyl_block`, checked by
     `check_blocks`), P contracting the last leg with rho(y) = trace(D y):
     block_nu(P x) = tr_last[(sum over lam = nu + box of F B_lam F^T)(I (x) D)],
-    F = I_m (x) A_{nu lam} (`_alignment`).  The A come from the cached
-    `_transition_plan`; past that, no n^l rows are read.
+    F = I_m (x) A_{nu lam} (`_alignment`), in the cached `_transition_plan`,
+    which reads the copy chain's generators alone: no n^l rows are formed.
     """
     if not 1 <= l <= MAX_LEVEL:
         raise ValueError(f"transition_blocks needs 1 <= l <= {MAX_LEVEL}, got l={l}")

@@ -178,6 +178,33 @@ def test_boundary_bundle(tmp_path, rng):
     assert report["image_check"]["consistent"] is True
 
 
+def test_boundary_bundle_defaults_to_the_bundles_functional(tmp_path):
+    # rho(t) is 0.1 * 2.0 + 0.9 * 0.1 = 0.29 under the bundle's functional
+    # but 1.05 under the normalized trace: without --rho, the bundle's own
+    # functional decides, as in subharmonic_check(seq, seq.rho); a
+    # group-like matrix has no bundle to read one from
+    rho = Functional(np.diag([0.1, 0.9]))
+    t = np.diag([2.0, 0.1])
+    seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(t), 3, rho)
+    path = tmp_path / "bundle.json"
+    dump_json(sequence_to_json(seq), str(path))
+    out = tmp_path / "bd.json"
+
+    def report(*argv):
+        assert main(["boundary", *argv, "--out", str(out)]) == EXIT_OK
+        return json.loads(out.read_text())
+
+    assert boundary.subharmonic_check(seq, seq.rho) is True
+    default = report("--bundle", str(path))
+    assert default["subharmonic"] is True and default["config"]["rho"] == "bundle"
+    assert report("--bundle", str(path), "--rho", "bundle")["subharmonic"] is True
+    traced = report("--bundle", str(path), "--rho", "normalized-trace")
+    assert traced["subharmonic"] is False and traced["validation"]["condition"] == "sub_martingale"
+    t_path = write_op(tmp_path / "t.json", LeggedOperator(t, (2,)))
+    assert report("--grouplike", t_path)["config"]["rho"] == "normalized-trace"
+    assert main(["boundary", "--grouplike", t_path, "--rho", "bundle"]) == EXIT_INPUT
+
+
 def test_boundary_bundle_validates_the_prefix_once(tmp_path, rng, monkeypatch):
     # the report's validation is the subharmonic check, so the image check
     # does not validate the prefix again; the report is what the library

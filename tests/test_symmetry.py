@@ -323,11 +323,12 @@ def test_copy_chain_matches_the_dense_jucys_murphy_step(n, L):
 
 
 def test_a_cold_chain_walk_forms_no_matrix_with_n_to_the_l_rows(monkeypatch, rng):
-    # from a cold cache, the exponential test at (n, L) = (3, 8) and a level-6
-    # solver geometry on n = 3 build every chain step and walk the chain;
-    # every Kronecker product they form is at most n * weyl(lam) wide, lam of
-    # level L - 1, far below n^(L-1) rows, and no copy basis or row gather
-    # of the n^l-side legs is formed
+    # from a cold cache, the exponential test at (n, L) = (3, 8), a level-6
+    # solver geometry on n = 3 and the sequence check of a group-like
+    # sequence at (3, 8), which builds every transition plan, build every
+    # chain step and walk the chain; every Kronecker product they form is at
+    # most n * weyl(lam) wide, lam of level L - 1, far below n^(L-1) rows,
+    # and no copy basis is formed
     def forbidden(*args):
         raise AssertionError("an n^l-row matrix was formed")
 
@@ -340,20 +341,26 @@ def test_a_cold_chain_walk_forms_no_matrix_with_n_to_the_l_rows(monkeypatch, rng
 
     for module in (symmetry, hierarchy):
         monkeypatch.setattr(module, "_kron", kron)
-    monkeypatch.setattr(symmetry, "_perm_index_map", forbidden)
     monkeypatch.setattr(symmetry, "copy_basis", forbidden)
     n = 3
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     density = Functional.random_faithful(n, rng).density
+    t = x @ x.conj().T
+    t /= 2 * np.trace(t).real
+    one = LeggedOperator(np.eye(1), [1])
+    reports = []
     for L, walk in [
         (8, lambda: boundary.exponential_test(GroupLike(x @ x.conj().T + np.eye(n)), 8)),
         (6, lambda: hierarchy._Geometry(2, n, 6, density)),
+        (8, lambda: hierarchy.validate_k_prefix(boundary.grouplike_sequence(one, GroupLike(t), 8))),
     ]:
         symmetry._copy_chain.cache_clear()
+        symmetry._transition_plan.cache_clear()
         rows.clear()
-        walk()
+        reports.append(walk())
         bound = n * max(w for _, w, _ in symmetry.level_layout(n, L - 1))
         assert rows and max(rows) <= bound < n ** (L - 1)
+    assert reports[0].is_exponential and reports[2].ok
 
 
 def test_cached_bases_are_read_only():
@@ -422,6 +429,25 @@ def test_transition_blocks_match_the_dense_contraction(rng, m, n, l):
     scale = max(np.abs(b).max() for b in want)
     assert [b.shape for b in got] == [b.shape for b in want]
     assert max(np.abs(g - w).max() for g, w in zip(got, want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("m, n, L", [(2, 3, 8), (1, 4, 6)])
+def test_transition_blocks_scale_a_grouplike_sequence_past_the_dense_reference(rng, m, n, L):
+    # no dense reference reaches these sizes, where most edges of the plans
+    # are not chain edges; P(a (x) t^{(x)l}) = tr(D t) a (x) t^{(x)(l-1)} for
+    # a generic complex t under a complex faithful rho, level by level, and
+    # every alignment of the plans is an isometry
+    rho = Functional.random_faithful(n, rng)
+    t = _rand_complex(n, rng)
+    seq = boundary.grouplike_sequence(LeggedOperator(_rand_complex(m, rng), [m]), GroupLike(t), L, rho)
+    for l in range(1, L + 1):
+        got = transition_blocks(seq.blocks(l), m, n, l, rho.density)
+        want = [rho.value(t) * b for b in seq.blocks(l - 1)]
+        scale = max(np.abs(b).max() for b in want)
+        assert max(np.abs(g - w).max() for g, w in zip(got, want)) <= 1e-13 * scale
+        for _, children in symmetry._transition_plan(n, l):
+            for _, a in children:
+                assert np.abs(a.T @ a - np.eye(a.shape[1])).max() <= 1e-12
 
 
 def test_transition_blocks_rejects_a_bad_level():

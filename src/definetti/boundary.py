@@ -154,9 +154,9 @@ def exponential_test(g: GroupLike, L: int) -> ExponentialReport:
     level.  The higher blocks, of side weyl(lam), cross-validate it
     numerically.  They inherit Hermiticity from t, up to rounding of order
     |t|^l that can exceed a block made small by cancellation, so only their
-    Hermitian part is tested, each block with its own side and largest
-    entry, all in one `_first_non_psd` call.  They grow along the copy chain
-    (`symmetry._power_blocks`); t^{(x)l} is never formed.
+    Hermitian parts (b + b^H) / 2 are tested, each with its own side and
+    largest entry, all in one `_first_non_psd` call.  They grow along the
+    copy chain (`symmetry._power_blocks`); t^{(x)l} is never formed.
     """
     if not 1 <= L <= MAX_LEVEL:
         raise ValueError(f"L={L} is outside 1..{MAX_LEVEL}")
@@ -165,8 +165,8 @@ def exponential_test(g: GroupLike, L: int) -> ExponentialReport:
     if not is_psd(LeggedOperator(t, (g.n,))):
         return ExponentialReport(False, lam)
     higher = list(walk)
-    groups, sides = [[b] for _, b in higher], [b.shape[0] for _, b in higher]
-    k = _first_non_psd(groups, sides, PSD_TOL, hermitian=False)
+    groups, sides = [[(b + b.conj().T) / 2] for _, b in higher], [b.shape[0] for _, b in higher]
+    k = _first_non_psd(groups, sides, PSD_TOL)
     return ExponentialReport(True) if k is None else ExponentialReport(False, higher[k][0])
 
 

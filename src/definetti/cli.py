@@ -33,7 +33,11 @@ def _solver_opts(args) -> hy.SolverOptions:
 
 
 def _load_rho(spec: str, n: int) -> Functional:
-    """A preset of `serialize.resolve_functional` or a density file's path."""
+    """A preset of `serialize.resolve_functional` or a density file's path;
+    'bundle' names a bundle's own functional, which only `boundary --bundle`
+    has, and is rejected here."""
+    if spec == "bundle":
+        raise ValueError("--rho bundle applies to boundary --bundle only")
     try:
         return io.resolve_functional(spec, n)
     except ValueError:
@@ -140,8 +144,6 @@ def cmd_boundary(args) -> int:
             raise ValueError(f"group-like file must carry a single leg, got {t_op.legs}")
         g = bd.GroupLike(t_op.entries)
         spec = args.rho or "normalized-trace"
-        if spec == "bundle":
-            raise ValueError("--rho bundle applies to --bundle only")
         rho = _load_rho(spec, g.n)
         exp = bd.exponential_test(g, levels)
         report = {

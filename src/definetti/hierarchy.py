@@ -39,7 +39,6 @@ from .linalg import (
     _first_non_psd,
     contract_legs,
     is_psd,
-    loewner_leq,
     min_eig,
     partial_transpose,
     psd_part,
@@ -190,35 +189,34 @@ def validate_k_prefix(seq: SymSequence) -> ValidationReport:
     B_lambda (x) I_hook, so x_l is Hermitian and PSD exactly when the
     direct sum of its blocks is; that sum gets the Hermitian rule and the
     PSD rule with the dense side m n^l in the tolerance.  The sub-martingale
-    check applies the PSD rule in the same way to the blocks of
+    check applies the same rules to the Hermitian part of the blocks of
     x_l - P(x_{l+1}), P in blocks (`symmetry.transition_blocks`); no dense
-    entry is formed.  Each condition is one `linalg._first_non_psd` call
-    over all its levels, one group per level; the solver's witness check
-    applies the same rules.
+    entry is formed.  Both conditions are one `linalg._first_non_psd` call,
+    one group per level: the levels 0..L, then the gaps 0..L-1, so the
+    first failing group is the condition and level reported.  The solver's
+    witness check applies the same rules.
     """
-    m, n = seq.m, seq.n
+    m, n, L = seq.m, seq.n, seq.L
     l = seq.asymmetric_level
     if l is not None:
         return ValidationReport(
             False, "symmetry", l, f"entry {l} is not S_{l}-invariant at tol {PSD_TOL}"
         )
-    sides = [m * n**l for l in range(seq.L + 1)]
-    l = _first_non_psd([seq.blocks(l) for l in range(seq.L + 1)], sides, PSD_TOL)
-    if l is not None:
-        return ValidationReport(False, "psd", l, f"entry {l} is not PSD at tol {PSD_TOL}")
+    sides = [m * n**l for l in range(L + 1)]
     gaps = []
-    for l in range(seq.L):
+    for l in range(L):
         upper = transition_blocks(seq.blocks(l + 1), m, n, l + 1, seq.rho.density)
-        gaps.append([x - u for x, u in zip(seq.blocks(l), upper)])
-    l = _first_non_psd(gaps, sides[:-1], PSD_TOL, hermitian=False)
-    if l is not None:
-        return ValidationReport(
-            False,
-            "sub_martingale",
-            l,
-            f"contraction of entry {l + 1} is not dominated by entry {l}",
-        )
-    return ValidationReport(True)
+        gap = [x - u for x, u in zip(seq.blocks(l), upper)]
+        gaps.append([(g + g.conj().T) / 2 for g in gap])
+    k = _first_non_psd([seq.blocks(l) for l in range(L + 1)] + gaps, sides + sides[:-1], PSD_TOL)
+    if k is None:
+        return ValidationReport(True)
+    if k <= L:
+        return ValidationReport(False, "psd", k, f"entry {k} is not PSD at tol {PSD_TOL}")
+    l = k - L - 1
+    return ValidationReport(
+        False, "sub_martingale", l, f"contraction of entry {l + 1} is not dominated by entry {l}"
+    )
 
 
 # -- feasibility solver -----------------------------------------------------
@@ -232,6 +230,8 @@ class SolverOptions:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if not isinstance(self.max_iterations, int) or isinstance(self.max_iterations, bool):
+            raise ValueError(f"max_iterations must be an int, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
@@ -492,82 +492,83 @@ class ExtensionProblem:
         vector between the PSD cone and the affine set (Banjac et al., JOTA
         183, 2019), which is -K(Y) for a separating Y, and on most clearly
         infeasible inputs the first step already shows it.  Y is the
-        least-squares solution of K(Y) = -step, G^{-1} Phi(-step).  One
-        eigvalsh of the stack gives the least eigenvalue of K(Y) (block
-        eigenvalue over its sqrt(hook) weight), and since
-        K(I) >= lambda_min(D)^{l-1} I, adding
-        eps I with eps = max(0, -that) / lambda_min(D)^{l-1} makes K(Y) PSD
-        (`_shift`).  eps only raises trace(Y a), so a Y with trace(Y a) >= 0
-        is rejected before the eigvalsh.  So is a Y that the shift read off
-        the stack's diagonal already lifts to trace(Y a) >= 0: a block's
-        diagonal entries bound its least eigenvalue from above, so that
-        shift is at most eps (the padding's zero diagonal only lowers it).
-        Returns (Y, trace(Y a) / (||Y|| trace(a))) when that margin is below
-        -CERTIFICATE_RTOL, else None.
+        Hermitian part of the least-squares solution of K(Y) = -step,
+        G^{-1} Phi(-step).  A shift eps I only raises trace(Y a), so a Y with
+        trace(Y a) >= 0 is rejected at once.  Otherwise one eigvalsh of the
+        stack gives the least eigenvalue of K(Y) (block eigenvalue over its
+        sqrt(hook) weight), and since K(I) >= lambda_min(D)^{l-1} I, the
+        shift eps = max(0, -that) / lambda_min(D)^{l-1} makes K(Y + eps I)
+        PSD.  Y + eps I then gets the barrier search's rule (`_certified`).
         """
         m, n = self.m, self.n
-        y = (-self._phi(step) @ self._gi.T).reshape(m, m, n, n)
-        y = (y + y.transpose(1, 0, 3, 2).conj()) / 2  # Hermitian part, in m-blocks
-        value = float(np.vdot(self._a_blocks, y).real)  # trace(Y a)
-        if value >= 0:
+        y = self._hermitian_part(-self._phi(step) @ self._gi.T)
+        if np.vdot(self._a_blocks, y).real >= 0:  # trace(Y a)
             return None
-        k_y = self._k(y.reshape(m * m, n * n))
-        tr_a = float(self.a.trace().real)
-        if value + self._shift(np.diagonal(k_y, axis1=1, axis2=2).real) * tr_a >= 0:
-            return None
-        eps = self._shift(np.linalg.eigvalsh(k_y))
-        y_mat = y.transpose(0, 2, 1, 3).reshape(m * n, m * n) + eps * np.eye(m * n)
-        margin = (value + eps * tr_a) / (float(np.linalg.norm(y_mat)) * tr_a)
+        least = (np.linalg.eigvalsh(self._k(y))[:, 0] / self._weights).min()
+        eps = max(0.0, -float(least)) / self._k_floor
+        eye = (np.eye(m)[:, :, None, None] * np.eye(n)).reshape(m * m, n * n)  # I, in m-blocks
+        return self._certified(y + eps * eye)
+
+    def _certified(self, y: np.ndarray) -> Optional[tuple[LeggedOperator, float]]:
+        """The one certificate rule, for a Hermitian Y in m-blocks with K(Y)
+        PSD: (Y as an operator on m (x) n, margin) when the margin
+        trace(Y a) / (||Y|| trace(a)) is below -CERTIFICATE_RTOL, else None.
+        Then every feasible b would give 0 <= <K(Y), b> = trace(Y a) < 0."""
+        m, n = self.m, self.n
+        margin = float(np.vdot(self._a_blocks, y).real) / (
+            float(np.linalg.norm(y)) * float(self.a.trace().real)
+        )
         if margin >= -CERTIFICATE_RTOL:
             return None
+        y_mat = y.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
         return LeggedOperator(y_mat, (m, n)), margin
 
-    def _shift(self, values: np.ndarray) -> float:
-        """max(0, -least) / lambda_min(D)^{l-1}, with least the minimum over
-        the blocks of the least entry of the block's row of `values` over
-        its sqrt(hook) weight."""
-        least = (values.min(axis=1) / self._weights).min()
-        return max(0.0, -float(least)) / self._k_floor
+    def _hermitian_part(self, y: np.ndarray) -> np.ndarray:
+        """(Y + Y^H) / 2 of a Y on m (x) n in m-blocks, in m-blocks."""
+        m, n = self.m, self.n
+        y = y.reshape(m, m, n, n)
+        return ((y + y.transpose(1, 0, 3, 2).conj()) / 2).reshape(m * m, n * n)
 
     def witness(self, c: np.ndarray, tol: float) -> Optional[tuple[np.ndarray, float]]:
         """An extension read off a block stack c (the first DR step's PSD
         part, or a primal estimate of the barrier search), with its marginal
-        defect.
+        defect: the one place a witness is accepted.
 
         b = project_affine(c) meets Phi(b) = a to rounding, and its PSD part
         w (one batched eigh of the stack) is PSD and S_l-invariant by
         construction.  Since w - b is the negative part of b and Phi is
-        positive, Phi(w) - a = Phi(w - b) is PSD, so the only thing to check
+        positive, Phi(w) - a = Phi(w - b) is PSD, so the first thing to check
         is its size.  Returns (w, |Phi(w) - a|max / |a|max) when
-        |Phi(w) - a|max <= tol |a|max, else None.
+        |Phi(w) - a|max <= tol |a|max and w passes `validate_witness` at
+        10 tol, else None.
         """
         w = psd_part(self.project_affine(c))
         a_max = float(np.abs(self._a_blocks).max())
         dev = float(np.abs(self._phi(w) - self._a_blocks).max())
-        if dev > tol * a_max:
+        if dev > tol * a_max or not self.validate_witness(w, 10 * tol):
             return None
         return w, dev / a_max if a_max > 0 else 0.0
 
     def validate_witness(self, x: np.ndarray, tol: float) -> bool:
-        """Whether the b of a block stack is PSD (`linalg._first_non_psd`,
-        one group, as for a sequence), with Phi(b) <= a and
-        |Phi(b) - a|max <= tol |a|max: the anchor, without which b = 0 would
-        pass.  b is S_l-invariant by construction.  Phi = P^{l-1} runs
-        `transition_blocks` down to level 1, whose one block is the marginal:
-        not through `_kh`, which `witness` reads, and with no matrix of side
-        m n^l.  The Loewner check reads the marginal's Hermitian part: its
-        anti-Hermitian part, the rounding of a witness far larger than a
-        (under a functional with a small eigenvalue), is at most
-        tol |a|max by the anchor check."""
-        blocks = self._blocks(x)
-        if _first_non_psd([blocks], [self.m * self.n**self.l], tol) is not None:
-            return False
+        """Whether the b of a block stack has |Phi(b) - a|max <= tol |a|max
+        (the anchor, without which b = 0 would pass), and is PSD with
+        Phi(b) <= a: one `linalg._first_non_psd` call over two groups, the
+        blocks of b (side m n^l, as for a sequence) and the Hermitian part
+        of a - Phi(b) (side m n).  b is S_l-invariant by construction.
+        Phi = P^{l-1} runs `transition_blocks` down to level 1, whose one
+        block is the marginal: not through `_kh`, which `witness` reads, and
+        with no matrix of side m n^l.  The Loewner check reads only the
+        Hermitian part: the anti-Hermitian part of the marginal, the rounding
+        of a witness far larger than a (under a functional with a small
+        eigenvalue), is at most tol |a|max by the anchor check."""
+        blocks = marg = self._blocks(x)
         for k in range(self.l, 1, -1):
-            blocks = transition_blocks(blocks, self.m, self.n, k, self.rho.density)
-        marg = blocks[0]
-        if np.abs(marg - self.a.entries).max() > tol * self.a.norm_max():
+            marg = transition_blocks(marg, self.m, self.n, k, self.rho.density)
+        gap = self.a.entries - marg[0]
+        if np.abs(gap).max() > tol * self.a.norm_max():
             return False
-        return loewner_leq(LeggedOperator((marg + marg.conj().T) / 2, self.a.legs), self.a, tol)
+        groups = [blocks, [(gap + gap.conj().T) / 2]]
+        return _first_non_psd(groups, [self.m * self.n**self.l, self.m * self.n], tol) is None
 
     def _inverse(self, y: np.ndarray) -> Optional[np.ndarray]:
         """Z = K(y)^{-1} on the active corners, zero-padded, or None when a
@@ -637,10 +638,8 @@ class ExtensionProblem:
         - the primal estimate X = mu (Z - Z K(dY) Z) + t J, with Z = K(Y)^{-1},
           dY the Newton step and t = -mu times the multiplier of the
           equality, has Phi(X) = a to rounding, and X - t J >= 0 when
-          delta < 1.  Once t >= -10 tol it goes through `witness`, and a
-          witness through `validate_witness` at 10 tol;
-        - an iterate with trace(Y a) < -CERTIFICATE_RTOL ||Y|| trace(a) is
-          a separating functional, since K(Y) > 0.
+          delta < 1.  Once t >= -10 tol it goes through `witness`;
+        - each iterate, K(Y) > 0, goes through `_certified`.
 
         Appends the duality gap trace(Y a) - t of each step to `history`, and
         returns (stop, found, t_lower, t_upper): stop is "tol" with found =
@@ -653,7 +652,6 @@ class ExtensionProblem:
         """
         m, n = self.m, self.n
         a, c = self._a_blocks, self._phi_eye
-        tr_a = float(self.a.trace().real)
         y = self._y0
         z = self._inverse(y)
         if z is None:  # K(I) >= lambda_min(D)^(l-1) I is too close to singular
@@ -681,11 +679,9 @@ class ExtensionProblem:
             if t >= -10 * tol:
                 x = mu * (z - z @ self._k(dy) @ z)
                 found = self.witness((x + x.conj().swapaxes(1, 2)) / 2 + t * self._eye, tol)
-                if found is not None and self.validate_witness(found[0], 10 * tol):
+                if found is not None:
                     return "tol", found, lower, upper
-            y = y + (dy if dec < DAMPED_DECREMENT else dy / (1 + dec))
-            y = y.reshape(m, m, n, n)
-            y = ((y + y.transpose(1, 0, 3, 2).conj()) / 2).reshape(m * m, n * n)
+            y = self._hermitian_part(y + (dy if dec < DAMPED_DECREMENT else dy / (1 + dec)))
             y = y / np.vdot(c, y).real
             if dec < CENTRED_DECREMENT:
                 mu /= BARRIER_SHRINK
@@ -693,10 +689,9 @@ class ExtensionProblem:
             if z is None:
                 break
             upper = float(np.vdot(a, y).real)
-            margin = upper / (float(np.linalg.norm(y)) * tr_a)
-            if margin < -CERTIFICATE_RTOL:
-                y_mat = y.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
-                return "certificate", (LeggedOperator(y_mat, (m, n)), margin), lower, upper
+            found = self._certified(y)
+            if found is not None:
+                return "certificate", found, lower, upper
         return "max_iterations", None, lower, upper
 
 
@@ -743,7 +738,7 @@ def sub_extension_feasibility(
     if scale <= 0:
         scale = 1.0  # a PSD a of zero trace is 0, which solves in one step
     prob = ExtensionProblem(a * (1.0 / scale), rho, l)
-    z = prob.project_affine(np.zeros(prob.shape))
+    z = prob._z0  # project_affine(0)
     c = psd_part(z)
     step = prob.project_affine(2 * c - z) - c
     history = [float(np.linalg.norm(step))]
@@ -751,8 +746,6 @@ def sub_extension_feasibility(
     stop, found = "certificate", prob.certificate(step)
     if found is None:
         stop, found = "tol", prob.witness(c, opts.tol)
-        if found is not None and not prob.validate_witness(found[0], 10 * opts.tol):
-            found = None
     if found is None:
         stop, found, lower, upper = prob.barrier_search(opts.tol, opts.max_iterations - 1, history)
     verdict, blocks, source, certificate, margin = "max_iterations", None, None, None, None

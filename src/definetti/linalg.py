@@ -53,14 +53,15 @@ _PAD_SIDE = 16
 
 
 def _first_non_psd(
-    groups: Sequence[Sequence[np.ndarray]], sides: Sequence[int], tol: float, hermitian: bool = True
+    groups: Sequence[Sequence[np.ndarray]], sides: Sequence[int], tol: float
 ) -> Optional[int]:
     """The index of the first group of blocks that fails the Hermitian rule
-    (unless `hermitian` is False) or the PSD rule, else None.  Group i, not
-    empty, is the direct sum of its blocks, an operator of dense side
-    sides[i], and gets `_hermitian_rule` and `_psd_rule` with its own
-    largest entry.  The blocks of all groups get one eigvalsh per stack:
-    the blocks of side <= _PAD_SIDE zero-padded into one (a padded block's
+    or the PSD rule, else None.  Group i, not empty, is the direct sum of its
+    blocks, an operator of dense side sides[i], and gets `_hermitian_rule`
+    and `_psd_rule` with its own largest entry; a caller that checks only an
+    operator's Hermitian part passes (x + x^H) / 2, which is exactly
+    Hermitian.  The blocks of all groups get one eigvalsh per stack: the
+    blocks of side <= _PAD_SIDE zero-padded into one (a padded block's
     spectrum is its own and zeros, which pass), the larger ones one stack
     per side, unpadded."""
     blocks = [b for group in groups for b in group]
@@ -69,7 +70,7 @@ def _first_non_psd(
     stacks: dict[int, list[int]] = {}
     for k, b in enumerate(blocks):
         stacks.setdefault(b.shape[0] if b.shape[0] > _PAD_SIDE else 0, []).append(k)
-    big, least, dev = np.empty(len(blocks)), np.empty(len(blocks)), np.zeros(len(blocks))
+    big, least, dev = np.empty(len(blocks)), np.empty(len(blocks)), np.empty(len(blocks))
     for ks in stacks.values():
         s = max(blocks[k].shape[0] for k in ks)
         stack = np.zeros((len(ks), s, s), dtype=complex)
@@ -78,13 +79,11 @@ def _first_non_psd(
         adjoint = stack.conj().swapaxes(-1, -2)
         big[ks] = np.abs(stack).max(axis=(1, 2))
         least[ks] = np.linalg.eigvalsh((stack + adjoint) / 2)[:, 0]
-        if hermitian:
-            dev[ks] = np.abs(stack - adjoint).max(axis=(1, 2))
+        dev[ks] = np.abs(stack - adjoint).max(axis=(1, 2))
     starts = list(itertools.accumulate((len(group) for group in groups[:-1]), initial=0))
     big = np.maximum.reduceat(big, starts)
     ok = _psd_rule(np.minimum.reduceat(least, starts), big, np.asarray(sides, dtype=float), tol)
-    if hermitian:
-        ok &= _hermitian_rule(np.maximum.reduceat(dev, starts), big)
+    ok &= _hermitian_rule(np.maximum.reduceat(dev, starts), big)
     bad = np.flatnonzero(~ok)
     return int(bad[0]) if bad.size else None
 

@@ -241,7 +241,8 @@ def test_exponential_test_accepts_ill_conditioned_positive_t():
 def test_exponential_test_checks_each_block_compression_once(monkeypatch, rng, n, L):
     # t goes through is_psd, every higher block through one batched check,
     # each block its own group of side weyl(lam); every block is the dense
-    # W^T t^{(x)l} W (the check reads its Hermitian part above l = 1); from a
+    # W^T t^{(x)l} W (the check is given its exactly Hermitian part above
+    # l = 1); from a
     # cold cache the first call builds each chain step once, and a second
     # call builds none
     g = random_grouplike(rng, n)
@@ -249,8 +250,9 @@ def test_exponential_test_checks_each_block_compression_once(monkeypatch, rng, n
     symmetry._copy_chain.cache_clear()
     seen = []
 
-    def batched(groups, sides, tol, hermitian=True):
-        assert not hermitian and sides == [group[0].shape[0] for group in groups]
+    def batched(groups, sides, tol):
+        assert sides == [group[0].shape[0] for group in groups]
+        assert all(np.array_equal(b, b.conj().T) for group in groups for b in group)
         seen.extend(group[0] for group in groups if len(group) == 1)
         return None
 

@@ -97,6 +97,15 @@ def test_scan_werner_grid(tmp_path):
     assert by_p[1.0]["verdict"] == "entangled_evidence"
 
 
+def test_rho_bundle_is_rejected_without_a_bundle(tmp_path, capsys):
+    # 'bundle' is not read as a density file's path: one input error
+    state = write_op(tmp_path / "w.json", werner_element(0.3))
+    for argv in (["extend-check", "--state", state], ["scan-werner", "--grid", "0:0.1:0.1"]):
+        assert main([*argv, "--rho", "bundle"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "--rho bundle applies to boundary --bundle only" in err and "Errno" not in err
+
+
 def test_scan_werner_builds_one_geometry_per_level(tmp_path):
     # the 21-point scan at levels 2..5 makes 84 solves on four geometries
     hierarchy._geometry.cache_clear()

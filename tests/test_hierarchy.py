@@ -966,6 +966,13 @@ def test_solver_rejects_bad_input():
     assert SolverOptions(tol=1e-16, max_iterations=1).max_iterations == 1
 
 
+def test_solver_options_reject_a_max_iterations_that_is_not_an_int():
+    # a float or a bool used to construct, and a float then failed the solve
+    for max_iterations in (10.0, 1.5, True, False, "10", None):
+        with pytest.raises(ValueError):
+            SolverOptions(max_iterations=max_iterations)
+
+
 def _count_eigendecompositions(monkeypatch, names=("eigh", "eigvalsh")):
     calls = dict.fromkeys(names, 0)
 
@@ -1001,13 +1008,26 @@ def test_a_newton_step_runs_no_eigendecomposition(monkeypatch):
     # step factors K(Y) by one Cholesky (at the start and after every step
     # but the last) and runs no eigh or eigvalsh.  The eigvalsh are the
     # input's PSD check, the first check's witness failing the PSD rule,
-    # and the accepted witness's PSD and Loewner checks
+    # and the accepted witness's one grouped PSD and Loewner check
     calls = _count_eigendecompositions(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
     checks = _count_witness_checks(monkeypatch)
     report = sub_extension_feasibility(werner_element(0.499), RHO, 4)
     assert (report.verdict, report.iterations) == ("feasible", 17)
     assert len(checks) == 3
-    assert calls == {"eigh": 1 + 3, "eigvalsh": 1 + 1 + 2, "cholesky": 16}
+    assert calls == {"eigh": 1 + 3, "eigvalsh": 1 + 1 + 1, "cholesky": 16}
+
+
+def test_witness_is_accepted_only_through_validate_witness(monkeypatch):
+    # the first check's candidate for Werner 0.3 at l = 2 is a witness; with
+    # `validate_witness` saying no, `witness` gives none, so no caller can
+    # accept a witness that the check has not passed
+    prob = ExtensionProblem(werner_element(0.3), RHO, 2)
+    c = psd_part(prob.project_affine(np.zeros(prob.shape)))
+    assert prob.witness(c, 1e-7) is not None
+    tols = []
+    monkeypatch.setattr(ExtensionProblem, "validate_witness", lambda self, x, tol: tols.append(tol) or False)
+    assert prob.witness(c, 1e-7) is None
+    assert tols == [1e-6]
 
 
 def test_a_certified_solve_adds_one_eigvalsh(monkeypatch):

@@ -93,10 +93,11 @@ def test_first_non_psd_applies_each_groups_own_rule():
     assert _first_non_psd([[big], [small]], [1, 1], PSD_TOL) == 1
     assert _first_non_psd([[big, small]], [2], PSD_TOL) is None
     assert _first_non_psd([[big], [small]], [1, 1000], PSD_TOL) is None
-    # the Hermitian rule, only where asked
+    # the Hermitian rule on every group; a caller that checks only the
+    # Hermitian part passes it, which is exactly Hermitian
     skew = np.array([[1.0, 1e-6], [0.0, 1.0]])
     assert _first_non_psd([[np.eye(1)], [skew]], [1, 2], PSD_TOL) == 1
-    assert _first_non_psd([[np.eye(1)], [skew]], [1, 2], PSD_TOL, hermitian=False) is None
+    assert _first_non_psd([[np.eye(1)], [(skew + skew.T) / 2]], [1, 2], PSD_TOL) is None
     assert _first_non_psd([], [], PSD_TOL) is None
 
 

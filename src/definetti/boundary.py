@@ -24,6 +24,7 @@ from .linalg import (
     Functional,
     LeggedOperator,
     _first_non_psd,
+    _require_finite,
     contract_legs,
     is_psd,
 )
@@ -54,8 +55,7 @@ class GroupLike:
         n = mat.shape[0]
         if n < 1:
             raise ValueError("group-like matrix must be at least 1 x 1")
-        if not np.isfinite(mat).all():
-            raise ValueError("group-like matrix entries must be finite; NaN and Inf are rejected")
+        _require_finite(mat, "group-like matrix")
         norm = float(np.linalg.norm(mat, 2))
         if abs(np.linalg.det(mat)) <= INVERTIBILITY_RTOL * norm**n:
             raise ValueError("group-like matrix must be invertible")

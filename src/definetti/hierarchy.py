@@ -16,10 +16,10 @@ ships a separating functional (the dual of Doherty, Parrilo and
 Spedalieri): a Hermitian Y on m (x) n with Sym(Y (x) D^{(x)(l-1)}) PSD and
 trace(Y a) < 0, so that every feasible b would give
 0 <= <Sym(Y (x) D^{(x)(l-1)}), b> = trace(Y Phi(b)) = trace(Y a).
-A run that ends with neither is `max_iterations`.  The search is one
-Douglas-Rachford step, then a log-barrier interior-point method on that dual
-(`sub_extension_feasibility`); the method changes how fast an answer comes,
-never how it is checked.
+A run that ends with neither is `max_iterations`.  The search is a first
+check on the least-norm solution z0 of Phi(b) = a and its PSD part, then a
+log-barrier interior-point method on that dual (`sub_extension_feasibility`);
+the method changes how fast an answer comes, never how it is checked.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .linalg import (
     Functional,
     LeggedOperator,
     _first_non_psd,
+    _require_finite,
     contract_legs,
     is_psd,
     min_eig,
@@ -242,20 +243,20 @@ class FeasibilityReport:
 
     `iterations` counts the first check and the Newton steps after it
     (`sub_extension_feasibility`), and `residual_history` has one entry per
-    iteration, relative to trace(a): first the first check's Douglas-Rachford
-    residual ||T(z) - z||, then the duality gap trace(Y a) - t of each
-    Newton step.  `final_residual` is the quantity the verdict rests on.
-    For `feasible` it is the witness's relative marginal defect
-    |Phi(b) - a|max / |a|max, at most the solver's tol.  Otherwise it is the
-    last entry of `residual_history`.
+    iteration, relative to trace(a): first the first check's distance
+    ||z0 - psd_part(z0)|| from z0 to the PSD cone, then the duality gap
+    trace(Y a) - t of each Newton step.  `final_residual` is the quantity
+    the verdict rests on.  For `feasible` it is the witness's relative
+    marginal defect |Phi(b) - a|max / |a|max, at most the solver's tol.
+    Otherwise it is the last entry of `residual_history`.
 
     `t_lower` <= t* <= `t_upper` brackets t* = max{t : Phi(X) = a,
     X >= t J} (J the identity of the block stack, `ExtensionProblem`), in
     the units of a: a is level-l extendable exactly when t* >= 0, so the
     bracket says how far the solve was from the opposite verdict.
-    `t_upper` is trace(Y a) at the last dual iterate and `t_lower` the t of
-    the last primal estimate whose Newton decrement was below 1; each is
-    None when the first check answered or no such iterate was reached.
+    `t_upper` is trace(Y a) / trace K(Y) at the certificate or the last dual
+    iterate, and `t_lower` the t of the last primal estimate whose Newton
+    decrement was below 1; each is None when no such object was reached.
 
     A `feasible` report carries the checked witness b as `witness_blocks`:
     its Schur-Weyl blocks B_lambda (`symmetry.schur_weyl_block`), one per
@@ -416,8 +417,8 @@ class ExtensionProblem:
     copy basis of lambda (`symmetry.copy_basis`), of side m * weyl(lambda);
     no W is read here, and the blocks are sliced by their sides.  The
     sqrt(hook) weights make the Euclidean norm of the X equal the Frobenius
-    norm of b, so a Douglas-Rachford step on the blocks is exactly the step
-    on b.  The blocks are stored as one zero-padded stack of shape `shape` =
+    norm of b, so the metric projections on the blocks are those on b.  The
+    blocks are stored as one zero-padded stack of shape `shape` =
     (k, s, s), with X_lambda in the top-left corner of slice lambda and
     s = m * max weyl.
 
@@ -484,21 +485,21 @@ class ExtensionProblem:
         out.reshape(-1)[self._idx] -= self._phi(x) @ self._q
         return out
 
-    def certificate(self, step: np.ndarray) -> Optional[tuple[LeggedOperator, float]]:
-        """A separating functional read off a DR step, with its margin: the
-        solver's first check.
+    def certificate(self, step: np.ndarray) -> Optional[tuple[LeggedOperator, float, float]]:
+        """A separating functional read off a block stack (`_certified`):
+        the solver's first check, on step = z0 - c, c the PSD part of z0.
 
-        On an infeasible problem the DR step T(z) - z tends to the gap
-        vector between the PSD cone and the affine set (Banjac et al., JOTA
-        183, 2019), which is -K(Y) for a separating Y, and on most clearly
-        infeasible inputs the first step already shows it.  Y is the
-        Hermitian part of the least-squares solution of K(Y) = -step,
-        G^{-1} Phi(-step).  A shift eps I only raises trace(Y a), so a Y with
-        trace(Y a) >= 0 is rejected at once.  Otherwise one eigvalsh of the
-        stack gives the least eigenvalue of K(Y) (block eigenvalue over its
-        sqrt(hook) weight), and since K(I) >= lambda_min(D)^{l-1} I, the
-        shift eps = max(0, -that) / lambda_min(D)^{l-1} makes K(Y + eps I)
-        PSD.  Y + eps I then gets the barrier search's rule (`_certified`).
+        Y is the Hermitian part of the least-squares solution of
+        K(Y) = -step, G^{-1} Phi(-step).  For step = z0 - c, K(Y) =
+        Pi(c - z0), Pi the orthogonal projector onto range(K): the negative
+        part of z0, which is PSD, projected onto range(K), and on most
+        clearly infeasible inputs Y already separates.  A shift eps I only
+        raises trace(Y a), so a Y with trace(Y a) >= 0 is rejected at once.
+        Otherwise one eigvalsh of the stack gives the least eigenvalue of
+        K(Y) (block eigenvalue over its sqrt(hook) weight), and since
+        K(I) >= lambda_min(D)^{l-1} I, the shift
+        eps = max(0, -that) / lambda_min(D)^{l-1} makes K(Y + eps I) PSD.
+        Y + eps I then gets the barrier search's rule (`_certified`).
         """
         m, n = self.m, self.n
         y = self._hermitian_part(-self._phi(step) @ self._gi.T)
@@ -509,19 +510,20 @@ class ExtensionProblem:
         eye = (np.eye(m)[:, :, None, None] * np.eye(n)).reshape(m * m, n * n)  # I, in m-blocks
         return self._certified(y + eps * eye)
 
-    def _certified(self, y: np.ndarray) -> Optional[tuple[LeggedOperator, float]]:
+    def _certified(self, y: np.ndarray) -> Optional[tuple[LeggedOperator, float, float]]:
         """The one certificate rule, for a Hermitian Y in m-blocks with K(Y)
-        PSD: (Y as an operator on m (x) n, margin) when the margin
+        PSD: (Y as an operator on m (x) n, margin, t_upper) when the margin
         trace(Y a) / (||Y|| trace(a)) is below -CERTIFICATE_RTOL, else None.
-        Then every feasible b would give 0 <= <K(Y), b> = trace(Y a) < 0."""
+        Then every feasible b would give 0 <= <K(Y), b> = trace(Y a) < 0.
+        t_upper = trace(Y a) / <Phi(J), Y> = trace(Y a) / trace K(Y) bounds
+        t* from above: X >= t J gives trace(Y a) = <K(Y), X> >= t trace K(Y)."""
         m, n = self.m, self.n
-        margin = float(np.vdot(self._a_blocks, y).real) / (
-            float(np.linalg.norm(y)) * float(self.a.trace().real)
-        )
+        value = float(np.vdot(self._a_blocks, y).real)
+        margin = value / (float(np.linalg.norm(y)) * float(self.a.trace().real))
         if margin >= -CERTIFICATE_RTOL:
             return None
         y_mat = y.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
-        return LeggedOperator(y_mat, (m, n)), margin
+        return LeggedOperator(y_mat, (m, n)), margin, value / float(np.vdot(self._phi_eye, y).real)
 
     def _hermitian_part(self, y: np.ndarray) -> np.ndarray:
         """(Y + Y^H) / 2 of a Y on m (x) n in m-blocks, in m-blocks."""
@@ -530,8 +532,8 @@ class ExtensionProblem:
         return ((y + y.transpose(1, 0, 3, 2).conj()) / 2).reshape(m * m, n * n)
 
     def witness(self, c: np.ndarray, tol: float) -> Optional[tuple[np.ndarray, float]]:
-        """An extension read off a block stack c (the first DR step's PSD
-        part, or a primal estimate of the barrier search), with its marginal
+        """An extension read off a block stack c (the PSD part of z0, or a
+        primal estimate of the barrier search), with its marginal
         defect: the one place a witness is accepted.
 
         b = project_affine(c) meets Phi(b) = a to rounding, and its PSD part
@@ -643,7 +645,7 @@ class ExtensionProblem:
 
         Appends the duality gap trace(Y a) - t of each step to `history`, and
         returns (stop, found, t_lower, t_upper): stop is "tol" with found =
-        (w, defect), "certificate" with found = (Y, margin), or
+        (w, defect), "certificate" with found = `_certified(Y)`, or
         "max_iterations" with found None, after `steps` steps or at a
         breakdown (a singular Newton system or an iterate that is not
         positive definite).  t_upper = trace(Y a) of the last iterate and
@@ -701,23 +703,22 @@ def sub_extension_feasibility(
     l: int,
     opts: SolverOptions = SolverOptions(),
 ) -> FeasibilityReport:
-    """The level-l sub-extension search: one Douglas-Rachford step, then a
-    log-barrier interior-point method on the dual.
+    """The level-l sub-extension search: a first check on the least-norm
+    solution z0 of Phi(b) = a, then a log-barrier interior-point method on
+    the dual.
 
     The search solves for a / tr(a), so its residuals and tolerance are
     relative to the normalized problem and a verdict does not depend on the
     overall scale of a.  The iterates are block stacks (`ExtensionProblem`),
     so invariance is built in.
 
-    The first check is one step of Douglas-Rachford splitting between the
-    cone {b PSD} and the affine set {b S_l-invariant, Phi(b) = a}, from
-    z = project_affine(0): c = psd_part(z) and the step
-    T(z) - z = project_affine(2c - z) - c.  It tries both answers, in this
-    order:
+    The first check reads both answers off z0 = project_affine(0), the
+    least-norm b with Phi(b) = a, and its PSD part c = psd_part(z0), in
+    this order:
 
-    - the step yields a checked separating functional (`certificate`, see
+    - z0 - c yields a checked separating functional (`certificate`, see
       `ExtensionProblem.certificate`): the verdict is
-      `infeasible_at_tolerance` and the report carries it;
+      `infeasible_at_tolerance` and the report carries it and t_upper;
     - c yields an extension w whose marginal defect |Phi(w) - a|max is at
       most tol |a|max (`tol`, see `ExtensionProblem.witness`) and which
       passes `validate_witness` in blocks at 10 tol: the verdict is
@@ -731,6 +732,7 @@ def sub_extension_feasibility(
     checks; the report then carries the bracket on t*.  A run that ends
     with neither answer is `max_iterations`.
     """
+    _require_finite(a.entries, "input element")
     a.require_hermitian("sub_extension_feasibility")
     if not is_psd(a):
         raise ValueError("input element must be PSD")
@@ -738,12 +740,11 @@ def sub_extension_feasibility(
     if scale <= 0:
         scale = 1.0  # a PSD a of zero trace is 0, which solves in one step
     prob = ExtensionProblem(a * (1.0 / scale), rho, l)
-    z = prob._z0  # project_affine(0)
-    c = psd_part(z)
-    step = prob.project_affine(2 * c - z) - c
-    history = [float(np.linalg.norm(step))]
+    z0 = prob._z0  # project_affine(0)
+    c = psd_part(z0)
+    history = [float(np.linalg.norm(z0 - c))]
     lower = upper = None
-    stop, found = "certificate", prob.certificate(step)
+    stop, found = "certificate", prob.certificate(z0 - c)
     if found is None:
         stop, found = "tol", prob.witness(c, opts.tol)
     if found is None:
@@ -760,7 +761,7 @@ def sub_extension_feasibility(
         verdict = "feasible"
     elif stop == "certificate":
         verdict = "infeasible_at_tolerance"
-        certificate, margin = found
+        certificate, margin, upper = found
     return FeasibilityReport(
         verdict, blocks, final, tuple(history), len(history), l,
         stop_reason=stop, certificate=certificate, certificate_margin=margin,

@@ -88,6 +88,11 @@ def _first_non_psd(
     return int(bad[0]) if bad.size else None
 
 
+def _require_finite(mat: np.ndarray, what: str) -> None:
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{what} entries must be finite; NaN and Inf are rejected")
+
+
 def _as_square_complex(entries) -> np.ndarray:
     mat = np.array(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -179,17 +184,21 @@ class Functional:
 
     def __init__(self, density):
         mat = _as_square_complex(density)
+        if mat.shape[0] < 1:
+            raise ValueError("functional density must be at least 1 x 1")
         diag = np.diagonal(mat)
         if np.count_nonzero(mat) == np.count_nonzero(diag):
             # a diagonal density is Hermitian when its diagonal is real (the
             # Hermitian rule, with |x - x^H|max = 2 |Im diag|max), and its
-            # spectrum is that diagonal
+            # spectrum is that diagonal; finiteness is read off it alone
+            _require_finite(diag, "functional density")
             if not _hermitian_rule(2 * np.abs(diag.imag).max(), np.abs(diag).max()):
                 raise ValueError("functional density must be Hermitian")
             diag = diag.real.copy()
             np.fill_diagonal(mat, diag)
             least = float(diag.min())
         else:
+            _require_finite(mat, "functional density")
             if not _hermitian(mat):
                 raise ValueError("functional density must be Hermitian")
             mat = (mat + mat.conj().T) / 2

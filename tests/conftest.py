@@ -160,6 +160,21 @@ def to_dense(prob, x):
     return from_schur_weyl_blocks(blocks, prob.m, prob.n, prob.l)
 
 
+def dense_t_upper(y, a, rho, l):
+    """trace(Y a) / trace K(Y) for a certificate Y on legs (m, n), with
+    K(Y) = Sym(Y (x) D^(l-1)) built densely on the full legs and its block
+    trace the sum over the copy bases W of sqrt(hook) tr(F^T K(Y) F),
+    F = I_m (x) W."""
+    m, n = a.legs
+    k = np.kron(y, tensor_power(LeggedOperator(rho.density, (n,)), l - 1).entries)
+    k = Symmetrizer((m,) + (n,) * l, range(1, l + 1)).apply_matrix(k)
+    total = 0.0
+    for lam, w in copy_bases(n, l):
+        f = np.kron(np.eye(m), w)
+        total += np.sqrt(lam.hook_dimension()) * np.trace(f.T @ k @ f).real
+    return np.trace(y @ a.entries).real / total
+
+
 def dense_gram_rows(n, l, density):
     """Rows sqrt(hook) conj(W^T Sym(e_j (x) D^(l-1)) W).flat over the copy
     bases W, one per n x n matrix unit e_j, each K(e_j) built densely on the

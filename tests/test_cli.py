@@ -10,7 +10,7 @@ from definetti.serialize import dump_json, operator_from_json, operator_to_json,
 from definetti import boundary, cli, hierarchy, serialize, symmetry
 from definetti.boundary import GroupLike, grouplike_sequence, separable_image_check
 
-from conftest import forbid_enumeration, rand_psd, random_separable
+from conftest import dense_t_upper, forbid_enumeration, rand_psd, random_separable
 
 
 def write_op(path, op):
@@ -32,9 +32,12 @@ def test_extend_check_entangled(tmp_path, capsys):
     y = operator_from_json(level["certificate"]).entries
     assert np.isclose(np.trace(y @ bell_projector().entries).real / np.linalg.norm(y), level["certificate_margin"])
     assert level["certificate_margin"] < 0
-    # certified by the first check: no bracket on t*
+    # certified by the first check: the certificate bounds t* from above,
+    # and no primal estimate bounds it from below
     assert "restarts" not in level
-    assert (level["t_lower"], level["t_upper"]) == (None, None)
+    assert level["t_lower"] is None and level["t_upper"] < 0
+    want = dense_t_upper(y, bell_projector(), Functional.normalized_trace(2), 2)  # the default --rho
+    assert level["t_upper"] == pytest.approx(want, rel=1e-10)
     assert "0 of 1 levels witnessed, 1 of 1 levels certified" in capsys.readouterr().err
     assert np.isclose(report["ppt_min_eig"], -0.5)
     assert report["config"]["levels"] == 2

@@ -39,6 +39,7 @@ from conftest import (
     dense_gram_rows,
     dense_phi,
     dense_sym,
+    dense_t_upper,
     dense_validate_k_prefix,
     dense_validate_witness,
     forbid_enumeration,
@@ -420,7 +421,7 @@ def _certificate_steps(prob, steps=50):
         yield step
 
 
-def _assert_screen_keeps_every_certificate(prob):
+def _assert_block_accepts_dense_certificates(prob):
     # the dense check has no diagonal screen: whatever it accepts, the block
     # check must accept too
     dense = DenseSolver(prob)
@@ -433,17 +434,52 @@ def _assert_screen_keeps_every_certificate(prob):
 
 
 @pytest.mark.parametrize("m, n, l", PARITY_CASES)
-def test_certificate_screen_rejects_no_accepted_step(m, n, l):
+def test_block_certificate_accepts_every_step_the_dense_one_accepts(m, n, l):
     rng = np.random.default_rng(100 * m + 10 * n + l)
     rho = Functional.random_faithful(n, rng)
     a = LeggedOperator(rand_psd(m * n, rng), (m, n))
-    _assert_screen_keeps_every_certificate(ExtensionProblem(a * (1 / a.trace().real), rho, l))
+    _assert_block_accepts_dense_certificates(ExtensionProblem(a * (1 / a.trace().real), rho, l))
 
 
 @pytest.mark.parametrize("a, l, random_rho", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
-def test_certificate_screen_rejects_no_accepted_certificate_step(rng, a, l, random_rho):
+def test_block_certificate_accepts_every_dense_certificate_step(rng, a, l, random_rho):
     rho = Functional.random_faithful(2, rng) if random_rho else RHO
-    assert _assert_screen_keeps_every_certificate(ExtensionProblem(a, rho, l)) > 0
+    assert _assert_block_accepts_dense_certificates(ExtensionProblem(a, rho, l)) > 0
+
+
+def _assert_first_check_matches_the_reflected_step(prob):
+    # the Douglas-Rachford step from z0 is v = project_affine(2c - z0) - c =
+    # (I - 2 Pi)(c - z0), Pi the projector onto range(K): a reflection keeps
+    # the norm, and Phi Pi = Phi, so v and z0 - c have the same norm and the
+    # same Phi, which is all that `certificate` reads
+    z0 = prob._z0
+    c = psd_part(z0)
+    step = prob.project_affine(2 * c - z0) - c
+    norm = np.linalg.norm(z0 - c)
+    assert abs(np.linalg.norm(step) - norm) <= 1e-12 * norm
+    phi = prob._phi(z0 - c)
+    assert np.abs(prob._phi(step) - phi).max() <= 1e-12 * np.abs(phi).max()
+    got, want = prob.certificate(z0 - c), prob.certificate(step)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert abs(got[1] - want[1]) <= 1e-12 * abs(want[1])
+    return got is not None
+
+
+@pytest.mark.parametrize("m, n, l", PARITY_CASES)
+def test_the_first_check_reads_the_reflected_step_off_z0(rng, m, n, l):
+    rho = Functional.random_faithful(n, rng)
+    pure = rng.normal(size=m * n) + 1j * rng.normal(size=m * n)
+    for mat in (rand_psd(m * n, rng), np.outer(pure, pure.conj())):
+        a = LeggedOperator(mat / np.trace(mat).real, (m, n))
+        _assert_first_check_matches_the_reflected_step(ExtensionProblem(a, rho, l))
+
+
+@pytest.mark.parametrize("a, l, random_rho", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
+def test_the_first_check_certifies_as_the_reflected_step_does(rng, a, l, random_rho):
+    rho = Functional.random_faithful(2, rng) if random_rho else RHO
+    certified = _assert_first_check_matches_the_reflected_step(ExtensionProblem(a, rho, l))
+    assert certified == (not random_rho)
 
 
 # -- the shared solver geometry ------------------------------------------------
@@ -825,9 +861,12 @@ def test_werner_certificates_just_above_the_threshold(l):
     a = werner_element((l + 2) / (3 * l) + 1e-3)
     report = sub_extension_feasibility(a, RHO, l)
     _check_certificate(report, a, RHO, l)
-    # the first check's DR step certifies, so there is no bracket on t*
+    # the first check certifies: no primal estimate gives t_lower, and the
+    # certificate bounds t* <= trace(Y a) / trace K(Y) < 0
     assert report.iterations == 1
-    assert report.t_lower is None and report.t_upper is None
+    assert report.t_lower is None and report.t_upper < 0
+    want = dense_t_upper(report.certificate.entries, a, RHO, l)
+    assert report.t_upper == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("l", range(2, 7))
@@ -894,7 +933,8 @@ def test_rank_four_mixtures_on_2x3_are_witnessed_within_a_hundred_iterations(see
 
 def test_the_report_brackets_t_star():
     # t_lower <= t* <= t_upper in the units of a, with t* >= 0 exactly when a
-    # is level-l extendable; both None when the first check answers
+    # is level-l extendable; a certificate of the first check gives t_upper
+    # and no t_lower
     random_rho = Functional.random_faithful(2, np.random.default_rng(101))
     for a, rho, l, want in ((bell_projector(), random_rho, 3, "infeasible_at_tolerance"),
                             (werner_element(0.499), RHO, 4, "feasible")):
@@ -908,7 +948,28 @@ def test_the_report_brackets_t_star():
         assert scaled.t_lower == pytest.approx(3 * report.t_lower, rel=1e-6)
         assert scaled.t_upper == pytest.approx(3 * report.t_upper, rel=1e-6)
     first = sub_extension_feasibility(bell_projector(), RHO, 2)
-    assert first.iterations == 1 and (first.t_lower, first.t_upper) == (None, None)
+    assert first.iterations == 1 and first.t_lower is None and first.t_upper < 0
+    want = dense_t_upper(first.certificate.entries, bell_projector(), RHO, 2)
+    assert first.t_upper == pytest.approx(want, rel=1e-10)
+    scaled = sub_extension_feasibility(bell_projector() * 3.0, RHO, 2)
+    assert scaled.t_upper == pytest.approx(3 * first.t_upper, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "a, l", [(bell_projector(), 2), (werner_element(0.9), 4)], ids=["bell@2", "werner-0.9@4"]
+)
+def test_a_first_check_bound_lies_in_the_converged_bracket(a, l):
+    # with both answers switched off the barrier search runs on to a bracket
+    # t_lower <= t* <= t_upper; the first check's bound t* <= trace(Y a) /
+    # trace K(Y) lies inside it, at its upper end
+    first = sub_extension_feasibility(a, RHO, l)
+    assert first.iterations == 1 and first.stop_reason == "certificate"
+    prob = ExtensionProblem(a, RHO, l)
+    prob._certified = lambda y: None
+    prob.witness = lambda c, tol: None
+    stop, _, lower, upper = prob.barrier_search(1e-7, 100, [])
+    assert stop == "max_iterations" and lower <= first.t_upper <= upper
+    assert first.t_upper == pytest.approx(upper, rel=1e-6)
 
 
 @pytest.mark.parametrize("m, n, l", [(2, 2, 1), (2, 2, 3), (2, 3, 3), (3, 2, 4), (1, 3, 3)])
@@ -966,6 +1027,16 @@ def test_solver_rejects_bad_input():
     assert SolverOptions(tol=1e-16, max_iterations=1).max_iterations == 1
 
 
+def test_solver_rejects_an_input_that_is_not_finite():
+    # an Inf entry used to warn in the Hermitian check and then be called
+    # not Hermitian; a NaN was called not Hermitian
+    for bad in (np.inf, np.nan, -np.inf):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[1, 1] = bad
+        with pytest.raises(ValueError, match="must be finite; NaN and Inf are rejected"):
+            sub_extension_feasibility(LeggedOperator(mat, (2, 2)), RHO, 2)
+
+
 def test_solver_options_reject_a_max_iterations_that_is_not_an_int():
     # a float or a bool used to construct, and a float then failed the solve
     for max_iterations in (10.0, 1.5, True, False, "10", None):
@@ -1004,9 +1075,9 @@ def _count_witness_checks(monkeypatch):
 
 def test_a_newton_step_runs_no_eigendecomposition(monkeypatch):
     # Werner 0.499 at l = 4 is witnessed at Newton step 16.  The first
-    # check's DR step is one eigh and each witness check one more; a Newton
-    # step factors K(Y) by one Cholesky (at the start and after every step
-    # but the last) and runs no eigh or eigvalsh.  The eigvalsh are the
+    # check's PSD part of z0 is one eigh and each witness check one more; a
+    # Newton step factors K(Y) by one Cholesky (at the start and after every
+    # step but the last) and runs no eigh or eigvalsh.  The eigvalsh are the
     # input's PSD check, the first check's witness failing the PSD rule,
     # and the accepted witness's one grouped PSD and Loewner check
     calls = _count_eigendecompositions(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
@@ -1038,11 +1109,37 @@ def test_a_certified_solve_adds_one_eigvalsh(monkeypatch):
     assert calls == {"eigh": 1, "eigvalsh": 2}
 
 
+def test_the_first_check_projects_only_inside_witness(monkeypatch):
+    # the first check reads both answers off z0 and its PSD part: a solve
+    # certified there projects nothing, and one witnessed there projects
+    # once, inside `witness`
+    calls, inside = [], []
+    project, witness = ExtensionProblem.project_affine, ExtensionProblem.witness
+
+    def spied_project(prob, x):
+        calls.append(bool(inside))
+        return project(prob, x)
+
+    def spied_witness(prob, c, tol):
+        inside.append(c)
+        try:
+            return witness(prob, c, tol)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ExtensionProblem, "project_affine", spied_project)
+    monkeypatch.setattr(ExtensionProblem, "witness", spied_witness)
+    report = sub_extension_feasibility(bell_projector(), RHO, 2)
+    assert (report.verdict, report.iterations, calls) == ("infeasible_at_tolerance", 1, [])
+    report = sub_extension_feasibility(werner_element(0.3), RHO, 2)
+    assert (report.verdict, report.iterations, calls) == ("feasible", 1, [True])
+
+
 def test_a_witnessed_solve_adds_one_block_eigh_per_check(monkeypatch):
     # Werner 0.499 at l = 4 is witnessed at Newton step 16, after the first
     # check and two earlier tries of the barrier search's primal estimate:
-    # the DR step's eigh and one per witness check, each of the block
-    # stack, none of side m n^l
+    # the eigh of the PSD part of z0 and one per witness check, each of the
+    # block stack, none of side m n^l
     prob = ExtensionProblem(werner_element(0.499), RHO, 4)
     shapes = []
     inner = np.linalg.eigh
@@ -1059,9 +1156,10 @@ def test_a_witnessed_solve_adds_one_block_eigh_per_check(monkeypatch):
 
 
 def test_residual_is_dr_displacement():
-    # residual 1 is ||T(z) - z|| of the first check's DR step, and residual
-    # k > 1 the duality gap trace(Y a) - t of Newton step k - 1, as the dense
-    # replay computes them on the full legs
+    # residual 1 is the first check's ||z0 - psd_part(z0)||, which the dense
+    # replay computes as ||T(z) - z|| of one Douglas-Rachford step from z0,
+    # and residual k > 1 the duality gap trace(Y a) - t of Newton step k - 1,
+    # as the dense replay computes them on the full legs
     a = werner_element(0.499)
     opts = SolverOptions(tol=1e-16, max_iterations=12)
     report = sub_extension_feasibility(a, RHO, 4, opts)
@@ -1084,9 +1182,10 @@ def isotropic_element(fidelity, n=3):
 def test_the_barrier_search_certifies_an_isotropic_state():
     # 3 (x) 3 isotropic at F = 5/9 + 1e-3, the level-3 threshold under the
     # trace; under this functional it is not level-3 extendable.  The first
-    # check does not answer (Douglas-Rachford read a certificate off its
-    # step at 125 with Anderson mixing, 375 without); the barrier search
-    # certifies within 30 Newton steps, as the dense replay does
+    # check does not answer (the Douglas-Rachford loop this solver replaced
+    # read a certificate off its step 125 with Anderson mixing, 375 without);
+    # the barrier search certifies within 30 Newton steps, as the dense
+    # replay does
     rho = Functional.random_faithful(3, np.random.default_rng(4))
     a = isotropic_element(5 / 9 + 1e-3)
     report = sub_extension_feasibility(a, rho, 3)

@@ -211,6 +211,18 @@ def test_a_diagonal_density_gets_the_hermitian_rule():
     assert rho.density.dtype == complex and not rho.density.flags.writeable
 
 
+def test_a_density_that_is_not_finite_or_is_empty_is_rejected_as_such():
+    # an Inf on the diagonal used to fail the faithfulness check, and an
+    # empty density numpy's reduction; NaN and Inf are rejected as such on a
+    # diagonal density and off its diagonal alike
+    for bad in (np.diag([np.inf, 1.0]), np.diag([1.0, np.nan]), np.diag([1.0, 1.0 + 1j * np.inf]),
+                np.array([[1.0, np.inf], [np.inf, 1.0]]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+        with pytest.raises(ValueError, match="must be finite; NaN and Inf are rejected"):
+            Functional(bad)
+    with pytest.raises(ValueError, match="at least 1 x 1"):
+        Functional(np.zeros((0, 0)))
+
+
 def test_random_faithful_is_a_state(rng):
     rho = Functional.random_faithful(4, rng)
     assert np.isclose(np.trace(rho.density).real, 1.0)

@@ -37,7 +37,6 @@ from .linalg import (
     Functional,
     LeggedOperator,
     _first_non_psd,
-    _require_finite,
     contract_legs,
     is_psd,
     min_eig,
@@ -67,8 +66,9 @@ CERTIFICATE_RTOL = 1e-9
 #: decrement delta is at least DAMPED_DECREMENT, and taken in full below it
 DAMPED_DECREMENT = 0.25
 #: after a step whose decrement is below CENTRED_DECREMENT the barrier weight
-#: mu is divided by BARRIER_SHRINK
-CENTRED_DECREMENT = 0.5
+#: mu is divided by BARRIER_SHRINK; the centring is loose, since the bracket's
+#: lower end is read off every step (`ExtensionProblem.barrier_search`)
+CENTRED_DECREMENT = 2.0
 BARRIER_SHRINK = 10.0
 
 
@@ -255,8 +255,9 @@ class FeasibilityReport:
     the units of a: a is level-l extendable exactly when t* >= 0, so the
     bracket says how far the solve was from the opposite verdict.
     `t_upper` is trace(Y a) / trace K(Y) at the certificate or the last dual
-    iterate, and `t_lower` the t of the last primal estimate whose Newton
-    decrement was below 1; each is None when no such object was reached.
+    iterate, and `t_lower` the largest t of a primal estimate X >= t J with
+    Phi(X) = a read off a Newton step (`ExtensionProblem.barrier_search`);
+    each is None when no such object was reached.
 
     A `feasible` report carries the checked witness b as `witness_blocks`:
     its Schur-Weyl blocks B_lambda (`symmetry.schur_weyl_block`), one per
@@ -618,6 +619,19 @@ class ExtensionProblem:
         hess = total.reshape(m, m, nn, m, m, nn)[..., self._transposed].transpose(0, 4, 5, 1, 3, 2)
         return hess.reshape(m * m * nn, m * m * nn)
 
+    def _may_be_psd(self, x: np.ndarray, tol: float) -> bool:
+        """The screen before a witness try: whether x + eps J, eps = 10 tol
+        max(1, |x|max), has a Cholesky factor (one factorization of the
+        stack, padding set to the identity).  A primal estimate far from
+        the PSD cone fails it and skips the eigh, the affine projection and
+        the checks of `witness`; one that passes still gets all of them."""
+        eps = 10 * tol * max(1.0, float(np.abs(x).max()))
+        try:
+            np.linalg.cholesky(x + eps * self._eye + self._pad)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
     def barrier_search(self, tol: float, steps: int, history: list) -> tuple:
         """The dual of the search by a log-barrier method (Boyd and
         Vandenberghe, *Convex Optimization*, 2004, section 11).
@@ -640,8 +654,20 @@ class ExtensionProblem:
         - the primal estimate X = mu (Z - Z K(dY) Z) + t J, with Z = K(Y)^{-1},
           dY the Newton step and t = -mu times the multiplier of the
           equality, has Phi(X) = a to rounding, and X - t J >= 0 when
-          delta < 1.  Once t >= -10 tol it goes through `witness`;
+          delta < 1.  Once t >= -10 tol it is screened by one Cholesky
+          factorization (`_may_be_psd`) and, if it passes, goes through
+          `witness`;
         - each iterate, K(Y) > 0, goes through `_certified`.
+
+        The bracket's lower end comes from the same solve at any delta.  The
+        Hessian H maps y to Phi(Z K(y) Z), so H y = Phi(Z) and H^{-1} a =
+        (H^{-1} grad + y) mu.  With kappa = <c, H^{-1} a>, cc = <c, H^{-1} c>
+        and quad = <a, H^{-1} a> - kappa^2 / cc, the step at weight 1 / s
+        instead of mu has t(s) = (kappa - 1 / s) / cc, increasing in s, and
+        delta(s)^2 = quad s^2 - 2 s (trace(Y a) - kappa / cc) + `_rows` -
+        1 / cc.  At the larger root s+ of delta(s) = 1 the estimate X(s+)
+        has Phi(X(s+)) = a and X(s+) >= t(s+) J, so t(s+) <= t*; at
+        s = 1 / mu, delta(s) is the step's delta and t(s) its t.
 
         Appends the duality gap trace(Y a) - t of each step to `history`, and
         returns (stop, found, t_lower, t_upper): stop is "tol" with found =
@@ -649,8 +675,8 @@ class ExtensionProblem:
         "max_iterations" with found None, after `steps` steps or at a
         breakdown (a singular Newton system or an iterate that is not
         positive definite).  t_upper = trace(Y a) of the last iterate and
-        t_lower = t of the last estimate with delta < 1 bracket t* (None
-        when no such estimate was reached).
+        t_lower = the largest t(s+) over the steps bracket t* (None when no
+        step had a root).
         """
         m, n = self.m, self.n
         a, c = self._a_blocks, self._phi_eye
@@ -669,20 +695,34 @@ class ExtensionProblem:
                 sol = np.linalg.solve(hess, np.stack([grad.ravel(), c.ravel()], axis=1))
             except np.linalg.LinAlgError:
                 break
-            w = -np.vdot(c, sol[:, 0]).real / np.vdot(c, sol[:, 1]).real
+            step_c, cc = np.vdot(c, sol[:, 0]).real, np.vdot(c, sol[:, 1]).real
+            w = -step_c / cc
             dy = -(sol[:, 0] + w * sol[:, 1]).reshape(m * m, n * n)
             dec = math.sqrt(max(0.0, -np.vdot(grad, dy).real))
             if not (math.isfinite(dec) and math.isfinite(w)):
                 break
             t = -mu * w
             history.append(upper - t)
-            if dec < 1:
-                lower = t
+            # t(s) and delta(s) for this Y, off the same solve: H^{-1} a =
+            # (H^{-1} grad + y) mu, and quad = <a, H^{-1} a> - kappa^2 / cc is
+            # read off the part of H^{-1} a off H^{-1} c, since the difference
+            # of the two scalars cancels near t*
+            kappa = mu * (step_c + 1.0)  # <c, H^{-1} a>, as <c, y> = 1
+            off_c = mu * (sol[:, 0] + y.ravel()) - kappa / cc * sol[:, 1]
+            quad = max(0.0, np.vdot(a, off_c).real)
+            lin = upper - kappa / cc
+            disc = lin * lin - quad * (self._rows - 1.0 / cc - 1.0)
+            root = lin + math.sqrt(disc) if disc >= 0 else 0.0
+            if root > 0:  # t(s) at the larger root s of delta(s) = 1, 1 / s = quad / root
+                bound = (kappa - quad / root) / cc
+                lower = bound if lower is None else max(lower, bound)
             if t >= -10 * tol:
                 x = mu * (z - z @ self._k(dy) @ z)
-                found = self.witness((x + x.conj().swapaxes(1, 2)) / 2 + t * self._eye, tol)
-                if found is not None:
-                    return "tol", found, lower, upper
+                x = (x + x.conj().swapaxes(1, 2)) / 2 + t * self._eye
+                if self._may_be_psd(x, tol):
+                    found = self.witness(x, tol)
+                    if found is not None:
+                        return "tol", found, lower, upper
             y = self._hermitian_part(y + (dy if dec < DAMPED_DECREMENT else dy / (1 + dec)))
             y = y / np.vdot(c, y).real
             if dec < CENTRED_DECREMENT:
@@ -732,7 +772,6 @@ def sub_extension_feasibility(
     checks; the report then carries the bracket on t*.  A run that ends
     with neither answer is `max_iterations`.
     """
-    _require_finite(a.entries, "input element")
     a.require_hermitian("sub_extension_feasibility")
     if not is_psd(a):
         raise ValueError("input element must be PSD")

@@ -102,13 +102,15 @@ def _as_square_complex(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LeggedOperator:
-    """A dense complex square matrix on a tensor product of legs."""
+    """A dense complex square matrix on a tensor product of legs, with
+    finite entries."""
 
     entries: np.ndarray
     legs: tuple[int, ...]
 
     def __init__(self, entries, legs: Iterable[int]):
         mat = _as_square_complex(entries)
+        _require_finite(mat, "operator")
         legs = tuple(int(d) for d in legs)
         if any(d <= 0 for d in legs):
             raise ValueError(f"leg dimensions must be positive, got {legs}")

@@ -33,9 +33,12 @@ def _is_int(x) -> bool:
 
 def _numbers(rows) -> np.ndarray:
     """Rows of JSON numbers as a float array.  JSON strings and booleans,
-    which numpy would convert, raise ValueError; a null becomes NaN, which
-    the finiteness check rejects."""
-    kinds = set(map(type, itertools.chain.from_iterable(rows))) - {int, float, type(None)}
+    which numpy would convert, raise ValueError, and so does a null, which
+    numpy would read as NaN; a NaN or an Infinity is kept, and
+    `LeggedOperator` rejects it."""
+    kinds = set(map(type, itertools.chain.from_iterable(rows))) - {int, float}
+    if type(None) in kinds:
+        raise ValueError("got null; entries must be finite")
     if kinds:
         raise ValueError(f"got {', '.join(sorted(k.__name__ for k in kinds))}")
     return np.array(rows, dtype=float)
@@ -62,14 +65,14 @@ def operator_from_json(obj: dict) -> LeggedOperator:
         re, im = _numbers(obj["re"]), _numbers(obj["im"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"'re' and 'im' must be nested lists of numbers: {exc}") from None
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("matrix entries must be finite; NaN and Infinity are rejected")
     if re.shape != im.shape:
         raise ValueError(f"'re' shape {re.shape} does not match 'im' shape {im.shape}")
     side = math.prod(legs)
     if re.ndim != 2 or re.shape != (side, side):
         raise ValueError(f"matrix shape {re.shape} does not match legs {legs}")
-    return LeggedOperator(re + 1j * im, legs)
+    mat = re.astype(complex)
+    mat.imag = im  # not re + 1j im, where an infinite im gives NaN with a warning
+    return LeggedOperator(mat, legs)
 
 
 def functional_to_json(rho: Functional) -> dict:

@@ -290,7 +290,9 @@ class DenseSolver:
     as <K(E_k), X>, and the Hessian is <K(E_j), Z K(E_k) Z> on every pair of
     units, with no use of the solver's Gram rows, unit blocks or m-block
     layout.  The Newton steps, the schedule and both answers follow
-    `ExtensionProblem.barrier_search`.
+    `ExtensionProblem.barrier_search`, except that every try goes to the
+    witness test with no Cholesky screen (`ExtensionProblem._may_be_psd`),
+    so equal iteration counts also show that the screen lost no witness.
     """
 
     def __init__(self, prob):

@@ -114,6 +114,17 @@ def test_validate_reports_first_violation_only():
     assert report.condition == "psd" and report.level == 0
 
 
+def test_validate_never_sees_an_entry_that_is_not_finite(rng):
+    # a level-1 entry with an Inf used to reach the block compression, whose
+    # matmul warned "invalid value encountered in matmul"; the entry is now
+    # rejected when it is built
+    seq, _ = product_chain(rand_psd(2, rng), rand_psd(2, rng), RHO, 2)
+    mat = np.array(seq.entry(1).entries)
+    mat[0, 0] = np.inf
+    with pytest.raises(ValueError, match="must be finite; NaN and Inf are rejected"):
+        validate_k_prefix(SymSequence(2, 2, RHO, [seq.entry(0), LeggedOperator(mat, (2, 2)), seq.entry(2)]))
+
+
 def _verdict(report):
     return report.ok, report.condition, report.level
 
@@ -383,12 +394,12 @@ def test_block_solver_matches_dense_replay(m, n, l):
 def test_block_solver_matches_dense_replay_on_a_flat_residual():
     # 0.499 <= 1/2 is level-4 extendable, and the residual of plain DR stays
     # flat for about a thousand steps there; the first check answers
-    # neither way, and the barrier search is witnessed at Newton step 16
+    # neither way, and the barrier search is witnessed at Newton step 14
     a = werner_element(0.499)
     report = sub_extension_feasibility(a, RHO, 4)
     dense = DenseSolver(ExtensionProblem(a, RHO, 4))
     verdict, iterations = dense.solve(SolverOptions())
-    assert (report.verdict, report.iterations) == (verdict, iterations) == ("feasible", 17)
+    assert (report.verdict, report.iterations) == (verdict, iterations) == ("feasible", 15)
     assert report.stop_reason == "tol" and report.certificate is None
     assert np.allclose(report.residual_history, dense.history, rtol=1e-5, atol=0)
 
@@ -883,7 +894,7 @@ def test_werner_witnesses_just_below_the_threshold(l):
     assert report.verdict == "feasible" and report.stop_reason == "tol"
     assert dense_validate_witness(ExtensionProblem(a, RHO, l), report.witness, 1e-6)
     assert report.final_residual <= SolverOptions().tol
-    # the barrier search needs 13-26 Newton steps this close to t* = 0
+    # the barrier search needs 11-22 iterations this close to t* = 0
     assert report.iterations <= 30
 
 
@@ -897,7 +908,7 @@ def test_certificates_under_random_functionals(rng, l):
 
 def test_certificates_under_random_functionals_come_within_twenty_iterations():
     # Douglas-Rachford with Anderson mixing needed 2-150 steps here; the
-    # barrier search certifies within 3-11 Newton steps
+    # barrier search certifies within 3-8 iterations
     for seed in (100, 101, 102):
         rho = Functional.random_faithful(2, np.random.default_rng(seed))
         for a in (bell_projector(), werner_element(0.9)):
@@ -987,6 +998,139 @@ def test_the_blockwise_hessian_is_its_definition(rng, m, n, l):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("m, n, l", PARITY_CASES)
+def test_the_hessian_maps_y_to_phi_of_its_inverse(rng, m, n, l):
+    # H y = Phi(Z K(y) Z) = Phi(Z) at Z = K(y)^{-1}, and <y, Phi(Z)> =
+    # trace(Z K(y)) is the number of rows of the active corners: the
+    # barrier search reads H^{-1} a off its Newton solve by these identities
+    rho = Functional.random_faithful(n, rng)
+    prob = ExtensionProblem(LeggedOperator(rand_psd(m * n, rng), (m, n)), rho, l)
+    y4 = (prob._y0 + 0.01 * rng.normal(size=prob._y0.shape)).reshape(m, m, n, n)
+    y = ((y4 + y4.transpose(1, 0, 3, 2).conj()) / 2).reshape(m * m, n * n)
+    z = prob._inverse(y)
+    want = prob._phi(z)
+    got = (prob._hessian(z.reshape(-1)[prob._idx]) @ y.reshape(-1)).reshape(want.shape)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert abs(np.vdot(y, want).real - prob._rows) <= 1e-12 * prob._rows
+
+
+def _bound_of_iterate(prob, y):
+    """The lower bound on t* read off the dual iterate y, from direct solves:
+    the Newton step at weight 1 / s, its decrement delta(s), and the primal
+    estimate X(s) at the larger root s of delta(s) = 1.  Returns (t(s),
+    X(s), delta(s) recomputed from the step), or None without a root."""
+    m, n = prob.m, prob.n
+    a, c = prob._a_blocks.reshape(-1), prob._phi_eye.reshape(-1)
+    z = prob._inverse(y)
+    hess = prob._hessian(z.reshape(-1)[prob._idx])
+    phi_z = prob._phi(z).reshape(-1)
+    p, q, r = np.linalg.solve(hess, np.stack([a, c, phi_z], axis=1)).T
+    cc = np.vdot(c, q).real
+
+    def projected(u, hu, v, hv):  # <u, H^{-1} v> off the direction H^{-1} c
+        return np.vdot(u, hv).real - np.vdot(c, hu).real * np.vdot(c, hv).real / cc
+
+    # delta(s)^2 = <g, P g> for g = s a - Phi(Z), P = H^{-1} off H^{-1} c
+    quad, lin, const = projected(a, p, a, p), projected(a, p, phi_z, r), projected(phi_z, r, phi_z, r)
+    disc = lin * lin - quad * (const - 1)
+    if disc < 0 or lin + np.sqrt(disc) <= 0:
+        return None
+    s = (lin + np.sqrt(disc)) / quad
+    h_grad = s * p - r  # H^{-1} (s a - Phi(Z))
+    w = -np.vdot(c, h_grad).real / cc
+    dy = -(h_grad + w * q)
+    t = -w / s
+    x = (z - z @ prob._k(dy.reshape(m * m, n * n)) @ z) / s
+    x = (x + x.conj().swapaxes(1, 2)) / 2
+    return t, x + t * prob._eye, np.sqrt(np.vdot(dy, hess @ dy).real)
+
+
+@pytest.mark.parametrize(
+    "a, rho, l, want",
+    [(werner_element(0.499), RHO, 4, "feasible"),
+     (bell_projector(), Functional.random_faithful(2, np.random.default_rng(101)), 3, "infeasible_at_tolerance")],
+    ids=["werner-0.499@4", "bell@3-random-rho"],
+)
+def test_every_barrier_iterate_bounds_t_star_from_below(monkeypatch, a, rho, l, want):
+    # at each dual iterate the estimate X(s+) at the larger root of
+    # delta(s) = 1 has Phi(X(s+)) = a and X(s+) >= t(s+) J, so t(s+) <= t*;
+    # the report's t_lower is the largest of these over the Newton steps
+    iterates = []
+    inverse = ExtensionProblem._inverse
+    monkeypatch.setattr(ExtensionProblem, "_inverse", lambda prob, y: iterates.append(y) or inverse(prob, y))
+    report = sub_extension_feasibility(a, rho, l)
+    monkeypatch.undo()
+    assert report.verdict == want and report.iterations > 1
+    if want == "infeasible_at_tolerance":
+        iterates.pop()  # the certified iterate, where no step was taken
+    assert len(iterates) == report.iterations - 1
+    prob = ExtensionProblem(a, rho, l)
+    bounds = []
+    for y in iterates:
+        got = _bound_of_iterate(prob, y)
+        if got is None:
+            continue
+        t, x, dec = got
+        assert dec == pytest.approx(1.0, rel=1e-8)
+        assert np.abs(prob._phi(x) - prob._a_blocks).max() <= 1e-10 * np.abs(prob._a_blocks).max()
+        least = np.linalg.eigvalsh(x - t * prob._eye)[:, 0].min()
+        assert least >= -1e-10 * np.abs(x).max()
+        bounds.append(t)
+    assert bounds and report.t_lower == pytest.approx(max(bounds), rel=1e-8)
+    assert report.t_lower <= report.t_upper
+
+
+def _haar_product_mixture(rng, m, n, terms):
+    """A convex mixture of `terms` pure products, each factor the first
+    column of a Haar unitary (QR of a complex Gaussian matrix with the phases
+    of R's diagonal taken out): the input drawn by the benchmark's
+    `separable_matrix`, draw for draw."""
+    def unit(d):
+        q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        return q[:, 0] * (r[0, 0] / abs(r[0, 0]))
+
+    mat = np.zeros((m * n, m * n), dtype=complex)
+    for w in rng.dirichlet(np.ones(terms)):
+        x = np.kron(unit(m), unit(n))
+        mat += w * np.outer(x, x.conj())
+    return LeggedOperator(mat, (m, n))
+
+
+def test_a_witnessed_solve_can_bracket_t_star_above_zero():
+    # 8 pure products on 2 (x) 3 at l = 5: the bound read at the root of
+    # delta(s) = 1 proves t* > 0, which the estimates at delta < 1 did not
+    # (their best t was -0.0065)
+    a = _haar_product_mixture(np.random.default_rng(12), 2, 3, 8)
+    report = sub_extension_feasibility(a, Functional.normalized_trace(3), 5)
+    assert report.verdict == "feasible"
+    assert 0 < report.t_lower <= report.t_upper
+
+
+def _separable_mixtures(m, n, l):
+    """The inputs of `test_witness_check_agrees_with_the_dense_reference_on_separable_mixtures`."""
+    rng = np.random.default_rng(7)
+    rho = Functional.random_faithful(n, rng)
+    for _ in range(3):
+        weights = rng.dirichlet(np.ones(3))
+        mat = sum(w * np.kron(rand_psd(m, rng), rand_psd(n, rng)) for w in weights)
+        yield LeggedOperator(mat, (m, n)), rho, l
+
+
+SCREEN_CASES = [_parity_input(*case) for case in PARITY_CASES] + [
+    case for shape in [(2, 3, 3), (2, 3, 4), (3, 2, 4), (2, 2, 8)] for case in _separable_mixtures(*shape)
+]
+
+
+def test_the_witness_screen_loses_no_witness(monkeypatch):
+    # the Cholesky screen only skips tries that `witness` would reject: with
+    # it passing every try, verdicts and iteration counts are the same
+    want = [sub_extension_feasibility(a, rho, l) for a, rho, l in SCREEN_CASES]
+    monkeypatch.setattr(ExtensionProblem, "_may_be_psd", lambda prob, x, tol: True)
+    got = [sub_extension_feasibility(a, rho, l) for a, rho, l in SCREEN_CASES]
+    assert [(r.verdict, r.iterations) for r in got] == [(r.verdict, r.iterations) for r in want]
+    assert {r.verdict for r in want} == {"feasible"}
+
+
 def test_a_singular_newton_system_ends_as_max_iterations(monkeypatch):
     # a breakdown is never a verdict
     a = werner_element(0.499)
@@ -1073,19 +1217,35 @@ def _count_witness_checks(monkeypatch):
     return checks
 
 
+def _count_screens(monkeypatch):
+    screens = []
+    inner = ExtensionProblem._may_be_psd
+
+    def counted(prob, x, tol):
+        screens.append(inner(prob, x, tol))
+        return screens[-1]
+
+    monkeypatch.setattr(ExtensionProblem, "_may_be_psd", counted)
+    return screens
+
+
 def test_a_newton_step_runs_no_eigendecomposition(monkeypatch):
-    # Werner 0.499 at l = 4 is witnessed at Newton step 16.  The first
+    # Werner 0.499 at l = 4 is witnessed at Newton step 14.  The first
     # check's PSD part of z0 is one eigh and each witness check one more; a
     # Newton step factors K(Y) by one Cholesky (at the start and after every
-    # step but the last) and runs no eigh or eigvalsh.  The eigvalsh are the
-    # input's PSD check, the first check's witness failing the PSD rule,
+    # step but the last) and runs no eigh or eigvalsh, and each witness try
+    # of a step is screened by one more Cholesky: the try at step 1 fails
+    # it, so only the one at step 14 is a witness check.  The eigvalsh are
+    # the input's PSD check, the first check's witness failing the PSD rule,
     # and the accepted witness's one grouped PSD and Loewner check
     calls = _count_eigendecompositions(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
     checks = _count_witness_checks(monkeypatch)
+    screens = _count_screens(monkeypatch)
     report = sub_extension_feasibility(werner_element(0.499), RHO, 4)
-    assert (report.verdict, report.iterations) == ("feasible", 17)
-    assert len(checks) == 3
-    assert calls == {"eigh": 1 + 3, "eigvalsh": 1 + 1 + 1, "cholesky": 16}
+    assert (report.verdict, report.iterations) == ("feasible", 15)
+    assert len(checks) == 2 and screens == [False, True]
+    steps = report.iterations - 1
+    assert calls == {"eigh": 1 + 2, "eigvalsh": 1 + 1 + 1, "cholesky": 1 + (steps - 1) + len(screens)}
 
 
 def test_witness_is_accepted_only_through_validate_witness(monkeypatch):
@@ -1136,10 +1296,10 @@ def test_the_first_check_projects_only_inside_witness(monkeypatch):
 
 
 def test_a_witnessed_solve_adds_one_block_eigh_per_check(monkeypatch):
-    # Werner 0.499 at l = 4 is witnessed at Newton step 16, after the first
-    # check and two earlier tries of the barrier search's primal estimate:
-    # the eigh of the PSD part of z0 and one per witness check, each of the
-    # block stack, none of side m n^l
+    # Werner 0.499 at l = 4 is witnessed at Newton step 14, after the first
+    # check; the barrier search's one earlier try, at step 1, fails the
+    # Cholesky screen and runs no eigh: the eigh of the PSD part of z0 and
+    # one per witness check, each of the block stack, none of side m n^l
     prob = ExtensionProblem(werner_element(0.499), RHO, 4)
     shapes = []
     inner = np.linalg.eigh
@@ -1151,8 +1311,8 @@ def test_a_witnessed_solve_adds_one_block_eigh_per_check(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     checks = _count_witness_checks(monkeypatch)
     report = sub_extension_feasibility(werner_element(0.499), RHO, 4)
-    assert (report.verdict, report.iterations) == ("feasible", 17)
-    assert shapes == [prob.shape] * (1 + len(checks)) and len(checks) == 3
+    assert (report.verdict, report.iterations) == ("feasible", 15)
+    assert shapes == [prob.shape] * (1 + len(checks)) and len(checks) == 2
 
 
 def test_residual_is_dr_displacement():

@@ -223,6 +223,15 @@ def test_a_density_that_is_not_finite_or_is_empty_is_rejected_as_such():
         Functional(np.zeros((0, 0)))
 
 
+def test_an_operator_that_is_not_finite_is_rejected_when_built():
+    # an Inf entry used to reach `is_psd`, whose Hermitian check then warned
+    # "invalid value encountered in subtract" (an error under this suite's
+    # warning filter)
+    for bad in (np.diag([np.inf, 1.0]), np.diag([1.0, np.nan]), np.diag([1.0, 1.0 + 1j * np.inf])):
+        with pytest.raises(ValueError, match="must be finite; NaN and Inf are rejected"):
+            is_psd(LeggedOperator(bad, (2,)))
+
+
 def test_random_faithful_is_a_state(rng):
     rho = Functional.random_faithful(4, rng)
     assert np.isclose(np.trace(rho.density).real, 1.0)

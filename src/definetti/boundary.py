@@ -23,15 +23,18 @@ from .linalg import (
     PSD_TOL,
     Functional,
     LeggedOperator,
+    _as_square_complex,
     _first_non_psd,
+    _require_dimension,
     _require_finite,
     contract_legs,
     is_psd,
 )
 from .symmetry import (
-    MAX_LEVEL,
     Partition,
     _power_blocks,
+    check_level,
+    check_rows,
     isotypic_projector,
     level_layout,
     schur_weyl_table,
@@ -49,12 +52,8 @@ class GroupLike:
     t: np.ndarray
 
     def __init__(self, t):
-        mat = np.array(t, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        mat = _as_square_complex(t, "group-like matrix")
         n = mat.shape[0]
-        if n < 1:
-            raise ValueError("group-like matrix must be at least 1 x 1")
         _require_finite(mat, "group-like matrix")
         norm = float(np.linalg.norm(mat, 2))
         if abs(np.linalg.det(mat)) <= INVERTIBILITY_RTOL * norm**n:
@@ -77,8 +76,7 @@ def grouplike_sequence(
     """
     if len(a.legs) != 1:
         raise ValueError(f"expected a single m-leg coefficient, got legs {a.legs}")
-    if not 0 <= L <= MAX_LEVEL:
-        raise ValueError(f"L={L} is outside 0..{MAX_LEVEL}")
+    check_level(L, "L", 0)
     blocks = [[a.entries]] + [[] for _ in range(L)]
     for lam, pi in _power_blocks(g.t, L):
         blocks[lam.size].append(np.kron(a.entries, pi))
@@ -94,8 +92,7 @@ def p_map(seq: SymSequence, rho: Functional) -> SymSequence:
     """
     if seq.L < 1:
         raise ValueError("p_map needs a prefix of length at least 1")
-    if rho.dim != seq.n:
-        raise ValueError(f"functional dimension {rho.dim} does not match n={seq.n}")
+    _require_dimension(rho, seq.n)
     blocks = [
         transition_blocks(seq.blocks(l + 1), seq.m, seq.n, l + 1, rho.density)
         for l in range(seq.L)
@@ -132,10 +129,8 @@ def block_compression(g: GroupLike, lam: Partition) -> np.ndarray:
     For lam = (1,) it is t itself, for lam = () (an empty walk) [[1]].  Raises
     ValueError when |lam| exceeds `MAX_LEVEL` or lam has more than n rows.
     """
-    if lam.size > MAX_LEVEL:
-        raise ValueError(f"l={lam.size} exceeds the level bound {MAX_LEVEL}")
-    if len(lam) > g.n:
-        raise ValueError(f"partition {lam.parts} has more than n={g.n} rows")
+    check_level(lam.size, "l", 0)
+    check_rows(lam, g.n)
     return next((pi for mu, pi in _power_blocks(g.t, lam.size) if mu == lam), np.eye(1))
 
 
@@ -158,8 +153,7 @@ def exponential_test(g: GroupLike, L: int) -> ExponentialReport:
     largest entry, all in one `_first_non_psd` call.  They grow along the
     copy chain (`symmetry._power_blocks`); t^{(x)l} is never formed.
     """
-    if not 1 <= L <= MAX_LEVEL:
-        raise ValueError(f"L={L} is outside 1..{MAX_LEVEL}")
+    check_level(L, "L", 1)
     walk = _power_blocks(g.t, L)
     lam, t = next(walk)
     if not is_psd(LeggedOperator(t, (g.n,))):
@@ -186,8 +180,7 @@ def recover_block(seq: SymSequence, lam: Partition) -> LeggedOperator:
     l = lam.size
     if l > seq.L:
         raise ValueError(f"partition size {l} exceeds prefix length {seq.L}")
-    if len(lam) > seq.n:
-        raise ValueError(f"partition {lam.parts} has more than n={seq.n} rows")
+    check_rows(lam, seq.n)
     layout = level_layout(seq.n, l)
     k = next(k for k, (mu, _, _) in enumerate(layout) if mu == lam)
     _, weyl, hook = layout[k]

@@ -35,13 +35,18 @@ def _solver_opts(args) -> hy.SolverOptions:
 def _load_rho(spec: str, n: int) -> Functional:
     """A preset of `serialize.resolve_functional` or a density file's path;
     'bundle' names a bundle's own functional, which only `boundary --bundle`
-    has, and is rejected here."""
+    has, and is rejected here.  The error for a spec that is neither names
+    the presets and the missing file."""
     if spec == "bundle":
         raise ValueError("--rho bundle applies to boundary --bundle only")
     try:
         return io.resolve_functional(spec, n)
-    except ValueError:
-        return io.resolve_functional(io.load_json(spec), n)
+    except ValueError as unknown:
+        try:
+            density = io.load_json(spec)
+        except OSError as exc:
+            raise ValueError(f"{unknown}, and no density file '{spec}': {exc.strerror}") from None
+    return io.resolve_functional(density, n)
 
 
 def _emit(report: dict, out_path: str | None, summary: str) -> None:

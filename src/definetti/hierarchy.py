@@ -37,6 +37,7 @@ from .linalg import (
     Functional,
     LeggedOperator,
     _first_non_psd,
+    _require_dimension,
     contract_legs,
     is_psd,
     min_eig,
@@ -44,12 +45,12 @@ from .linalg import (
     psd_part,
 )
 from .symmetry import (
-    MAX_LEVEL,
     Symmetrizer,
     _kron,
     _power_blocks,
     chain_blocks,
     check_blocks,
+    check_level,
     from_schur_weyl_blocks,
     level_layout,
     schur_weyl_block,
@@ -109,8 +110,7 @@ class SymSequence:
         """Check and store the blocks of each level."""
         if not levels:
             raise ValueError("sequence needs at least the level-0 entry")
-        if rho.dim != n:
-            raise ValueError(f"functional dimension {rho.dim} does not match n={n}")
+        _require_dimension(rho, n)
         self.m, self.n, self.rho = int(m), int(n), rho
         # the blocks, and the dense entries as a cache, are shared with
         # `with_rho` copies: neither depends on rho
@@ -163,8 +163,7 @@ class SymSequence:
         return tuple(self.entry(l) for l in range(self.L + 1))
 
     def with_rho(self, rho: Functional) -> "SymSequence":
-        if rho.dim != self.n:
-            raise ValueError(f"functional dimension {rho.dim} does not match n={self.n}")
+        _require_dimension(rho, self.n)
         out = copy.copy(self)
         out.rho = rho
         return out
@@ -435,13 +434,9 @@ class ExtensionProblem:
     def __init__(self, a: LeggedOperator, rho: Functional, l: int):
         if len(a.legs) != 2:
             raise ValueError(f"expected a bipartite element with two legs, got {a.legs}")
-        if l < 1:
-            raise ValueError("extension level must be at least 1")
-        if l > MAX_LEVEL:
-            raise ValueError(f"level {l} exceeds the level bound {MAX_LEVEL}")
+        check_level(l, "l", 1)
         m, n = a.legs
-        if rho.dim != n:
-            raise ValueError(f"functional dimension {rho.dim} does not match n={n}")
+        _require_dimension(rho, n)
         self.a = a
         self.rho = rho
         self.l = l
@@ -843,10 +838,7 @@ def separability_verdict(
     separability only (no finite level is conclusive); anything else is
     `undetermined`.
     """
-    if max_l < 2:
-        raise ValueError(f"max_l must be at least 2, got {max_l}")
-    if max_l > MAX_LEVEL:
-        raise ValueError(f"max_l={max_l} exceeds the level bound {MAX_LEVEL}")
+    check_level(max_l, "max_l", 2)
     reports = {}
     for l in range(2, max_l + 1):
         reports[l] = sub_extension_feasibility(a, rho, l, opts)

@@ -93,10 +93,17 @@ def _require_finite(mat: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} entries must be finite; NaN and Inf are rejected")
 
 
-def _as_square_complex(entries) -> np.ndarray:
+def _require_dimension(rho: Functional, n: int) -> None:
+    if rho.dim != n:
+        raise ValueError(f"functional dimension {rho.dim} does not match n={n}")
+
+
+def _as_square_complex(entries, what: str) -> np.ndarray:
     mat = np.array(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if mat.shape[0] < 1:
+        raise ValueError(f"{what} must be at least 1 x 1")
     return mat
 
 
@@ -109,7 +116,7 @@ class LeggedOperator:
     legs: tuple[int, ...]
 
     def __init__(self, entries, legs: Iterable[int]):
-        mat = _as_square_complex(entries)
+        mat = _as_square_complex(entries, "operator")
         _require_finite(mat, "operator")
         legs = tuple(int(d) for d in legs)
         if any(d <= 0 for d in legs):
@@ -185,9 +192,7 @@ class Functional:
     least_eig: float = field(compare=False, repr=False)
 
     def __init__(self, density):
-        mat = _as_square_complex(density)
-        if mat.shape[0] < 1:
-            raise ValueError("functional density must be at least 1 x 1")
+        mat = _as_square_complex(density, "functional density")
         diag = np.diagonal(mat)
         if np.count_nonzero(mat) == np.count_nonzero(diag):
             # a diagonal density is Hermitian when its diagonal is real (the
@@ -264,8 +269,7 @@ def loewner_leq(x: LeggedOperator, y: LeggedOperator, tol: float = PSD_TOL) -> b
     before the eigenvalue check (its own relative asymmetry is meaningless
     when x and y nearly cancel).
     """
-    if x.legs != y.legs:
-        raise ValueError(f"leg mismatch: {x.legs} vs {y.legs}")
+    x._check_same_legs(y)
     x.require_hermitian("loewner_leq")
     y.require_hermitian("loewner_leq")
     return _psd(y.entries - x.entries, tol)

@@ -22,8 +22,8 @@ from typing import Union
 import numpy as np
 
 from .hierarchy import SymSequence
-from .linalg import PSD_TOL, Functional, LeggedOperator
-from .symmetry import MAX_LEVEL, level_layout
+from .linalg import PSD_TOL, Functional, LeggedOperator, _require_dimension
+from .symmetry import check_level, level_layout
 
 
 def _is_int(x) -> bool:
@@ -94,10 +94,9 @@ def resolve_functional(spec: Union[str, dict], n: int) -> Functional:
     if spec == "normalized-trace":
         return Functional.normalized_trace(n)
     if isinstance(spec, str):
-        raise ValueError(f"unknown functional preset '{spec}'")
+        raise ValueError(f"unknown functional preset '{spec}' (presets: trace, normalized-trace)")
     rho = functional_from_json(spec)
-    if rho.dim != n:
-        raise ValueError(f"functional dimension {rho.dim} does not match n={n}")
+    _require_dimension(rho, n)
     return rho
 
 
@@ -172,8 +171,7 @@ def sequence_from_json(obj: dict) -> SymSequence:
         raise ValueError("'entries' must be a list, one item per level")
     if "L" in obj and (not _is_int(obj["L"]) or obj["L"] != len(raw) - 1):
         raise ValueError(f"'L' is {obj['L']!r} but the bundle has {len(raw)} entries")
-    if len(raw) - 1 > MAX_LEVEL:
-        raise ValueError(f"L={len(raw) - 1} exceeds the level bound {MAX_LEVEL}")
+    check_level(len(raw) - 1, "L", 0)
     blocks = [_entry_from_json(e, m, n, l) for l, e in enumerate(raw)]
     return SymSequence.from_blocks(m, n, rho, blocks)
 

@@ -99,6 +99,18 @@ def level_layout(n: int, l: int) -> tuple[tuple[Partition, int, int], ...]:
     return tuple((lam, lam.weyl_dimension(n), lam.hook_dimension()) for lam in parts)
 
 
+def check_level(value: int, name: str, lowest: int) -> None:
+    """Raise ValueError unless lowest <= value <= `MAX_LEVEL`, the level bound."""
+    if not lowest <= value <= MAX_LEVEL:
+        raise ValueError(f"{name}={value} is outside the level bound {lowest} <= {name} <= {MAX_LEVEL}")
+
+
+def check_rows(lam: Partition, n: int) -> None:
+    """Raise ValueError when lam has more than n rows: it has no U(n) copy."""
+    if len(lam) > n:
+        raise ValueError(f"partition {lam.parts} has more than n={n} rows")
+
+
 def check_blocks(blocks: Sequence[np.ndarray], m: int, n: int, l: int) -> None:
     """Raise ValueError unless `blocks` has one block per entry of
     `level_layout(n, l)`, of side m weyl: the blocks of an operator on legs
@@ -292,13 +304,11 @@ def copy_basis(n: int, lam: Partition) -> np.ndarray:
     W_lambda = (W_mu (x) I_n) C down the chain's branchings C from
     W_() = [[1]].  Built on each call, for the dense exports.
 
-    Raises ValueError when lambda has more than n rows (no copy exists) or
-    |lambda| exceeds `MAX_LEVEL`.
+    Raises ValueError when lambda has more than n rows (`check_rows`) or
+    |lambda| exceeds `MAX_LEVEL` (`check_level`).
     """
-    if lam.size > MAX_LEVEL:
-        raise ValueError(f"l={lam.size} exceeds the level bound {MAX_LEVEL}")
-    if len(lam) > n:
-        raise ValueError(f"partition {lam.parts} has more than n={n} rows")
+    check_level(lam.size, "l", 0)
+    check_rows(lam, n)
     if not lam.parts:
         return np.eye(1)
     step = _copy_chain(n, lam.parts)
@@ -345,8 +355,7 @@ def transition_blocks(
     F = I_m (x) A_{nu lam} (`_alignment`), in the cached `_transition_plan`,
     which reads the copy chain's generators alone: no n^l rows are formed.
     """
-    if not 1 <= l <= MAX_LEVEL:
-        raise ValueError(f"transition_blocks needs 1 <= l <= {MAX_LEVEL}, got l={l}")
+    check_level(l, "l", 1)
     check_blocks(blocks, m, n, l)
     out = []
     for w, children in _transition_plan(n, l):
@@ -404,8 +413,7 @@ def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:
     zero operator when lambda has more than n parts (its Schur-Weyl
     multiplicity vanishes).
     """
-    if l > MAX_LEVEL:
-        raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
+    check_level(l, "l", 0)
     if lam.size != l:
         raise ValueError(f"partition size {lam.size} does not match l={l}")
     legs = (n,) * l
@@ -422,8 +430,7 @@ def schur_weyl_table(n: int, l: int) -> list[tuple[Partition, int, int]]:
     has a nonzero block.  Raises ValueError unless n >= 1 and
     0 <= l <= `MAX_LEVEL`.
     """
-    if n < 1 or l < 0:
-        raise ValueError(f"schur_weyl_table needs n >= 1 and l >= 0, got n={n}, l={l}")
-    if l > MAX_LEVEL:
-        raise ValueError(f"l={l} exceeds the level bound {MAX_LEVEL}")
+    if n < 1:
+        raise ValueError(f"schur_weyl_table needs n >= 1, got n={n}")
+    check_level(l, "l", 0)
     return list(level_layout(n, l))

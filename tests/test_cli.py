@@ -109,6 +109,35 @@ def test_rho_bundle_is_rejected_without_a_bundle(tmp_path, capsys):
         assert "--rho bundle applies to boundary --bundle only" in err and "Errno" not in err
 
 
+def test_rho_that_is_neither_a_preset_nor_a_file_names_both(tmp_path, capsys):
+    # a misspelt preset is not reported as a bare missing file
+    state = write_op(tmp_path / "w.json", werner_element(0.3))
+    assert main(["extend-check", "--state", state, "--rho", "normalised-trace"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "unknown functional preset 'normalised-trace' (presets: trace, normalized-trace)" in err
+    assert "no density file 'normalised-trace'" in err and "Errno" not in err
+
+
+def test_extend_check_reads_a_density_file(tmp_path, capsys):
+    # --rho names a density file: the verdicts are the library's under it
+    state = write_op(tmp_path / "w.json", werner_element(0.3))
+    rho = Functional(np.diag([0.3, 0.7]))
+    density = write_op(tmp_path / "d.json", LeggedOperator(rho.density, (2,)))
+    out = tmp_path / "report.json"
+    assert main(["extend-check", "--state", state, "--rho", density, "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    want = hierarchy.separability_verdict(werner_element(0.3), rho, 3)
+    assert report["verdict"] == want.verdict == "separable_evidence"
+    assert {l: r["verdict"] for l, r in report["levels"].items()} == {
+        str(l): r.verdict for l, r in want.levels.items()
+    }
+    # a density on M_3 against a 2 (x) 2 state is an input error
+    density = write_op(tmp_path / "d3.json", LeggedOperator(np.diag([0.3, 0.3, 0.4]), (3,)))
+    capsys.readouterr()
+    assert main(["extend-check", "--state", state, "--rho", density]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: functional dimension 3 does not match n=2\n"
+
+
 def test_scan_werner_builds_one_geometry_per_level(tmp_path):
     # the 21-point scan at levels 2..5 makes 84 solves on four geometries
     hierarchy._geometry.cache_clear()
@@ -169,6 +198,18 @@ def test_boundary_grouplike_not_exponential(tmp_path):
     assert report["is_exponential"] is False
     assert report["failing_block"] == [1]
     assert report["in_e_rho"] is False
+
+
+def test_boundary_grouplike_with_a_complex_rho_value(tmp_path):
+    # rho(t) = (0.9 + 0.3i + 0.5) / 2 is not real: t is no exponential
+    # candidate, and the report says so instead of failing
+    t = write_op(tmp_path / "t.json", LeggedOperator(np.diag([0.9 + 0.3j, 0.5]), (2,)))
+    out = tmp_path / "bd.json"
+    assert main(["boundary", "--grouplike", t, "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["rho_value"] is None
+    assert report["in_e_rho"] is False
+    assert report["is_exponential"] is False and report["failing_block"] == [1]
 
 
 def test_boundary_bundle(tmp_path, rng):

@@ -1140,6 +1140,23 @@ def test_a_singular_newton_system_ends_as_max_iterations(monkeypatch):
     assert report.witness is None and report.certificate is None
 
 
+def test_a_start_that_does_not_factor_ends_as_max_iterations():
+    # the barrier's start limit: under D = diag(1e-3, 1), K(I) >= 1e-3^(l-1) I.
+    # At l = 8 the start K(I) fails its Cholesky factorization, so the
+    # search returns at once; the answer is max_iterations, never a wrong
+    # verdict, and carries no bracket.  At l = 5 the same input is witnessed
+    rho = Functional(np.diag([1e-3, 1.0]))
+    a = werner_element(0.45)
+    prob = ExtensionProblem(a * (1 / a.trace().real), rho, 8)
+    assert prob._inverse(prob._y0) is None
+    report = sub_extension_feasibility(a, rho, 8)
+    assert (report.verdict, report.stop_reason, report.iterations) == ("max_iterations", "max_iterations", 1)
+    assert report.t_lower is None and report.t_upper is None
+    assert report.witness_blocks is None and report.certificate is None
+    report = sub_extension_feasibility(a, rho, 5)
+    assert (report.verdict, report.iterations) == ("feasible", 10)
+
+
 def test_zero_element_trivially_feasible():
     report = sub_extension_feasibility(LeggedOperator.zeros((2, 2)), RHO, 3)
     assert report.verdict == "feasible" and report.stop_reason == "tol"
@@ -1430,6 +1447,18 @@ def test_separability_verdict_aggregation(rng):
     ent = separability_verdict(bell_projector(), RHO, max_l=2)
     assert ent.verdict == "entangled_evidence"
     assert ent.ppt_min_eig < -0.4
+
+
+def test_separability_verdict_is_undetermined_when_a_level_runs_out_of_iterations():
+    # Werner 0.499 is extendable at levels 2-4 (thresholds 2/3, 5/9, 1/2).
+    # One iteration is the first check alone: it witnesses level 2, while
+    # levels 3 and 4 need the barrier search.  max_iterations proves
+    # nothing, so the aggregate is undetermined
+    report = separability_verdict(werner_element(0.499), RHO, max_l=4, opts=SolverOptions(max_iterations=1))
+    assert {l: r.verdict for l, r in report.levels.items()} == {
+        2: "feasible", 3: "max_iterations", 4: "max_iterations"
+    }
+    assert report.verdict == "undetermined"
 
 
 def test_separability_verdict_needs_a_level():

@@ -13,6 +13,7 @@ from definetti import (
     partial_transpose,
     tensor,
 )
+from definetti.boundary import GroupLike
 from definetti.linalg import _PAD_SIDE, PSD_TOL, _first_non_psd, _hermitian, psd_part
 
 from conftest import rand_hermitian, rand_psd, tensor_power
@@ -221,6 +222,22 @@ def test_a_density_that_is_not_finite_or_is_empty_is_rejected_as_such():
             Functional(bad)
     with pytest.raises(ValueError, match="at least 1 x 1"):
         Functional(np.zeros((0, 0)))
+
+
+def test_every_builder_of_a_square_matrix_rejects_an_empty_one_with_one_message():
+    # `linalg._as_square_complex` is the one square-and-nonempty rule
+    builders = [
+        (lambda m: LeggedOperator(m, ()), "operator"),
+        (Functional, "functional density"),
+        (GroupLike, "group-like matrix"),
+    ]
+    for build, what in builders:
+        with pytest.raises(ValueError) as info:
+            build(np.zeros((0, 0)))
+        assert str(info.value) == f"{what} must be at least 1 x 1"
+        with pytest.raises(ValueError) as info:
+            build(np.zeros((2, 3)))
+        assert str(info.value) == "expected a square matrix, got shape (2, 3)"
 
 
 def test_an_operator_that_is_not_finite_is_rejected_when_built():

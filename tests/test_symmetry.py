@@ -19,8 +19,16 @@ from definetti import (
     schur_weyl_table,
     tensor,
 )
-from definetti import boundary, hierarchy, symmetry
+from definetti import bell_projector, boundary, hierarchy, separability_verdict, symmetry
 from definetti.boundary import GroupLike
+from definetti.cli import EXIT_INPUT, main
+from definetti.serialize import (
+    dump_json,
+    functional_to_json,
+    operator_to_json,
+    resolve_functional,
+    sequence_from_json,
+)
 from definetti.symmetry import (
     _kron,
     chain_blocks,
@@ -519,3 +527,102 @@ def test_enumeration_bound_guard():
         isotypic_projector(2, 9, Partition((9,)))
     with pytest.raises(ValueError):
         schur_weyl_table(2, 9)
+
+
+def _bundle_of(L):
+    return {"m": 1, "n": 1, "rho": "trace", "entries": [[]] * (L + 1)}
+
+
+def _cli_state(path):
+    state = str(path / "bell.json")
+    dump_json(operator_to_json(bell_projector()), state)
+    return state
+
+
+def _cli_grouplike(path):
+    t = str(path / "t.json")
+    dump_json(operator_to_json(LeggedOperator(np.diag([0.9, 0.5]), (2,))), t)
+    return t
+
+
+_G = GroupLike(np.diag([0.9, 0.5]))
+_RHO = Functional.normalized_trace(2)
+_ONE = LeggedOperator(np.eye(1), (1,))
+
+#: every entry point of the level bound: (argument name, least value, call).
+#: A call raises ValueError, or returns the exit code of a CLI run
+LEVEL_ENTRY_POINTS = {
+    "grouplike_sequence": ("L", 0, lambda L, _: boundary.grouplike_sequence(_ONE, _G, L, _RHO)),
+    "exponential_test": ("L", 1, lambda L, _: boundary.exponential_test(_G, L)),
+    "ExtensionProblem": ("l", 1, lambda l, _: hierarchy.ExtensionProblem(bell_projector(), _RHO, l)),
+    "separability_verdict": ("max_l", 2, lambda l, _: separability_verdict(bell_projector(), _RHO, l)),
+    "transition_blocks": ("l", 1, lambda l, _: transition_blocks([np.eye(2)], 2, 2, l, _RHO.density)),
+    "schur_weyl_table": ("l", 0, lambda l, _: schur_weyl_table(2, l)),
+    "isotypic_projector": ("l", 0, lambda l, _: isotypic_projector(2, l, Partition((l,) if l > 0 else ()))),
+    "sequence_from_json": ("L", 0, lambda L, _: sequence_from_json(_bundle_of(L))),
+    "copy_basis": ("l", 0, lambda l, _: copy_basis(2, Partition((l,)))),
+    "block_compression": ("l", 0, lambda l, _: boundary.block_compression(_G, Partition((l,)))),
+    "cli_extend_check_levels": ("max_l", 2, lambda l, path: main(
+        ["extend-check", "--state", _cli_state(path), "--levels", str(l)])),
+    "cli_boundary_grouplike_levels": ("L", 1, lambda L, path: main(
+        ["boundary", "--grouplike", _cli_grouplike(path), "--levels", str(L)])),
+    "cli_schur_table_l": ("l", 0, lambda l, _: main(["schur-table", "--n", "2", "--l", str(l)])),
+}
+#: the entry points whose level is a partition's size, which is never negative
+SIZE_LEVELS = {"copy_basis", "block_compression"}
+
+
+def _level_tries():
+    # one past each end of the range, or past the top alone for SIZE_LEVELS
+    for entry, (_, lowest, _) in LEVEL_ENTRY_POINTS.items():
+        for value in ([] if entry in SIZE_LEVELS else [lowest - 1]) + [symmetry.MAX_LEVEL + 1]:
+            yield pytest.param(entry, value, id=f"{entry}={value}")
+
+
+@pytest.mark.parametrize("entry, value", _level_tries())
+def test_every_entry_point_raises_the_one_level_bound_error(entry, value, tmp_path, capsys):
+    # `check_level` is the one level bound: each library entry point raises
+    # its ValueError, and each CLI flag exits 2 with its message
+    name, lowest, call = LEVEL_ENTRY_POINTS[entry]
+    message = f"{name}={value} is outside the level bound {lowest} <= {name} <= {symmetry.MAX_LEVEL}"
+    if entry.startswith("cli_"):
+        assert call(value, tmp_path) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        with pytest.raises(ValueError) as info:
+            call(value, tmp_path)
+        assert str(info.value) == message
+
+
+def test_every_reader_of_a_partition_raises_the_one_rows_error():
+    # `check_rows`: a partition with more than n rows has no copy
+    lam = Partition((1, 1, 1))
+    seq = boundary.grouplike_sequence(_ONE, _G, 3, _RHO)
+    readers = [
+        lambda: copy_basis(2, lam),
+        lambda: boundary.block_compression(_G, lam),
+        lambda: boundary.recover_block(seq, lam),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value) == "partition (1, 1, 1) has more than n=2 rows"
+    # the isotypic projector of such a partition is the zero operator instead
+    assert not isotypic_projector(2, 3, lam).entries.any()
+
+
+def test_every_reader_of_a_functional_raises_the_one_dimension_error():
+    # `linalg._require_dimension`: a functional on M_3 against legs of n = 2
+    rho3 = Functional.normalized_trace(3)
+    seq = boundary.grouplike_sequence(_ONE, _G, 1, _RHO)
+    readers = [
+        lambda: SymSequence(1, 2, rho3, [_ONE]),
+        lambda: seq.with_rho(rho3),
+        lambda: hierarchy.ExtensionProblem(bell_projector(), rho3, 2),
+        lambda: boundary.p_map(seq, rho3),
+        lambda: resolve_functional(functional_to_json(rho3), 2),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value) == "functional dimension 3 does not match n=2"

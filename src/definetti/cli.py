@@ -52,7 +52,7 @@ def _load_rho(spec: str, n: int) -> Functional:
 def _emit(report: dict, out_path: str | None, summary: str) -> None:
     text = json.dumps(report)
     if out_path:
-        with open(out_path, "w") as fh:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)

@@ -3,17 +3,21 @@
 A matrix is `{"legs", "re", "im"}` with finite entries.  A sequence bundle
 is `{"m", "n", "L", "rho", "entries"}`, and entry l, an S_l-invariant
 operator on legs [m, n, ..., n], is stored as its Schur-Weyl blocks: a list
-of matrix objects `{"partition", "legs": [m, weyl], "re", "im"}`, one per
+of block objects `{"partition", "legs": [m, weyl], "data"}`, one per
 partition lambda of l with at most n rows in `symmetry.level_layout(n, l)`
 order, the one block order, holding B_lambda = (I_m (x) W)^T x_l (I_m (x) W),
-W the copy basis of lambda (`symmetry.schur_weyl_block`).  At l <= 1 the one
-block is x_l itself.  The reader checks the labels and legs, and keeps the
-blocks (`SymSequence.from_blocks`, whose shape check is
+W the copy basis of lambda (`symmetry.schur_weyl_block`).  `data` is the
+base64 of the block's entries as little-endian complex128 (`<c16`),
+row-major.  At l <= 1 the one block is x_l itself.  The reader also takes a
+block in the matrix format, `"re"` and `"im"` lists in place of `data`, as
+files written before the payload hold them.  It checks the labels and legs,
+and keeps the blocks (`SymSequence.from_blocks`, whose shape check is
 `symmetry.check_blocks`); it rebuilds no dense entry.
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
@@ -52,15 +56,22 @@ def operator_to_json(x: LeggedOperator) -> dict:
     }
 
 
-def operator_from_json(obj: dict) -> LeggedOperator:
-    if not isinstance(obj, dict):
-        raise ValueError("matrix object must be a JSON object")
-    for key in ("legs", "re", "im"):
-        if key not in obj:
-            raise ValueError(f"matrix object is missing key '{key}'")
+def _legs(obj: dict) -> list[int]:
+    if "legs" not in obj:
+        raise ValueError("matrix object is missing key 'legs'")
     legs = obj["legs"]
     if not isinstance(legs, list) or not all(_is_int(d) and d > 0 for d in legs):
         raise ValueError("'legs' must be a list of positive integers")
+    return legs
+
+
+def operator_from_json(obj: dict) -> LeggedOperator:
+    if not isinstance(obj, dict):
+        raise ValueError("matrix object must be a JSON object")
+    legs = _legs(obj)
+    for key in ("re", "im"):
+        if key not in obj:
+            raise ValueError(f"matrix object is missing key '{key}'")
     try:
         re, im = _numbers(obj["re"]), _numbers(obj["im"])
     except (TypeError, ValueError) as exc:
@@ -102,13 +113,37 @@ def resolve_functional(spec: Union[str, dict], n: int) -> Functional:
 
 def _blocks_to_json(blocks, m: int, n: int, l: int) -> list[dict]:
     """The Schur-Weyl blocks of an S_l-invariant operator on legs
-    [m, n, ..., n], in `level_layout(n, l)` order, as matrix objects
-    `{"partition", "legs": [m, weyl], "re", "im"}`: a bundle's entry, and a
-    solver report's witness (`FeasibilityReport.to_json`)."""
-    return [
-        {"partition": list(lam.parts), **operator_to_json(LeggedOperator(block, (m, weyl)))}
-        for (lam, weyl, _), block in zip(level_layout(n, l), blocks)
-    ]
+    [m, n, ..., n], in `level_layout(n, l)` order, as block objects
+    `{"partition", "legs": [m, weyl], "data"}`, data the base64 of the
+    entries as row-major `<c16`: a bundle's entry, and a solver report's
+    witness (`FeasibilityReport.to_json`)."""
+    out = []
+    for (lam, weyl, _), block in zip(level_layout(n, l), blocks):
+        entries = LeggedOperator(block, (m, weyl)).entries.astype("<c16", copy=False)
+        data = base64.b64encode(entries.tobytes()).decode("ascii")
+        out.append({"partition": list(lam.parts), "legs": [m, weyl], "data": data})
+    return out
+
+
+def _payload_from_json(obj: dict) -> LeggedOperator:
+    """A block object's `data`: one ValueError for data that is not a
+    string, is not base64, or does not hold 16 side^2 bytes, and
+    `LeggedOperator`'s for a non-finite entry."""
+    legs = _legs(obj)
+    data = obj["data"]
+    if not isinstance(data, str):
+        raise ValueError(f"'data' must be a base64 string, got {type(data).__name__}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ValueError(f"'data' is not valid base64: {exc}") from None
+    side = math.prod(legs)
+    if len(raw) != 16 * side * side:
+        raise ValueError(
+            f"'data' holds {len(raw)} bytes, expected 16 * {side}^2 = {16 * side * side} "
+            f"for legs {legs}"
+        )
+    return LeggedOperator(np.frombuffer(raw, dtype="<c16").reshape(side, side), legs)
 
 
 def sequence_to_json(seq: SymSequence) -> dict:
@@ -131,7 +166,8 @@ def sequence_to_json(seq: SymSequence) -> dict:
 
 
 def _entry_from_json(obj, m: int, n: int, l: int) -> list[np.ndarray]:
-    """The blocks of entry l, each checked; no copy basis is built."""
+    """The blocks of entry l, each checked; no copy basis is built.  A block
+    holds its entries either as `data` or as `"re"` and `"im"` lists."""
     layout = level_layout(n, l)
     labels = [list(lam.parts) for lam, _, _ in layout]
     if not isinstance(obj, list):
@@ -146,7 +182,13 @@ def _entry_from_json(obj, m: int, n: int, l: int) -> list[np.ndarray]:
         got = block.get("partition") if isinstance(block, dict) else None
         if not (isinstance(got, list) and all(_is_int(p) for p in got) and got == label):
             raise ValueError(f"block {i} of entry {l} must have partition {label}, got {got!r}")
-        op = operator_from_json(block)
+        has_data, has_lists = "data" in block, "re" in block or "im" in block
+        if has_data == has_lists:
+            raise ValueError(
+                f"block {label} of entry {l} must hold either 'data' or 're' and 'im', "
+                f"got {'both' if has_data else 'neither'}"
+            )
+        op = _payload_from_json(block) if has_data else operator_from_json(block)
         want = (m, weyl)
         if op.legs != want:
             raise ValueError(
@@ -177,12 +219,12 @@ def sequence_from_json(obj: dict) -> SymSequence:
 
 
 def load_json(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def dump_json(obj: dict, path: str) -> None:
     """Write obj as one line of JSON.  `json.dumps` encodes in C; `json.dump`
     would stream the same text through the pure-Python encoder."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj) + "\n")

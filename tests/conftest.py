@@ -1,5 +1,7 @@
 """Shared sampling helpers and the dense references for the test suite."""
 
+import base64
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -413,6 +415,33 @@ class DenseSolver:
             if value / (np.linalg.norm(y) * np.trace(a).real) < -CERTIFICATE_RTOL:
                 return "infeasible_at_tolerance", len(self.history)
         return "max_iterations", len(self.history)
+
+
+def payload(x) -> str:
+    """A block's `data`: the base64 of its entries as row-major `<c16`."""
+    return base64.b64encode(np.asarray(x, dtype="<c16").tobytes()).decode("ascii")
+
+
+def block_entries(block) -> np.ndarray:
+    """The entries of a payload block object, decoded without the library."""
+    side = math.prod(block["legs"])
+    return np.frombuffer(base64.b64decode(block["data"]), dtype="<c16").reshape(side, side)
+
+
+def list_encoded(bundle) -> dict:
+    """A copy of a bundle whose blocks hold `"re"` and `"im"` lists in place
+    of `data`, as bundles written before the payload hold them."""
+
+    def lists(block):
+        x = block_entries(block)
+        return {
+            "partition": block["partition"],
+            "legs": block["legs"],
+            "re": x.real.tolist(),
+            "im": x.imag.tolist(),
+        }
+
+    return dict(bundle, entries=[[lists(b) for b in entry] for entry in bundle["entries"]])
 
 
 def forbid_enumeration(monkeypatch):

@@ -10,7 +10,15 @@ from definetti.serialize import dump_json, operator_from_json, operator_to_json,
 from definetti import boundary, cli, hierarchy, serialize, symmetry
 from definetti.boundary import GroupLike, grouplike_sequence, separable_image_check
 
-from conftest import dense_t_upper, forbid_enumeration, rand_psd, random_separable
+from conftest import (
+    block_entries,
+    dense_t_upper,
+    forbid_enumeration,
+    list_encoded,
+    payload,
+    rand_psd,
+    random_separable,
+)
 
 
 def write_op(path, op):
@@ -460,8 +468,9 @@ def test_an_operator_file_must_hold_json_numbers(tmp_path, capsys):
 
 def test_a_bundle_block_must_hold_json_numbers(tmp_path, capsys):
     seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(np.diag([0.9, 0.7])), 2)
+    # the lists of a bundle written before the payload
     for bad in (False, "0.5"):
-        bundle = sequence_to_json(seq)
+        bundle = list_encoded(sequence_to_json(seq))
         bundle["entries"][2][1]["im"][0][0] = bad
         path = tmp_path / "bundle.json"
         dump_json(bundle, str(path))
@@ -522,33 +531,68 @@ def test_boundary_bundle_rejects_a_malformed_bundle(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_boundary_bundle_rejects_a_malformed_payload(tmp_path, capsys):
+    # each fault of a block's "data" is an input error with its one message
+    seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(np.diag([0.9, 0.7])), 3)
+    good = sequence_to_json(seq)
+    block = good["entries"][2][1]
+    x = block_entries(block)
+    for name, bad, message in (
+        ("not-a-string", dict(block, data=None), "'data' must be a base64 string, got NoneType"),
+        ("invalid", dict(block, data="!" + block["data"][1:]), "'data' is not valid base64"),
+        ("short", dict(block, data=payload(x[:1])), "'data' holds 32 bytes, expected 16 * 2^2 = 64"),
+        ("both", dict(block, im=x.imag.tolist()), "must hold either 'data' or 're' and 'im', got both"),
+        ("neither", {"partition": [1, 1], "legs": [2, 1]}, "got neither"),
+    ):
+        bundle = json.loads(json.dumps(good))
+        bundle["entries"][2][1] = bad
+        path = tmp_path / f"bundle-{name}.json"
+        dump_json(bundle, str(path))
+        assert main(["boundary", "--bundle", str(path)]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+
 def test_boundary_bundle_reports_a_non_psd_block(tmp_path):
     # the rebuilt entry carries the block, so validation names its level
+    # (-I written as lists, as before the payload, and into the payload)
     seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(np.diag([0.9, 0.7])), 3)
-    bundle = sequence_to_json(seq)
-    block = bundle["entries"][2][1]
-    assert block["partition"] == [1, 1]
-    block["re"] = (-np.eye(2)).tolist()
-    path = tmp_path / "bundle.json"
-    dump_json(bundle, str(path))
-    out = tmp_path / "bd.json"
-    assert main(["boundary", "--bundle", str(path), "--out", str(out)]) == EXIT_OK
-    report = json.loads(out.read_text())
-    assert report["subharmonic"] is False
-    assert report["validation"]["condition"] == "psd" and report["validation"]["level"] == 2
+    lists = list_encoded(sequence_to_json(seq))
+    lists["entries"][2][1]["re"] = (-np.eye(2)).tolist()
+    lists["entries"][2][1]["im"] = np.zeros((2, 2)).tolist()
+    packed = sequence_to_json(seq)
+    packed["entries"][2][1]["data"] = payload(-np.eye(2))
+    for bundle in (lists, packed):
+        block = bundle["entries"][2][1]
+        assert block["partition"] == [1, 1]
+        path = tmp_path / "bundle.json"
+        dump_json(bundle, str(path))
+        out = tmp_path / "bd.json"
+        assert main(["boundary", "--bundle", str(path), "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["subharmonic"] is False
+        assert report["validation"]["condition"] == "psd" and report["validation"]["level"] == 2
 
 
 def test_non_finite_numbers_are_input_errors(tmp_path, capsys):
     # a NaN in a bundle used to give "entry 2 is not PSD" with exit 0, and an
     # Infinity in a state a RuntimeWarning before "requires a Hermitian operator"
     seq = grouplike_sequence(LeggedOperator(np.eye(2), (2,)), GroupLike(np.diag([0.9, 0.7])), 2)
-    bundle = sequence_to_json(seq)
+    bundle = list_encoded(sequence_to_json(seq))
     bundle["entries"][2][0]["re"][0][0] = float("nan")
     path = tmp_path / "bundle.json"
     dump_json(bundle, str(path))
     assert "NaN" in path.read_text()
     assert main(["boundary", "--bundle", str(path)]) == EXIT_INPUT
     assert "finite" in capsys.readouterr().err
+    # the same entries written into the payload
+    for bad in (float("nan"), float("inf")):
+        bundle = sequence_to_json(seq)
+        x = block_entries(bundle["entries"][2][0]).copy()
+        x[0, 0] = bad
+        bundle["entries"][2][0]["data"] = payload(x)
+        dump_json(bundle, str(path))
+        assert main(["boundary", "--bundle", str(path)]) == EXIT_INPUT
+        assert "finite" in capsys.readouterr().err
     for bad in (float("nan"), float("inf")):
         state = operator_to_json(bell_projector())
         state["re"][0][0] = bad

@@ -1,6 +1,11 @@
 """Round-trip tests for the shared JSON formats."""
 
+import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,7 @@ from definetti.serialize import (
 )
 from definetti.symmetry import MAX_LEVEL, partitions_of
 
-from conftest import rand_hermitian, rand_psd
+from conftest import block_entries, list_encoded, payload, rand_hermitian, rand_psd
 
 
 def test_dump_json_writes_what_json_dump_writes(tmp_path, rng):
@@ -197,6 +202,9 @@ def test_block_bundle_round_trip(rng, m, n, L):
         ]
         back = sequence_from_json(json.loads(json.dumps(obj)))
         assert (back.m, back.n, back.L) == (m, n, L)
+        for l in range(L + 1):
+            for want, got in zip(seq.blocks(l), back.blocks(l), strict=True):
+                assert np.array_equal(got, want)
         for want, got in zip(seq.entries, back.entries):
             assert got.legs == want.legs
             assert np.abs(got.entries - want.entries).max() <= 1e-13 * np.abs(want.entries).max()
@@ -206,9 +214,89 @@ def test_block_bundle_size():
     # the dense (2, 2, 6) bundle held sum_l (2 * 2^l)^2 = 21 844 complex numbers
     seq = _invariant_sequence(2, 2, 6, np.random.default_rng(0))
     obj = sequence_to_json(seq)
-    assert sum(np.size(b["re"]) for entry in obj["entries"] for b in entry) == 840
+    assert sum(block_entries(b).size for entry in obj["entries"] for b in entry) == 840
+    assert sum(len(base64.b64decode(b["data"])) for entry in obj["entries"] for b in entry) == 13_440
     assert [b["legs"] for b in obj["entries"][6]] == [[2, 7], [2, 5], [2, 3], [2, 1]]
-    assert obj["entries"][1][0]["re"] == seq.entries[1].entries.real.tolist()
+    assert np.array_equal(block_entries(obj["entries"][1][0]), seq.entries[1].entries)
+
+
+def test_list_and_payload_bundles_read_to_equal_blocks(rng):
+    # a bundle written before the payload holds "re" and "im" lists; both
+    # encodings of one sequence read to the same blocks, bit for bit
+    t = rand_psd(2, rng) + 1j * rand_hermitian(2, rng)
+    for seq in (
+        _invariant_sequence(2, 3, 4, rng),
+        grouplike_sequence(LeggedOperator(rand_psd(2, rng), (2,)), GroupLike(t), 6),
+    ):
+        obj = sequence_to_json(seq)
+        lists = list_encoded(obj)
+        assert all("data" not in b and "re" in b for entry in lists["entries"] for b in entry)
+        from_payload = sequence_from_json(json.loads(json.dumps(obj)))
+        from_lists = sequence_from_json(json.loads(json.dumps(lists)))
+        for l in range(seq.L + 1):
+            for want, a, b in zip(seq.blocks(l), from_payload.blocks(l), from_lists.blocks(l), strict=True):
+                assert np.array_equal(a, want) and np.array_equal(b, want)
+
+
+def test_reader_rejects_malformed_payloads(rng):
+    # each fault of a block's "data" gets its one message
+    good = sequence_to_json(_invariant_sequence(2, 2, 3, rng))
+    block = good["entries"][3][1]  # partition [2, 1], legs [2, 2]: 16 * 4^2 bytes
+    assert block["partition"] == [2, 1] and block["legs"] == [2, 2]
+    x = block_entries(block)
+    for bad, message in [
+        (dict(block, data=5), "'data' must be a base64 string, got int"),
+        (dict(block, data=[block["data"]]), "'data' must be a base64 string, got list"),
+        (dict(block, data="@" + block["data"][1:]), "'data' is not valid base64"),
+        (dict(block, data=block["data"][:-1]), "'data' is not valid base64"),
+        (dict(block, data="é" + block["data"][1:]), "'data' is not valid base64"),
+        (dict(block, data=payload(x[:3])), r"'data' holds 192 bytes, expected 16 \* 4\^2 = 256"),
+        (dict(block, data=""), r"'data' holds 0 bytes, expected 16 \* 4\^2 = 256"),
+        (dict(block, re=x.real.tolist()), r"block \[2, 1\] of entry 3 .* got both"),
+        ({"partition": [2, 1], "legs": [2, 2]}, r"block \[2, 1\] of entry 3 .* got neither"),
+        ({"partition": [2, 1], "data": block["data"]}, "missing key 'legs'"),
+        (dict(block, legs=[2, True]), "'legs' must be a list of positive integers"),
+        (dict(block, legs=[2, 1], data=payload(x[:2, :2])), r"legs \[2, 1\], expected \[2, 2\]"),
+    ]:
+        obj = json.loads(json.dumps(good))
+        obj["entries"][3][1] = bad
+        with pytest.raises(ValueError, match=message):
+            sequence_from_json(obj)
+    for value in (np.nan, np.inf):
+        y = x.copy()
+        y[0, 1] = value
+        obj = json.loads(json.dumps(good))
+        obj["entries"][3][1]["data"] = payload(y)
+        with pytest.raises(ValueError, match="finite"):
+            sequence_from_json(obj)
+
+
+def test_json_files_are_utf_8(tmp_path):
+    # open() without an encoding reads and writes in the locale's encoding,
+    # which EncodingWarning flags; JSON is UTF-8
+    state = dict(operator_to_json(bell_projector()), note="Werner ρ, p ≥ 1/2")
+    path = tmp_path / "state.json"
+    path.write_bytes(json.dumps(state, ensure_ascii=False).encode("utf-8"))
+    script = (
+        "import sys\n"
+        "from definetti.cli import main\n"
+        "from definetti.serialize import dump_json, load_json\n"
+        "state = load_json(sys.argv[1])\n"
+        "assert state['note'] == 'Werner \\u03c1, p \\u2265 1/2', state['note']\n"
+        "dump_json(state, sys.argv[2])\n"
+        "sys.exit(main(['extend-check', '--state', sys.argv[2], '--levels', '2', '--out', sys.argv[3]]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    out = tmp_path / "report.json"
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", script, str(path), str(tmp_path / "copy.json"), str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert load_json(str(tmp_path / "copy.json"))["note"] == state["note"]
+    assert json.loads(out.read_text(encoding="utf-8"))["verdict"] == "entangled_evidence"
 
 
 def test_writer_rejects_a_non_invariant_entry(rng):

@@ -8,18 +8,21 @@ a - Phi(b) to zero at any feasible point, so the solver works directly with
 the equality Phi(b) = a (without the anchor b = 0 would always be a witness
 and the hierarchy would detect nothing).
 
-Both answers are checked.  `feasible` ships a witness b, PSD and
-S_l-invariant by construction, with |Phi(b) - a|max <= tol |a|max, and
-validated against a in Schur-Weyl blocks by the rules that check a
-sequence (`ExtensionProblem.validate_witness`).  `infeasible_at_tolerance`
-ships a separating functional (the dual of Doherty, Parrilo and
-Spedalieri): a Hermitian Y on m (x) n with Sym(Y (x) D^{(x)(l-1)}) PSD and
-trace(Y a) < 0, so that every feasible b would give
+The search runs under the trace, on a' = (I (x) D^(1/2)) a (I (x) D^(1/2)),
+extendable exactly when a is under rho (`_Congruence`); both answers are
+mapped back and checked against a under rho.  `feasible` ships a witness b,
+PSD and S_l-invariant by construction, validated in Schur-Weyl blocks by the
+rules that check a sequence (`validate_witness`).  `infeasible_at_tolerance`
+ships a separating functional (the dual of Doherty, Parrilo and Spedalieri):
+a Hermitian Y on m (x) n with Sym(Y (x) D^{(x)(l-1)}) PSD and trace(Y a) < 0,
+so that every feasible b would give
 0 <= <Sym(Y (x) D^{(x)(l-1)}), b> = trace(Y Phi(b)) = trace(Y a).
-A run that ends with neither is `max_iterations`.  The search is a first
-check on the least-norm solution z0 of Phi(b) = a and its PSD part, then a
-log-barrier interior-point method on that dual (`sub_extension_feasibility`);
-the method changes how fast an answer comes, never how it is checked.
+A run that ends with neither is `max_iterations`.  The report brackets t*
+of a' (`FeasibilityReport`), exactly that of a when D = cI.  The search is a
+first check on the least-norm solution z0 of Phi(b) = a and its PSD part,
+then a log-barrier interior-point method on that dual
+(`sub_extension_feasibility`); the method changes how fast an answer comes,
+never how it is checked.
 """
 
 from __future__ import annotations
@@ -46,9 +49,8 @@ from .linalg import (
 )
 from .symmetry import (
     Symmetrizer,
-    _kron,
+    _copy_chain,
     _power_blocks,
-    chain_blocks,
     check_blocks,
     check_level,
     from_schur_weyl_blocks,
@@ -245,17 +247,17 @@ class FeasibilityReport:
     iteration, relative to trace(a): first the first check's distance
     ||z0 - psd_part(z0)|| from z0 to the PSD cone, then the duality gap
     trace(Y a) - t of each Newton step.  `final_residual` is the quantity
-    the verdict rests on.  For `feasible` it is the witness's relative
-    marginal defect |Phi(b) - a|max / |a|max, at most the solver's tol.
-    Otherwise it is the last entry of `residual_history`.
+    the verdict rests on: for `feasible`, the solved problem's relative
+    marginal defect |Phi(b) - a_s|max / |a_s|max, at most the solver's tol,
+    and otherwise the last entry of `residual_history`.
 
-    `t_lower` <= t* <= `t_upper` brackets t* = max{t : Phi(X) = a,
-    X >= t J} (J the identity of the block stack, `ExtensionProblem`), in
-    the units of a: a is level-l extendable exactly when t* >= 0, so the
-    bracket says how far the solve was from the opposite verdict.
-    `t_upper` is trace(Y a) / trace K(Y) at the certificate or the last dual
-    iterate, and `t_lower` the largest t of a primal estimate X >= t J with
-    Phi(X) = a read off a Newton step (`ExtensionProblem.barrier_search`);
+    `t_lower` <= t* <= `t_upper` brackets trace(a) t*, t* = max{t :
+    Phi(X) = a_s, X >= t J} of the problem solved under the trace
+    (`ExtensionProblem`): t* of a' over c^l, exactly t* of a under rho when
+    D = cI, and of its sign otherwise; a is level-l extendable exactly when
+    t* >= 0.  `t_upper` is trace(Y a_s) / trace K(Y) at the certificate or
+    the last dual iterate, and `t_lower` the largest t of a primal estimate
+    X >= t J with Phi(X) = a_s read off a Newton step (`barrier_search`);
     each is None when no such object was reached.
 
     A `feasible` report carries the checked witness b as `witness_blocks`:
@@ -316,71 +318,61 @@ class FeasibilityReport:
         return out
 
 
-#: solver geometries kept per process (`_geometry`); a scan over levels
-#: 2..5 under one functional uses four
+#: geometries and congruences kept per process; a scan over levels 2..5 uses four
 GEOMETRY_CACHE_SIZE = 8
 
 
 class _Geometry:
-    """Everything the level-l solver precomputes that does not depend on a:
-    the stack `shape`, the sqrt(hook) `_weights` of the blocks, the Gram
+    """Everything the level-l solver precomputes that depends on neither a
+    nor rho, its arrays read-only and shared by every problem at (m, n, l)
+    (`_geometry`): the stack `shape`, the sqrt(hook) `_weights`, the Gram
     rows `_kh` of K, G^{-1} and the right factor `_q` of the affine
-    projector.  Its arrays are read-only, because every problem at the same
-    (m, n, l, rho) shares them (`_geometry`).  It holds no copy basis: the
-    Gram rows grow along the copy chain (`chain_blocks`), weyl(lambda)
-    wide.
+    projector.
 
-    Phi and Sym o Phi* act on every m-block E_ik (x) B of b in the same way,
-    through the n-side map K(Y) = Sym(Y (x) D^{(x)(l-1)}) on M_n.  Row j of
-    `_kh` is, over the blocks, sqrt(hook) conj(W^T K(e_j) W).flat for the
-    n^2 matrix units e_j, so kh @ X.flat is K*(B) = Phi(B) and y @ conj(kh)
-    is K(y) in block coordinates, with operators on m (x) n as m^2 x n^2
-    arrays of m-blocks.  The weights make kh @ kh^H the dense per-block Gram
-    matrix K* K, n^2 x n^2 and well conditioned (cond ~ l for faithful rho),
-    so a direct inverse gives an exact metric projection onto the
-    constraint set.  In gathered coordinates that projection is
-    x -> x + z0 - (x kh^T) q, with q = G^{-T} conj(kh), so that kh^T q is
-    the projector onto the range of K, and z0 = K(a G^{-T}) = a q its
-    offset, the one part that depends on a (`ExtensionProblem`).  The
-    projector is kept as its two n^2-row factors, never as the square
-    matrix on the blocks.  No K(e_j) of side n^l is formed.
+    Under the trace, Phi and Sym o Phi* act on every m-block of b through
+    K(Y) = Sym(Y (x) I^{(x)(l-1)}) on M_n, and on the copy of lambda
+    K(e_ab) = W^T E_ab W / l: the copy chain's generators over l
+    (`symmetry._copy_chain`), real.  Row j of `_kh` (stored complex, as
+    its operands are) is, over the blocks, sqrt(hook) K(e_j).flat for the
+    n^2 matrix units e_j, so kh @ X.flat is Phi(B) and y @ kh is K(y) in
+    block coordinates, with operators on m (x) n as m^2 x n^2 arrays of
+    m-blocks.  The weights make kh @ kh^T the per-block Gram matrix K* K,
+    n^2 x n^2 and well conditioned (cond ~ l), so a direct inverse gives an
+    exact metric projection onto the constraint set, x -> x + z0 -
+    (x kh^T) q in gathered coordinates, q = G^{-T} kh and z0 = a q
+    (`ExtensionProblem`).
 
-    The barrier search (`ExtensionProblem.barrier_search`) reads, per block,
-    `_units`: the same blocks K(e_j) side by side, weyl x n^2 weyl, for the
-    blockwise Hessian; the identity J of the blocks' active corners
-    (`_eye`) and the identity of the padding (`_pad`), `_rows` = the sum of
-    the corners' sides, Phi(J) (`_phi_eye`) and its start `_y0`.
+    The barrier search reads, per block, `_units`: the blocks K(e_j) side
+    by side, weyl x n^2 weyl, for the blockwise Hessian; the identity J of
+    the blocks' active corners (`_eye`), the identity of the padding
+    (`_pad`), `_rows` = the sum of the corners' sides, Phi(J) (`_phi_eye`),
+    the identity `_unit` on m (x) n in m-blocks, with K(I) the identity,
+    and the dual's start `_y0`, I scaled to trace K(Y) = 1.
     """
 
-    def __init__(self, m: int, n: int, l: int, density: np.ndarray):
+    def __init__(self, m: int, n: int, l: int):
         layout = level_layout(n, l)
-        def grow(x):  # S_k(e) = S_{k-1}(e) (x) D + D^{(x)(k-1)} (x) e
-            y = _kron(x, density)
-            y[1:] += _kron(x[0], np.eye(n * n).reshape(-1, n, n))
-            return y
-        # per partition lam of l: pi_lam(D) atop the blocks S_lam(e_j) = l K(e_j)
-        walk = chain_blocks(n, l, np.eye(n * n + 1, 1)[:, :, None], grow)
-        stacks = [x for lam, x in walk if lam.size == l]
         side = m * max(d for _, d, _ in layout)
         self.shape = (len(layout), side, side)
         weights, rows, idx, units = [], [], [], []
         eye = np.zeros(self.shape)
-        for k, ((_, d, hook), x) in enumerate(zip(layout, stacks)):
+        for k, (lam, d, hook) in enumerate(layout):
             weight = math.sqrt(hook)
             weights.append(weight)
-            rows.append(weight * x[1:].conj().reshape(n * n, d * d) / l)
+            k_units = (weight / l) * _copy_chain(n, lam.parts).gens.astype(complex)
+            rows.append(k_units.reshape(n * n, d * d))
             # the n-side blocks K(e_j) of lambda as one (d, n^2 d) matrix
-            units.append(weight * x[1:].transpose(1, 0, 2).reshape(d, n * n * d) / l)
+            units.append(k_units.transpose(1, 0, 2).reshape(d, n * n * d))
             # stack position of entry (alpha, beta) of the m-block (i, j) of X
             r = np.arange(m)[:, None] * d + np.arange(d)
             pos = k * side * side + r[:, None, :, None] * side + r[None, :, None, :]
             idx.append(pos.reshape(m * m, d * d))
             eye[k, np.arange(m * d), np.arange(m * d)] = 1.0
         self._kh = np.hstack(rows)
-        self._gi = np.linalg.inv(self._kh @ self._kh.conj().T)
+        self._gi = np.linalg.inv(self._kh @ self._kh.T)
         self._idx = np.hstack(idx)
         self._weights = np.array(weights)
-        self._q = self._gi.T @ self._kh.conj()
+        self._q = self._gi.T @ self._kh
         self._units = tuple(units)
         # the barrier's Hessian reads K(e_j)^H = K(e_j^T) by this permutation
         self._transposed = np.arange(n * n).reshape(n, n).T.reshape(-1)
@@ -390,45 +382,73 @@ class _Geometry:
         self._pad = np.eye(side) - self._eye
         self._rows = sum(m * d for _, d, _ in layout)
         self._phi_eye = self._eye.reshape(-1)[self._idx] @ self._kh.T
-        # the dual's start: the identity on m (x) n with trace K(Y) = 1
-        unit = (np.eye(m)[:, :, None, None] * np.eye(n)).reshape(m * m, n * n)
-        self._y0 = unit / np.vdot(self._phi_eye, unit).real
+        self._unit = (np.eye(m)[:, :, None, None] * np.eye(n)).reshape(m * m, n * n)
+        self._y0 = self._unit / np.vdot(self._phi_eye, self._unit).real
         for arr in (self._kh, self._gi, self._idx, self._weights, self._q, *self._units,
-                    self._transposed, self._eye, self._pad, self._phi_eye, self._y0):
+                    self._transposed, self._eye, self._pad, self._phi_eye, self._unit, self._y0):
             arr.setflags(write=False)
 
 
-@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def _geometry(m: int, n: int, l: int, density: bytes) -> _Geometry:
-    """The shared `_Geometry` of level l on legs (m, n), keyed on the exact
-    entries of rho's density (the bytes of the complex n x n array), so a
-    new `Functional` with the same density finds it."""
-    return _Geometry(m, n, l, np.frombuffer(density, dtype=complex).reshape(n, n))
+_geometry = functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)(_Geometry)
+
+
+class _Congruence:
+    """The map from the problem under rho to the one solved under the trace,
+    for one density D at (m, n, l).  With c = trace(D) / n and E = D / c,
+    Phi_rho = c^(l-1) Phi_E, and the congruence by I_m (x) E^{(1/2)(x)l}
+    keeps PSD and S_l-invariance and carries Phi_E to Phi_trace, so a is
+    level-l extendable under rho exactly when a_s = a' / c^l = S a S is
+    under the trace, S = `root` = I_m (x) E^(1/2) / c^((l-1)/2).  A
+    certificate Y' maps to S Y' S, a witness by `inverse_blocks`, built on
+    the first witness try.  E^(+-1/2) come off a diagonal D, else one eigh."""
+
+    def __init__(self, density: bytes, m: int, l: int):
+        n = math.isqrt(len(density) // 16)  # complex128 entries
+        d = np.frombuffer(density, dtype=complex).reshape(n, n)
+        c = float(np.trace(d).real) / n
+        diagonal = not np.count_nonzero(d - np.diag(np.diagonal(d)))
+        w, v = (np.diagonal(d).real / c, np.eye(n)) if diagonal else np.linalg.eigh(d / c)
+        self.m, self.l, self._inverse_root = m, l, (v / np.sqrt(w)) @ v.conj().T
+        self.root = np.kron(np.eye(m), (v * np.sqrt(w)) @ v.conj().T) / c ** ((l - 1) / 2)
+        self.root.setflags(write=False)
+
+    @functools.cached_property
+    def inverse_blocks(self) -> np.ndarray:
+        """The I_m (x) pi_lambda(E^(-1/2)) as a zero-padded block stack: one
+        walk of the copy chain (`symmetry._power_blocks`)."""
+        m, l = self.m, self.l
+        pis = [pi for lam, pi in _power_blocks(self._inverse_root, l) if lam.size == l]
+        side = m * max(map(len, pis))
+        out = np.zeros((len(pis), side, side), dtype=complex)
+        for k, pi in enumerate(pis):
+            out[k, : m * len(pi), : m * len(pi)] = np.kron(np.eye(m), pi)
+        out.setflags(write=False)
+        return out
+
+
+_congruence = functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)(_Congruence)
 
 
 class ExtensionProblem:
     """The level-l sub-extension search for one (a, rho, l).
 
+    It runs under the trace, on a_s = S a S (`_Congruence`), for D = cI the
+    problem of a under rho itself, X for X; its answers are mapped back and
+    judged against a under rho (`witness`, `_certified`).
+
     The search runs in Schur-Weyl block coordinates.  An S_l-invariant b on
     legs [m, n, ..., n] is a direct sum over the partitions lambda of l with
-    at most n rows of blocks B_lambda (x) I_hook(lambda), B_lambda on
-    m (x) V_lambda.  The variable for lambda is
-    X_lambda = sqrt(hook(lambda)) (I_m (x) W)^T b (I_m (x) W), with W the
-    copy basis of lambda (`symmetry.copy_basis`), of side m * weyl(lambda);
-    no W is read here, and the blocks are sliced by their sides.  The
-    sqrt(hook) weights make the Euclidean norm of the X equal the Frobenius
-    norm of b, so the metric projections on the blocks are those on b.  The
-    blocks are stored as one zero-padded stack of shape `shape` =
-    (k, s, s), with X_lambda in the top-left corner of slice lambda and
-    s = m * max weyl.
+    at most n rows of blocks B_lambda (x) I_hook(lambda), and the variable
+    for lambda is X_lambda = sqrt(hook(lambda)) (I_m (x) W)^T b (I_m (x) W),
+    W the copy basis of lambda (never formed here), of side m weyl(lambda).
+    The weights make the Euclidean norm of the X the Frobenius norm of b,
+    so the metric projections on the blocks are those on b.  The blocks are
+    one zero-padded stack of shape `shape` = (k, s, s), X_lambda in the
+    top-left corner of slice lambda and s = m * max weyl.
 
-    `geometry` and the attributes copied from it (`shape`, `_kh`, `_gi`,
-    `_idx`, `_weights`, `_q`, and what the barrier search reads: `_units`,
-    `_transposed`, `_eye`, `_pad`, `_rows`, `_phi_eye`, `_y0`)
-    are built once per (m, n, l, rho density)
-    and process (`_geometry`) and shared by every problem there; their
-    arrays are read-only.  Only `a`, `_a_blocks` and `_z0` (and the scalar
-    `_k_floor`) are built here.
+    `geometry`, whose attributes are copied here, is shared by every
+    problem at (m, n, l), and `congruence` by those under one density.
+    Only `a`, `_a_blocks` (a_s in m-blocks) and `_z0` are built here.
     """
 
     def __init__(self, a: LeggedOperator, rho: Functional, l: int):
@@ -437,14 +457,12 @@ class ExtensionProblem:
         check_level(l, "l", 1)
         m, n = a.legs
         _require_dimension(rho, n)
-        self.a = a
-        self.rho = rho
-        self.l = l
-        self.m, self.n = m, n
-        self._k_floor = rho.least_eig ** (l - 1)  # K(I) >= _k_floor * I
-        self.geometry = _geometry(m, n, l, rho.density.tobytes())
+        self.a, self.rho, self.l, self.m, self.n = a, rho, l, m, n
+        self.geometry = _geometry(m, n, l)
         vars(self).update(vars(self.geometry))
-        self._a_blocks = a.entries.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+        self.congruence = _congruence(rho.density.tobytes(), m, l)
+        a_s = self.congruence.root @ a.entries @ self.congruence.root
+        self._a_blocks = a_s.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
         self._z0 = self._k(self._a_blocks @ self._gi.T)
 
     def _phi(self, x: np.ndarray) -> np.ndarray:
@@ -452,9 +470,9 @@ class ExtensionProblem:
         return x.reshape(-1)[self._idx] @ self._kh.T
 
     def _k(self, y: np.ndarray) -> np.ndarray:
-        """K(y) = Sym(y (x) D^{(x)(l-1)}) of y in m-blocks, as a block stack."""
+        """K(y) = Sym(y (x) I^{(x)(l-1)}) of y in m-blocks, as a block stack."""
         out = np.zeros(self.shape, dtype=complex)
-        out.reshape(-1)[self._idx] = y @ self._kh.conj()
+        out.reshape(-1)[self._idx] = y @ self._kh
         return out
 
     def _blocks(self, x: np.ndarray) -> list[np.ndarray]:
@@ -485,40 +503,37 @@ class ExtensionProblem:
         """A separating functional read off a block stack (`_certified`):
         the solver's first check, on step = z0 - c, c the PSD part of z0.
 
-        Y is the Hermitian part of the least-squares solution of
-        K(Y) = -step, G^{-1} Phi(-step).  For step = z0 - c, K(Y) =
+        Y' is the Hermitian part of the least-squares solution of
+        K(Y') = -step, G^{-1} Phi(-step).  For step = z0 - c, K(Y') =
         Pi(c - z0), Pi the orthogonal projector onto range(K): the negative
-        part of z0, which is PSD, projected onto range(K), and on most
-        clearly infeasible inputs Y already separates.  A shift eps I only
-        raises trace(Y a), so a Y with trace(Y a) >= 0 is rejected at once.
-        Otherwise one eigvalsh of the stack gives the least eigenvalue of
-        K(Y) (block eigenvalue over its sqrt(hook) weight), and since
-        K(I) >= lambda_min(D)^{l-1} I, the shift
-        eps = max(0, -that) / lambda_min(D)^{l-1} makes K(Y + eps I) PSD.
-        Y + eps I then gets the barrier search's rule (`_certified`).
+        part of z0, which is PSD, projected onto range(K).  A shift eps I
+        only raises trace(Y' a_s), so a Y' with trace(Y' a_s) >= 0 is
+        rejected at once; otherwise, as K(I) = I, eps = max(0, -least
+        eigenvalue of K(Y')), one eigvalsh, makes K(Y' + eps I) PSD.
         """
-        m, n = self.m, self.n
         y = self._hermitian_part(-self._phi(step) @ self._gi.T)
-        if np.vdot(self._a_blocks, y).real >= 0:  # trace(Y a)
+        if np.vdot(self._a_blocks, y).real >= 0:  # trace(Y' a_s)
             return None
         least = (np.linalg.eigvalsh(self._k(y))[:, 0] / self._weights).min()
-        eps = max(0.0, -float(least)) / self._k_floor
-        eye = (np.eye(m)[:, :, None, None] * np.eye(n)).reshape(m * m, n * n)  # I, in m-blocks
-        return self._certified(y + eps * eye)
+        return self._certified(y + max(0.0, -float(least)) * self._unit)
 
     def _certified(self, y: np.ndarray) -> Optional[tuple[LeggedOperator, float, float]]:
-        """The one certificate rule, for a Hermitian Y in m-blocks with K(Y)
-        PSD: (Y as an operator on m (x) n, margin, t_upper) when the margin
-        trace(Y a) / (||Y|| trace(a)) is below -CERTIFICATE_RTOL, else None.
-        Then every feasible b would give 0 <= <K(Y), b> = trace(Y a) < 0.
-        t_upper = trace(Y a) / <Phi(J), Y> = trace(Y a) / trace K(Y) bounds
-        t* from above: X >= t J gives trace(Y a) = <K(Y), X> >= t trace K(Y)."""
-        m, n = self.m, self.n
+        """The one certificate rule, for a Hermitian Y' in m-blocks with
+        K(Y') PSD: (Y, margin, t_upper) when trace(Y' a_s) < 0 and the
+        margin trace(Y a) / (||Y|| trace(a)) of Y = S Y' S, formed only then,
+        on m (x) n in the caller's coordinates, is below -CERTIFICATE_RTOL,
+        else None.  Then Sym(Y (x) D^{(x)(l-1)}), a congruence of K(Y'), is
+        PSD, and every feasible b would give 0 <= trace(Y Phi(b)) =
+        trace(Y a) < 0.  t_upper = trace(Y' a_s) / trace K(Y') bounds t* from
+        above: X >= t J gives <K(Y'), X> >= t trace K(Y')."""
         value = float(np.vdot(self._a_blocks, y).real)
-        margin = value / (float(np.linalg.norm(y)) * float(self.a.trace().real))
+        if value >= 0:
+            return None
+        m, n, a, s = self.m, self.n, self.a, self.congruence.root
+        y_mat = s @ y.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n) @ s
+        margin = float(np.vdot(y_mat, a.entries).real / (np.linalg.norm(y_mat) * a.trace().real))
         if margin >= -CERTIFICATE_RTOL:
             return None
-        y_mat = y.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
         return LeggedOperator(y_mat, (m, n)), margin, value / float(np.vdot(self._phi_eye, y).real)
 
     def _hermitian_part(self, y: np.ndarray) -> np.ndarray:
@@ -532,33 +547,32 @@ class ExtensionProblem:
         primal estimate of the barrier search), with its marginal
         defect: the one place a witness is accepted.
 
-        b = project_affine(c) meets Phi(b) = a to rounding, and its PSD part
-        w (one batched eigh of the stack) is PSD and S_l-invariant by
-        construction.  Since w - b is the negative part of b and Phi is
-        positive, Phi(w) - a = Phi(w - b) is PSD, so the first thing to check
-        is its size.  Returns (w, |Phi(w) - a|max / |a|max) when
-        |Phi(w) - a|max <= tol |a|max and w passes `validate_witness` at
-        10 tol, else None.
+        b' = project_affine(c) meets Phi(b') = a_s to rounding, and its PSD
+        part w' (one batched eigh of the stack) is PSD and S_l-invariant by
+        construction, and Phi(w') - a_s = Phi(w' - b') is PSD, so only its
+        size is checked.  When |Phi(w') - a_s|max <= tol |a_s|max, w' is
+        mapped back (`_Congruence`), and w goes through `validate_witness`
+        at 10 tol.  Returns (w, that defect) when both hold, else None.
         """
         w = psd_part(self.project_affine(c))
         a_max = float(np.abs(self._a_blocks).max())
         dev = float(np.abs(self._phi(w) - self._a_blocks).max())
-        if dev > tol * a_max or not self.validate_witness(w, 10 * tol):
-            return None
-        return w, dev / a_max if a_max > 0 else 0.0
+        if dev <= tol * a_max:
+            w = self.congruence.inverse_blocks @ w @ self.congruence.inverse_blocks
+            if self.validate_witness(w, 10 * tol):
+                return w, dev / a_max if a_max > 0 else 0.0
+        return None
 
     def validate_witness(self, x: np.ndarray, tol: float) -> bool:
         """Whether the b of a block stack has |Phi(b) - a|max <= tol |a|max
         (the anchor, without which b = 0 would pass), and is PSD with
         Phi(b) <= a: one `linalg._first_non_psd` call over two groups, the
         blocks of b (side m n^l, as for a sequence) and the Hermitian part
-        of a - Phi(b) (side m n).  b is S_l-invariant by construction.
-        Phi = P^{l-1} runs `transition_blocks` down to level 1, whose one
-        block is the marginal: not through `_kh`, which `witness` reads, and
-        with no matrix of side m n^l.  The Loewner check reads only the
-        Hermitian part: the anti-Hermitian part of the marginal, the rounding
-        of a witness far larger than a (under a functional with a small
-        eigenvalue), is at most tol |a|max by the anchor check."""
+        of a - Phi(b) (side m n).  Phi = P^{l-1} under rho runs
+        `transition_blocks` down to level 1, with no matrix of side m n^l.
+        The Loewner check reads only the Hermitian part: the anti-Hermitian
+        part of the marginal, the rounding of a witness far larger than a,
+        is at most tol |a|max by the anchor check."""
         blocks = marg = self._blocks(x)
         for k in range(self.l, 1, -1):
             marg = transition_blocks(marg, self.m, self.n, k, self.rho.density)
@@ -570,10 +584,8 @@ class ExtensionProblem:
 
     def _inverse(self, y: np.ndarray) -> Optional[np.ndarray]:
         """Z = K(y)^{-1} on the active corners, zero-padded, or None when a
-        Cholesky factorization shows that K(y) is not positive definite.
-        The padding gets the identity first, so the stack factors and
-        inverts as a whole, and the padding of the inverse is that identity
-        again."""
+        Cholesky factorization shows that K(y) is not positive definite; the
+        padding gets the identity, so the stack factors and inverts whole."""
         k_y = self._k(y) + self._pad
         try:
             np.linalg.cholesky(k_y)
@@ -629,7 +641,8 @@ class ExtensionProblem:
 
     def barrier_search(self, tol: float, steps: int, history: list) -> tuple:
         """The dual of the search by a log-barrier method (Boyd and
-        Vandenberghe, *Convex Optimization*, 2004, section 11).
+        Vandenberghe, *Convex Optimization*, 2004, section 11), on the
+        solved problem: a below is a_s, Phi and K are under the trace.
 
         Primal: max t s.t. Phi(X) = a and X >= t J, J the identity of the
         active corners; a is level-l extendable exactly when t* >= 0.  Dual:
@@ -637,7 +650,7 @@ class ExtensionProblem:
         Hermitian Y on m (x) n, (m n)^2 real coordinates whatever l is.  For
         a barrier weight mu the search takes damped Newton steps on
         trace(Y a) / mu - sum_lambda log det K_lambda(Y) under the equality,
-        from Y = I scaled to it and mu = trace(Y a) / `_rows`: step
+        from Y = I scaled to it (`_y0`) and mu = trace(Y a) / `_rows`: step
         1 / (1 + delta) while the decrement delta is at least
         DAMPED_DECREMENT, and mu / BARRIER_SHRINK after a step with delta
         below CENTRED_DECREMENT.  Every iterate is Hermitian, rescaled onto
@@ -676,9 +689,7 @@ class ExtensionProblem:
         m, n = self.m, self.n
         a, c = self._a_blocks, self._phi_eye
         y = self._y0
-        z = self._inverse(y)
-        if z is None:  # K(I) >= lambda_min(D)^(l-1) I is too close to singular
-            return "max_iterations", None, None, None
+        z = self._inverse(y)  # K(y0) is a positive multiple of the identity
         upper = float(np.vdot(a, y).real)
         mu = upper / self._rows
         lower = None
@@ -744,8 +755,8 @@ def sub_extension_feasibility(
 
     The search solves for a / tr(a), so its residuals and tolerance are
     relative to the normalized problem and a verdict does not depend on the
-    overall scale of a.  The iterates are block stacks (`ExtensionProblem`),
-    so invariance is built in.
+    overall scale of a.  It runs under the trace (`ExtensionProblem`) on
+    block stacks, so invariance is built in.
 
     The first check reads both answers off z0 = project_affine(0), the
     least-norm b with Phi(b) = a, and its PSD part c = psd_part(z0), in

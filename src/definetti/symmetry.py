@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -369,22 +369,17 @@ def transition_blocks(
     return out
 
 
-def chain_blocks(n: int, l: int, seed: np.ndarray, grow: Callable) -> Iterator:
-    """(lam, C^T grow(x_mu) C) for each partition lam of 1, ..., l with at most
-    n rows, level by level in `level_layout` order: the one place where
-    Schur-Weyl blocks grow.  mu is lam's parent on the copy chain, x_mu its
-    block (`seed` for mu = ()), C its branching W_lam = (W_mu (x) I_n) C
-    (`_copy_chain`).  If grow(x_mu) = (W_mu (x) I_n)^T A (W_mu (x) I_n), the
-    block is W_lam^T A W_lam, and no n^l rows are formed: grow(x) = x (x) t
-    from [[1]] gives pi_lam(t) = W^T t^{(x)l} W.  Only the previous level is
-    kept.  Siblings are adjacent in `level_layout` order (mu plus a box in
-    its last row, then mu plus a new row), so grow runs once per parent
-    with only one grown parent held at a time; blocks are read-only, as
-    their children grow from them.
-    """
+def _power_blocks(t: np.ndarray, l: int) -> Iterator:
+    """(lam, pi_lam(t) = W^T t^{(x)l} W) for each partition lam of 1, ..., l
+    with at most n rows, t n x n, level by level in `level_layout` order,
+    read-only and lazily: pi_lam(t) = C^T (pi_mu(t) (x) t) C from
+    pi_() = [[1]], mu lam's parent and C its branching (`_copy_chain`), so
+    no n^l rows are formed.  Siblings are adjacent in that order, so each
+    parent grows once, and only the previous level is kept."""
+    n = t.shape[0]
     if n < 1:
-        raise ValueError(f"chain_blocks needs n >= 1, got n={n}")
-    level = {(): seed}
+        raise ValueError(f"_power_blocks needs n >= 1, got n={n}")
+    level = {(): np.eye(1)}
     for k in range(1, l + 1):
         prev, level, parent, grown = level, {}, None, None
         for lam, _, _ in level_layout(n, k):
@@ -393,17 +388,10 @@ def chain_blocks(n: int, l: int, seed: np.ndarray, grow: Callable) -> Iterator:
                 # drop the last grown parent before growing the next, so
                 # one is held at a time
                 parent, grown = step.parent, None
-                grown = grow(prev[parent])
+                grown = _kron(prev[parent], t)
             block = level[lam.parts] = step.branching.T @ grown @ step.branching
             block.setflags(write=False)
             yield lam, block
-
-
-def _power_blocks(t: np.ndarray, l: int) -> Iterator:
-    """(lam, pi_lam(t) = W^T t^{(x)l} W) for each partition lam of 1, ..., l
-    with at most n rows, t n x n: `chain_blocks` growing x (x) t from [[1]],
-    lazily, so a caller that stops early grows no further level."""
-    return chain_blocks(t.shape[0], l, np.eye(1), lambda x: _kron(x, t))
 
 
 def isotypic_projector(n: int, l: int, lam: Partition) -> LeggedOperator:

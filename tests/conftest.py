@@ -3,12 +3,13 @@
 import base64
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
 import pytest
 
-from definetti import LeggedOperator, Symmetrizer
+from definetti import Functional, LeggedOperator, Symmetrizer
 from definetti import boundary, cli, hierarchy, serialize, symmetry
 from definetti.hierarchy import (
     BARRIER_SHRINK,
@@ -113,6 +114,24 @@ def dense_generators(w, n, l):
         wt = w.reshape(n**j, n, n ** (l - 1 - j), d)
         out += np.einsum("rask,rbsm->abkm", wt, wt)
     return out.reshape(n * n, d, d)
+
+
+def congruence_root(density, m, l):
+    """S = I_m (x) E^(1/2) / c^((l-1)/2), c = trace(D) / n and E = D / c, by
+    a dense eigh of E: the problem under rho at level l is the problem of
+    S a S under the trace."""
+    c = np.trace(density).real / density.shape[0]
+    w, v = np.linalg.eigh(density / c)
+    return np.kron(np.eye(m), (v * np.sqrt(w)) @ v.conj().T) / c ** ((l - 1) / 2)
+
+
+def solved_problem(prob):
+    """The problem that an `ExtensionProblem` solves, as the attributes the
+    dense references read: S a S under the trace (`congruence_root`)."""
+    s = congruence_root(prob.rho.density, prob.m, prob.l)
+    return SimpleNamespace(
+        m=prob.m, n=prob.n, l=prob.l, rho=Functional.trace(prob.n), a=LeggedOperator(s @ prob.a.entries @ s, prob.a.legs)
+    )
 
 
 def dense_sym(prob):

@@ -35,6 +35,7 @@ from definetti.symmetry import MAX_LEVEL, level_layout, schur_weyl_block
 
 from conftest import (
     DenseSolver,
+    congruence_root,
     copy_bases,
     dense_gram_rows,
     dense_phi,
@@ -44,8 +45,10 @@ from conftest import (
     dense_validate_witness,
     forbid_enumeration,
     phi_star,
+    rand_hermitian,
     rand_psd,
     random_separable,
+    solved_problem,
     tensor_power,
     to_blocks,
     to_dense,
@@ -306,18 +309,50 @@ def _random_invariant(prob, rng):
 
 @pytest.mark.parametrize("m, n, l", [(3, 2, 3), (2, 3, 3)])
 def test_project_affine_per_block(rng, m, n, l):
-    # m != n: a reshape that mixes the m-blocks with the n-legs shows here
+    # m != n: a reshape that mixes the m-blocks with the n-legs shows here.
+    # The solver's stacks live in the problem it solves under the trace,
+    # which the dense references rebuild from rho's density
     rho = Functional.random_faithful(n, rng)
     a = LeggedOperator(rand_psd(m * n, rng), (m, n))
     prob = ExtensionProblem(a, rho, l)
+    solved = solved_problem(prob)
     b = _random_invariant(prob, rng)
     out_blocks = prob.project_affine(to_blocks(prob, b))
     out = to_dense(prob, out_blocks)
     scale = np.abs(out).max()
+    a_s = solved.a
     assert np.abs(dense_sym(prob).apply_matrix(out) - out).max() < 1e-12 * scale
-    assert np.abs(dense_phi(prob, out) - a.entries).max() < 1e-10 * max(1.0, a.norm_max())
+    assert np.abs(dense_phi(solved, out) - a_s.entries).max() < 1e-10 * max(1.0, a_s.norm_max())
     assert np.abs(prob.project_affine(out_blocks) - out_blocks).max() < 1e-10 * scale
-    assert np.abs(out - DenseSolver(prob).project_affine(b)).max() < 1e-10 * scale
+    assert np.abs(out - DenseSolver(solved).project_affine(b)).max() < 1e-10 * scale
+
+
+@pytest.mark.parametrize("m, n, l", [(2, 2, 3), (3, 2, 3), (2, 3, 3), (2, 2, 6)])
+def test_the_congruence_carries_rho_to_the_trace(rng, m, n, l):
+    # a = Phi_rho(b) for an invariant PSD b: the solved problem is a_s =
+    # S a S under the trace, met by b' = T b T, T = I_m (x) E^{(1/2)(x)l}
+    # (`congruence_root`); its blocks map back to those of b, and a
+    # certificate Y' maps to S Y' S with trace(S Y' S a) = trace(Y' a_s)
+    rho = Functional.random_faithful(n, rng)
+    prob = ExtensionProblem(LeggedOperator(np.eye(m * n), (m, n)), rho, l)
+    b = _random_invariant(prob, rng)
+    b = b @ b.conj().T
+    a = LeggedOperator(dense_phi(prob, b), (m, n))
+    prob = ExtensionProblem(a, rho, l)
+    s = congruence_root(rho.density, m, l)
+    assert np.abs(prob.congruence.root - s).max() <= 1e-12 * np.abs(s).max()
+    half = LeggedOperator(congruence_root(rho.density, 1, 1), (n,))  # E^(1/2)
+    t = np.kron(np.eye(m), tensor_power(half, l).entries)
+    x = to_blocks(prob, t @ b @ t)
+    a_max = np.abs(prob._a_blocks).max()
+    assert np.abs(prob._phi(x) - prob._a_blocks).max() <= 1e-10 * a_max
+    back = prob.congruence.inverse_blocks @ x @ prob.congruence.inverse_blocks
+    assert np.abs(back - to_blocks(prob, b)).max() <= 1e-10 * np.abs(b).max()
+    y = rand_hermitian(m * n, rng)
+    y_blocks = y.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    mapped = s @ y @ s
+    want = np.vdot(prob._a_blocks, y_blocks)
+    assert abs(np.trace(mapped @ a.entries) - want) <= 1e-10 * np.abs(mapped).max() * a.norm_max()
 
 
 @pytest.mark.parametrize("m, n, l", [(2, 2, 1), (2, 2, 4), (3, 2, 3), (2, 3, 3), (1, 3, 4)])
@@ -380,15 +415,18 @@ def test_project_affine_is_the_gram_projection(rng, m, n, l):
 
 @pytest.mark.parametrize("m, n, l", PARITY_CASES)
 def test_block_solver_matches_dense_replay(m, n, l):
+    # under a random functional the block solver solves the congruent
+    # problem under the trace and the dense replay solves under rho itself,
+    # so their iterates differ: the verdicts agree, and the witness passes
+    # the dense reference check under rho
     rng = np.random.default_rng(100 * m + 10 * n + l)
     rho = Functional.random_faithful(n, rng)
     a = LeggedOperator(rand_psd(m * n, rng), (m, n))
     report = sub_extension_feasibility(a, rho, l)
     dense = DenseSolver(ExtensionProblem(a * (1 / a.trace().real), rho, l))
-    verdict, iterations = dense.solve(SolverOptions())
-    assert (report.verdict, report.iterations) == (verdict, iterations)
-    # the residuals too, to the rounding of dense against block arithmetic
-    assert np.allclose(report.residual_history, dense.history, rtol=1e-5, atol=0)
+    verdict, _ = dense.solve(SolverOptions())
+    assert report.verdict == verdict == "feasible"
+    assert dense_validate_witness(ExtensionProblem(a, rho, l), report.witness, 1e-6)
 
 
 def test_block_solver_matches_dense_replay_on_a_flat_residual():
@@ -415,11 +453,15 @@ CERTIFICATE_IDS = ["werner-0.9@3", "bell@2", "werner-0.501@4", "bell@3-random-rh
 
 @pytest.mark.parametrize("a, l, random_rho", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
 def test_block_solver_matches_dense_replay_on_certificates(rng, a, l, random_rho):
+    # under a scalar rho both solve the same problem, step for step; under a
+    # random one the verdicts agree and the certificate is checked under rho
     rho = Functional.random_faithful(2, rng) if random_rho else RHO
     report = sub_extension_feasibility(a, rho, l)
     verdict, iterations = DenseSolver(ExtensionProblem(a, rho, l)).solve(SolverOptions())
-    assert (report.verdict, report.iterations) == (verdict, iterations)
-    assert report.verdict == "infeasible_at_tolerance"
+    assert report.verdict == verdict == "infeasible_at_tolerance"
+    _check_certificate(report, a, rho, l)
+    if not random_rho:
+        assert report.iterations == iterations
 
 
 def _certificate_steps(prob, steps=50):
@@ -433,9 +475,9 @@ def _certificate_steps(prob, steps=50):
 
 
 def _assert_block_accepts_dense_certificates(prob):
-    # the dense check has no diagonal screen: whatever it accepts, the block
-    # check must accept too
-    dense = DenseSolver(prob)
+    # the dense check has no diagonal screen: whatever it accepts on the
+    # problem the block solver solves, the block check must accept too
+    dense = DenseSolver(solved_problem(prob))
     accepted = 0
     for step in _certificate_steps(prob):
         if dense.certificate(to_dense(prob, step)) is not None:
@@ -488,24 +530,28 @@ def test_the_first_check_reads_the_reflected_step_off_z0(rng, m, n, l):
 
 @pytest.mark.parametrize("a, l, random_rho", CERTIFICATE_CASES, ids=CERTIFICATE_IDS)
 def test_the_first_check_certifies_as_the_reflected_step_does(rng, a, l, random_rho):
+    # under the trace the first check's shift is exact, and it certifies
+    # all four, Bell at l = 3 under a random functional too
     rho = Functional.random_faithful(2, rng) if random_rho else RHO
-    certified = _assert_first_check_matches_the_reflected_step(ExtensionProblem(a, rho, l))
-    assert certified == (not random_rho)
+    assert _assert_first_check_matches_the_reflected_step(ExtensionProblem(a, rho, l))
 
 
 # -- the shared solver geometry ------------------------------------------------
 
 
 def test_problems_at_one_level_share_one_geometry(rng):
-    # keyed on the density's entries: a new Functional with the same density
-    # finds the same geometry, another level or functional does not
+    # keyed on (m, n, l) alone: every functional at one level finds the same
+    # geometry, another level does not.  The congruence is keyed on the
+    # density's entries too: a new Functional with the same density finds it
     rho = Functional.random_faithful(2, rng)
     first = ExtensionProblem(werner_element(0.3), rho, 4)
     second = ExtensionProblem(bell_projector(), Functional(rho.density.copy()), 4)
-    assert second.geometry is first.geometry
+    assert second.geometry is first.geometry and second.congruence is first.congruence
     assert second._q is first._q and second._weights is first._weights
     assert ExtensionProblem(werner_element(0.3), rho, 3).geometry is not first.geometry
-    assert ExtensionProblem(werner_element(0.3), RHO, 4).geometry is not first.geometry
+    for other in (RHO, Functional.trace(2), Functional(np.diag([1e-3, 1.0]))):
+        prob = ExtensionProblem(werner_element(0.3), other, 4)
+        assert prob.geometry is first.geometry and prob.congruence is not first.congruence
     assert second._z0 is not first._z0
 
 
@@ -528,15 +574,14 @@ def test_a_rebuilt_geometry_is_bit_identical(rng, m, n, l):
 
 
 def test_a_cold_geometry_holds_few_dense_matrices():
-    # the Gram rows grow along the copy chain, weyl(lambda) wide, and the
-    # affine projector is kept as two n^2-row factors, so with the copy
+    # the Gram rows are the copy chain's generators, weyl(lambda) wide, and
+    # the affine projector is kept as two n^2-row factors, so with the copy
     # chain warm a cold build at (m, n, l) = (2, 3, 6) peaks below one
     # complex 3^6 x 3^6 matrix (the n^2 = 9 dense K(e_j) would be 9 of them)
-    rho = Functional.random_faithful(3, np.random.default_rng(5))
     copy_bases(3, 6)
     tracemalloc.start()
     try:
-        hierarchy._Geometry(2, 3, 6, rho.density)
+        hierarchy._Geometry(2, 3, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -546,10 +591,9 @@ def test_a_cold_geometry_holds_few_dense_matrices():
 @pytest.mark.parametrize("m, n, l", [(2, 2, 1), (2, 2, 8), (2, 3, 5), (3, 3, 4), (2, 4, 3)])
 def test_gram_rows_equal_the_dense_definition(rng, m, n, l):
     # row j is sqrt(hook) conj(W^T Sym(e_j (x) D^(l-1)) W).flat over the
-    # blocks, whatever the recursion that builds it
-    rho = Functional.random_faithful(n, rng)
-    want = dense_gram_rows(n, l, rho.density)
-    got = hierarchy._Geometry(m, n, l, rho.density)._kh
+    # blocks, with D = I: the solver's functional is the trace
+    want = dense_gram_rows(n, l, np.eye(n))
+    got = hierarchy._Geometry(m, n, l)._kh
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -943,11 +987,13 @@ def test_rank_four_mixtures_on_2x3_are_witnessed_within_a_hundred_iterations(see
 
 
 def test_the_report_brackets_t_star():
-    # t_lower <= t* <= t_upper in the units of a, with t* >= 0 exactly when a
+    # t_lower <= t* <= t_upper, t* that of the solved problem (t* of a under
+    # rho when rho is a multiple of the trace), with t* >= 0 exactly when a
     # is level-l extendable; a certificate of the first check gives t_upper
-    # and no t_lower
+    # and no t_lower.  Bell at l = 3 under this functional is certified by
+    # the first check; Werner 0.8 takes Newton steps
     random_rho = Functional.random_faithful(2, np.random.default_rng(101))
-    for a, rho, l, want in ((bell_projector(), random_rho, 3, "infeasible_at_tolerance"),
+    for a, rho, l, want in ((werner_element(0.8), random_rho, 3, "infeasible_at_tolerance"),
                             (werner_element(0.499), RHO, 4, "feasible")):
         report = sub_extension_feasibility(a, rho, l)
         assert report.verdict == want and report.iterations > 1
@@ -1048,8 +1094,8 @@ def _bound_of_iterate(prob, y):
 @pytest.mark.parametrize(
     "a, rho, l, want",
     [(werner_element(0.499), RHO, 4, "feasible"),
-     (bell_projector(), Functional.random_faithful(2, np.random.default_rng(101)), 3, "infeasible_at_tolerance")],
-    ids=["werner-0.499@4", "bell@3-random-rho"],
+     (werner_element(0.8), Functional.random_faithful(2, np.random.default_rng(101)), 3, "infeasible_at_tolerance")],
+    ids=["werner-0.499@4", "werner-0.8@3-random-rho"],
 )
 def test_every_barrier_iterate_bounds_t_star_from_below(monkeypatch, a, rho, l, want):
     # at each dual iterate the estimate X(s+) at the larger root of
@@ -1140,21 +1186,49 @@ def test_a_singular_newton_system_ends_as_max_iterations(monkeypatch):
     assert report.witness is None and report.certificate is None
 
 
-def test_a_start_that_does_not_factor_ends_as_max_iterations():
-    # the barrier's start limit: under D = diag(1e-3, 1), K(I) >= 1e-3^(l-1) I.
-    # At l = 8 the start K(I) fails its Cholesky factorization, so the
-    # search returns at once; the answer is max_iterations, never a wrong
-    # verdict, and carries no bracket.  At l = 5 the same input is witnessed
-    rho = Functional(np.diag([1e-3, 1.0]))
+def test_a_skewed_functional_is_solved_under_the_trace():
+    # the solver works on the congruent problem under the trace, so a
+    # density with a small eigenvalue never enters its geometry.  Werner
+    # 0.45 under D = diag(1e-3, 1) is witnessed up to l = 6 (a geometry
+    # built on D broke down after 75 Newton steps at l = 6 and could not
+    # start at l = 8), each witness checked by the dense reference under
+    # rho.  At l = 8 the witnesses mapped back to rho's coordinates have
+    # entries near 1e19, whose rounding fails the check under rho: the
+    # solve is never a wrong verdict, and its bracket shows t* > 0
     a = werner_element(0.45)
-    prob = ExtensionProblem(a * (1 / a.trace().real), rho, 8)
-    assert prob._inverse(prob._y0) is None
+    rho = Functional(np.diag([1e-3, 1.0]))
+    for l in range(2, 7):
+        report = sub_extension_feasibility(a, rho, l)
+        assert report.verdict == "feasible"
+        assert dense_validate_witness(ExtensionProblem(a, rho, l), report.witness, 1e-6)
     report = sub_extension_feasibility(a, rho, 8)
-    assert (report.verdict, report.stop_reason, report.iterations) == ("max_iterations", "max_iterations", 1)
-    assert report.t_lower is None and report.t_upper is None
-    assert report.witness_blocks is None and report.certificate is None
-    report = sub_extension_feasibility(a, rho, 5)
-    assert (report.verdict, report.iterations) == ("feasible", 10)
+    assert report.verdict != "infeasible_at_tolerance" and report.certificate is None
+    assert 0 < report.t_lower <= report.t_upper
+    # Werner 0.9 under D = diag(0.05, 0.95) is certified at l = 3 and 4, at
+    # l = 4 by the first check; each certificate is checked densely under rho
+    rho = Functional(np.diag([0.05, 0.95]))
+    a = werner_element(0.9)
+    for l in (3, 4):
+        report = sub_extension_feasibility(a, rho, l)
+        _check_certificate(report, a, rho, l)
+    assert report.iterations == 1
+
+
+def test_a_warm_witness_try_walks_no_chain(monkeypatch):
+    # the blocks that map a witness back are built once per density and
+    # level, on the first witness try: a second solve under a new
+    # Functional with the same density walks no copy chain
+    hierarchy._congruence.cache_clear()
+    a, rho = werner_element(0.3), Functional(np.diag([0.3, 0.7]))
+    assert sub_extension_feasibility(a, rho, 4).verdict == "feasible"
+
+    def forbidden(*args):
+        raise AssertionError("_power_blocks called")
+
+    monkeypatch.setattr(hierarchy, "_power_blocks", forbidden)
+    assert sub_extension_feasibility(a, Functional(np.diag([0.3, 0.7])), 4).verdict == "feasible"
+    with pytest.raises(AssertionError, match="_power_blocks"):
+        sub_extension_feasibility(a, rho, 5)
 
 
 def test_zero_element_trivially_feasible():
@@ -1361,15 +1435,15 @@ def test_the_barrier_search_certifies_an_isotropic_state():
     # trace; under this functional it is not level-3 extendable.  The first
     # check does not answer (the Douglas-Rachford loop this solver replaced
     # read a certificate off its step 125 with Anderson mixing, 375 without);
-    # the barrier search certifies within 30 Newton steps, as the dense
-    # replay does
+    # the barrier search certifies within 30 Newton steps, and so does the
+    # dense replay, which solves under rho itself
     rho = Functional.random_faithful(3, np.random.default_rng(4))
     a = isotropic_element(5 / 9 + 1e-3)
     report = sub_extension_feasibility(a, rho, 3)
     assert report.verdict == "infeasible_at_tolerance" and 1 < report.iterations <= 30
     _check_certificate(report, a, rho, 3)
-    assert DenseSolver(ExtensionProblem(a, rho, 3)).solve(SolverOptions()) == (
-        "infeasible_at_tolerance", report.iterations)
+    verdict, iterations = DenseSolver(ExtensionProblem(a, rho, 3)).solve(SolverOptions())
+    assert verdict == "infeasible_at_tolerance" and iterations <= 30
 
 
 def test_residual_history_monotone_tail(rng):

@@ -31,7 +31,7 @@ from definetti.serialize import (
 )
 from definetti.symmetry import (
     _kron,
-    chain_blocks,
+    _power_blocks,
     copy_basis,
     from_schur_weyl_blocks,
     schur_weyl_block,
@@ -347,19 +347,17 @@ def test_a_cold_chain_walk_forms_no_matrix_with_n_to_the_l_rows(monkeypatch, rng
         rows.append(out.shape[-2])
         return out
 
-    for module in (symmetry, hierarchy):
-        monkeypatch.setattr(module, "_kron", kron)
+    monkeypatch.setattr(symmetry, "_kron", kron)
     monkeypatch.setattr(symmetry, "copy_basis", forbidden)
     n = 3
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    density = Functional.random_faithful(n, rng).density
     t = x @ x.conj().T
     t /= 2 * np.trace(t).real
     one = LeggedOperator(np.eye(1), [1])
     reports = []
     for L, walk in [
         (8, lambda: boundary.exponential_test(GroupLike(x @ x.conj().T + np.eye(n)), 8)),
-        (6, lambda: hierarchy._Geometry(2, n, 6, density)),
+        (6, lambda: hierarchy._Geometry(2, n, 6)),
         (8, lambda: hierarchy.validate_k_prefix(boundary.grouplike_sequence(one, GroupLike(t), 8))),
     ]:
         symmetry._copy_chain.cache_clear()
@@ -383,39 +381,40 @@ def test_cached_bases_are_read_only():
 
 @pytest.mark.parametrize("n, L", [(2, 8), (3, 5)])
 def test_chain_blocks_grow_the_irrep_blocks(rng, n, L):
-    # grow = x (x) t from [[1]] gives pi_lam(t) = W^T t^{(x)l} W for every
-    # partition of 1..L, in schur_weyl_table order; a seed stack of two
-    # grows both, each with its own factor
-    ts = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+    # the copy chain's walk `_power_blocks` gives pi_lam(t) = W^T t^{(x)l} W
+    # for every partition of 1..L, in schur_weyl_table order
+    t = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     want = [lam for l in range(1, L + 1) for lam, _, _ in schur_weyl_table(n, l)]
-    walk = list(chain_blocks(n, L, np.ones((2, 1, 1)), lambda x: _kron(x, ts)))
+    walk = list(_power_blocks(t, L))
     assert [lam for lam, _ in walk] == want
-    for lam, blocks in walk:
-        assert blocks.shape == (2,) + (lam.weyl_dimension(n),) * 2
-        assert not blocks.flags.writeable
-        for t, block in zip(ts, blocks):
-            ref = dense_block_compression(GroupLike(t), lam)
-            assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()
+    for lam, block in walk:
+        assert block.shape == (lam.weyl_dimension(n),) * 2
+        assert not block.flags.writeable
+        ref = dense_block_compression(GroupLike(t), lam)
+        assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n, L", [(2, 8), (3, 5)])
-def test_chain_blocks_grow_each_parent_once(rng, n, L):
+def test_chain_blocks_grow_each_parent_once(rng, monkeypatch, n, L):
     # a parent with two children, as (k,) has (k + 1,) and (k, 1), is grown
-    # once; the walk stays lazy, growing nothing past the block it yields
+    # (x (x) t) once; the walk stays lazy, growing nothing past the block it
+    # yields.  Only the growth steps count: a cold chain's own steps call
+    # `_kron` too, on other factors
     t = rng.normal(size=(n, n))
     grown = []
-    walk = chain_blocks(n, L, np.eye(1), lambda x: grown.append(x.shape) or _kron(x, t))
+    kron = symmetry._kron
+    monkeypatch.setattr(symmetry, "_kron", lambda x, y: (y is t and grown.append(x.shape)) or kron(x, y))
     blocks = []
-    for lam, _ in walk:
+    for lam, _ in _power_blocks(t, L):
         blocks.append(lam)
         assert len(grown) == len({(mu.size, symmetry._copy_chain(n, mu.parts).parent) for mu in blocks})
     assert len(grown) < len(blocks)
 
 
 def test_chain_blocks_needs_a_positive_dimension():
-    assert list(chain_blocks(2, 0, np.eye(1), lambda x: x)) == []
+    assert list(_power_blocks(np.eye(2), 0)) == []
     with pytest.raises(ValueError):
-        list(chain_blocks(0, 3, np.eye(1), lambda x: x))
+        list(_power_blocks(np.zeros((0, 0)), 3))
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,6 +25,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 GROUPLIKE_LEVELS = 4  # `boundary --grouplike` prefix length without --levels
+# where the Werner family leaves the PPT states: the least eigenvalue of the
+# partial transpose of werner_element(p) is (1 - 3p) / 4
+PPT_ZERO_CROSSING = 1 / 3
 
 
 def _solver_opts(args) -> hy.SolverOptions:
@@ -90,26 +94,13 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise ValueError(f"invalid grid '{spec}', expected start:stop:step") from exc
-    if step <= 0 or stop < start or not (0 <= start <= 1 and 0 <= stop <= 1):
-        raise ValueError(f"invalid grid '{spec}': need 0 <= start <= stop <= 1, step > 0")
+    if not (0 < step < math.inf and 0 <= start <= stop <= 1):
+        raise ValueError(f"invalid grid '{spec}': need 0 <= start <= stop <= 1, finite step > 0")
     ratio = (stop - start) / step
     count = round(ratio)
     if abs(ratio - count) > 1e-9 * ratio:
         raise ValueError(f"invalid grid '{spec}': step does not divide stop - start")
     return np.linspace(start, stop, count + 1)
-
-
-def _ppt_zero_crossing() -> float:
-    tol = 1e-6  # accuracy of the returned crossing
-    lo, hi = 0.0, 1.0
-    f = lambda p: hy.ppt_min_eig(hy.werner_element(p))
-    while hi - lo > tol / 2:
-        mid = (lo + hi) / 2
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 def cmd_scan_werner(args) -> int:
@@ -128,10 +119,10 @@ def cmd_scan_werner(args) -> int:
                 "ppt_min_eig": report.ppt_min_eig,
             }
         )
-    p_star = _ppt_zero_crossing()
-    out = {"config": _config(args), "rows": rows, "ppt_zero_crossing": p_star}
+    out = {"config": _config(args), "rows": rows, "ppt_zero_crossing": PPT_ZERO_CROSSING}
     flagged = sum(r["verdict"] == "entangled_evidence" for r in rows)
-    _emit(out, args.out, f"scan-werner: {len(rows)} points, {flagged} entangled, p*={p_star:.6f}")
+    summary = f"scan-werner: {len(rows)} points, {flagged} entangled, p*={PPT_ZERO_CROSSING:.6f}"
+    _emit(out, args.out, summary)
     return EXIT_OK
 
 
@@ -164,37 +155,32 @@ def cmd_boundary(args) -> int:
             report["rho_value"] = None
             report["in_e_rho"] = False
         seq = bd.grouplike_sequence(LeggedOperator([[1.0]], [1]), g, levels, rho)
-        validation = hy.validate_k_prefix(seq)
-        subharmonic = validation.ok  # what `subharmonic_check` decides
-        report["subharmonic"] = subharmonic
-        if args.verify_bridge:
-            report["bridge_agrees"] = subharmonic == validation.ok
-        _emit(report, args.out, f"boundary: exponential={exp.is_exponential} subharmonic={subharmonic}")
-        return EXIT_OK
-    opts = _solver_opts(args)
-    seq = io.sequence_from_json(io.load_json(args.bundle))
-    spec = args.rho or "bundle"
-    rho = seq.rho if spec == "bundle" else _load_rho(spec, seq.n)
-    validation = hy.validate_k_prefix(seq.with_rho(rho))
-    subharmonic = validation.ok  # what `subharmonic_check` decides
-    report = {
-        "config": _config(args, tol=opts.tol, max_iter=opts.max_iterations, rho=spec),
-        "subharmonic": subharmonic,
-        "validation": {
+        summary = f"boundary: exponential={exp.is_exponential}"
+    else:
+        opts = _solver_opts(args)
+        seq = io.sequence_from_json(io.load_json(args.bundle))
+        spec = args.rho or "bundle"
+        rho = seq.rho if spec == "bundle" else _load_rho(spec, seq.n)
+        seq = seq.with_rho(rho)
+        report = {"config": _config(args, tol=opts.tol, max_iter=opts.max_iterations, rho=spec)}
+        summary = "boundary:"
+    validation = hy.validate_k_prefix(seq)
+    report["subharmonic"] = validation.ok  # what `subharmonic_check` decides
+    if args.verify_bridge:
+        report["bridge_agrees"] = True  # definitional, as the flag's help says
+    if args.bundle:
+        report["validation"] = {
             "ok": validation.ok,
             "condition": validation.condition,
             "level": validation.level,
             "detail": validation.detail,
-        },
-    }
-    if args.verify_bridge:
-        report["bridge_agrees"] = subharmonic == validation.ok
-    if subharmonic and seq.L >= 1:
-        # `separable_image_check` without its second prefix validation; the
-        # level-1 entry is its one m n block, so no dense entry is rebuilt
-        sep = hy.separability_verdict(seq.entry(1), rho, opts=opts)
-        report["image_check"] = bd.ImageCheckReport(True, sep).to_json()
-    _emit(report, args.out, f"boundary: subharmonic={subharmonic}")
+        }
+        if validation.ok and seq.L >= 1:
+            # `separable_image_check` without its second prefix validation; the
+            # level-1 entry is its one m n block, so no dense entry is rebuilt
+            sep = hy.separability_verdict(seq.entry(1), rho, opts=opts)
+            report["image_check"] = bd.ImageCheckReport(True, sep).to_json()
+    _emit(report, args.out, f"{summary} subharmonic={validation.ok}")
     return EXIT_OK
 
 

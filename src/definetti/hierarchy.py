@@ -582,16 +582,22 @@ class ExtensionProblem:
         groups = [blocks, [(gap + gap.conj().T) / 2]]
         return _first_non_psd(groups, [self.m * self.n**self.l, self.m * self.n], tol) is None
 
-    def _inverse(self, y: np.ndarray) -> Optional[np.ndarray]:
-        """Z = K(y)^{-1} on the active corners, zero-padded, or None when a
-        Cholesky factorization shows that K(y) is not positive definite; the
-        padding gets the identity, so the stack factors and inverts whole."""
-        k_y = self._k(y) + self._pad
+    def _padded_if_factors(self, x: np.ndarray) -> Optional[np.ndarray]:
+        """The stack x with its padding set to the identity, or None when its
+        one Cholesky factorization shows x is not positive definite."""
+        padded = x + self._pad
         try:
-            np.linalg.cholesky(k_y)
+            np.linalg.cholesky(padded)
         except np.linalg.LinAlgError:
             return None
-        return np.linalg.inv(k_y) - self._pad
+        return padded
+
+    def _inverse(self, y: np.ndarray) -> Optional[np.ndarray]:
+        """Z = K(y)^{-1} on the active corners, zero-padded, or None when
+        K(y) does not factor (`_padded_if_factors`); the padded stack
+        inverts whole."""
+        k_y = self._padded_if_factors(self._k(y))
+        return None if k_y is None else np.linalg.inv(k_y) - self._pad
 
     def _hessian(self, z: np.ndarray) -> np.ndarray:
         """The Hessian of -log det K(y) at Z = K(y)^{-1}, from Z in gathered
@@ -628,16 +634,12 @@ class ExtensionProblem:
 
     def _may_be_psd(self, x: np.ndarray, tol: float) -> bool:
         """The screen before a witness try: whether x + eps J, eps = 10 tol
-        max(1, |x|max), has a Cholesky factor (one factorization of the
-        stack, padding set to the identity).  A primal estimate far from
-        the PSD cone fails it and skips the eigh, the affine projection and
-        the checks of `witness`; one that passes still gets all of them."""
+        max(1, |x|max), has a Cholesky factor (`_padded_if_factors`).  A
+        primal estimate far from the PSD cone fails it and skips the eigh,
+        the affine projection and the checks of `witness`; one that passes
+        still gets all of them."""
         eps = 10 * tol * max(1.0, float(np.abs(x).max()))
-        try:
-            np.linalg.cholesky(x + eps * self._eye + self._pad)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        return self._padded_if_factors(x + eps * self._eye) is not None
 
     def barrier_search(self, tol: float, steps: int, history: list) -> tuple:
         """The dual of the search by a log-barrier method (Boyd and

@@ -140,7 +140,7 @@ class LeggedOperator:
         return len(self.legs)
 
     def norm_max(self) -> float:
-        return float(np.abs(self.entries).max()) if self.side else 0.0
+        return float(np.abs(self.entries).max())
 
     def is_hermitian(self) -> bool:
         return _hermitian(self.entries)

@@ -377,8 +377,6 @@ def _power_blocks(t: np.ndarray, l: int) -> Iterator:
     no n^l rows are formed.  Siblings are adjacent in that order, so each
     parent grows once, and only the previous level is kept."""
     n = t.shape[0]
-    if n < 1:
-        raise ValueError(f"_power_blocks needs n >= 1, got n={n}")
     level = {(): np.eye(1)}
     for k in range(1, l + 1):
         prev, level, parent, grown = level, {}, None, None

@@ -102,10 +102,17 @@ def test_scan_werner_grid(tmp_path):
     assert rc == EXIT_OK
     report = json.loads(out.read_text())
     assert len(report["rows"]) == 5
-    assert np.isclose(report["ppt_zero_crossing"], 1 / 3, atol=1e-5)
+    assert report["ppt_zero_crossing"] == 1 / 3
     by_p = {row["p"]: row for row in report["rows"]}
     assert by_p[0.0]["verdict"] == "separable_evidence"
     assert by_p[1.0]["verdict"] == "entangled_evidence"
+
+
+def test_the_ppt_crossing_is_the_root_of_the_closed_form():
+    # scan-werner reports 1/3 without a search: the least eigenvalue of the
+    # Werner partial transpose is (1 - 3p) / 4 on all of [0, 1]
+    for p in np.linspace(0, 1, 21):
+        assert abs(hierarchy.ppt_min_eig(werner_element(p)) - (1 - 3 * p) / 4) <= 1e-15
 
 
 def test_rho_bundle_is_rejected_without_a_bundle(tmp_path, capsys):
@@ -154,12 +161,17 @@ def test_scan_werner_builds_one_geometry_per_level(tmp_path):
     assert (info.misses, info.hits) == (4, 80)
 
 
-def test_scan_werner_bad_grid():
+def test_scan_werner_bad_grid(capsys):
     assert main(["scan-werner", "--grid", "0:2:0.5"]) == EXIT_INPUT
     assert main(["scan-werner", "--grid", "oops"]) == EXIT_INPUT
     # a step that does not divide stop - start is an error, not a new step
     assert main(["scan-werner", "--grid", "0:0.5:0.2"]) == EXIT_INPUT
     assert main(["scan-werner", "--grid", "0:1:0.3"]) == EXIT_INPUT
+    # a non-finite step gets the grid message too
+    capsys.readouterr()
+    for grid in ("0:1:inf", "0:1:nan"):
+        assert main(["scan-werner", "--grid", grid]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: invalid grid '{grid}'")
 
 
 def test_parse_grid_default_has_21_points():

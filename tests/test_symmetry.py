@@ -411,10 +411,17 @@ def test_chain_blocks_grow_each_parent_once(rng, monkeypatch, n, L):
     assert len(grown) < len(blocks)
 
 
-def test_chain_blocks_needs_a_positive_dimension():
+def test_power_blocks_inputs_have_a_positive_dimension():
     assert list(_power_blocks(np.eye(2), 0)) == []
-    with pytest.raises(ValueError):
-        list(_power_blocks(np.zeros((0, 0)), 3))
+    # `_power_blocks` reads the matrix of a group-like t, a functional's
+    # density or an operator's entries, and each rejects side 0 when built
+    for build, what in (
+        (GroupLike, "group-like matrix"),
+        (Functional, "functional density"),
+        (lambda t: LeggedOperator(t, ()), "operator"),
+    ):
+        with pytest.raises(ValueError, match=f"^{what} must be at least 1 x 1$"):
+            build(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize(

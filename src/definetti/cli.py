@@ -28,6 +28,8 @@ GROUPLIKE_LEVELS = 4  # `boundary --grouplike` prefix length without --levels
 # where the Werner family leaves the PPT states: the least eigenvalue of the
 # partial transpose of werner_element(p) is (1 - 3p) / 4
 PPT_ZERO_CROSSING = 1 / 3
+#: the most points a `scan-werner` grid may have: 0:1:0.0001
+MAX_GRID_POINTS = 10_001
 
 
 def _solver_opts(args) -> hy.SolverOptions:
@@ -98,6 +100,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"invalid grid '{spec}': need 0 <= start <= stop <= 1, finite step > 0")
     ratio = (stop - start) / step
     count = round(ratio)
+    if count + 1 > MAX_GRID_POINTS:
+        raise ValueError(f"invalid grid '{spec}': {count + 1} points, at most {MAX_GRID_POINTS}")
     if abs(ratio - count) > 1e-9 * ratio:
         raise ValueError(f"invalid grid '{spec}': step does not divide stop - start")
     return np.linspace(start, stop, count + 1)

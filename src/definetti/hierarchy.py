@@ -266,6 +266,12 @@ class FeasibilityReport:
     trace(a) and read-only, the format of a sequence bundle's entry.  The
     dense b of side m n^l, `witness`, is built from the blocks only when it
     is first read.
+
+    A level that `separability_verdict` derives from a feasible level L > l
+    instead of solving it has `stop_reason` "derived" and `derived_from` =
+    L: its witness is P^(L-l) of level L's, no iteration ran (`iterations`
+    0, an empty `residual_history`, no bracket), and `final_residual` is
+    level L's, the defect of the marginal both witnesses share.
     """
 
     # "feasible" (with a checked witness) | "infeasible_at_tolerance" (with a
@@ -276,14 +282,17 @@ class FeasibilityReport:
     residual_history: tuple[float, ...]
     iterations: int
     level: int
-    stop_reason: str  # "tol" | "certificate" | "max_iterations"
+    stop_reason: str  # "tol" | "certificate" | "max_iterations" | "derived"
     certificate: Optional[LeggedOperator]  # separating functional Y on (m, n)
     certificate_margin: Optional[float]  # trace(Y a) / (||Y|| trace(a)) < 0
     t_lower: Optional[float] = None
     t_upper: Optional[float] = None
-    # (m, n, trace(a), the checked blocks of the problem for a / trace(a)):
-    # `witness` rebuilds these and then scales, since rebuilding the scaled
-    # `witness_blocks` would round differently
+    derived_from: Optional[int] = None  # the solved level of a "derived" report
+    # (m, n, trace(a), chain) with chain the checked blocks of the problem for
+    # a / trace(a) and of their contractions, levels l down to 1
+    # (`ExtensionProblem.validate_witness`): `witness` rebuilds chain[0] and
+    # then scales, since rebuilding the scaled `witness_blocks` would round
+    # differently
     witness_source: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
@@ -293,8 +302,8 @@ class FeasibilityReport:
         m n^l) on first read, then kept."""
         if self.witness_source is None:
             return None
-        m, n, scale, blocks = self.witness_source
-        dense = from_schur_weyl_blocks(blocks, m, n, self.level)
+        m, n, scale, chain = self.witness_source
+        dense = from_schur_weyl_blocks(chain[0], m, n, self.level)
         return LeggedOperator(dense, (m,) + (n,) * self.level) * scale
 
     def to_json(self) -> dict:
@@ -311,6 +320,7 @@ class FeasibilityReport:
             "certificate_margin": self.certificate_margin,
             "t_lower": self.t_lower,
             "t_upper": self.t_upper,
+            "derived_from": self.derived_from,
         }
         if self.witness_blocks is not None:
             m, n = self.witness_source[:2]
@@ -552,7 +562,8 @@ class ExtensionProblem:
         construction, and Phi(w') - a_s = Phi(w' - b') is PSD, so only its
         size is checked.  When |Phi(w') - a_s|max <= tol |a_s|max, w' is
         mapped back (`_Congruence`), and w goes through `validate_witness`
-        at 10 tol.  Returns (w, that defect) when both hold, else None.
+        at 10 tol.  Returns (the check's `chain` of w, that defect) when both
+        hold, else None.
         """
         w = psd_part(self.project_affine(c))
         a_max = float(np.abs(self._a_blocks).max())
@@ -560,7 +571,7 @@ class ExtensionProblem:
         if dev <= tol * a_max:
             w = self.congruence.inverse_blocks @ w @ self.congruence.inverse_blocks
             if self.validate_witness(w, 10 * tol):
-                return w, dev / a_max if a_max > 0 else 0.0
+                return self.chain, dev / a_max if a_max > 0 else 0.0
         return None
 
     def validate_witness(self, x: np.ndarray, tol: float) -> bool:
@@ -572,14 +583,20 @@ class ExtensionProblem:
         `transition_blocks` down to level 1, with no matrix of side m n^l.
         The Loewner check reads only the Hermitian part: the anti-Hermitian
         part of the marginal, the rounding of a witness far larger than a,
-        is at most tol |a|max by the anchor check."""
-        blocks = marg = self._blocks(x)
+        is at most tol |a|max by the anchor check.
+
+        The chain is kept as `chain`, whatever the answer: the blocks of b
+        and of P^k b, levels l down to 1.  The P^k b at levels l-1..2 are
+        not checked here; `separability_verdict` checks those it derives
+        levels from."""
+        chain = [self._blocks(x)]
         for k in range(self.l, 1, -1):
-            marg = transition_blocks(marg, self.m, self.n, k, self.rho.density)
-        gap = self.a.entries - marg[0]
+            chain.append(transition_blocks(chain[-1], self.m, self.n, k, self.rho.density))
+        self.chain = chain
+        gap = self.a.entries - chain[-1][0]
         if np.abs(gap).max() > tol * self.a.norm_max():
             return False
-        groups = [blocks, [(gap + gap.conj().T) / 2]]
+        groups = [chain[0], [(gap + gap.conj().T) / 2]]
         return _first_non_psd(groups, [self.m * self.n**self.l, self.m * self.n], tol) is None
 
     def _padded_if_factors(self, x: np.ndarray) -> Optional[np.ndarray]:
@@ -745,6 +762,12 @@ class ExtensionProblem:
         return "max_iterations", None, lower, upper
 
 
+def _read_only(blocks) -> tuple[np.ndarray, ...]:
+    for b in blocks:
+        b.setflags(write=False)
+    return tuple(blocks)
+
+
 def sub_extension_feasibility(
     a: LeggedOperator,
     rho: Functional,
@@ -799,12 +822,10 @@ def sub_extension_feasibility(
     verdict, blocks, source, certificate, margin = "max_iterations", None, None, None, None
     final = history[-1]
     if stop == "tol":
-        w, final = found
-        normalized = tuple(prob._blocks(w))
-        blocks = tuple(b * scale for b in normalized)
-        for b in normalized + blocks:
-            b.setflags(write=False)
-        source = (prob.m, prob.n, scale, normalized)
+        chain, final = found
+        chain = tuple(map(_read_only, chain))
+        blocks = _read_only([b * scale for b in chain[0]])
+        source = (prob.m, prob.n, scale, chain)
         verdict = "feasible"
     elif stop == "certificate":
         verdict = "infeasible_at_tolerance"
@@ -845,6 +866,12 @@ def separability_verdict(
 ) -> SeparabilityReport:
     """Run the hierarchy for l = 2..max_l and aggregate the evidence.
 
+    The levels are nested: a level-L extension b of a contracts by
+    P^(L-l) to a level-l extension of a (Doherty, Parrilo and Spedalieri,
+    PRA 69, 022308, 2004).  So max_l is solved first, and the levels below
+    a `feasible` level come from its witness check's chain (`_derived`);
+    below a level that is not feasible, the next level is solved.
+
     A level that is `infeasible_at_tolerance` carries a checked separating
     functional, so it proves that a is not level-l extendable, hence
     entangled (`entangled_evidence`).  All-feasible is finite evidence of
@@ -853,8 +880,13 @@ def separability_verdict(
     """
     check_level(max_l, "max_l", 2)
     reports = {}
-    for l in range(2, max_l + 1):
-        reports[l] = sub_extension_feasibility(a, rho, l, opts)
+    l = max_l
+    while l >= 2:
+        reports[l] = report = sub_extension_feasibility(a, rho, l, opts)
+        if report.verdict == "feasible":
+            reports.update(_derived(report, 10 * opts.tol))
+        l = min(reports) - 1
+    reports = {l: reports[l] for l in range(2, max_l + 1)}
     verdicts = {r.verdict for r in reports.values()}
     if "infeasible_at_tolerance" in verdicts:
         overall = "entangled_evidence"
@@ -864,6 +896,29 @@ def separability_verdict(
         overall = "undetermined"
     ppt = ppt_min_eig(a) if tuple(a.legs) in PPT_EXACT_DIMS else None
     return SeparabilityReport(overall, reports, ppt)
+
+
+def _derived(top: FeasibilityReport, tol: float) -> dict[int, FeasibilityReport]:
+    """The levels below the feasible level L of `top` whose witnesses P^k b
+    come from its witness check's chain, from L - 1 down.
+
+    Each has the marginal P^(L-1) b that level L's anchor and Loewner check
+    passed, so only its blocks are checked, by the blockwise Hermitian and
+    PSD rules at tol with the dense side m n^l: one `linalg._first_non_psd`
+    call over the levels L-1..2.  The levels above the first that fails are
+    derived; that level and those below it are left to be solved.
+    """
+    m, n, scale, chain = top.witness_source
+    levels = range(top.level - 1, 1, -1)
+    bad = _first_non_psd(chain[1:-1], [m * n**l for l in levels], tol)
+    out = {}
+    for k, l in enumerate(levels[:bad], start=1):
+        out[l] = FeasibilityReport(
+            "feasible", _read_only([b * scale for b in chain[k]]), top.final_residual, (), 0, l,
+            stop_reason="derived", certificate=None, certificate_margin=None,
+            derived_from=top.level, witness_source=(m, n, scale, chain[k:]),
+        )
+    return out
 
 
 @dataclass(frozen=True)

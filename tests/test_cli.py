@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 from definetti import Functional, LeggedOperator, bell_projector, werner_element
-from definetti.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, _parse_grid, main
+from definetti.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, MAX_GRID_POINTS, _parse_grid, main
 from definetti.serialize import dump_json, operator_from_json, operator_to_json, sequence_to_json
 from definetti import boundary, cli, hierarchy, serialize, symmetry
 from definetti.boundary import GroupLike, grouplike_sequence, separable_image_check
@@ -154,11 +154,14 @@ def test_extend_check_reads_a_density_file(tmp_path, capsys):
 
 
 def test_scan_werner_builds_one_geometry_per_level(tmp_path):
-    # the 21-point scan at levels 2..5 makes 84 solves on four geometries
+    # the 21-point scan at levels 2..5 makes 51 solves on four geometries:
+    # the top level of each point, and the next level down after one that
+    # is not feasible (p = 0..0.45 one, 0.5 two, 0.55 three, 0.6..1 four);
+    # the levels below a feasible one are derived from its witness
     hierarchy._geometry.cache_clear()
     assert main(["scan-werner", "--levels", "5", "--out", str(tmp_path / "scan.json")]) == EXIT_OK
     info = hierarchy._geometry.cache_info()
-    assert (info.misses, info.hits) == (4, 80)
+    assert (info.misses, info.hits) == (4, 47)
 
 
 def test_scan_werner_bad_grid(capsys):
@@ -172,6 +175,14 @@ def test_scan_werner_bad_grid(capsys):
     for grid in ("0:1:inf", "0:1:nan"):
         assert main(["scan-werner", "--grid", grid]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: invalid grid '{grid}'")
+
+
+def test_scan_werner_caps_the_grid_point_count(capsys):
+    # 20 001 points, past the cap: rejected with the grid message
+    # before any point is made; 10 001 points parse
+    assert main(["scan-werner", "--grid", "0:1:0.00005"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: invalid grid '0:1:0.00005'")
+    assert len(_parse_grid("0:1:0.0001")) == MAX_GRID_POINTS == 10_001
 
 
 def test_parse_grid_default_has_21_points():

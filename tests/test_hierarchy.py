@@ -1552,6 +1552,110 @@ def test_separability_verdict_rejects_levels_above_the_bound_up_front(monkeypatc
     assert calls == []
 
 
+# -- nested levels ------------------------------------------------------------
+
+
+def _product_mixture(rng, m, n, terms):
+    weights = rng.dirichlet(np.ones(terms))
+    mat = sum(w * np.kron(rand_psd(m, rng), rand_psd(n, rng)) for w in weights)
+    return LeggedOperator(mat, (m, n))
+
+
+def _assert_nested_equals_level_by_level(a, rho, max_l):
+    """The per-level verdicts of `separability_verdict` equal those of
+    `sub_extension_feasibility` at every level; each derived level is
+    feasible with a witness P^k b of a solved level above it, and those at
+    l <= 4 pass the dense reference check."""
+    report = separability_verdict(a, rho, max_l)
+    assert list(report.levels) == list(range(2, max_l + 1))
+    for l, got in report.levels.items():
+        assert got.verdict == sub_extension_feasibility(a, rho, l).verdict
+        if got.stop_reason != "derived":
+            assert got.derived_from is None
+            continue
+        top = report.levels[got.derived_from]
+        assert got.derived_from > l and top.stop_reason == "tol"
+        assert got.verdict == "feasible" and got.iterations == 0 and got.residual_history == ()
+        assert got.final_residual == top.final_residual
+        assert got.t_lower is None and got.t_upper is None and got.certificate is None
+        if l <= 4:
+            assert dense_validate_witness(ExtensionProblem(a, rho, l), got.witness, 1e-6)
+    return report
+
+
+@pytest.mark.parametrize("max_l", [3, 5, 8])
+def test_nested_levels_equal_level_by_level_on_the_werner_scan(max_l):
+    derived = 0
+    for p in np.linspace(0, 1, 21):
+        report = _assert_nested_equals_level_by_level(werner_element(float(p)), RHO, max_l)
+        derived += sum(r.stop_reason == "derived" for r in report.levels.values())
+    assert derived > 0
+
+
+def test_nested_levels_equal_level_by_level_on_mixtures_bell_and_a_random_functional(rng):
+    cases = [(_product_mixture(rng, 2, n, 3), Functional.normalized_trace(n), "separable_evidence")
+             for n in (2, 2, 3, 3)]
+    cases += [
+        (bell_projector(), RHO, "entangled_evidence"),
+        (werner_element(0.3), Functional.random_faithful(2, rng), "separable_evidence"),
+    ]
+    for a, rho, want in cases:
+        assert _assert_nested_equals_level_by_level(a, rho, 4).verdict == want
+
+
+def test_the_levels_below_a_feasible_top_level_are_derived_from_it():
+    report = separability_verdict(werner_element(0.3), RHO, 5)
+    assert report.levels[5].stop_reason == "tol"
+    m, n, scale, chain = report.levels[5].witness_source
+    for l in (2, 3, 4):
+        level = report.levels[l]
+        assert (level.stop_reason, level.derived_from) == ("derived", 5)
+        # the chain of level 5's witness check, scaled, and its suffix
+        assert all(np.array_equal(b, c * scale) for b, c in zip(level.witness_blocks, chain[5 - l]))
+        assert level.witness_source[3] == chain[5 - l :]
+        out = level.to_json()
+        assert (out["stop_reason"], out["derived_from"], out["iterations"]) == ("derived", 5, 0)
+        assert out["residual_history"] == [] and "witness" in out
+    assert report.levels[5].to_json()["derived_from"] is None
+
+
+def test_a_derived_level_that_fails_its_psd_check_is_solved(monkeypatch):
+    # the check of the levels derived from level 5 says level 3 fails, so
+    # level 4 is derived from 5, level 3 is solved, and level 2 is derived
+    # from 3; the verdicts do not change
+    check, calls = hierarchy._first_non_psd, []
+
+    def failing_level_3(groups, sides, tol):
+        if list(sides) == [32, 16, 8]:  # the derived levels 4, 3, 2 of 2 (x) 2
+            calls.append(tol)
+            return 1
+        return check(groups, sides, tol)
+
+    monkeypatch.setattr(hierarchy, "_first_non_psd", failing_level_3)
+    report = separability_verdict(werner_element(0.3), RHO, 5, SolverOptions(tol=1e-8))
+    assert calls == [pytest.approx(1e-7)]
+    got = {l: (r.verdict, r.stop_reason, r.derived_from) for l, r in report.levels.items()}
+    assert got == {
+        2: ("feasible", "derived", 3),
+        3: ("feasible", "tol", None),
+        4: ("feasible", "derived", 5),
+        5: ("feasible", "tol", None),
+    }
+    assert report.levels[3].iterations > 0
+    assert report.verdict == "separable_evidence"
+
+
+def test_levels_below_one_that_is_not_feasible_are_solved():
+    # Werner 0.6 is extendable at level 2 only (thresholds 2/3, 5/9, 1/2)
+    report = separability_verdict(werner_element(0.6), RHO, 4)
+    got = {l: (r.verdict, r.stop_reason) for l, r in report.levels.items()}
+    assert got == {
+        2: ("feasible", "tol"),
+        3: ("infeasible_at_tolerance", "certificate"),
+        4: ("infeasible_at_tolerance", "certificate"),
+    }
+
+
 @pytest.mark.parametrize("s", [1e-10, 1e-7, 1.0, 1e4, 1e10])
 def test_verdicts_do_not_depend_on_the_scale_of_the_input(s):
     for a, l in ((bell_projector() * s, 2), (werner_element(0.9) * s, 3)):
